@@ -90,6 +90,10 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
             lengths = tuple(int(part) for part in args.lengths.split(","))
         except ValueError:
             parser.error(f"cannot parse length vector {args.lengths!r}")
+    if args.mode == "compress":
+        for flag, value in (("--max-chain", args.max_chain), ("--block-limit", args.block_limit)):
+            if value < 1:
+                parser.error(f"{flag} must be at least 1, got {value}")
     cfg = CliConfig(
         mode=args.mode,
         fmt=getattr(args, "fmt", "raw"),

@@ -1,11 +1,11 @@
 """Greedy LZ77 tokenizer and deflate block writer.
 
 The tokenizer scans left to right, hashing every three-byte group into
-a table of recency queues.  At each position it takes the longest match
-among the most recent candidates (ties to the smallest distance, i.e.
-the first candidate examined) or falls back to a literal.  Positions
-covered by an emitted match are still hashed so later matches can start
-inside them.
+zlib-style hash chains (RFC 1951 section 4).  At each position it takes
+the longest match among the most recent candidates (ties to the
+smallest distance, i.e. the first candidate examined) or falls back to
+a literal.  Positions covered by an emitted match are still hashed so
+later matches can start inside them.
 
 Blocks are encoded with the fixed codings only; when that would come
 out larger than simply storing the bytes (e.g. on incompressible
@@ -19,22 +19,12 @@ from dataclasses import dataclass
 
 from .bitio import BitSink
 from .errors import ValueOutOfRange
-from .history_window import (
-    ENIL,
-    BackRef,
-    Econs2,
-    END_OF_BLOCK,
-    EndOfBlock,
-    Literal,
-    QueueOfDoom,
-    WINDOW_SIZE,
-    explist_take,
-)
+from .history_window import BackRef, END_OF_BLOCK, EndOfBlock, Literal, WINDOW_SIZE
 from .prefix_coding import fixed_dist_coding, fixed_lit_coding
 from .symbol_tables import (
+    DISTANCE_TABLE,
     MAX_MATCH_LENGTH,
     MIN_MATCH_LENGTH,
-    distance_encode,
     length_encode,
 )
 
@@ -45,6 +35,8 @@ BTYPE_DYNAMIC = 2
 MAX_STORED_BLOCK = 65535
 HASH_BITS = 15
 _HASH_MASK = (1 << HASH_BITS) - 1
+WINDOW_MASK = WINDOW_SIZE - 1
+NO_POS = -WINDOW_SIZE - 1  # below pos - WINDOW_SIZE for every pos >= 0
 
 
 @dataclass(frozen=True)
@@ -75,36 +67,29 @@ def _hash3(b0: int, b1: int, b2: int) -> int:
     return ((b0 << 10) ^ (b1 << 5) ^ b2) & _HASH_MASK
 
 
-class MatchTable:
-    """Hash table from three-byte groups to recency queues of positions.
+class HashChains:
+    """Hash chains over the positions already seen, as in zlib's deflate.c.
 
-    Buckets are small QueueOfDooms, so each retains between
-    ``bucket_capacity`` and twice that many positions and old ones fall
-    away wholesale.  Iteration order is newest first, which makes the
-    first acceptable candidate the closest one.
+    ``head[key]`` is the newest position whose three-byte group hashes
+    to key, and ``prev[pos & WINDOW_MASK]`` the next older position
+    with the same key as pos, so following prev from head visits a
+    key's positions newest first.  Slots hold NO_POS until filled.
+
+    Positions are inserted in increasing order, and a search from pos
+    runs before pos is inserted.  A prev slot is reused only when the
+    position WINDOW_SIZE later is inserted, so every candidate inside
+    the window still links to its true predecessor.
     """
 
-    __slots__ = ("buckets", "bucket_capacity")
+    __slots__ = ("head", "prev")
 
-    def __init__(self, bucket_capacity: int):
-        self.buckets: dict[int, QueueOfDoom] = {}
-        self.bucket_capacity = bucket_capacity
+    def __init__(self):
+        self.head = [NO_POS] * (1 << HASH_BITS)
+        self.prev = [NO_POS] * WINDOW_SIZE
 
     def insert(self, key: int, pos: int) -> None:
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            bucket = QueueOfDoom(self.bucket_capacity)
-        self.buckets[key] = bucket.push(pos)
-
-    def candidates(self, key: int, limit: int) -> list:
-        """Up to ``limit`` positions hashed to key, most recent first."""
-        out: list = []
-        bucket = self.buckets.get(key)
-        if bucket is not None:
-            explist_take(bucket.front, limit, out)
-            if len(out) < limit:
-                explist_take(bucket.back, limit - len(out), out)
-        return out
+        self.prev[pos & WINDOW_MASK] = self.head[key]
+        self.head[key] = pos
 
 
 def _match_length(data: bytes, cand: int, pos: int, limit: int) -> int:
@@ -126,7 +111,9 @@ _GOOD_MATCH = 8
 _NICE_MATCH = 128
 
 
-def find_match(data: bytes, pos: int, table: MatchTable, params: CompressParams = DEFAULT_PARAMS):
+def find_match(
+    data: bytes, pos: int, chains: HashChains, params: CompressParams = DEFAULT_PARAMS
+):
     """Longest match for data[pos:] among recent candidates, or None.
 
     Returns (length, distance) with length >= params.min_match.  Among
@@ -140,13 +127,11 @@ def find_match(data: bytes, pos: int, table: MatchTable, params: CompressParams 
         limit = avail
     if limit < params.min_match:
         return None
-    bucket = table.buckets.get(_hash3(data[pos], data[pos + 1], data[pos + 2]))
-    if bucket is None:
-        return None
+    cand = chains.head[_hash3(data[pos], data[pos + 1], data[pos + 2])]
     min_cand = pos - WINDOW_SIZE
-    front = bucket.front
-    if front is ENIL or front.head < min_cand:
+    if cand < min_cand:
         return None  # even the newest candidate is beyond the window
+    prev = chains.prev
     # Starting best_len one short of min_match arms the one-byte reject
     # below from the first candidate: anything it skips could match at
     # most min_match - 1 bytes and so could never become the best.
@@ -155,38 +140,12 @@ def find_match(data: bytes, pos: int, table: MatchTable, params: CompressParams 
     chain = params.max_chain
     good_cap = max(1, chain >> 2)
     nice_stop = _NICE_MATCH if _NICE_MATCH < limit else limit
-    # The bucket's ExpLists are walked inline rather than through
-    # explist_iter or explist_take: this loop runs for nearly every input
-    # position, and both generator frames and up-front materialization
-    # cost more than the matching itself.  The agenda holds (item, d)
-    # entries where d >= 0 is a pair tree of that depth and d < 0 is a
-    # queue level whose heads are trees of depth (-1 - d).  Leaves come
-    # out newest position first, so one stale candidate ends the walk.
-    agenda = []
-    if bucket.back is not ENIL:
-        agenda.append((bucket.back, -1))
-    agenda.append((front, -1))
-    while agenda:
-        item, d = agenda.pop()
-        if d < 0:
-            if item.tail is not ENIL:
-                agenda.append((item.tail, d - 1))
-            if type(item) is Econs2:
-                agenda.append((item.head2, -1 - d))
-            agenda.append((item.head, -1 - d))
-            continue
-        if d:
-            d -= 1
-            agenda.append((item[1], d))
-            agenda.append((item[0], d))
-            continue
-        if item < min_cand:
-            break
-        if data[item + best_len] == data[pos + best_len]:
-            n = _match_length(data, item, pos, limit)
+    while cand >= min_cand:
+        if data[cand + best_len] == data[pos + best_len]:
+            n = _match_length(data, cand, pos, limit)
             if n > best_len:
                 best_len = n
-                best_dist = pos - item
+                best_dist = pos - cand
                 if n >= nice_stop:
                     break
                 if n >= _GOOD_MATCH and chain > good_cap:
@@ -194,6 +153,7 @@ def find_match(data: bytes, pos: int, table: MatchTable, params: CompressParams 
         chain -= 1
         if not chain:
             break
+        cand = prev[cand & WINDOW_MASK]
     if best_dist:
         return best_len, best_dist
     return None
@@ -202,37 +162,37 @@ def find_match(data: bytes, pos: int, table: MatchTable, params: CompressParams 
 def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     """Greedy token stream for data; EndOfBlock closes every block.
 
-    The match table persists across block boundaries, matching the
+    The hash chains persist across block boundaries, matching the
     decoder's window, which likewise never resets between blocks.
     """
     tokens = []
-    table = MatchTable(params.max_chain)
-    # Inline of table.insert: every input position passes through here.
-    buckets = table.buckets
-    fresh = QueueOfDoom(table.bucket_capacity)
+    chains = HashChains()
+    # Inline of chains.insert: every input position passes through here.
+    head = chains.head
+    prev = chains.prev
     mask = _HASH_MASK
     n = len(data)
     last_hash = n - 3  # last position with a full three-byte group
     i = 0
     block_left = params.block_payload_limit
     while i < n:
-        m = find_match(data, i, table, params) if i <= last_hash else None
+        m = find_match(data, i, chains, params) if i <= last_hash else None
         if m is not None:
             length, dist = m
             tokens.append(BackRef(length, dist))
             stop = min(i + length, last_hash + 1)
             for j in range(i, stop):
                 key = ((data[j] << 10) ^ (data[j + 1] << 5) ^ data[j + 2]) & mask
-                b = buckets.get(key)
-                buckets[key] = (fresh if b is None else b).push(j)
+                prev[j & WINDOW_MASK] = head[key]
+                head[key] = j
             i += length
             block_left -= length
         else:
             tokens.append(Literal(data[i]))
             if i <= last_hash:
                 key = ((data[i] << 10) ^ (data[i + 1] << 5) ^ data[i + 2]) & mask
-                b = buckets.get(key)
-                buckets[key] = (fresh if b is None else b).push(i)
+                prev[i & WINDOW_MASK] = head[key]
+                head[key] = i
             i += 1
             block_left -= 1
         if block_left <= 0 and i < n:
@@ -259,17 +219,21 @@ def _encode_table(coding):
 _STATIC_LIT_ENC = None
 _STATIC_DIST_ENC = None
 _LENGTH_ENC = None  # match length 3..258 -> (codepoint, extra, extra_bits)
+_DISTANCE_CP = None  # distance 1..32768 -> codepoint, as bytes (index 0 unused)
 
 
 def _static_tables():
-    global _STATIC_LIT_ENC, _STATIC_DIST_ENC, _LENGTH_ENC
+    global _STATIC_LIT_ENC, _STATIC_DIST_ENC, _LENGTH_ENC, _DISTANCE_CP
     if _STATIC_LIT_ENC is None:
         _STATIC_LIT_ENC = _encode_table(fixed_lit_coding())
         _STATIC_DIST_ENC = _encode_table(fixed_dist_coding())
         _LENGTH_ENC = [None] * (MAX_MATCH_LENGTH + 1)
         for length in range(MIN_MATCH_LENGTH, MAX_MATCH_LENGTH + 1):
             _LENGTH_ENC[length] = length_encode(length)
-    return _STATIC_LIT_ENC, _STATIC_DIST_ENC, _LENGTH_ENC
+        _DISTANCE_CP = bytes(1) + b"".join(
+            bytes([cp]) * (1 << bits) for cp, (bits, _) in sorted(DISTANCE_TABLE.items())
+        )
+    return _STATIC_LIT_ENC, _STATIC_DIST_ENC, _LENGTH_ENC, _DISTANCE_CP
 
 
 def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
@@ -282,7 +246,7 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
         raise ValueOutOfRange("block tokens must end with EndOfBlock")
     if any(type(t) is EndOfBlock for t in tokens[:-1]):
         raise ValueOutOfRange("EndOfBlock before the end of the block's tokens")
-    lit_enc, dist_enc, len_enc = _static_tables()
+    lit_enc, dist_enc, len_enc, distance_cp = _static_tables()
     write = sink.write_bits_lsb
     write(1 if final else 0, 1)
     write(BTYPE_STATIC, 2)
@@ -296,11 +260,12 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
             write(rev, nb)
             if ebits:
                 write(extra, ebits)
-            dcp, dextra, debits = distance_encode(t.distance)
+            dcp = distance_cp[t.distance]
             rev, nb = dist_enc[dcp]
             write(rev, nb)
+            debits, dbase = DISTANCE_TABLE[dcp]
             if debits:
-                write(dextra, debits)
+                write(t.distance - dbase, debits)
         else:
             raise ValueOutOfRange(f"unknown token {t!r}")
     rev, nb = lit_enc[256]
@@ -323,7 +288,7 @@ def write_stored_block(data: bytes, final: bool, sink: BitSink) -> BitSink:
 
 def _static_cost_bits(tokens) -> int:
     """Exact payload size of write_static_block, excluding the 3 header bits."""
-    lit_enc, dist_enc, len_enc = _static_tables()
+    lit_enc, dist_enc, len_enc, distance_cp = _static_tables()
     bits = 0
     for t in tokens:
         if type(t) is Literal:
@@ -331,8 +296,8 @@ def _static_cost_bits(tokens) -> int:
         elif type(t) is BackRef:
             cp, _, ebits = len_enc[t.length]
             bits += lit_enc[cp][1] + ebits
-            dcp, _, debits = distance_encode(t.distance)
-            bits += dist_enc[dcp][1] + debits
+            dcp = distance_cp[t.distance]
+            bits += dist_enc[dcp][1] + DISTANCE_TABLE[dcp][0]
         else:
             bits += lit_enc[256][1]
     return bits

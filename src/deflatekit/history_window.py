@@ -210,41 +210,6 @@ def _flatten(item, depth: int) -> Iterator:
         yield from _flatten(item[1], depth - 1)
 
 
-def explist_take(e: ExpList, k: int, out: list) -> None:
-    """Append the first ``k`` elements of ``e`` (index order) onto ``out``.
-
-    Iterative twin of explist_iter for hot paths: nested generators cost
-    a frame per level per element, which dominates when a caller scans
-    thousands of short lists.
-    """
-    if k <= 0:
-        return
-    limit = len(out) + k
-    node = e
-    depth = 0
-    while node is not ENIL and len(out) < limit:
-        heads = (node.head,) if type(node) is Econs1 else (node.head, node.head2)
-        for item in heads:
-            if depth == 0:
-                out.append(item)
-            else:
-                # Leaves of a depth-d pair tree, leftmost (newest) first.
-                stack = [(item, depth)]
-                while stack:
-                    it, d = stack.pop()
-                    if d == 0:
-                        out.append(it)
-                    else:
-                        d -= 1
-                        stack.append((it[1], d))
-                        stack.append((it[0], d))
-            if len(out) >= limit:
-                break
-        node = node.tail
-        depth += 1
-    del out[limit:]
-
-
 # -- the two window shapes ----------------------------------------------
 
 

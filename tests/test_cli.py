@@ -118,6 +118,16 @@ def test_unknown_mode_is_a_usage_error():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--max-chain", "--block-limit"])
+def test_compress_option_below_one_is_a_usage_error(tmp_path, capsys, flag):
+    src = tmp_path / "plain.txt"
+    src.write_bytes(b"data")
+    with pytest.raises(SystemExit) as err:
+        main(["compress", str(src), flag, "0"])
+    assert err.value.code == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+
 def test_decompress_output_written_before_success(tmp_path):
     packed = tmp_path / "ok.raw"
     packed.write_bytes(deflate(b"abc" * 100))

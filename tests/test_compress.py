@@ -4,6 +4,7 @@ Round trips run against both our own decoder and zlib, so neither side
 of the codec can quietly agree with its twin on a wrong answer.
 """
 
+import hashlib
 import math
 import random
 import zlib
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 from deflatekit.bitio import BitCursor, BitSink
 from deflatekit.compress import (
     CompressParams,
-    MatchTable,
+    HashChains,
     MAX_STORED_BLOCK,
+    WINDOW_MASK,
     _hash3,
+    _static_tables,
     deflate,
     find_match,
     tokenize,
@@ -27,10 +30,13 @@ from deflatekit.compress import (
 from deflatekit.errors import ValueOutOfRange
 from deflatekit.history_window import BackRef, END_OF_BLOCK, EndOfBlock, Literal
 from deflatekit.inflate import inflate, parse_stored_block
+from deflatekit.symbol_tables import DISTANCE_TABLE, MAX_DISTANCE, distance_encode
 
 from conftest import (
     GOLDEN_PLAINTEXT,
     GOLDEN_STATIC_BYTES,
+    english_text,
+    log_text,
     mixed_corpus_item,
 )
 
@@ -49,8 +55,8 @@ GOLDEN_TOKEN_STREAM = [
 ]
 
 
-def table_with_positions(data: bytes, stop: int, capacity: int = 128) -> MatchTable:
-    table = MatchTable(capacity)
+def table_with_positions(data: bytes, stop: int) -> HashChains:
+    table = HashChains()
     for j in range(stop):
         table.insert(_hash3(data[j], data[j + 1], data[j + 2]), j)
     return table
@@ -73,7 +79,7 @@ def test_find_match_run_example():
 
 def test_find_match_no_candidates():
     data = GOLDEN_PLAINTEXT
-    assert find_match(data, 8, MatchTable(128)) is None
+    assert find_match(data, 8, HashChains()) is None
 
 
 def test_find_match_near_the_end():
@@ -107,11 +113,11 @@ def test_longer_match_beats_closer_match():
 
 def test_candidates_beyond_the_window_are_ignored():
     far = b"abc" + bytes(32766) + b"abc"  # distance 32769
-    table = MatchTable(128)
+    table = HashChains()
     table.insert(_hash3(*far[:3]), 0)
     assert find_match(far, 32769, table) is None
     edge = b"abc" + bytes(32765) + b"abc"  # distance 32768 exactly
-    table = MatchTable(128)
+    table = HashChains()
     table.insert(_hash3(*edge[:3]), 0)
     assert find_match(edge, 32768, table) == (3, 32768)
 
@@ -122,14 +128,38 @@ def test_match_length_is_capped_at_258():
     assert find_match(data, 1, table) == (258, 1)
 
 
-def test_match_table_candidates_order_and_eviction():
-    table = MatchTable(4)
-    for pos in range(10):
+def chain_of(table: HashChains, key: int, pos: int) -> list:
+    """Positions a search from pos walks for key: newest first, in window."""
+    out = []
+    cand = table.head[key]
+    while cand >= pos - 32768:
+        out.append(cand)
+        cand = table.prev[cand & WINDOW_MASK]
+    return out
+
+
+def test_hash_chains_order_and_window_edge_after_slot_reuse():
+    table = HashChains()
+    for pos in (0, 3, 4, 9):
         table.insert(5, pos)
-    # Newest first; capacity 4 retains between 4 and 8 entries.
-    assert table.candidates(5, 100) == [9, 8, 7, 6, 5, 4]
-    assert table.candidates(5, 3) == [9, 8, 7]
-    assert table.candidates(6, 10) == []
+    table.insert(6, 7)
+    assert chain_of(table, 5, 10) == [9, 4, 3, 0]
+    assert chain_of(table, 6, 10) == [7]
+    assert chain_of(table, 1, 10) == []
+    # "abc" at 0, 32768 and 65536: inserting 32768 reused the prev slot
+    # of position 0, and the search from 65536 still reaches 32768 at
+    # distance exactly 32768, then stops at 0.
+    edge = (b"abc" + bytes(32765)) * 2 + b"abc"
+    table = table_with_positions(edge, 65536)
+    key = _hash3(*b"abc")
+    assert chain_of(table, key, 65536) == [32768]
+    assert table.prev[32768 & WINDOW_MASK] == 0
+    assert find_match(edge, 65536, table) == (3, 32768)
+    # One byte further apart, the same layout is out of reach.
+    far = (b"abc" + bytes(32766)) * 2 + b"abc"
+    table = table_with_positions(far, 65538)
+    assert chain_of(table, key, 65538) == []
+    assert find_match(far, 65538, table) is None
 
 
 # -- tokenize ---------------------------------------------------------------
@@ -234,6 +264,15 @@ def test_write_stored_block_size_limit():
         write_stored_block(bytes(MAX_STORED_BLOCK + 1), True, BitSink())
 
 
+def test_distance_table_matches_distance_encode():
+    distance_cp = _static_tables()[3]
+    assert len(distance_cp) == MAX_DISTANCE + 1
+    for d in range(1, MAX_DISTANCE + 1):
+        cp = distance_cp[d]
+        bits, base = DISTANCE_TABLE[cp]
+        assert (cp, d - base, bits) == distance_encode(d)
+
+
 # -- deflate ----------------------------------------------------------------
 
 
@@ -245,6 +284,56 @@ def test_deflate_empty_input():
     out = deflate(b"")
     assert inflate(out) == b""
     assert zlib.decompress(out, -15) == b""
+
+
+# -- byte identity ----------------------------------------------------------
+
+# sha256 of deflate's output, recorded before the match finder moved from
+# QueueOfDoom buckets to head/prev hash chains; any change to the matcher
+# or the block writers that alters the stream shows here.
+DIGEST_PARAMS = {
+    "default": CompressParams(),
+    "chain1": CompressParams(max_chain=1),
+    "chain4-block5000": CompressParams(max_chain=4, block_payload_limit=5000),
+}
+GOLDEN_DIGESTS = {
+    ("text", "default"): "40b0581277238c4c62d496c8e1fc6eb99c91b29cad7ce64ff84f158a3fcaa1f5",
+    ("text", "chain1"): "a8ef145eb919b16dfc0119d55e734159816d6825000583b2fcb46f1a54cef688",
+    ("text", "chain4-block5000"): "ac613539bfdee98a6f80e4ffb5142515e565cf8a73c9e346e62c4faf6cd79b38",
+    ("random", "default"): "512fd432c710400e94eb339b4903c813aa83c9aa2fb00c5138da395299243a68",
+    ("random", "chain1"): "512fd432c710400e94eb339b4903c813aa83c9aa2fb00c5138da395299243a68",
+    ("random", "chain4-block5000"): "c4ab07480d75461958663d2bf44eba12e5164437eee202103313b3a9a84ba45c",
+    ("runs", "default"): "e30e8b33924ac1a5c15c5fa9e47a21721a639f81e6a16d95c858577091b57228",
+    ("runs", "chain1"): "e30e8b33924ac1a5c15c5fa9e47a21721a639f81e6a16d95c858577091b57228",
+    ("runs", "chain4-block5000"): "c19ac02d715fd24b34e517434c4335884867670dbe08b3c9b7d46b0eee11573b",
+    ("wrap", "default"): "66ec85e70cebcbcf1f67838089807871116a9587a56312ef56ddeea98f6efb2c",
+    ("wrap", "chain1"): "8098c32c4f12f372552c18dbe2e1c200f81dc0fb08c9f182828485e1f496b60e",
+    ("wrap", "chain4-block5000"): "0043cb7bbb77bd9aca8ce040a27bf2e63b4c0eda29adfcf55148b9868ff4cd0f",
+}
+
+
+def digest_inputs() -> dict:
+    rng = random.Random(2027)
+    far = rng.randbytes(32768)
+    return {
+        "text": english_text(16000, seed=11) + log_text(12000, seed=12),
+        "random": rng.randbytes(6000),
+        "runs": b"".join(
+            (rng.randbytes(p) * 1100)[: 900 + 41 * p] for p in (1, 2, 3, 5, 7, 13, 31)
+        ),
+        # Over 64 KiB, so every prev slot is reused at least once, with a
+        # random 3000-byte stretch repeated at distance exactly 32768.
+        "wrap": english_text(40000, seed=13) + far + far[:3000] + log_text(6000, seed=14),
+    }
+
+
+def test_deflate_output_matches_the_golden_digests():
+    digests = {
+        (name, pname): hashlib.sha256(deflate(data, params)).hexdigest()
+        for name, data in digest_inputs().items()
+        for pname, params in DIGEST_PARAMS.items()
+    }
+    assert digests == GOLDEN_DIGESTS
 
 
 def block_type_of(stream: bytes) -> int:

@@ -7,6 +7,7 @@ implementation, and zlib.crc32.
 
 import gzip as stdlib_gzip
 import io
+import math
 import random
 import struct
 import zlib
@@ -102,6 +103,19 @@ def test_compress_decompress_round_trip():
     for _ in range(30):
         data = mixed_corpus_item(rng, rng.randrange(0, 3000))
         assert gzip_decompress(gzip_compress(data)) == data
+
+
+def test_gzip_output_stays_within_the_stored_bound_plus_framing():
+    # The raw Deflate bound of criterion 11 plus the 10-byte header and
+    # the 8-byte trailer.
+    for n in (0, 1, 1000, 65535, 65536, 70000):
+        data = random.Random(n).randbytes(n)
+        packed = gzip_compress(data)
+        assert len(packed) <= n + 5 * math.ceil(n / 65535) + 8 + 18
+        assert gzip_decompress(packed) == data
+    # The raw bound alone (1013 here) does not hold for the container:
+    # one stored block of 1000 bytes is 1005, framed 1023.
+    assert len(gzip_compress(random.Random(1000).randbytes(1000))) == 1023
 
 
 # -- interoperability ---------------------------------------------------------

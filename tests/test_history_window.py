@@ -24,7 +24,6 @@ from deflatekit.history_window import (
     explist_index,
     explist_iter,
     explist_len,
-    explist_take,
     resolve_tokens,
     resolve_tokens_ring,
 )
@@ -98,27 +97,6 @@ def test_explist_index_errors():
         explist_index(e, -1)
     with pytest.raises(IndexOutOfRange):
         explist_index(ENIL, 0)
-
-
-def test_explist_take_prefixes():
-    rng = random.Random(22)
-    e = ENIL
-    oracle = []
-    for x in range(137):
-        e = explist_cons(x, e)
-        oracle.insert(0, x)
-    for k in (0, 1, 2, 3, 7, 64, 136, 137, 500):
-        out = []
-        explist_take(e, k, out)
-        assert out == oracle[:k]
-    out = ["sentinel"]
-    explist_take(e, 4, out)
-    assert out == ["sentinel"] + oracle[:4]
-    out = [1, 2]
-    explist_take(e, 0, out)
-    assert out == [1, 2]
-    explist_take(ENIL, 5, out)
-    assert out == [1, 2]
 
 
 # -- QueueOfDoom --------------------------------------------------------
