@@ -11,35 +11,23 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitio import BitCursor
 from .compress import CompressParams, deflate
 from .errors import DeflateError, InflateError
-from .gzip_container import gzip_compress, gzip_decompress
-from .history_window import BackRef, EndOfBlock, Literal
-from .inflate import (
-    BlockType,
-    NoParse,
-    Parsed,
-    inflate,
-    parse_block_header,
-    parse_compressed_tokens,
-    parse_dynamic_header,
-    parse_stored_block,
-)
-from .prefix_coding import build_coding, fixed_dist_coding, fixed_lit_coding
+from .gzip_container import _parse_header, gzip_compress, gzip_decompress
+from .history_window import BackRef, Literal
+from .inflate import BlockType, NoParse, inflate, iter_blocks
+from .prefix_coding import DeflateCoding, build_coding
 
 
 @dataclass(frozen=True)
 class CliConfig:
     mode: str
     fmt: str = "gzip"
-    window_impl: str = "ring"
     input_path: str = "-"
     output_path: Optional[str] = None
     max_chain: int = 128
     block_limit: int = 1 << 20
-    lengths: Optional[tuple[int, ...]] = None
-    max_len: int = 15
+    coding: Optional[DeflateCoding] = None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -66,8 +54,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     deco.add_argument("-o", "--output")
     deco.add_argument("-f", "--format", choices=("raw", "gzip"), default="gzip",
                       dest="fmt")
-    deco.add_argument("--window-impl", choices=("queue", "ring"), default="ring",
-                      help="history window representation (identical results)")
 
     coding = sub.add_parser("dump-coding",
                             help="show the canonical coding for a length vector")
@@ -84,12 +70,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CliConfig:
-    lengths = None
+    coding = None
     if args.mode == "dump-coding":
+        # int() and every coding error (bad --max-len, over-subscribed
+        # lengths) raise ValueError: all are usage errors.
         try:
-            lengths = tuple(int(part) for part in args.lengths.split(","))
-        except ValueError:
-            parser.error(f"cannot parse length vector {args.lengths!r}")
+            lengths = [int(part) for part in args.lengths.split(",")]
+            coding = build_coding(lengths, args.max_len)
+        except ValueError as e:
+            parser.error(f"bad length vector {args.lengths!r}: {e}")
     if args.mode == "compress":
         for flag, value in (("--max-chain", args.max_chain), ("--block-limit", args.block_limit)):
             if value < 1:
@@ -97,13 +86,11 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
     cfg = CliConfig(
         mode=args.mode,
         fmt=getattr(args, "fmt", "raw"),
-        window_impl=getattr(args, "window_impl", "ring"),
         input_path=getattr(args, "input", "-"),
         output_path=getattr(args, "output", None),
         max_chain=getattr(args, "max_chain", 128),
         block_limit=getattr(args, "block_limit", 1 << 20),
-        lengths=lengths,
-        max_len=getattr(args, "max_len", 15),
+        coding=coding,
     )
     if cfg.output_path and cfg.output_path != "-" and cfg.output_path == cfg.input_path:
         parser.error("input and output must be different paths")
@@ -127,8 +114,7 @@ def _write_output(path: Optional[str], data: bytes) -> None:
 
 
 def _dump_coding(cfg: CliConfig) -> None:
-    coding = build_coding(list(cfg.lengths), cfg.max_len)
-    for ch, code in enumerate(coding.codes):
+    for ch, code in enumerate(cfg.coding.codes):
         shown = "".join(map(str, code)) if code else "(absent)"
         print(f"{ch}: {shown}")
 
@@ -143,47 +129,22 @@ def _token_line(token) -> str:
 
 
 def _dump_tokens(cfg: CliConfig, data: bytes) -> None:
-    if cfg.fmt == "gzip":
-        from .gzip_container import gzip_unwrap
-
-        data, _, _ = gzip_unwrap(data)
-    pos = 0
-    block = 0
-    while True:
-        header_outcome = parse_block_header(BitCursor(data, pos))
-        if isinstance(header_outcome, NoParse):
-            raise InflateError(
-                header_outcome.reason.value, header_outcome.bit_pos, header_outcome.detail
-            )
-        header = header_outcome.value
-        pos = header_outcome.rest.bit_pos
-        kind = header.block_type.name.lower()
-        final = " final" if header.is_final else ""
-        print(f"block {block} ({kind}{final})")
+    start = 8 * _parse_header(data) if cfg.fmt == "gzip" else 0
+    block = -1
+    shown = None
+    for header, item, _ in iter_blocks(data, start):
+        if header is not None and header is not shown:
+            shown = header
+            block += 1
+            final = " final" if header.is_final else ""
+            print(f"block {block} ({header.block_type.name.lower()}{final})")
+        if isinstance(item, NoParse):
+            raise InflateError(item.reason.value, item.bit_pos, item.detail)
         if header.block_type is BlockType.STORED:
-            outcome = parse_stored_block(BitCursor(data, pos))
-            if isinstance(outcome, NoParse):
-                raise InflateError(outcome.reason.value, outcome.bit_pos, outcome.detail)
-            print(f"  stored {len(outcome.value)} bytes")
-            pos = outcome.rest.bit_pos
+            print(f"  stored {len(item)} bytes")
         else:
-            if header.block_type is BlockType.STATIC:
-                lit_coding, dist_coding = fixed_lit_coding(), fixed_dist_coding()
-            else:
-                dyn = parse_dynamic_header(BitCursor(data, pos))
-                if isinstance(dyn, NoParse):
-                    raise InflateError(dyn.reason.value, dyn.bit_pos, dyn.detail)
-                lit_coding, dist_coding = dyn.value.lit_coding, dyn.value.dist_coding
-                pos = dyn.rest.bit_pos
-            outcome = parse_compressed_tokens(BitCursor(data, pos), lit_coding, dist_coding)
-            if isinstance(outcome, NoParse):
-                raise InflateError(outcome.reason.value, outcome.bit_pos, outcome.detail)
-            for token in outcome.value:
+            for token in item:
                 print(f"  {_token_line(token)}")
-            pos = outcome.rest.bit_pos
-        if header.is_final:
-            break
-        block += 1
 
 
 def run(cfg: CliConfig) -> int:
@@ -204,9 +165,9 @@ def run(cfg: CliConfig) -> int:
             _write_output(cfg.output_path, out)
         elif cfg.mode == "decompress":
             if cfg.fmt == "gzip":
-                out = gzip_decompress(data, cfg.window_impl)
+                out = gzip_decompress(data)
             else:
-                out = inflate(data, cfg.window_impl)
+                out = inflate(data)
             _write_output(cfg.output_path, out)
         elif cfg.mode == "dump-tokens":
             _dump_tokens(cfg, data)

@@ -44,15 +44,9 @@ class CompressParams:
     """Tuning knobs; defaults favour speed over the last few percent."""
 
     max_chain: int = 128  # candidates examined per position
-    min_match: int = MIN_MATCH_LENGTH
-    max_match: int = MAX_MATCH_LENGTH
     block_payload_limit: int = 1 << 20  # source bytes per block
 
     def __post_init__(self):
-        if not MIN_MATCH_LENGTH <= self.min_match <= self.max_match <= MAX_MATCH_LENGTH:
-            raise ValueOutOfRange(
-                f"match bounds {self.min_match}..{self.max_match} outside 3..258"
-            )
         if self.max_chain < 1:
             raise ValueOutOfRange("max_chain must be at least 1")
         if self.block_payload_limit < 1:
@@ -116,26 +110,27 @@ def find_match(
 ):
     """Longest match for data[pos:] among recent candidates, or None.
 
-    Returns (length, distance) with length >= params.min_match.  Among
+    Returns (length, distance) with length >= MIN_MATCH_LENGTH.  Among
     equally long matches the smallest distance wins.  At most
     params.max_chain candidates are examined, fewer once a good match
     is in hand.
     """
     avail = len(data) - pos
-    limit = params.max_match
+    limit = MAX_MATCH_LENGTH
     if limit > avail:
         limit = avail
-    if limit < params.min_match:
+    if limit < MIN_MATCH_LENGTH:
         return None
     cand = chains.head[_hash3(data[pos], data[pos + 1], data[pos + 2])]
     min_cand = pos - WINDOW_SIZE
     if cand < min_cand:
         return None  # even the newest candidate is beyond the window
     prev = chains.prev
-    # Starting best_len one short of min_match arms the one-byte reject
-    # below from the first candidate: anything it skips could match at
-    # most min_match - 1 bytes and so could never become the best.
-    best_len = params.min_match - 1
+    # Starting best_len one short of MIN_MATCH_LENGTH arms the one-byte
+    # reject below from the first candidate: anything it skips could
+    # match at most MIN_MATCH_LENGTH - 1 bytes and so could never become
+    # the best.
+    best_len = MIN_MATCH_LENGTH - 1
     best_dist = 0
     chain = params.max_chain
     good_cap = max(1, chain >> 2)

@@ -3,9 +3,12 @@
 Writing emits a fixed ten-byte header (deflate method, no flags, zero
 mtime, unknown OS) and the standard trailer: CRC-32 and length-mod-2^32
 of the plaintext, both little-endian.  Reading tolerates the optional
-header fields real producers emit (extra, name, comment, header CRC)
-and checks the trailer.  Only the first member of a multi-member file
-is read; anything after its trailer is ignored with a warning.
+header fields real producers emit (extra, name, comment, header CRC).
+The trailer is not taken from the end of the file: it starts at the
+first byte boundary after the deflate stream's final block, which only
+parsing the stream can find, and is checked there.  Only the first
+member of a multi-member file is read; anything after its trailer is
+ignored with a warning.
 """
 
 from __future__ import annotations
@@ -97,29 +100,15 @@ def _parse_header(data: bytes) -> int:
     return pos
 
 
-def gzip_unwrap(data: bytes) -> tuple[bytes, int, int]:
-    """Split a single-member gzip file into (deflate bytes, crc, size).
-
-    The trailer is taken from the file's last eight bytes, which is
-    only right for single-member input; ``gzip_decompress`` locates the
-    trailer by decoded length instead and handles trailing data.
-    """
-    start = _parse_header(data)
-    if len(data) - start < 8:
-        raise TrailerMismatch("gzip member has no room for its eight-byte trailer")
-    crc, size = struct.unpack("<II", data[-8:])
-    return data[start:-8], crc, size
-
-
 def gzip_compress(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     """Compress plaintext straight into a gzip file."""
     return gzip_wrap(deflate(data, params), PlaintextStats(crc32(data), len(data)))
 
 
-def gzip_decompress(data: bytes, window_impl: str = "ring") -> bytes:
+def gzip_decompress(data: bytes) -> bytes:
     """Decompress the first member of a gzip file, verifying its trailer."""
     start = _parse_header(data)
-    outcome = parse_deflate(BitCursor(data, 8 * start), window_impl)
+    outcome = parse_deflate(BitCursor(data, 8 * start))
     if isinstance(outcome, NoParse):
         raise InflateError(outcome.reason.value, outcome.bit_pos, outcome.detail)
     plaintext = outcome.value

@@ -7,17 +7,20 @@ bytes written by the copy become sources for its own later bytes,
 which is how short periodic runs are spelled.
 
 Distances never exceed 32768, so a resolver only has to retain that
-much history.  Two interchangeable window shapes are provided:
+much history.  Two window shapes are provided:
 
-* ``QueueOfDoom``: two persistent ExpLists.  New bytes are pushed onto
-  the front list; when the front reaches capacity it becomes the back
-  list wholesale and the previous back is dropped (doomed).  Lookups
-  beyond the front fall through to the back, so between W and 2W bytes
-  are reachable once warm.
-* ``RingWindow``: a plain circular byte buffer of fixed capacity.
+* ``RingWindow``: a plain circular byte buffer of fixed capacity.  It
+  is the window ``inflate`` decodes with.
+* ``QueueOfDoom``: two persistent ExpLists, the paper's model of the
+  window.  New bytes are pushed onto the front list; when the front
+  reaches capacity it becomes the back list wholesale and the previous
+  back is dropped (doomed).  Lookups beyond the front fall through to
+  the back, so between W and 2W bytes are reachable once warm.
 
-Both expose push/lookback with identical observable behaviour; the
-resolvers at the bottom are differential twins over them.
+QueueOfDoom is a reference model, not a production path: nothing in the
+package decodes with it.  Both expose push/lookback with identical
+observable behaviour, and the tests (acceptance criterion 6 among them)
+check the ring's resolver at the bottom against the queue's.
 """
 
 from __future__ import annotations

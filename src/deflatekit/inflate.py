@@ -10,16 +10,16 @@ the bits they consume, which gives the layer two global properties:
 * strong decidability: parsing is total, so every input either yields
   a value or a specific failure reason at a specific bit offset.
 
-``parse_deflate`` runs the whole-block grammar, resolving tokens into
-bytes against a history window that persists across blocks (the format
-never resets it), and stops exactly at the final block's last bit.
+``iter_blocks`` is the one walk of the block grammar: block by block,
+batch by batch, up to the final block's last bit.  ``parse_deflate``
+folds it into bytes against a ring window that persists across blocks
+(the format never resets it); ``dump-tokens`` prints the same items.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 from .bitio import BitCursor
 from .errors import (
@@ -34,9 +34,7 @@ from .history_window import (
     BackRef,
     END_OF_BLOCK,
     Literal,
-    QueueOfDoom,
     RingWindow,
-    resolve_tokens,
     resolve_tokens_ring,
 )
 from .prefix_coding import (
@@ -94,32 +92,6 @@ class NoParse:
 
 
 ParseOutcome = Parsed | NoParse
-
-Parser = Callable[[BitCursor], ParseOutcome]
-
-
-def parse_sequence(p: Parser, q: Callable[[object], Parser], combine) -> Parser:
-    """Run p, feed its value to q to pick the next parser, combine both.
-
-    Failure of either side propagates unchanged, so the composite
-    consumes nothing on failure and the sum of both consumptions on
-    success.
-    """
-
-    def parser(cursor: BitCursor) -> ParseOutcome:
-        first = p(cursor)
-        if isinstance(first, NoParse):
-            return first
-        second = q(first.value)(first.rest)
-        if isinstance(second, NoParse):
-            return second
-        return Parsed(
-            combine(first.value, second.value),
-            first.consumed_bits + second.consumed_bits,
-            second.rest,
-        )
-
-    return parser
 
 
 class BlockType(enum.IntEnum):
@@ -376,101 +348,87 @@ def _decode_some(
     return tokens, pos, produced, False
 
 
-def parse_compressed_tokens(
-    cursor: BitCursor, lit_coding: DeflateCoding, dist_coding: DeflateCoding
-) -> ParseOutcome:
-    """Decode one block's tokens up to and including end-of-block."""
-    data = cursor.data
-    bit_end = 8 * len(data)
-    pos = cursor.bit_pos
-    tokens: list = []
-    done = False
-    produced = 0
-    while not done:
-        try:
-            chunk, pos, produced, done = _decode_some(
-                data, pos, bit_end, lit_coding, dist_coding, produced, _TOKEN_CHUNK, False
-            )
-        except _TokenFailure as f:
-            return NoParse(f.reason, f.bit_pos, f.detail)
-        tokens.extend(chunk)
-    return Parsed(tokens, pos - cursor.bit_pos, BitCursor(data, pos))
+def iter_blocks(data: bytes, bit_pos: int = 0):
+    """Walk a raw stream block by block, up to the final block's last bit.
 
-
-def parse_deflate(cursor: BitCursor, window_impl: str = "ring") -> ParseOutcome:
-    """Parse a whole deflate stream into its decompressed bytes.
-
-    Consumption stops at the final block's last bit; trailing bits are
-    ignored and left unconsumed.  ``window_impl`` selects the history
-    representation ("ring" or "queue"); both behave identically.
+    Yields ``(header, item, end_bit)``, where ``end_bit`` is the bit
+    offset just past ``item``.  For a stored block the item is its
+    payload; for a compressed block it is the next batch of at most
+    _TOKEN_CHUNK tokens, the block's last batch ending with
+    END_OF_BLOCK.  Each header is a new object, so a change of header
+    marks a new block.  Every distance is checked against all the output
+    produced so far.  A malformed stream ends the walk with one item
+    that is a NoParse, paired with the header of the block it broke in
+    (None when the block header itself failed).
     """
-    if window_impl == "ring":
-        window = RingWindow()
-        resolve = resolve_tokens_ring
-    elif window_impl == "queue":
-        window = QueueOfDoom()
-        resolve = resolve_tokens
-    else:
-        raise ValueOutOfRange(f"unknown window_impl {window_impl!r}")
-
-    data = cursor.data
     bit_end = 8 * len(data)
-    out = bytearray()
-    pos = cursor.bit_pos
-
+    pos = bit_pos
+    produced = 0
     while True:
-        header_outcome = parse_block_header(BitCursor(data, pos))
-        if isinstance(header_outcome, NoParse):
-            return header_outcome
-        header = header_outcome.value
-        pos = header_outcome.rest.bit_pos
-
+        outcome = parse_block_header(BitCursor(data, pos))
+        if isinstance(outcome, NoParse):
+            yield None, outcome, outcome.bit_pos
+            return
+        header = outcome.value
+        pos = outcome.rest.bit_pos
         if header.block_type is BlockType.STORED:
-            stored = parse_stored_block(BitCursor(data, pos))
-            if isinstance(stored, NoParse):
-                return stored
-            out += stored.value
-            if isinstance(window, RingWindow):
-                window.push_bytes(stored.value)
-            else:
-                window = window.push_bytes(stored.value)
-            pos = stored.rest.bit_pos
+            outcome = parse_stored_block(BitCursor(data, pos))
+            if isinstance(outcome, NoParse):
+                yield header, outcome, outcome.bit_pos
+                return
+            pos = outcome.rest.bit_pos
+            produced += len(outcome.value)
+            yield header, outcome.value, pos
         else:
             if header.block_type is BlockType.STATIC:
-                lit_coding = fixed_lit_coding()
-                dist_coding = fixed_dist_coding()
+                lit_coding, dist_coding = fixed_lit_coding(), fixed_dist_coding()
             else:
-                dyn = parse_dynamic_header(BitCursor(data, pos))
-                if isinstance(dyn, NoParse):
-                    return dyn
-                lit_coding = dyn.value.lit_coding
-                dist_coding = dyn.value.dist_coding
-                pos = dyn.rest.bit_pos
+                outcome = parse_dynamic_header(BitCursor(data, pos))
+                if isinstance(outcome, NoParse):
+                    yield header, outcome, outcome.bit_pos
+                    return
+                lit_coding = outcome.value.lit_coding
+                dist_coding = outcome.value.dist_coding
+                pos = outcome.rest.bit_pos
             done = False
             while not done:
                 try:
-                    chunk, pos, _, done = _decode_some(
-                        data,
-                        pos,
-                        bit_end,
-                        lit_coding,
-                        dist_coding,
-                        len(out),
-                        _TOKEN_CHUNK,
-                        True,
+                    tokens, pos, produced, done = _decode_some(
+                        data, pos, bit_end, lit_coding, dist_coding, produced,
+                        _TOKEN_CHUNK, True,
                     )
                 except _TokenFailure as f:
-                    return NoParse(f.reason, f.bit_pos, f.detail)
-                resolved, window = resolve(chunk, window)
-                out += resolved
-
+                    yield header, NoParse(f.reason, f.bit_pos, f.detail), f.bit_pos
+                    return
+                yield header, tokens, pos
         if header.is_final:
-            return Parsed(bytes(out), pos - cursor.bit_pos, BitCursor(data, pos))
+            return
 
 
-def inflate(data: bytes, window_impl: str = "ring") -> bytes:
+def parse_deflate(cursor: BitCursor) -> ParseOutcome:
+    """Parse a whole deflate stream into its decompressed bytes.
+
+    Consumption stops at the final block's last bit; trailing bits are
+    ignored and left unconsumed.
+    """
+    window = RingWindow()
+    out = bytearray()
+    end = cursor.bit_pos
+    for header, item, end in iter_blocks(cursor.data, cursor.bit_pos):
+        if isinstance(item, NoParse):
+            return item
+        if header.block_type is BlockType.STORED:
+            window.push_bytes(item)
+            out += item
+        else:
+            resolved, window = resolve_tokens_ring(item, window)
+            out += resolved
+    return Parsed(bytes(out), end - cursor.bit_pos, BitCursor(cursor.data, end))
+
+
+def inflate(data: bytes) -> bytes:
     """Decompress a raw deflate stream; raises InflateError on bad input."""
-    outcome = parse_deflate(BitCursor(data, 0), window_impl)
+    outcome = parse_deflate(BitCursor(data, 0))
     if isinstance(outcome, NoParse):
         raise InflateError(outcome.reason.value, outcome.bit_pos, outcome.detail)
     return outcome.value

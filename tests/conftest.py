@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import random
 
+from deflatekit.bitio import BitCursor
+from deflatekit.history_window import QueueOfDoom, resolve_tokens
+from deflatekit.inflate import BlockType, NoParse, Parsed, iter_blocks
+
 GOLDEN_PLAINTEXT = b"ananas_banana_batata"
 
 # BFINAL=1, BTYPE=static, then each token under the fixed codings
@@ -61,6 +65,28 @@ GOLDEN_DYNAMIC_BYTES = pack_bits(GOLDEN_DYNAMIC_LISTING)
 # i.e. everything except the byte-filling pad line.
 GOLDEN_STATIC_CONSUMED = len(listing_bits(GOLDEN_STATIC_LISTING)) - 4
 GOLDEN_DYNAMIC_CONSUMED = len(listing_bits(GOLDEN_DYNAMIC_LISTING)) - 7
+
+
+def parse_deflate_queue(cursor: BitCursor):
+    """``parse_deflate`` on the paper's reference model.
+
+    Folds the items of ``iter_blocks`` through the QueueOfDoom window
+    (``resolve_tokens`` and ``push_bytes``) instead of the ring, and
+    returns the same Parsed or NoParse as ``parse_deflate``.
+    """
+    window = QueueOfDoom()
+    out = bytearray()
+    end = cursor.bit_pos
+    for header, item, end in iter_blocks(cursor.data, cursor.bit_pos):
+        if isinstance(item, NoParse):
+            return item
+        if header.block_type is BlockType.STORED:
+            window = window.push_bytes(item)
+            out += item
+        else:
+            resolved, window = resolve_tokens(item, window)
+            out += resolved
+    return Parsed(bytes(out), end - cursor.bit_pos, BitCursor(cursor.data, end))
 
 
 def random_code_lengths(rng: random.Random, max_alphabet: int = 300, max_len: int = 15):

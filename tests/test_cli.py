@@ -39,7 +39,6 @@ def test_file_round_trip_raw_with_options(tmp_path):
     ]) == 0
     assert main([
         "decompress", str(packed), "-o", str(unpacked), "-f", "raw",
-        "--window-impl", "queue",
     ]) == 0
     assert unpacked.read_bytes() == src.read_bytes()
 
@@ -61,9 +60,14 @@ def test_dump_coding(capsys):
 
 
 def test_dump_coding_rejects_garbage():
-    with pytest.raises(SystemExit) as err:
-        main(["dump-coding", "2,x,3"])
-    assert err.value.code == 2
+    for argv in (
+        ["2,x,3"],
+        ["1,1,1"],  # over-subscribed: no prefix-free coding exists
+        ["--max-len", "0", "1,1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(["dump-coding", *argv])
+        assert err.value.code == 2
 
 
 def test_dump_tokens_static(tmp_path, capsys):
@@ -83,6 +87,26 @@ def test_dump_tokens_gzip_and_stored(tmp_path, capsys):
     assert main(["dump-tokens", str(blob), "-f", "gzip"]) == 0
     out = capsys.readouterr().out
     assert "(stored" in out or "(static" in out
+
+
+def test_dump_tokens_gzip_without_its_trailer(tmp_path, capsys):
+    # The walk ends at the final block, so a missing trailer is no obstacle.
+    blob = tmp_path / "cut.gz"
+    blob.write_bytes(gzip_compress(b"hello hello hello " * 100)[:-8])
+    assert main(["dump-tokens", str(blob), "-f", "gzip"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "block 0 (static final)"
+    assert lines[-1] == "  end-of-block"
+
+
+def test_dump_tokens_rejects_a_distance_past_the_output(tmp_path, capsys):
+    # 'a', then <3, 2> with one byte produced: decompress and dump-tokens
+    # walk the same grammar, so both refuse it.
+    stream = tmp_path / "far.raw"
+    stream.write_bytes(bytes([0x4B, 0x04, 0x42, 0x00]))
+    assert main(["decompress", str(stream), "-f", "raw"]) == 1
+    assert main(["dump-tokens", str(stream)]) == 1
+    assert "beyond the produced output" in capsys.readouterr().err
 
 
 def test_corrupt_input_exits_one(tmp_path, capsys):

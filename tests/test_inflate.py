@@ -14,17 +14,17 @@ from deflatekit.bitio import BitCursor, BitSink
 from deflatekit.errors import InflateError, ValueOutOfRange
 from deflatekit.history_window import BackRef, END_OF_BLOCK, Literal
 from deflatekit.inflate import (
+    BlockHeader,
     BlockType,
     FailReason,
     NoParse,
     Parsed,
     inflate,
+    iter_blocks,
     parse_block_header,
     parse_cl_lengths,
-    parse_compressed_tokens,
     parse_deflate,
     parse_dynamic_header,
-    parse_sequence,
     parse_stored_block,
 )
 from deflatekit.prefix_coding import build_coding, fixed_dist_coding, fixed_lit_coding
@@ -37,6 +37,7 @@ from conftest import (
     GOLDEN_STATIC_BYTES,
     GOLDEN_STATIC_CONSUMED,
     mixed_corpus_item,
+    parse_deflate_queue,
 )
 
 GOLDEN_TOKENS = [
@@ -53,6 +54,9 @@ GOLDEN_TOKENS = [
     END_OF_BLOCK,
 ]
 
+# The production ring window, and the paper's QueueOfDoom reference model.
+DECODERS = {"ring": parse_deflate, "queue": parse_deflate_queue}
+
 
 def test_golden_streams_decode_under_zlib():
     # Anchor the transcribed listings to an independent decoder first.
@@ -62,7 +66,7 @@ def test_golden_streams_decode_under_zlib():
 
 @pytest.mark.parametrize("impl", ["ring", "queue"])
 def test_golden_static_stream(impl):
-    outcome = parse_deflate(BitCursor(GOLDEN_STATIC_BYTES), impl)
+    outcome = DECODERS[impl](BitCursor(GOLDEN_STATIC_BYTES))
     assert isinstance(outcome, Parsed)
     assert outcome.value == GOLDEN_PLAINTEXT
     assert outcome.consumed_bits == GOLDEN_STATIC_CONSUMED
@@ -71,19 +75,16 @@ def test_golden_static_stream(impl):
 
 @pytest.mark.parametrize("impl", ["ring", "queue"])
 def test_golden_dynamic_stream(impl):
-    outcome = parse_deflate(BitCursor(GOLDEN_DYNAMIC_BYTES), impl)
+    outcome = DECODERS[impl](BitCursor(GOLDEN_DYNAMIC_BYTES))
     assert isinstance(outcome, Parsed)
     assert outcome.value == GOLDEN_PLAINTEXT
     assert outcome.consumed_bits == GOLDEN_DYNAMIC_CONSUMED
 
 
 def test_golden_static_token_stream():
-    outcome = parse_compressed_tokens(
-        BitCursor(GOLDEN_STATIC_BYTES, 3), fixed_lit_coding(), fixed_dist_coding()
-    )
-    assert isinstance(outcome, Parsed)
-    assert outcome.value == GOLDEN_TOKENS
-    assert outcome.consumed_bits == GOLDEN_STATIC_CONSUMED - 3
+    assert list(iter_blocks(GOLDEN_STATIC_BYTES)) == [
+        (BlockHeader(True, BlockType.STATIC), GOLDEN_TOKENS, GOLDEN_STATIC_CONSUMED)
+    ]
 
 
 def test_golden_dynamic_header_contents():
@@ -123,8 +124,6 @@ def test_inflate_convenience_and_errors():
     with pytest.raises(InflateError) as err:
         inflate(b"")
     assert err.value.bit_pos == 0
-    with pytest.raises(ValueOutOfRange):
-        inflate(GOLDEN_STATIC_BYTES, window_impl="list")
 
 
 # -- block headers ------------------------------------------------------
@@ -284,7 +283,7 @@ def test_hand_built_dynamic_streams_match_zlib():
 def test_hand_built_dynamic_streams_inflate():
     assert inflate(literal_only_stream(4)) == b"aaaa"
     assert inflate(literal_only_stream(0)) == b""
-    assert inflate(backref_stream(), "queue") == b"aaaa"
+    assert inflate(backref_stream()) == b"aaaa"
 
 
 def test_empty_distance_coding_fails_only_when_used():
@@ -440,14 +439,16 @@ def test_distance_codepoints_30_and_31_are_invalid_in_data():
 def test_distance_reaching_past_produced_output():
     sink = static_sink(97, 257)  # one byte produced, then length 3
     sink.write_code_msb(fixed_dist_coding()[1])  # distance 2
+    fail_at = sink.bit_length
     sink.write_code_msb(fixed_lit_coding()[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
-    assert outcome.reason is FailReason.DISTANCE_TOO_FAR
-    # The token layer without resolution accepts the same bits.
-    tokens = parse_compressed_tokens(
-        BitCursor(sink.to_bytes(), 3), fixed_lit_coding(), fixed_dist_coding()
+    assert outcome == NoParse(
+        FailReason.DISTANCE_TOO_FAR, fail_at, "distance 2 with only 1 bytes produced"
     )
-    assert tokens.value == [Literal(97), BackRef(3, 2), END_OF_BLOCK]
+    # The walker itself rejects the stream: there is one grammar.
+    assert list(iter_blocks(sink.to_bytes())) == [
+        (BlockHeader(True, BlockType.STATIC), outcome, fail_at)
+    ]
 
 
 def test_every_byte_truncation_of_the_goldens_runs_out_of_input():
@@ -457,32 +458,6 @@ def test_every_byte_truncation_of_the_goldens_runs_out_of_input():
             assert isinstance(outcome, NoParse)
             assert outcome.reason is FailReason.END_OF_INPUT
             assert outcome.bit_pos <= 8 * cut
-
-
-# -- the parser combinator ------------------------------------------------
-
-
-def test_parse_sequence_combines_values_and_consumption():
-    seq = parse_sequence(
-        parse_block_header, lambda header: parse_stored_block, lambda h, p: (h, p)
-    )
-    data = stored_stream(b"xyz")
-    outcome = seq(BitCursor(data))
-    header, payload = outcome.value
-    assert header.block_type is BlockType.STORED and payload == b"xyz"
-    assert outcome.consumed_bits == 8 * len(data)
-    assert outcome.rest.bit_pos == 8 * len(data)
-
-
-def test_parse_sequence_propagates_failures():
-    seq = parse_sequence(
-        parse_block_header, lambda header: parse_stored_block, lambda h, p: (h, p)
-    )
-    sink = BitSink()
-    sink.write_bits_lsb(1, 1)
-    sink.write_bits_lsb(3, 2)
-    assert seq(BitCursor(sink.to_bytes())) == NoParse(FailReason.RESERVED_BLOCK_TYPE, 1)
-    assert seq(BitCursor(stored_stream(b"xyz")[:4])).reason is FailReason.END_OF_INPUT
 
 
 # -- global properties ----------------------------------------------------
@@ -529,15 +504,16 @@ def test_zlib_streams_inflate_correctly():
             data = mixed_corpus_item(rng, rng.randrange(0, 4000))
             co = zlib.compressobj(level, zlib.DEFLATED, -15)
             stream = co.compress(data) + co.flush()
-            assert inflate(stream, "ring") == data
-            assert inflate(stream, "queue") == data
+            assert inflate(stream) == data
+            assert parse_deflate_queue(BitCursor(stream)).value == data
 
 
-def test_window_impls_agree_on_valid_and_invalid_input():
+def test_ring_and_queue_windows_agree_on_valid_and_invalid_input():
+    # The ring (production) and the QueueOfDoom (reference) see the same
+    # walk, so they agree on value, consumption and failure alike.
     rng = random.Random(35)
     streams = [GOLDEN_STATIC_BYTES, GOLDEN_DYNAMIC_BYTES, literal_only_stream(7)]
+    streams += [backref_stream(), stored_stream(b"stored", final=False) + backref_stream()]
     streams += [rng.randbytes(rng.randrange(0, 60)) for _ in range(60)]
     for stream in streams:
-        assert parse_deflate(BitCursor(stream), "ring") == parse_deflate(
-            BitCursor(stream), "queue"
-        )
+        assert parse_deflate(BitCursor(stream)) == parse_deflate_queue(BitCursor(stream))
