@@ -9,9 +9,11 @@ here:
   are packed with their least significant bit first;
 * prefix codes are emitted with their leftmost code bit first.
 
-Readers are immutable cursors: every read returns the value together
-with a fresh cursor, so two cursor positions can be subtracted to learn
-exactly how many bits a parse consumed.
+Fields are read straight off the buffer by ``read_bits``, which takes an
+absolute bit position and returns the value with the advanced position,
+so two positions can be subtracted to learn exactly how many bits a
+parse consumed.  ``BitCursor`` is the bounds-checked (buffer, position)
+pair that the public parsers take and return.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class BitCursor:
 
     ``bit_pos`` is the absolute bit index; 0 addresses the least
     significant bit of the first byte.  A cursor may sit exactly at the
-    end of the buffer, where any further read raises ``EndOfInput``.
+    end of the buffer, where any further ``read_bits`` raises ``EndOfInput``.
     """
 
     data: bytes
@@ -43,51 +45,23 @@ class BitCursor:
                 f"bit_pos {self.bit_pos} outside a {len(self.data)}-byte buffer"
             )
 
-    @property
-    def bits_left(self) -> int:
-        return 8 * len(self.data) - self.bit_pos
 
-    def read_bit(self) -> tuple[int, "BitCursor"]:
-        """Read one bit; returns (bit, advanced cursor)."""
-        pos = self.bit_pos
-        if pos >= 8 * len(self.data):
-            raise EndOfInput(pos, "a bit")
-        bit = (self.data[pos >> 3] >> (pos & 7)) & 1
-        return bit, BitCursor(self.data, pos + 1)
+def read_bits(data: bytes, pos: int, n: int, bit_end: int) -> tuple[int, int]:
+    """Read an n-bit field packed least-significant bit first at bit ``pos``.
 
-    def read_int_lsb(self, n: int) -> tuple[int, "BitCursor"]:
-        """Read an n-bit integer packed least-significant bit first.
-
-        n may be 0 (yields 0 and the unchanged position) up to
-        ``MAX_FIELD_BITS``.
-        """
-        if not 0 <= n <= MAX_FIELD_BITS:
-            raise ValueOutOfRange(f"field width {n} not in 0..{MAX_FIELD_BITS}")
-        pos = self.bit_pos
-        if pos + n > 8 * len(self.data):
-            raise EndOfInput(pos, f"a {n}-bit integer")
-        if n == 0:
-            return 0, self
-        first = pos >> 3
-        nbytes = ((pos & 7) + n + 7) >> 3
-        chunk = int.from_bytes(self.data[first : first + nbytes], "little")
-        value = (chunk >> (pos & 7)) & ((1 << n) - 1)
-        return value, BitCursor(self.data, pos + n)
-
-    def align_to_byte(self) -> "BitCursor":
-        """Skip forward to the next byte boundary (no-op when aligned)."""
-        return BitCursor(self.data, (self.bit_pos + 7) & ~7)
-
-    def read_bytes_aligned(self, count: int) -> tuple[bytes, "BitCursor"]:
-        """Read ``count`` whole bytes; the cursor must be byte-aligned."""
-        if self.bit_pos & 7:
-            raise ValueOutOfRange("cursor is not byte-aligned")
-        if count < 0:
-            raise ValueOutOfRange(f"byte count {count} is negative")
-        start = self.bit_pos >> 3
-        if start + count > len(self.data):
-            raise EndOfInput(self.bit_pos, f"{count} stored bytes")
-        return self.data[start : start + count], BitCursor(self.data, self.bit_pos + 8 * count)
+    Returns (value, pos + n).  n is 0 (yields 0 and the unchanged
+    position) up to ``MAX_FIELD_BITS``; every caller passes a constant
+    or a table width.  Raises ``EndOfInput`` at ``pos`` when the field
+    would run past ``bit_end``.
+    """
+    if pos + n > bit_end:
+        raise EndOfInput(pos, f"a {n}-bit field")
+    if n == 0:
+        return 0, pos
+    first = pos >> 3
+    nbytes = ((pos & 7) + n + 7) >> 3
+    chunk = int.from_bytes(data[first : first + nbytes], "little")
+    return (chunk >> (pos & 7)) & ((1 << n) - 1), pos + n
 
 
 class BitSink:

@@ -8,26 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
-from .compress import CompressParams, deflate
-from .errors import DeflateError, InflateError
+from .compress import DEFAULT_PARAMS, CompressParams, deflate
+from .errors import DeflateError
 from .gzip_container import _parse_header, gzip_compress, gzip_decompress
 from .history_window import BackRef, Literal
 from .inflate import BlockType, NoParse, inflate, iter_blocks
 from .prefix_coding import DeflateCoding, build_coding
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    mode: str
-    fmt: str = "gzip"
-    input_path: str = "-"
-    output_path: Optional[str] = None
-    max_chain: int = 128
-    block_limit: int = 1 << 20
-    coding: Optional[DeflateCoding] = None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -44,9 +32,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "-f", "--format", choices=("raw", "gzip"), default="gzip", dest="fmt",
         help="raw deflate stream or gzip container (default gzip)",
     )
-    comp.add_argument("--max-chain", type=int, default=128, metavar="N",
-                      help="match candidates examined per position")
-    comp.add_argument("--block-limit", type=int, default=1 << 20, metavar="N",
+    comp.add_argument("--max-chain", type=int, default=DEFAULT_PARAMS.max_chain,
+                      metavar="N", help="match candidates examined per position")
+    comp.add_argument("--block-limit", type=int,
+                      default=DEFAULT_PARAMS.block_payload_limit, metavar="N",
                       help="source bytes per block")
 
     deco = sub.add_parser("decompress", help="decompress a file or stdin")
@@ -69,32 +58,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CliConfig:
-    coding = None
+def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Reject bad usage through parser.error (exit 2); dump-coding gets args.coding."""
     if args.mode == "dump-coding":
         # int() and every coding error (bad --max-len, over-subscribed
         # lengths) raise ValueError: all are usage errors.
         try:
             lengths = [int(part) for part in args.lengths.split(",")]
-            coding = build_coding(lengths, args.max_len)
+            args.coding = build_coding(lengths, args.max_len)
         except ValueError as e:
             parser.error(f"bad length vector {args.lengths!r}: {e}")
     if args.mode == "compress":
         for flag, value in (("--max-chain", args.max_chain), ("--block-limit", args.block_limit)):
             if value < 1:
                 parser.error(f"{flag} must be at least 1, got {value}")
-    cfg = CliConfig(
-        mode=args.mode,
-        fmt=getattr(args, "fmt", "raw"),
-        input_path=getattr(args, "input", "-"),
-        output_path=getattr(args, "output", None),
-        max_chain=getattr(args, "max_chain", 128),
-        block_limit=getattr(args, "block_limit", 1 << 20),
-        coding=coding,
-    )
-    if cfg.output_path and cfg.output_path != "-" and cfg.output_path == cfg.input_path:
+    output = getattr(args, "output", None)
+    if output and output != "-" and output == args.input:
         parser.error("input and output must be different paths")
-    return cfg
 
 
 def _read_input(path: str) -> bytes:
@@ -113,8 +93,8 @@ def _write_output(path: Optional[str], data: bytes) -> None:
             fh.write(data)
 
 
-def _dump_coding(cfg: CliConfig) -> None:
-    for ch, code in enumerate(cfg.coding.codes):
+def _dump_coding(coding: DeflateCoding) -> None:
+    for ch, code in enumerate(coding.codes):
         shown = "".join(map(str, code)) if code else "(absent)"
         print(f"{ch}: {shown}")
 
@@ -128,8 +108,8 @@ def _token_line(token) -> str:
     return "end-of-block"
 
 
-def _dump_tokens(cfg: CliConfig, data: bytes) -> None:
-    start = 8 * _parse_header(data) if cfg.fmt == "gzip" else 0
+def _dump_tokens(args: argparse.Namespace, data: bytes) -> None:
+    start = 8 * _parse_header(data) if args.fmt == "gzip" else 0
     block = -1
     shown = None
     for header, item, _ in iter_blocks(data, start):
@@ -139,7 +119,7 @@ def _dump_tokens(cfg: CliConfig, data: bytes) -> None:
             final = " final" if header.is_final else ""
             print(f"block {block} ({header.block_type.name.lower()}{final})")
         if isinstance(item, NoParse):
-            raise InflateError(item.reason.value, item.bit_pos, item.detail)
+            raise item.error()
         if header.block_type is BlockType.STORED:
             print(f"  stored {len(item)} bytes")
         else:
@@ -147,32 +127,32 @@ def _dump_tokens(cfg: CliConfig, data: bytes) -> None:
                 print(f"  {_token_line(token)}")
 
 
-def run(cfg: CliConfig) -> int:
-    """Execute one configured invocation; returns the exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one checked invocation; returns the exit status."""
     try:
-        if cfg.mode == "dump-coding":
-            _dump_coding(cfg)
+        if args.mode == "dump-coding":
+            _dump_coding(args.coding)
             return 0
-        data = _read_input(cfg.input_path)
-        if cfg.mode == "compress":
+        data = _read_input(args.input)
+        if args.mode == "compress":
             params = CompressParams(
-                max_chain=cfg.max_chain, block_payload_limit=cfg.block_limit
+                max_chain=args.max_chain, block_payload_limit=args.block_limit
             )
-            if cfg.fmt == "gzip":
+            if args.fmt == "gzip":
                 out = gzip_compress(data, params)
             else:
                 out = deflate(data, params)
-            _write_output(cfg.output_path, out)
-        elif cfg.mode == "decompress":
-            if cfg.fmt == "gzip":
+            _write_output(args.output, out)
+        elif args.mode == "decompress":
+            if args.fmt == "gzip":
                 out = gzip_decompress(data)
             else:
                 out = inflate(data)
-            _write_output(cfg.output_path, out)
-        elif cfg.mode == "dump-tokens":
-            _dump_tokens(cfg, data)
+            _write_output(args.output, out)
+        elif args.mode == "dump-tokens":
+            _dump_tokens(args, data)
         else:
-            raise AssertionError(f"unhandled mode {cfg.mode}")
+            raise AssertionError(f"unhandled mode {args.mode}")
     except DeflateError as e:
         print(f"deflatekit: {e}", file=sys.stderr)
         return 1
@@ -185,7 +165,8 @@ def run(cfg: CliConfig) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    return run(_config_from_args(args, parser))
+    _check_args(args, parser)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ class DistanceTooFar(DeflateError):
 
 
 class BadMagic(DeflateError):
-    """The container does not start with the gzip magic bytes."""
+    """The gzip header is malformed: bad magic, truncated, reserved flags, bad header CRC."""
 
 
 class UnsupportedMethod(DeflateError):

@@ -3,7 +3,8 @@
 Writing emits a fixed ten-byte header (deflate method, no flags, zero
 mtime, unknown OS) and the standard trailer: CRC-32 and length-mod-2^32
 of the plaintext, both little-endian.  Reading tolerates the optional
-header fields real producers emit (extra, name, comment, header CRC).
+header fields real producers emit (extra, name, comment), verifies the
+optional header CRC, and rejects the reserved flag bits.
 The trailer is not taken from the end of the file: it starts at the
 first byte boundary after the deflate stream's final block, which only
 parsing the stream can find, and is checked there.  Only the first
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 from .bitio import BitCursor
 from .compress import CompressParams, DEFAULT_PARAMS, deflate
-from .errors import BadMagic, InflateError, TrailerMismatch, UnsupportedMethod
+from .errors import BadMagic, TrailerMismatch, UnsupportedMethod
 from .inflate import NoParse, parse_deflate
 
 _MAGIC = b"\x1f\x8b"
@@ -30,6 +31,7 @@ _FHCRC = 2
 _FEXTRA = 4
 _FNAME = 8
 _FCOMMENT = 16
+_FRESERVED = 0xE0  # bits 5-7, which RFC 1952 requires a reader to reject
 
 
 class PlaintextStats(NamedTuple):
@@ -80,6 +82,8 @@ def _parse_header(data: bytes) -> int:
     if data[2] != _METHOD_DEFLATE:
         raise UnsupportedMethod(f"compression method {data[2]} is not deflate (8)")
     flags = data[3]
+    if flags & _FRESERVED:
+        raise BadMagic(f"gzip header sets reserved flag bits {flags & _FRESERVED:#04x}")
     pos = 10
     try:
         if flags & _FEXTRA:
@@ -90,8 +94,9 @@ def _parse_header(data: bytes) -> int:
         if flags & _FCOMMENT:
             pos = data.index(b"\x00", pos) + 1
         if flags & _FHCRC:
-            if pos + 2 > len(data):
-                raise ValueError
+            (stored,) = struct.unpack_from("<H", data, pos)
+            if stored != crc32(data[:pos]) & 0xFFFF:
+                raise BadMagic("gzip header CRC does not match the header")
             pos += 2
     except (struct.error, ValueError):
         raise BadMagic("gzip header is truncated") from None
@@ -110,7 +115,7 @@ def gzip_decompress(data: bytes) -> bytes:
     start = _parse_header(data)
     outcome = parse_deflate(BitCursor(data, 8 * start))
     if isinstance(outcome, NoParse):
-        raise InflateError(outcome.reason.value, outcome.bit_pos, outcome.detail)
+        raise outcome.error()
     plaintext = outcome.value
     trailer_at = (outcome.rest.bit_pos + 7) // 8
     if trailer_at + 8 > len(data):

@@ -1,9 +1,16 @@
 """Deflate stream parsing with explicit outcomes and consumption accounting.
 
-Every parser here is a pure function from a BitCursor to a ParseOutcome:
-either ``Parsed(value, consumed_bits, rest)`` or ``NoParse(reason,
-bit_pos)``.  Parsers read strictly left to right and never look past
-the bits they consume, which gives the layer two global properties:
+The parsers work on a raw buffer and absolute bit position, reading
+fields with ``bitio.read_bits``, and return (value, new position).  On
+a malformed stream they raise: a grammar violation raises ``_Fail``
+with its reason, the prefix decoder and the bit reader raise ``BadCode``
+and ``EndOfInput``.  ``_no_parse`` is the one place that turns any of
+these into ``NoParse(reason, bit_pos, detail)``.  The public parsers
+(``parse_block_header``, ``parse_stored_block``, ``parse_cl_lengths``,
+``parse_dynamic_header``, ``parse_deflate``) take a BitCursor and
+return a ParseOutcome: ``Parsed(value, consumed_bits, rest)`` or that
+NoParse.  Parsers read strictly left to right and never look past the
+bits they consume, which gives the layer two global properties:
 
 * strong uniqueness: appending arbitrary bits to a parseable input
   changes neither the value nor the number of bits consumed;
@@ -21,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .bitio import BitCursor
+from .bitio import BitCursor, read_bits
 from .errors import (
     BadCode,
     EndOfInput,
@@ -90,6 +97,10 @@ class NoParse:
     bit_pos: int
     detail: str = ""
 
+    def error(self) -> InflateError:
+        """The exception the raising entry points report this failure with."""
+        return InflateError(self.reason.value, self.bit_pos, self.detail)
+
 
 ParseOutcome = Parsed | NoParse
 
@@ -118,58 +129,95 @@ class DynamicHeader:
     dist_coding: DeflateCoding
 
 
+class _Fail(Exception):
+    """A grammar violation at an exact bit offset, raised by the raw parsers."""
+
+    def __init__(self, reason: FailReason, bit_pos: int, detail: str = ""):
+        self.reason = reason
+        self.bit_pos = bit_pos
+        self.detail = detail
+
+
+# Everything a raw parser raises for a malformed stream.
+_PARSE_ERRORS = (_Fail, EndOfInput, BadCode)
+
+
+def _no_parse(exc: Exception) -> NoParse:
+    """The NoParse for a failure the raw parsers raised."""
+    if isinstance(exc, EndOfInput):
+        return NoParse(FailReason.END_OF_INPUT, exc.bit_pos)
+    if isinstance(exc, BadCode):
+        return NoParse(FailReason.BAD_CODE, exc.bit_pos)
+    return NoParse(exc.reason, exc.bit_pos, exc.detail)
+
+
+def _outcome(raw, cursor: BitCursor, *args) -> ParseOutcome:
+    """Run raw(data, pos, *args) -> (value, pos) from a cursor, as a ParseOutcome."""
+    try:
+        value, pos = raw(cursor.data, cursor.bit_pos, *args)
+    except _PARSE_ERRORS as e:
+        return _no_parse(e)
+    return Parsed(value, pos - cursor.bit_pos, BitCursor(cursor.data, pos))
+
+
 def parse_block_header(cursor: BitCursor) -> ParseOutcome:
     """One bit of is-final, two bits of block type (reserved value fails)."""
-    try:
-        final_bit, cur = cursor.read_bit()
-        btype, cur = cur.read_int_lsb(2)
-    except EndOfInput as e:
-        return NoParse(FailReason.END_OF_INPUT, e.bit_pos)
-    if btype == 3:
-        return NoParse(FailReason.RESERVED_BLOCK_TYPE, cursor.bit_pos + 1)
-    header = BlockHeader(bool(final_bit), BlockType(btype))
-    return Parsed(header, cur.bit_pos - cursor.bit_pos, cur)
+    return _outcome(_block_header, cursor)
 
 
 def parse_stored_block(cursor: BitCursor) -> ParseOutcome:
     """Byte-align, LEN, one's-complement NLEN, then LEN raw bytes."""
-    cur = cursor.align_to_byte()
-    try:
-        length, cur = cur.read_int_lsb(16)
-        nlen_pos = cur.bit_pos
-        nlen, cur = cur.read_int_lsb(16)
-        if nlen != length ^ 0xFFFF:
-            return NoParse(
-                FailReason.LEN_NLEN_MISMATCH,
-                nlen_pos,
-                f"LEN {length:#06x} vs NLEN {nlen:#06x}",
-            )
-        payload, cur = cur.read_bytes_aligned(length)
-    except EndOfInput as e:
-        return NoParse(FailReason.END_OF_INPUT, e.bit_pos)
-    return Parsed(payload, cur.bit_pos - cursor.bit_pos, cur)
+    return _outcome(_stored_block, cursor)
 
 
 def parse_cl_lengths(cursor: BitCursor, hclen: int) -> ParseOutcome:
     """hclen three-bit lengths for the code-length coding, in its wire order."""
+    return _outcome(_cl_lengths, cursor, hclen)
+
+
+def parse_dynamic_header(cursor: BitCursor) -> ParseOutcome:
+    """HLIT/HDIST/HCLEN counts, the code-length coding, both codings."""
+    return _outcome(_dynamic_header, cursor)
+
+
+def _block_header(data: bytes, pos: int) -> tuple[BlockHeader, int]:
+    bit_end = 8 * len(data)
+    # Two reads: with one or two bits left, the failure is at the type field.
+    final, pos = read_bits(data, pos, 1, bit_end)
+    btype, pos = read_bits(data, pos, 2, bit_end)
+    if btype == 3:
+        raise _Fail(FailReason.RESERVED_BLOCK_TYPE, pos - 2)
+    return BlockHeader(bool(final), BlockType(btype)), pos
+
+
+def _stored_block(data: bytes, pos: int) -> tuple[bytes, int]:
+    bit_end = 8 * len(data)
+    pos = (pos + 7) & ~7
+    length, pos = read_bits(data, pos, 16, bit_end)
+    nlen, pos = read_bits(data, pos, 16, bit_end)
+    if nlen != length ^ 0xFFFF:
+        raise _Fail(
+            FailReason.LEN_NLEN_MISMATCH, pos - 16, f"LEN {length:#06x} vs NLEN {nlen:#06x}"
+        )
+    start = pos >> 3
+    if start + length > len(data):
+        raise EndOfInput(pos, f"{length} stored bytes")
+    return data[start : start + length], pos + 8 * length
+
+
+def _cl_lengths(data: bytes, pos: int, hclen: int) -> tuple[CodeLengths, int]:
     if not 4 <= hclen <= 19:
         raise ValueOutOfRange(f"hclen {hclen} not in 4..19")
+    bit_end = 8 * len(data)
     lengths = [0] * 19
-    cur = cursor
-    try:
-        for i in range(hclen):
-            value, cur = cur.read_int_lsb(3)
-            lengths[CL_CODE_ORDER[i]] = value
-    except EndOfInput as e:
-        return NoParse(FailReason.END_OF_INPUT, e.bit_pos)
-    return Parsed(
-        CodeLengths(lengths, MAX_CL_CODE_LENGTH), cur.bit_pos - cursor.bit_pos, cur
-    )
+    for i in range(hclen):
+        lengths[CL_CODE_ORDER[i]], pos = read_bits(data, pos, 3, bit_end)
+    return CodeLengths(lengths, MAX_CL_CODE_LENGTH), pos
 
 
-def parse_rle_code_lengths(
-    cursor: BitCursor, cl_coding: DeflateCoding, total: int
-) -> ParseOutcome:
+def _rle_code_lengths(
+    data: bytes, pos: int, bit_end: int, cl_coding: DeflateCoding, total: int
+) -> tuple[tuple[int, ...], int]:
     """Expand the run-length-encoded length list to exactly ``total`` entries.
 
     Symbols 0..15 are literal lengths; 16 repeats the previous length
@@ -177,104 +225,62 @@ def parse_rle_code_lengths(
     18 writes 11..138 zeros (7 extra bits).  Runs may cross the
     literal/distance boundary of the combined list.
     """
-    data = cursor.data
-    bit_end = 8 * len(data)
-    pos = cursor.bit_pos
     lengths: list[int] = []
-    try:
-        while len(lengths) < total:
-            sym, pos = cl_coding.read_symbol(data, pos, bit_end)
-            if sym <= 15:
-                lengths.append(sym)
-                continue
-            if sym == 16:
-                if not lengths:
-                    return NoParse(FailReason.REPEAT_WITHOUT_PREVIOUS, pos)
-                extra, pos = _read_bits(data, pos, 2, bit_end)
-                count = 3 + extra
-                fill = lengths[-1]
-            elif sym == 17:
-                extra, pos = _read_bits(data, pos, 3, bit_end)
-                count = 3 + extra
-                fill = 0
-            else:  # 18
-                extra, pos = _read_bits(data, pos, 7, bit_end)
-                count = 11 + extra
-                fill = 0
-            if len(lengths) + count > total:
-                return NoParse(
-                    FailReason.REPEAT_OVERRUN,
-                    pos,
-                    f"{len(lengths)} + {count} lengths exceeds {total}",
-                )
-            lengths.extend([fill] * count)
-    except EndOfInput as e:
-        return NoParse(FailReason.END_OF_INPUT, e.bit_pos)
-    except BadCode as e:
-        return NoParse(FailReason.BAD_CODE, e.bit_pos)
-    return Parsed(tuple(lengths), pos - cursor.bit_pos, BitCursor(data, pos))
-
-
-def parse_dynamic_header(cursor: BitCursor) -> ParseOutcome:
-    """HLIT/HDIST/HCLEN counts, the code-length coding, both codings."""
-    try:
-        hlit_raw, cur = cursor.read_int_lsb(5)
-        if hlit_raw >= 30:
-            return NoParse(
-                FailReason.FORBIDDEN_HLIT,
-                cursor.bit_pos,
-                f"hlit {257 + hlit_raw}",
+    while len(lengths) < total:
+        sym, pos = cl_coding.read_symbol(data, pos, bit_end)
+        if sym <= 15:
+            lengths.append(sym)
+            continue
+        if sym == 16:
+            if not lengths:
+                raise _Fail(FailReason.REPEAT_WITHOUT_PREVIOUS, pos)
+            extra, pos = read_bits(data, pos, 2, bit_end)
+            count = 3 + extra
+            fill = lengths[-1]
+        elif sym == 17:
+            extra, pos = read_bits(data, pos, 3, bit_end)
+            count = 3 + extra
+            fill = 0
+        else:  # 18
+            extra, pos = read_bits(data, pos, 7, bit_end)
+            count = 11 + extra
+            fill = 0
+        if len(lengths) + count > total:
+            raise _Fail(
+                FailReason.REPEAT_OVERRUN,
+                pos,
+                f"{len(lengths)} + {count} lengths exceeds {total}",
             )
-        hdist_raw, cur = cur.read_int_lsb(5)
-        hclen_raw, cur = cur.read_int_lsb(4)
-    except EndOfInput as e:
-        return NoParse(FailReason.END_OF_INPUT, e.bit_pos)
+        lengths.extend([fill] * count)
+    return tuple(lengths), pos
+
+
+def _coding(lengths: CodeLengths, pos: int) -> DeflateCoding:
+    """build_coding, with an over-subscribed vector failing at ``pos``."""
+    try:
+        return build_coding(lengths)
+    except KraftViolation as e:
+        raise _Fail(FailReason.BAD_CODING, pos, str(e)) from None
+
+
+def _dynamic_header(data: bytes, pos: int) -> tuple[DynamicHeader, int]:
+    bit_end = 8 * len(data)
+    hlit_raw, pos = read_bits(data, pos, 5, bit_end)
+    if hlit_raw >= 30:
+        raise _Fail(FailReason.FORBIDDEN_HLIT, pos - 5, f"hlit {257 + hlit_raw}")
+    hdist_raw, pos = read_bits(data, pos, 5, bit_end)
+    hclen_raw, pos = read_bits(data, pos, 4, bit_end)
     hlit = 257 + hlit_raw
     hdist = 1 + hdist_raw
     hclen = 4 + hclen_raw
 
-    cl_outcome = parse_cl_lengths(cur, hclen)
-    if isinstance(cl_outcome, NoParse):
-        return cl_outcome
-    try:
-        cl_coding = build_coding(cl_outcome.value)
-    except KraftViolation as e:
-        return NoParse(FailReason.BAD_CODING, cl_outcome.rest.bit_pos, str(e))
-
-    rle_outcome = parse_rle_code_lengths(cl_outcome.rest, cl_coding, hlit + hdist)
-    if isinstance(rle_outcome, NoParse):
-        return rle_outcome
-    combined = rle_outcome.value
-    cur = rle_outcome.rest
-    try:
-        lit_coding = build_coding(CodeLengths(combined[:hlit]))
-        dist_coding = build_coding(CodeLengths(combined[hlit:]))
-    except KraftViolation as e:
-        return NoParse(FailReason.BAD_CODING, cur.bit_pos, str(e))
-
+    cl_lengths, pos = _cl_lengths(data, pos, hclen)
+    cl_coding = _coding(cl_lengths, pos)
+    combined, pos = _rle_code_lengths(data, pos, bit_end, cl_coding, hlit + hdist)
+    lit_coding = _coding(CodeLengths(combined[:hlit]), pos)
+    dist_coding = _coding(CodeLengths(combined[hlit:]), pos)
     header = DynamicHeader(hlit, hdist, hclen, cl_coding, lit_coding, dist_coding)
-    return Parsed(header, cur.bit_pos - cursor.bit_pos, cur)
-
-
-def _read_bits(data: bytes, pos: int, n: int, bit_end: int) -> tuple[int, int]:
-    """LSB-first n-bit read over raw buffer positions (n <= 16)."""
-    if pos + n > bit_end:
-        raise EndOfInput(pos, f"a {n}-bit field")
-    if n == 0:
-        return 0, pos
-    first = pos >> 3
-    nbytes = ((pos & 7) + n + 7) >> 3
-    chunk = int.from_bytes(data[first : first + nbytes], "little")
-    return (chunk >> (pos & 7)) & ((1 << n) - 1), pos + n
-
-
-class _TokenFailure(Exception):
-    """Internal carrier turning token-level failures into NoParse values."""
-
-    def __init__(self, reason: FailReason, bit_pos: int, detail: str = ""):
-        self.reason = reason
-        self.bit_pos = bit_pos
-        self.detail = detail
+    return header, pos
 
 
 def _decode_some(
@@ -285,24 +291,19 @@ def _decode_some(
     dist_coding: DeflateCoding,
     produced: int,
     max_tokens: int,
-    check_distance: bool,
 ):
     """Decode up to max_tokens tokens; returns (tokens, pos, produced, done).
 
-    ``done`` reports whether the end-of-block symbol was consumed.
-    Raises _TokenFailure with an exact offset on malformed content.
+    ``done`` reports whether the end-of-block symbol was consumed.  A
+    distance must reach no further back than the ``produced`` bytes.
+    Malformed content raises one of ``_PARSE_ERRORS`` at an exact offset.
     """
     tokens: list = []
     lit_read = lit_coding.read_symbol
     dist_read = dist_coding.read_symbol
     while len(tokens) < max_tokens:
         sym_pos = pos
-        try:
-            sym, pos = lit_read(data, pos, bit_end)
-        except EndOfInput as e:
-            raise _TokenFailure(FailReason.END_OF_INPUT, e.bit_pos)
-        except BadCode as e:
-            raise _TokenFailure(FailReason.BAD_CODE, e.bit_pos)
+        sym, pos = lit_read(data, pos, bit_end)
         if sym < 256:
             tokens.append(Literal(sym))
             produced += 1
@@ -311,34 +312,20 @@ def _decode_some(
             tokens.append(END_OF_BLOCK)
             return tokens, pos, produced, True
         if sym > 285:
-            raise _TokenFailure(
-                FailReason.INVALID_LENGTH_CODEPOINT, sym_pos, f"codepoint {sym}"
-            )
+            raise _Fail(FailReason.INVALID_LENGTH_CODEPOINT, sym_pos, f"codepoint {sym}")
+        extra, pos = read_bits(data, pos, length_extra_bits(sym), bit_end)
         try:
-            extra, pos = _read_bits(data, pos, length_extra_bits(sym), bit_end)
             length = length_decode(sym, extra)
-        except EndOfInput as e:
-            raise _TokenFailure(FailReason.END_OF_INPUT, e.bit_pos)
         except InvalidLengthExtra as e:
-            raise _TokenFailure(FailReason.INVALID_LENGTH_EXTRA, pos, str(e))
+            raise _Fail(FailReason.INVALID_LENGTH_EXTRA, pos, str(e)) from None
         dsym_pos = pos
-        try:
-            dsym, pos = dist_read(data, pos, bit_end)
-        except EndOfInput as e:
-            raise _TokenFailure(FailReason.END_OF_INPUT, e.bit_pos)
-        except BadCode as e:
-            raise _TokenFailure(FailReason.BAD_CODE, e.bit_pos)
+        dsym, pos = dist_read(data, pos, bit_end)
         if dsym >= 30:
-            raise _TokenFailure(
-                FailReason.INVALID_DISTANCE_CODEPOINT, dsym_pos, f"codepoint {dsym}"
-            )
-        try:
-            dextra, pos = _read_bits(data, pos, distance_extra_bits(dsym), bit_end)
-        except EndOfInput as e:
-            raise _TokenFailure(FailReason.END_OF_INPUT, e.bit_pos)
+            raise _Fail(FailReason.INVALID_DISTANCE_CODEPOINT, dsym_pos, f"codepoint {dsym}")
+        dextra, pos = read_bits(data, pos, distance_extra_bits(dsym), bit_end)
         distance = distance_decode(dsym, dextra)
-        if check_distance and distance > produced:
-            raise _TokenFailure(
+        if distance > produced:
+            raise _Fail(
                 FailReason.DISTANCE_TOO_FAR,
                 pos,
                 f"distance {distance} with only {produced} bytes produced",
@@ -395,10 +382,11 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
                 try:
                     tokens, pos, produced, done = _decode_some(
                         data, pos, bit_end, lit_coding, dist_coding, produced,
-                        _TOKEN_CHUNK, True,
+                        _TOKEN_CHUNK,
                     )
-                except _TokenFailure as f:
-                    yield header, NoParse(f.reason, f.bit_pos, f.detail), f.bit_pos
+                except _PARSE_ERRORS as e:
+                    failure = _no_parse(e)
+                    yield header, failure, failure.bit_pos
                     return
                 yield header, tokens, pos
         if header.is_final:
@@ -430,5 +418,5 @@ def inflate(data: bytes) -> bytes:
     """Decompress a raw deflate stream; raises InflateError on bad input."""
     outcome = parse_deflate(BitCursor(data, 0))
     if isinstance(outcome, NoParse):
-        raise InflateError(outcome.reason.value, outcome.bit_pos, outcome.detail)
+        raise outcome.error()
     return outcome.value

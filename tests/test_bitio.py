@@ -1,13 +1,15 @@
-"""Bit packing order and cursor arithmetic, checked against a naive reader."""
+"""Bit packing order and the field reader, checked against a naive reader."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deflatekit.bitio import MAX_FIELD_BITS, BitCursor, BitSink
+from deflatekit.bitio import MAX_FIELD_BITS, BitCursor, BitSink, read_bits
 from deflatekit.errors import EndOfInput, ValueOutOfRange
+from deflatekit.inflate import FailReason, NoParse, parse_stored_block
 
 
 def naive_bit(data: bytes, k: int) -> int:
@@ -29,45 +31,35 @@ def test_max_field_bits_is_sixteen():
 def test_read_bit_against_naive_reader():
     rng = random.Random(10)
     data = rng.randbytes(37)
-    cur = BitCursor(data)
-    for k in range(8 * len(data)):
-        bit, cur = cur.read_bit()
+    end = 8 * len(data)
+    pos = 0
+    for k in range(end):
+        bit, pos = read_bits(data, pos, 1, end)
         assert bit == naive_bit(data, k)
-    assert cur.bits_left == 0
+    assert pos == end
     with pytest.raises(EndOfInput):
-        cur.read_bit()
+        read_bits(data, pos, 1, end)
 
 
-def test_read_int_lsb_against_naive_reader():
+def test_bit_fields_against_naive_reader():
     rng = random.Random(11)
     data = rng.randbytes(64)
     for _ in range(500):
         n = rng.randrange(0, MAX_FIELD_BITS + 1)
         pos = rng.randrange(0, 8 * len(data) - n + 1)
-        value, after = BitCursor(data, pos).read_int_lsb(n)
+        value, after = read_bits(data, pos, n, 8 * len(data))
         assert value == naive_read_lsb(data, pos, n)
-        assert after.bit_pos == pos + n
+        assert after == pos + n
 
 
-def test_read_int_lsb_zero_width():
-    cur = BitCursor(b"\xff")
-    value, after = cur.read_int_lsb(0)
-    assert value == 0
-    assert after.bit_pos == cur.bit_pos
-
-
-def test_read_int_lsb_rejects_bad_widths():
-    cur = BitCursor(b"\x00" * 4)
-    with pytest.raises(ValueOutOfRange):
-        cur.read_int_lsb(-1)
-    with pytest.raises(ValueOutOfRange):
-        cur.read_int_lsb(MAX_FIELD_BITS + 1)
+def test_zero_width_field_reads_nothing():
+    assert read_bits(b"\xff", 3, 0, 8) == (0, 3)
+    assert read_bits(b"\xff", 8, 0, 8) == (0, 8)  # at the very end too
 
 
 def test_reads_past_the_end_report_the_read_position():
-    cur = BitCursor(b"\xab", 3)
     with pytest.raises(EndOfInput) as err:
-        cur.read_int_lsb(6)
+        read_bits(b"\xab", 3, 6, 8)
     assert err.value.bit_pos == 3
 
 
@@ -80,24 +72,19 @@ def test_cursor_positions_are_bounded():
 
 
 def test_align_to_byte_cursor():
-    data = b"\x00\x00\x00"
-    assert BitCursor(data, 0).align_to_byte().bit_pos == 0
-    assert BitCursor(data, 1).align_to_byte().bit_pos == 8
-    assert BitCursor(data, 8).align_to_byte().bit_pos == 8
-    assert BitCursor(data, 15).align_to_byte().bit_pos == 16
-
-
-def test_read_bytes_aligned():
-    cur = BitCursor(b"abcdef", 8)
-    chunk, after = cur.read_bytes_aligned(3)
-    assert chunk == b"bcd"
-    assert after.bit_pos == 32
-    with pytest.raises(ValueOutOfRange):
-        BitCursor(b"abcdef", 3).read_bytes_aligned(1)
-    with pytest.raises(ValueOutOfRange):
-        cur.read_bytes_aligned(-1)
-    with pytest.raises(EndOfInput):
-        cur.read_bytes_aligned(6)
+    # A stored block skips to the next byte boundary (none when already
+    # aligned), then reads LEN, NLEN and LEN whole bytes from there.
+    payload = b"bcd"
+    block = struct.pack("<HH", len(payload), len(payload) ^ 0xFFFF) + payload
+    for start, aligned in ((0, 0), (1, 8), (8, 8), (15, 16)):
+        data = bytes(aligned // 8) + block
+        outcome = parse_stored_block(BitCursor(data, start))
+        assert outcome.value == payload
+        assert outcome.rest.bit_pos == 8 * len(data)
+        assert outcome.consumed_bits == 8 * len(data) - start
+        # The payload runs out after the four length bytes.
+        short = parse_stored_block(BitCursor(data[:-1], start))
+        assert short == NoParse(FailReason.END_OF_INPUT, aligned + 32)
 
 
 def test_sink_packs_lsb_first():
@@ -168,10 +155,12 @@ def test_sink_cursor_round_trip(fields):
     sink = BitSink()
     for value, n in fields:
         sink.write_bits_lsb(value, n)
-    cur = BitCursor(sink.to_bytes())
+    data = sink.to_bytes()
+    pos = 0
     for value, n in fields:
-        got, cur = cur.read_int_lsb(n)
+        got, pos = read_bits(data, pos, n, 8 * len(data))
         assert got == value
+    assert pos == sink.bit_length
 
 
 @given(st.lists(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=16), max_size=40))
@@ -179,8 +168,9 @@ def test_code_then_bitwise_read_round_trip(codes):
     sink = BitSink()
     for code in codes:
         sink.write_code_msb(code)
-    cur = BitCursor(sink.to_bytes())
+    data = sink.to_bytes()
+    pos = 0
     for code in codes:
         for expected in code:
-            bit, cur = cur.read_bit()
+            bit, pos = read_bits(data, pos, 1, 8 * len(data))
             assert bit == expected

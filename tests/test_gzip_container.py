@@ -187,6 +187,31 @@ def test_unsupported_method():
         gzip_decompress(bytes(blob))
 
 
+def test_header_crc_mismatch_is_rejected_as_zlib_does():
+    header = b"\x1f\x8b\x08\x02" + b"\x00\x00\x00\x00\x00\xff"
+    header += struct.pack("<H", crc32(header) & 0xFFFF)
+    blob = header + deflate(b"checked header") + struct.pack(
+        "<II", crc32(b"checked header"), 14
+    )
+    assert gzip_decompress(blob) == b"checked header"
+    bad = bytearray(blob)
+    bad[10] ^= 0x04  # one bit of the stored header CRC
+    with pytest.raises(BadMagic):
+        gzip_decompress(bytes(bad))
+    with pytest.raises(zlib.error, match="header crc mismatch"):
+        zlib.decompressobj(31).decompress(bytes(bad))
+
+
+@pytest.mark.parametrize("flag", [0x20, 0x40, 0x80])
+def test_reserved_flag_bits_are_rejected_as_zlib_does(flag):
+    blob = bytearray(gzip_compress(b"reserved"))
+    blob[3] |= flag
+    with pytest.raises(BadMagic):
+        gzip_decompress(bytes(blob))
+    with pytest.raises(zlib.error, match="unknown header flags set"):
+        zlib.decompressobj(31).decompress(bytes(blob))
+
+
 def test_truncated_name_field():
     header = b"\x1f\x8b\x08\x08" + b"\x00" * 6 + b"never terminated"
     with pytest.raises(BadMagic):
