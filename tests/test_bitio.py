@@ -71,20 +71,35 @@ def test_cursor_positions_are_bounded():
         BitCursor(b"ab", -1)
 
 
+def stored_block(payload: bytes) -> bytes:
+    return struct.pack("<HH", len(payload), len(payload) ^ 0xFFFF) + payload
+
+
 def test_align_to_byte_cursor():
     # A stored block skips to the next byte boundary (none when already
     # aligned), then reads LEN, NLEN and LEN whole bytes from there.
     payload = b"bcd"
-    block = struct.pack("<HH", len(payload), len(payload) ^ 0xFFFF) + payload
     for start, aligned in ((0, 0), (1, 8), (8, 8), (15, 16)):
-        data = bytes(aligned // 8) + block
+        data = bytes(aligned // 8) + stored_block(payload)
         outcome = parse_stored_block(BitCursor(data, start))
         assert outcome.value == payload
         assert outcome.rest.bit_pos == 8 * len(data)
         assert outcome.consumed_bits == 8 * len(data) - start
-        # The payload runs out after the four length bytes.
-        short = parse_stored_block(BitCursor(data[:-1], start))
-        assert short == NoParse(FailReason.END_OF_INPUT, aligned + 32)
+
+
+def test_read_bytes_aligned():
+    # The payload is a whole-byte slice read from the aligned position;
+    # bytes after it are left for the next parse.
+    data = b"a" + stored_block(b"bcd") + b"ef"
+    outcome = parse_stored_block(BitCursor(data, 8))
+    assert outcome.value == b"bcd"
+    assert outcome.rest.bit_pos == 8 * (1 + 4 + 3)
+    assert outcome.rest.data[outcome.rest.bit_pos // 8 :] == b"ef"
+    # A payload that runs past the end fails at the payload's first bit.
+    for start, aligned in ((0, 0), (1, 8), (8, 8), (15, 16)):
+        short = bytes(aligned // 8) + stored_block(b"bcd")[:-1]
+        outcome = parse_stored_block(BitCursor(short, start))
+        assert outcome == NoParse(FailReason.END_OF_INPUT, aligned + 32)
 
 
 def test_sink_packs_lsb_first():
