@@ -9,8 +9,11 @@ which is how short periodic runs are spelled.
 Distances never exceed 32768, so a resolver only has to retain that
 much history.  Two window shapes are provided:
 
-* ``RingWindow``: a plain circular byte buffer of fixed capacity.  It
-  is the window ``inflate`` decodes with.
+* ``RingWindow``: the newest ``capacity`` bytes in one buffer.  It is
+  the window ``inflate`` decodes with.  Its resolver copies slices with
+  the same byte-at-a-time semantics: a backreference no longer than
+  its distance is one slice, and a longer one repeats the period of
+  its last ``distance`` bytes.
 * ``QueueOfDoom``: two persistent ExpLists, the paper's model of the
   window.  New bytes are pushed onto the front list; when the front
   reaches capacity it becomes the back list wholesale and the previous
@@ -18,9 +21,9 @@ much history.  Two window shapes are provided:
   the back, so between W and 2W bytes are reachable once warm.
 
 QueueOfDoom is a reference model, not a production path: nothing in the
-package decodes with it.  Both expose push/lookback with identical
-observable behaviour, and the tests (acceptance criterion 6 among them)
-check the ring's resolver at the bottom against the queue's.
+package decodes with it.  The tests (acceptance criterion 6 among them)
+check the ring's resolver against the queue's, which copies one byte
+at a time.
 """
 
 from __future__ import annotations
@@ -295,55 +298,30 @@ class QueueOfDoom:
 
 
 class RingWindow:
-    """Circular byte buffer window; the imperative twin of QueueOfDoom."""
+    """The last ``capacity`` bytes of output in one buffer, oldest first.
 
-    __slots__ = ("buf", "write_pos", "fill", "capacity")
+    The imperative twin of QueueOfDoom: it reaches ``history`` =
+    min(bytes pushed, capacity) bytes back and never further.  It keeps
+    its ring-era name because ``bench/traced.py`` wraps its push_bytes.
+    """
+
+    __slots__ = ("buf", "capacity")
 
     def __init__(self, capacity: int = WINDOW_SIZE):
         if capacity < 1:
             raise ValueOutOfRange(f"capacity {capacity} must be at least 1")
-        self.buf = bytearray(capacity)
-        self.write_pos = 0
-        self.fill = 0
+        self.buf = bytearray()
         self.capacity = capacity
 
     @property
     def history(self) -> int:
-        return self.fill
-
-    def push(self, b: int) -> None:
-        self.buf[self.write_pos] = b
-        self.write_pos += 1
-        if self.write_pos == self.capacity:
-            self.write_pos = 0
-        if self.fill < self.capacity:
-            self.fill += 1
+        return len(self.buf)
 
     def push_bytes(self, data) -> None:
-        cap = self.capacity
-        if len(data) >= cap:
-            # Only the last `cap` bytes survive anyway.
-            self.buf[:] = data[-cap:]
-            self.write_pos = 0
-            self.fill = cap
-            return
-        wp = self.write_pos
-        first = min(len(data), cap - wp)
-        self.buf[wp : wp + first] = data[:first]
-        if first < len(data):
-            self.buf[: len(data) - first] = data[first:]
-        self.write_pos = (wp + len(data)) % cap
-        self.fill = min(self.fill + len(data), cap)
-
-    def lookback(self, distance: int) -> int:
-        if distance < 1 or distance > self.fill:
-            raise DistanceTooFar(
-                f"distance {distance} exceeds the {self.fill} bytes of available history"
-            )
-        pos = self.write_pos - distance
-        if pos < 0:
-            pos += self.capacity
-        return self.buf[pos]
+        """Append data, keeping only the newest ``capacity`` bytes."""
+        # Trim before appending, so the buffer never holds more than that.
+        del self.buf[: max(0, len(self.buf) + len(data) - self.capacity)]
+        self.buf += data[-self.capacity :]
 
 
 # -- token resolution ---------------------------------------------------
@@ -396,45 +374,33 @@ def resolve_tokens(tokens, window: QueueOfDoom) -> tuple[bytes, QueueOfDoom]:
 def resolve_tokens_ring(tokens, window: RingWindow) -> tuple[bytes, RingWindow]:
     """Resolve tokens against a RingWindow; same contract as resolve_tokens.
 
-    The window object is updated in place and returned.
+    The batch is resolved in one bytearray that holds the window's
+    history followed by the new output, and every backreference is a
+    slice copy: one slice when the length is at most the distance, else
+    the last ``distance`` bytes repeated, which is what a byte-at-a-time
+    copy writes.  The new bytes go into the window once, at the end;
+    the window object is updated in place and returned.
     """
-    out = bytearray()
-    append = out.append
-    buf = window.buf
+    out = bytearray(window.buf)
+    start = len(out)
     cap = window.capacity
-    wp = window.write_pos
-    fill = window.fill
+    append = out.append
     for t in tokens:
         if type(t) is Literal:
-            b = t.value
-            buf[wp] = b
-            wp += 1
-            if wp == cap:
-                wp = 0
-            if fill < cap:
-                fill += 1
-            append(b)
+            append(t.value)
         elif type(t) is BackRef:
             d = t.distance
-            if d > fill:
+            if d > cap or d > len(out):
                 raise DistanceTooFar(
-                    f"distance {d} exceeds the {fill} bytes of available history"
+                    f"distance {d} exceeds the {min(len(out), cap)} bytes of"
+                    " available history"
                 )
-            rp = wp - d
-            if rp < 0:
-                rp += cap
-            for _ in range(t.length):
-                b = buf[rp]
-                buf[wp] = b
-                rp += 1
-                if rp == cap:
-                    rp = 0
-                wp += 1
-                if wp == cap:
-                    wp = 0
-                append(b)
-            if fill < cap:
-                fill = min(fill + t.length, cap)
-    window.write_pos = wp
-    window.fill = fill
-    return bytes(out), window
+            n = t.length
+            if n <= d:
+                src = len(out) - d
+                out += out[src : src + n]
+            else:
+                out += (out[-d:] * (n // d + 1))[:n]
+    new = out[start:]
+    window.push_bytes(new)
+    return bytes(new), window

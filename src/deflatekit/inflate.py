@@ -33,7 +33,6 @@ from .errors import (
     BadCode,
     EndOfInput,
     InflateError,
-    InvalidLengthExtra,
     KraftViolation,
     ValueOutOfRange,
 )
@@ -52,15 +51,17 @@ from .prefix_coding import (
     fixed_dist_coding,
     fixed_lit_coding,
 )
-from .symbol_tables import (
-    CL_CODE_ORDER,
-    distance_decode,
-    distance_extra_bits,
-    length_decode,
-    length_extra_bits,
-)
+from .symbol_tables import CL_CODE_ORDER, DISTANCE_TABLE, LENGTH_TABLE
 
 _TOKEN_CHUNK = 4096  # tokens resolved per batch while streaming
+
+# (extra-bit width, base) of length codepoints 257..285 and of distance
+# codepoints 0..29, indexed from 0: the decoder's flat copy of the
+# symbol tables, whose length_decode/distance_decode stay the spec.
+_LENGTH_CODES = tuple(LENGTH_TABLE[cp] for cp in range(257, 286))
+_DISTANCE_CODES = tuple(DISTANCE_TABLE[cp] for cp in range(30))
+# Tokens are immutable values, so each byte value has one shared Literal.
+_LITERALS = tuple(Literal(b) for b in range(256))
 
 
 class FailReason(enum.Enum):
@@ -297,40 +298,92 @@ def _decode_some(
     ``done`` reports whether the end-of-block symbol was consumed.  A
     distance must reach no further back than the ``produced`` bytes.
     Malformed content raises one of ``_PARSE_ERRORS`` at an exact offset.
+
+    Symbols are looked up inline in the codings' primary decode tables
+    (zlib ``inffast.c``).  ``hold`` caches ``have`` stream bits from
+    ``pos`` on, reloaded 16 bytes at a time while 16 whole bytes remain
+    before ``bit_end``.  A field the cache cannot serve (a -1 entry, too
+    few bits) is read by the table's ``read`` or by ``read_bits``, which
+    empties the cache.
     """
     tokens: list = []
-    lit_read = lit_coding.read_symbol
-    dist_read = dist_coding.read_symbol
-    while len(tokens) < max_tokens:
+    append = tokens.append
+    literals = _LITERALS
+    lit, dist = lit_coding._decode_table(), dist_coding._decode_table()
+    lit_table, lit_bits, lit_mask = lit.table, lit.bits, (1 << lit.bits) - 1
+    dist_table, dist_bits, dist_mask = dist.table, dist.bits, (1 << dist.bits) - 1
+    hold = have = 0
+    reload_end = 8 * (bit_end >> 3) - 128
+    for _ in range(max_tokens):
+        # 48 bits hold any token: 15 + 5 extra + 15 + 13 extra.
+        if have < 48 and pos <= reload_end:
+            i = pos >> 3
+            hold = int.from_bytes(data[i : i + 16], "little") >> (pos & 7)
+            have = 128 - (pos & 7)
         sym_pos = pos
-        sym, pos = lit_read(data, pos, bit_end)
+        entry = lit_table[hold & lit_mask] if have >= lit_bits else -1
+        if entry >= 0:
+            n = entry & 15
+            hold >>= n
+            have -= n
+            pos += n
+            sym = entry >> 4
+        else:
+            sym, pos = lit.read(data, pos, bit_end)
+            have = 0
         if sym < 256:
-            tokens.append(Literal(sym))
+            append(literals[sym])
             produced += 1
             continue
         if sym == 256:
-            tokens.append(END_OF_BLOCK)
+            append(END_OF_BLOCK)
             return tokens, pos, produced, True
         if sym > 285:
             raise _Fail(FailReason.INVALID_LENGTH_CODEPOINT, sym_pos, f"codepoint {sym}")
-        extra, pos = read_bits(data, pos, length_extra_bits(sym), bit_end)
-        try:
-            length = length_decode(sym, extra)
-        except InvalidLengthExtra as e:
-            raise _Fail(FailReason.INVALID_LENGTH_EXTRA, pos, str(e)) from None
+        width, length = _LENGTH_CODES[sym - 257]
+        if have >= width:
+            extra = hold & ((1 << width) - 1)
+            hold >>= width
+            have -= width
+            pos += width
+        else:
+            extra, pos = read_bits(data, pos, width, bit_end)
+            have = 0
+        if extra == 31 and sym == 284:
+            # 227 + 31 would be 258, which codepoint 285 owns.
+            detail = "length codepoint 284 with extra value 31"
+            raise _Fail(FailReason.INVALID_LENGTH_EXTRA, pos, detail)
+        length += extra
         dsym_pos = pos
-        dsym, pos = dist_read(data, pos, bit_end)
+        entry = dist_table[hold & dist_mask] if have >= dist_bits else -1
+        if entry >= 0:
+            n = entry & 15
+            hold >>= n
+            have -= n
+            pos += n
+            dsym = entry >> 4
+        else:
+            dsym, pos = dist.read(data, pos, bit_end)
+            have = 0
         if dsym >= 30:
             raise _Fail(FailReason.INVALID_DISTANCE_CODEPOINT, dsym_pos, f"codepoint {dsym}")
-        dextra, pos = read_bits(data, pos, distance_extra_bits(dsym), bit_end)
-        distance = distance_decode(dsym, dextra)
+        width, distance = _DISTANCE_CODES[dsym]
+        if have >= width:
+            extra = hold & ((1 << width) - 1)
+            hold >>= width
+            have -= width
+            pos += width
+        else:
+            extra, pos = read_bits(data, pos, width, bit_end)
+            have = 0
+        distance += extra
         if distance > produced:
             raise _Fail(
                 FailReason.DISTANCE_TOO_FAR,
                 pos,
                 f"distance {distance} with only {produced} bytes produced",
             )
-        tokens.append(BackRef(length, distance))
+        append(BackRef(length, distance))
         produced += length
     return tokens, pos, produced, False
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .bitio import BitCursor
+from .bitio import BitCursor, read_bits
 from .errors import (
     BadCode,
     EndOfInput,
@@ -43,6 +43,8 @@ from .errors import (
 MAX_CODE_LENGTH = 15
 # The coding that encodes the dynamic header's code lengths is shallower.
 MAX_CL_CODE_LENGTH = 7
+# Stream bits a decode table's primary lookup indexes (zlib's root table).
+_TABLE_BITS = 9
 
 Bits = tuple[int, ...]
 
@@ -215,15 +217,25 @@ class DeflateCoding:
 
 
 class _DecodeTable:
-    """Per-length first-value/limit index over a canonical coding.
+    """A primary lookup table over a per-length first-value/limit walk.
 
     For each code length L the nonempty codes occupy the dense value
-    range [first[L], limit[L]), and first[L] is limit[L-1] doubled.
-    Decoding therefore needs no explicit tree: accumulate bits into a
-    value and compare against the range at each length.
+    range [first[L], limit[L]), and first[L] is limit[L-1] doubled.  So
+    the walk needs no tree: it accumulates bits into a value, which is
+    at least first[L] at length L, until the value drops below limit[L];
+    past the longest length the bits begin no code (BadCode).
+
+    The primary table (zlib ``inftrees.c``; Moffat & Turpin 1997) has
+    2**bits entries, bits = min(9, max_len), indexed by the next
+    ``bits`` stream bits, least significant first: ``(symbol << 4) |
+    length`` for the code of length <= bits they begin with, else -1.
+    ``read`` looks up only when ``bits`` bits remain before ``bit_end``;
+    a -1 entry or a shorter tail goes to the walk, so BadCode and
+    EndOfInput keep the walk's bit positions and no bit past
+    ``bit_end`` is read.
     """
 
-    __slots__ = ("min_len", "max_len", "first", "limit", "base", "syms")
+    __slots__ = ("max_len", "limit", "base", "syms", "bits", "table")
 
     def __init__(self, codes: Sequence[Bits]):
         entries = sorted(
@@ -231,29 +243,17 @@ class _DecodeTable:
             for ch, code in enumerate(codes)
             if code
         )
-        if not entries:
-            # Every character absent is a legitimate coding (e.g. a block
-            # that never uses distances); reads fail at the read position.
-            self.min_len = 0
-            self.max_len = 0
-            self.first = [0]
-            self.limit = [0]
-            self.base = [0]
-            self.syms = []
-            return
-        self.min_len = entries[0][0]
-        self.max_len = entries[-1][0]
-        self.first = [0] * (self.max_len + 1)
+        # Every character absent is a legitimate coding (e.g. a block that
+        # never uses distances); reads then fail at the read position.
+        self.max_len = entries[-1][0] if entries else 0
         self.limit = [0] * (self.max_len + 1)
         self.base = [0] * (self.max_len + 1)
         self.syms: list[int] = []
         i = 0
-        prev_limit = 0
+        value = 0
         for length in range(1, self.max_len + 1):
-            start = prev_limit << 1
-            self.first[length] = start
-            self.base[length] = len(self.syms) - start
-            value = start
+            value <<= 1  # first[length]
+            self.base[length] = len(self.syms) - value
             while i < len(entries) and entries[i][0] == length:
                 if entries[i][1] != value:
                     raise ValueOutOfRange(
@@ -263,23 +263,30 @@ class _DecodeTable:
                 value += 1
                 i += 1
             self.limit[length] = value
-            prev_limit = value
+        self.bits = min(_TABLE_BITS, self.max_len)
+        self.table = [-1] * (1 << self.bits)
+        for ch, code in enumerate(codes):
+            if code and len(code) <= self.bits:
+                # The first code bit is the first stream bit, so the
+                # index ends in the code reversed; the rest is free.
+                fill = [(ch << 4) | len(code)] * (len(self.table) >> len(code))
+                self.table[_int_of_bits(code[::-1]) :: 1 << len(code)] = fill
 
     def read(self, data: bytes, bit_pos: int, bit_end: int) -> tuple[int, int]:
+        if bit_pos + self.bits <= bit_end:
+            entry = self.table[read_bits(data, bit_pos, self.bits, bit_end)[0]]
+            if entry >= 0:
+                return entry >> 4, bit_pos + (entry & 15)
         value = 0
         pos = bit_pos
         limit = self.limit
-        first = self.first
         for length in range(1, self.max_len + 1):
             if pos >= bit_end:
                 raise EndOfInput(pos, "a prefix code")
             value = (value << 1) | ((data[pos >> 3] >> (pos & 7)) & 1)
             pos += 1
             if value < limit[length]:
-                if value >= first[length]:
-                    return self.syms[self.base[length] + value], pos
-                # Below every code of this length: no extension can match.
-                raise BadCode(bit_pos)
+                return self.syms[self.base[length] + value], pos
         raise BadCode(bit_pos)
 
 

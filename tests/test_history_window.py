@@ -173,34 +173,28 @@ def test_queue_lookback_against_pushed_history():
 
 
 def test_ring_lookback_against_pushed_history():
+    # The window keeps exactly the newest min(pushed, capacity) bytes.
     rng = random.Random(25)
     cap = 11
     ring = RingWindow(cap)
-    pushed = []
+    pushed = bytearray()
     for _ in range(200):
         b = rng.randrange(256)
-        ring.push(b)
+        ring.push_bytes(bytes([b]))
         pushed.append(b)
         assert ring.history == min(len(pushed), cap)
-        for d in range(1, ring.history + 1):
-            assert ring.lookback(d) == pushed[-d]
-        with pytest.raises(DistanceTooFar):
-            ring.lookback(ring.history + 1)
+        assert ring.buf == pushed[-cap:]
 
 
 def test_ring_push_bytes_paths():
     rng = random.Random(26)
     for size in (0, 3, 7, 8, 9, 20, 100):
         data = rng.randbytes(size)
-        bulk = RingWindow(8)
-        bulk.push_bytes(b"seed")  # start from a nonzero write position
-        bulk.push_bytes(data)
-        stepwise = RingWindow(8)
-        for b in b"seed" + data:
-            stepwise.push(b)
-        assert bulk.history == stepwise.history
-        for d in range(1, bulk.history + 1):
-            assert bulk.lookback(d) == stepwise.lookback(d)
+        ring = RingWindow(8)
+        ring.push_bytes(b"seed")
+        ring.push_bytes(data)
+        assert ring.history == min(4 + size, 8)
+        assert ring.buf == (b"seed" + data)[-8:]
     with pytest.raises(ValueOutOfRange):
         RingWindow(0)
 
@@ -274,7 +268,7 @@ def test_queue_rotation_can_cut_off_a_long_reach_mid_copy():
     ring.push_bytes(b"abcdef")
     with pytest.raises(DistanceTooFar):
         resolve_tokens_ring([BackRef(3, 6)], ring)
-    assert ring.lookback(4) == ord("c")
+    assert ring.buf == b"cdef"
 
 
 def test_resolution_is_splittable():
@@ -333,3 +327,65 @@ def test_window_shapes_agree_past_the_window_boundary():
             tokens.extend(Literal(rng.randrange(256)) for _ in range(run))
             produced += run
     assert both_resolvers(tokens)
+
+
+def history_message(distance: int, history: int) -> str:
+    return f"distance {distance} exceeds the {history} bytes of available history"
+
+
+@pytest.mark.parametrize("cap", [4, 11, WINDOW_SIZE])
+def test_slice_copies_match_the_queue_across_batches(cap):
+    # Each batch reaches back into the ones before it, repeats periods
+    # 1..8 up to length 258 and copies from exactly the whole history;
+    # one byte further fails with the ring's reach in the message.
+    rng = random.Random(cap)
+    ring, queue = RingWindow(cap), QueueOfDoom(cap)
+    produced = 0
+    for batch in range(12):
+        tokens = []
+        total = produced  # output once this batch's tokens so far are resolved
+        if batch == 1:
+            for period in range(1, min(8, cap) + 1):
+                for length in (3, 4, 5, 8, 9, 16, 17, 100, 255, 256, 257, 258):
+                    if length > period:
+                        tokens.append(BackRef(length, period))
+                        total += length
+        for _ in range(rng.randrange(1, 40)):
+            reach = min(total, cap)
+            pick = rng.random()
+            if reach == 0 or pick < 0.3:
+                tokens.append(Literal(rng.randrange(256)))
+                total += 1
+                continue
+            if pick < 0.5:
+                distance = reach
+            elif pick < 0.75:
+                distance = rng.randint(1, min(8, reach))
+            else:
+                distance = rng.randint(1, reach)
+            length = rng.choice((3, 7, 100, 258, rng.randint(3, 258)))
+            tokens.append(BackRef(length, distance))
+            total += length
+        if batch % 3 == 2:
+            tokens.append(END_OF_BLOCK)
+        ring_bytes, ring = resolve_tokens_ring(tokens, ring)
+        queue_bytes, queue = resolve_tokens(tokens, queue)
+        assert ring_bytes == queue_bytes
+        produced = total
+        history, kept = ring.history, bytes(ring.buf)
+        assert history == min(produced, cap)
+        if history + 2 > WINDOW_SIZE:
+            continue
+        with pytest.raises(DistanceTooFar) as err:
+            resolve_tokens_ring([BackRef(3, history + 1)], ring)
+        assert str(err.value) == history_message(history + 1, history)
+        if produced < cap:
+            with pytest.raises(DistanceTooFar) as err:
+                resolve_tokens([BackRef(3, history + 1)], queue)
+            assert str(err.value) == history_message(history + 1, history)
+        # The reach counts the batch's own bytes, up to the capacity.
+        reach = min(history + 1, cap)
+        with pytest.raises(DistanceTooFar) as err:
+            resolve_tokens_ring([Literal(0), BackRef(3, reach + 1)], ring)
+        assert str(err.value) == history_message(reach + 1, reach)
+        assert ring.buf == kept  # a failed batch leaves the window as it was

@@ -5,20 +5,30 @@ anything else leans on them, so every later equality is anchored to an
 independent decoder.
 """
 
+import hashlib
 import random
 import zlib
 
 import pytest
 
 from deflatekit.bitio import BitCursor, BitSink
-from deflatekit.errors import InflateError, ValueOutOfRange
-from deflatekit.history_window import BackRef, END_OF_BLOCK, Literal
+from deflatekit.compress import CompressParams, deflate
+from deflatekit.errors import InflateError, InvalidLengthExtra, ValueOutOfRange
+from deflatekit.history_window import (
+    BackRef,
+    END_OF_BLOCK,
+    Literal,
+    QueueOfDoom,
+    resolve_tokens,
+)
 from deflatekit.inflate import (
     BlockHeader,
     BlockType,
     FailReason,
     NoParse,
     Parsed,
+    _DISTANCE_CODES,
+    _LENGTH_CODES,
     inflate,
     iter_blocks,
     parse_block_header,
@@ -28,7 +38,13 @@ from deflatekit.inflate import (
     parse_stored_block,
 )
 from deflatekit.prefix_coding import build_coding, fixed_dist_coding, fixed_lit_coding
-from deflatekit.symbol_tables import CL_CODE_ORDER
+from deflatekit.symbol_tables import (
+    CL_CODE_ORDER,
+    distance_decode,
+    distance_extra_bits,
+    length_decode,
+    length_extra_bits,
+)
 
 from conftest import (
     GOLDEN_DYNAMIC_BYTES,
@@ -38,6 +54,7 @@ from conftest import (
     GOLDEN_STATIC_CONSUMED,
     mixed_corpus_item,
     parse_deflate_queue,
+    random_code_lengths,
 )
 
 GOLDEN_TOKENS = [
@@ -307,6 +324,86 @@ def test_empty_distance_coding_fails_only_when_used():
     assert outcome == NoParse(FailReason.BAD_CODE, fail_at)
 
 
+# -- deliberate divergences from zlib ------------------------------------
+
+
+def thirty_two_distance_codes_stream(dist_code: int) -> tuple[bytes, int]:
+    """HDIST = 32: 'a', <3, distance code dist_code>, end of block.
+
+    lit {97: 0, 256: 10, 257: 11}; dist {0: 0, 31: 1} among 32 lengths.
+    Returns the stream and the bit offset of its distance code.
+    """
+    sink, cl = start_dynamic({1: 2, 2: 2, 18: 1}, 1, 31)
+    write_rle(
+        sink,
+        cl,
+        [(18, 86), (1, None), (18, 127), (18, 9), (2, None), (2, None)]
+        + [(1, None), (18, 19), (1, None)],
+    )
+    sink.write_code_msb((0,))  # 'a'
+    sink.write_code_msb((1, 1))  # codepoint 257, length 3
+    dist_at = sink.bit_length
+    sink.write_code_msb((dist_code,))
+    sink.write_code_msb((1, 0))  # end of block
+    return sink.to_bytes(), dist_at
+
+
+def test_thirty_two_distance_codes_are_accepted_unlike_zlib():
+    # RFC 1951 3.2.7 allows 1-32 distance codes (HDIST 0-31); zlib
+    # refuses more than 30.  Codes 30 and 31 are still refused in data.
+    stream, _ = thirty_two_distance_codes_stream(0)
+    assert inflate(stream) == b"aaaa"
+    with pytest.raises(zlib.error, match="too many length or distance symbols"):
+        zlib.decompressobj(-15).decompress(stream)
+    stream, dist_at = thirty_two_distance_codes_stream(1)
+    assert parse_deflate(BitCursor(stream)) == NoParse(
+        FailReason.INVALID_DISTANCE_CODEPOINT, dist_at, "codepoint 31"
+    )
+    with pytest.raises(zlib.error, match="too many length or distance symbols"):
+        zlib.decompressobj(-15).decompress(stream)
+
+
+def incomplete_codings_stream(a_length: int, *codes) -> tuple[bytes, int]:
+    """lit {97: a_length, 256: 2, 257: 2}, dist {0: 2, 1: 2}: 'a', then codes.
+
+    The distance coding {0: 00, 1: 01} is incomplete (1x matches no
+    code); so is the literal/length coding {97: 00, 256: 01, 257: 10}
+    when a_length is 2, but not {97: 0, 256: 10, 257: 11} when it is 1.
+    Returns the stream and the bit offset just after 'a'.
+    """
+    cl_lengths = {2: 1, 18: 1} if a_length == 2 else {1: 2, 2: 2, 18: 1}
+    sink, cl = start_dynamic(cl_lengths, 1, 1)
+    write_rle(sink, cl, [(18, 86), (a_length, None), (18, 127), (18, 9)] + [(2, None)] * 4)
+    sink.write_code_msb((0,) * a_length)  # 'a'
+    after_a = sink.bit_length
+    for code in codes:
+        sink.write_code_msb(code)
+    return sink.to_bytes(), after_a
+
+
+def test_incomplete_codings_are_accepted_unlike_zlib():
+    # Rules 1-4 of the paper admit incomplete codings; zlib refuses them
+    # unless the coding is a single code.  An unused bit pattern fails as
+    # BAD_CODE at its first bit.
+    stream, _ = incomplete_codings_stream(2, (1, 0), (0, 0), (0, 1))  # <3, 1>, end
+    assert inflate(stream) == b"aaaa"
+    with pytest.raises(zlib.error, match="invalid literal/lengths set"):
+        zlib.decompressobj(-15).decompress(stream)
+    stream, after_a = incomplete_codings_stream(2, (1, 1), (0, 1))
+    assert parse_deflate(BitCursor(stream)) == NoParse(FailReason.BAD_CODE, after_a)
+    with pytest.raises(zlib.error, match="invalid literal/lengths set"):
+        zlib.decompressobj(-15).decompress(stream)
+
+    stream, _ = incomplete_codings_stream(1, (1, 1), (0, 0), (1, 0))  # <3, 1>, end
+    assert inflate(stream) == b"aaaa"
+    with pytest.raises(zlib.error, match="invalid distances set"):
+        zlib.decompressobj(-15).decompress(stream)
+    stream, after_a = incomplete_codings_stream(1, (1, 1), (1, 1), (1, 0))
+    assert parse_deflate(BitCursor(stream)) == NoParse(FailReason.BAD_CODE, after_a + 2)
+    with pytest.raises(zlib.error, match="invalid distances set"):
+        zlib.decompressobj(-15).decompress(stream)
+
+
 def test_repeat_without_previous_length():
     sink, cl = start_dynamic({16: 1, 0: 2, 1: 2}, 0, 0)
     fail_after = sink.bit_length + len(cl[16])
@@ -412,6 +509,29 @@ def test_length_codepoint_284_with_extra_31_is_invalid():
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome.reason is FailReason.INVALID_LENGTH_EXTRA
     assert outcome.bit_pos == fail_at
+    with pytest.raises(InvalidLengthExtra) as spec:
+        length_decode(284, 31)
+    assert outcome.detail == str(spec.value)
+
+
+def test_decoder_base_and_width_tables_match_the_spec():
+    # The decoder's flat (width, base) tuples against length_decode and
+    # distance_decode, for every extra value each width admits.
+    assert len(_LENGTH_CODES) == 29 and len(_DISTANCE_CODES) == 30
+    for cp, (width, base) in enumerate(_LENGTH_CODES, start=257):
+        for extra in range(1 << width):
+            if (cp, extra) == (284, 31):
+                with pytest.raises(InvalidLengthExtra):
+                    length_decode(cp, extra)
+            else:
+                assert base + extra == length_decode(cp, extra)
+        with pytest.raises(ValueOutOfRange):
+            length_decode(cp, 1 << width)
+    for cp, (width, base) in enumerate(_DISTANCE_CODES):
+        for extra in range(1 << width):
+            assert base + extra == distance_decode(cp, extra)
+        with pytest.raises(ValueOutOfRange):
+            distance_decode(cp, 1 << width)
 
 
 def test_length_codepoint_284_with_extra_30_is_length_257():
@@ -517,3 +637,156 @@ def test_ring_and_queue_windows_agree_on_valid_and_invalid_input():
     streams += [rng.randbytes(rng.randrange(0, 60)) for _ in range(60)]
     for stream in streams:
         assert parse_deflate(BitCursor(stream)) == parse_deflate_queue(BitCursor(stream))
+
+
+# -- pinned outcomes ------------------------------------------------------
+
+
+def write_random_tokens(sink: BitSink, rng: random.Random, lit, dist) -> None:
+    """Up to 40 random coded symbols, then end of block if it has a code.
+
+    Length codepoints get random extra bits (284 often gets 31), and a
+    distance code follows each of them; codepoints 286/287 and distance
+    codes 30/31 are drawn whenever the codings have them.
+    """
+    lit_syms = [s for s, code in enumerate(lit.codes) if code]
+    dist_syms = [s for s, code in enumerate(dist.codes) if code]
+    for _ in range(rng.randrange(41)):
+        if not lit_syms:
+            return
+        pick = rng.random()
+        if pick < 0.6:
+            sym = rng.randrange(256)
+        elif pick < 0.85:
+            sym = rng.randrange(257, 288)
+        else:
+            sym = rng.choice(lit_syms)
+        if sym >= len(lit.codes):
+            continue
+        if not lit.codes[sym]:
+            continue
+        sink.write_code_msb(lit.codes[sym])
+        if sym == 256:
+            return
+        if sym <= 256:
+            continue
+        if 257 <= sym <= 285:
+            extra = rng.randrange(32) if rng.random() < 0.7 else 31
+            width = length_extra_bits(sym)
+            sink.write_bits_lsb(extra & ((1 << width) - 1), width)
+        if not dist_syms:
+            sink.write_bits_lsb(rng.randrange(8), 3)
+            continue
+        dsym = rng.choice(dist_syms) if rng.random() < 0.5 else dist_syms[0]
+        sink.write_code_msb(dist.codes[dsym])
+        width = distance_extra_bits(dsym) if dsym < 30 else 0
+        sink.write_bits_lsb(rng.randrange(1 << width), width)
+    if 256 < len(lit.codes) and lit.codes[256]:
+        sink.write_code_msb(lit.codes[256])
+
+
+def random_static_block(rng: random.Random) -> bytes:
+    sink = BitSink()
+    sink.write_bits_lsb(1, 1)
+    sink.write_bits_lsb(1, 2)
+    write_random_tokens(sink, rng, fixed_lit_coding(), fixed_dist_coding())
+    return sink.to_bytes()
+
+
+def dynamic_block(lit_lengths: list, dist_lengths: list):
+    """A sink holding a final dynamic block's header for these codings,
+    and the two codings.
+
+    The code lengths are sent as plain code-length symbols under sixteen
+    4-bit codes, so the header parses whatever the lengths are.
+    """
+    sink = BitSink()
+    sink.write_bits_lsb(1, 1)
+    sink.write_bits_lsb(2, 2)
+    sink.write_bits_lsb(len(lit_lengths) - 257, 5)
+    sink.write_bits_lsb(len(dist_lengths) - 1, 5)
+    sink.write_bits_lsb(19 - 4, 4)
+    for sym in CL_CODE_ORDER:
+        sink.write_bits_lsb(4 if sym < 16 else 0, 3)
+    cl = build_coding([4] * 16 + [0] * 3, 7)
+    for length in lit_lengths + dist_lengths:
+        sink.write_code_msb(cl[length])
+    return sink, build_coding(lit_lengths), build_coding(dist_lengths)
+
+
+def random_dynamic_block(rng: random.Random) -> bytes:
+    """A final dynamic block over random (often incomplete) codings, with
+    codes up to 15 bits."""
+    lit_lengths = list(random_code_lengths(rng, max_alphabet=286))
+    lit_lengths += [0] * (257 - len(lit_lengths))
+    dist_lengths = list(random_code_lengths(rng, max_alphabet=32))
+    sink, lit, dist = dynamic_block(lit_lengths, dist_lengths)
+    write_random_tokens(sink, rng, lit, dist)
+    return sink.to_bytes()
+
+
+def test_long_codes_decode_between_short_ones():
+    # 15-bit literal, end and distance codes go past the 9-bit primary
+    # tables to the walk; the tokens after them must still line up.
+    lit_lengths = [0] * 259
+    lit_lengths[97], lit_lengths[257], lit_lengths[98], lit_lengths[256] = 1, 2, 15, 15
+    sink, lit, dist = dynamic_block(lit_lengths, [15, 1])  # distance 1: 15 bits, 2: 1 bit
+    tokens = [Literal(97), Literal(98), BackRef(3, 1), BackRef(3, 2)] * 40 + [END_OF_BLOCK]
+    for t in tokens:
+        if type(t) is Literal:
+            sink.write_code_msb(lit[t.value])
+        elif type(t) is BackRef:
+            sink.write_code_msb(lit[257])
+            sink.write_code_msb(dist[t.distance - 1])
+        else:
+            sink.write_code_msb(lit[256])
+    stream = sink.to_bytes()
+    assert [t for _, item, _ in iter_blocks(stream) for t in item] == tokens
+    expected, _ = resolve_tokens(tokens, QueueOfDoom())
+    assert parse_deflate(BitCursor(stream)) == Parsed(
+        expected, sink.bit_length, BitCursor(stream, sink.bit_length)
+    )
+
+
+def pinned_corpus():
+    """Streams built without zlib, each plain, bit-flipped, truncated and
+    junk-suffixed."""
+    rng = random.Random(36)
+    streams = [rng.randbytes(rng.randrange(0, 120)) for _ in range(200)]
+    for _ in range(24):
+        data = mixed_corpus_item(rng, rng.randrange(0, 3000))
+        params = CompressParams(max_chain=8, block_payload_limit=rng.randrange(200, 2000))
+        streams.append(deflate(data, params))
+    streams += [random_static_block(rng) for _ in range(150)]
+    streams += [random_dynamic_block(rng) for _ in range(150)]
+    for stream in streams:
+        yield stream
+        if stream:
+            flipped = bytearray(stream)
+            flipped[rng.randrange(len(stream))] ^= 1 << rng.randrange(8)
+            yield bytes(flipped)
+            yield stream[: rng.randrange(len(stream))]
+        yield stream + rng.randbytes(rng.randrange(1, 9))
+
+
+# sha256 over the parse_deflate outcomes of pinned_corpus(), recorded
+# before inflate decoded prefix codes through a lookup table.
+PINNED_OUTCOMES_SHA256 = "fd7467cd187be2e58dc0a38a5458a3824c27dabe1c255b4d418cad9c24b5895c"
+
+
+def test_parse_outcomes_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    reasons = set()
+    for stream in pinned_corpus():
+        outcome = parse_deflate(BitCursor(stream))
+        if isinstance(outcome, Parsed):
+            line = (
+                f"ok {hashlib.sha256(outcome.value).hexdigest()}"
+                f" {outcome.consumed_bits} {outcome.rest.bit_pos}"
+            )
+        else:
+            reasons.add(outcome.reason)
+            line = f"no {outcome.reason.name} {outcome.bit_pos} {outcome.detail}"
+        digest.update(line.encode() + b"\n")
+    assert reasons == set(FailReason)
+    assert digest.hexdigest() == PINNED_OUTCOMES_SHA256

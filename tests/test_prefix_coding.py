@@ -44,15 +44,21 @@ def fraction_sum(lengths) -> Fraction:
     return sum((Fraction(1, 2 ** l) for l in lengths if l > 0), Fraction(0))
 
 
-def slow_decode(coding: DeflateCoding, data: bytes, pos: int):
+def slow_decode(coding: DeflateCoding, data: bytes, pos: int, bit_end=None):
     """Read one code by scanning the table; (char, new pos) or exception.
 
     Compares the accumulated bits against every code at each step, with
-    none of the canonical-range machinery the real decoder uses.
+    none of the canonical-range machinery the real decoder uses.  Bits
+    that match no code are reported (at their first bit) only once as
+    many bits as the longest code have been read; with fewer bits left
+    before ``bit_end`` the read runs out of input, as the decoder's does.
     """
+    if bit_end is None:
+        bit_end = 8 * len(data)
+    longest = max(map(len, coding.codes), default=0)
     got = []
-    while True:
-        if pos >= 8 * len(data):
+    while len(got) < longest:
+        if pos >= bit_end:
             raise EndOfInput(pos, "a prefix code")
         got.append((data[pos >> 3] >> (pos & 7)) & 1)
         pos += 1
@@ -60,10 +66,7 @@ def slow_decode(coding: DeflateCoding, data: bytes, pos: int):
         exact = [ch for ch, code in enumerate(coding.codes) if code == prefix]
         if exact:
             return exact[0], pos
-        if not any(
-            code[: len(prefix)] == prefix for code in coding.codes if len(code) > len(prefix)
-        ):
-            raise BadCode(pos - len(got))
+    raise BadCode(pos - len(got))
 
 
 # -- the worked example -------------------------------------------------
@@ -258,6 +261,50 @@ def test_decode_against_slow_reference():
                 assert coding.read_symbol(data, start, 8 * len(data)) == expected
                 checked += 1
     assert checked > 300 and failures > 20
+
+
+def symbol_stream(coding: DeflateCoding, rng: random.Random, count: int) -> bytes:
+    """Codes of random characters, every code length equally likely."""
+    by_length: dict[int, list[int]] = {}
+    for ch, code in enumerate(coding.codes):
+        if code:
+            by_length.setdefault(len(code), []).append(ch)
+    sink = BitSink()
+    for _ in range(count if by_length else 0):
+        chars = by_length[rng.choice(sorted(by_length))]
+        sink.write_code_msb(coding[rng.choice(chars)])
+    return sink.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        list(range(1, 16)) + [15],  # complete, down to 15-bit codes
+        [3, 10, 15, 0, 12, 9, 9],  # incomplete, with codes past 9 bits
+        [2, 2, 2],  # incomplete, all shorter than 9 bits
+        [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8,  # fixed literal/length
+        [0, 1],  # a single code
+        [0, 0, 0],  # no codes at all
+    ],
+    ids=["15-bit", "incomplete-long", "incomplete-short", "fixed", "single", "empty"],
+)
+def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths):
+    # Every bit_end from the start bit on exercises the lookup, the walk
+    # after a -1 entry, and the walk with fewer than the table's bits left.
+    rng = random.Random(len(lengths))
+    coding = build_coding(lengths)
+    samples = [symbol_stream(coding, rng, 4) + rng.randbytes(1), rng.randbytes(4)]
+    for data in samples:
+        for start in range(8 * len(data) + 1):
+            for end in range(start, 8 * len(data) + 1):
+                try:
+                    expected = slow_decode(coding, data, start, end)
+                except (BadCode, EndOfInput) as e:
+                    with pytest.raises(type(e)) as err:
+                        coding.read_symbol(data, start, end)
+                    assert err.value.bit_pos == e.bit_pos
+                else:
+                    assert coding.read_symbol(data, start, end) == expected
 
 
 def test_decoding_with_no_codes_at_all_fails_at_the_read_position():
