@@ -30,7 +30,6 @@ from .symbol_tables import (
 
 BTYPE_STORED = 0
 BTYPE_STATIC = 1
-BTYPE_DYNAMIC = 2
 
 MAX_STORED_BLOCK = 65535
 HASH_BITS = 15

@@ -33,10 +33,6 @@ class BadCode(DeflateError):
         self.bit_pos = bit_pos
 
 
-class UnencodableCharacter(DeflateError, ValueError):
-    """The character has no code (its code length was zero)."""
-
-
 class InvalidCodepoint(DeflateError, ValueError):
     """A codepoint is outside the table's domain or forbidden in data."""
 

@@ -100,8 +100,6 @@ class EndOfBlock:
 
 END_OF_BLOCK = EndOfBlock()
 
-Token = Union[Literal, BackRef, EndOfBlock]
-
 
 # -- ExpList: persistent random-access list -----------------------------
 #

@@ -6,7 +6,7 @@ a malformed stream they raise: a grammar violation raises ``_Fail``
 with its reason, the prefix decoder and the bit reader raise ``BadCode``
 and ``EndOfInput``.  ``_no_parse`` is the one place that turns any of
 these into ``NoParse(reason, bit_pos, detail)``.  The public parsers
-(``parse_block_header``, ``parse_stored_block``, ``parse_cl_lengths``,
+(``parse_block_header``, ``parse_stored_block``,
 ``parse_dynamic_header``, ``parse_deflate``) take a BitCursor and
 return a ParseOutcome: ``Parsed(value, consumed_bits, rest)`` or that
 NoParse.  Parsers read strictly left to right and never look past the
@@ -34,7 +34,6 @@ from .errors import (
     EndOfInput,
     InflateError,
     KraftViolation,
-    ValueOutOfRange,
 )
 from .history_window import (
     BackRef,
@@ -44,9 +43,9 @@ from .history_window import (
     resolve_tokens_ring,
 )
 from .prefix_coding import (
-    CodeLengths,
     DeflateCoding,
     MAX_CL_CODE_LENGTH,
+    MAX_CODE_LENGTH,
     build_coding,
     fixed_dist_coding,
     fixed_lit_coding,
@@ -171,11 +170,6 @@ def parse_stored_block(cursor: BitCursor) -> ParseOutcome:
     return _outcome(_stored_block, cursor)
 
 
-def parse_cl_lengths(cursor: BitCursor, hclen: int) -> ParseOutcome:
-    """hclen three-bit lengths for the code-length coding, in its wire order."""
-    return _outcome(_cl_lengths, cursor, hclen)
-
-
 def parse_dynamic_header(cursor: BitCursor) -> ParseOutcome:
     """HLIT/HDIST/HCLEN counts, the code-length coding, both codings."""
     return _outcome(_dynamic_header, cursor)
@@ -206,19 +200,18 @@ def _stored_block(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start : start + length], pos + 8 * length
 
 
-def _cl_lengths(data: bytes, pos: int, hclen: int) -> tuple[CodeLengths, int]:
-    if not 4 <= hclen <= 19:
-        raise ValueOutOfRange(f"hclen {hclen} not in 4..19")
+def _cl_lengths(data: bytes, pos: int, hclen: int) -> tuple[list[int], int]:
+    """hclen three-bit lengths for the code-length coding, in its wire order."""
     bit_end = 8 * len(data)
     lengths = [0] * 19
     for i in range(hclen):
         lengths[CL_CODE_ORDER[i]], pos = read_bits(data, pos, 3, bit_end)
-    return CodeLengths(lengths, MAX_CL_CODE_LENGTH), pos
+    return lengths, pos
 
 
 def _rle_code_lengths(
     data: bytes, pos: int, bit_end: int, cl_coding: DeflateCoding, total: int
-) -> tuple[tuple[int, ...], int]:
+) -> tuple[list[int], int]:
     """Expand the run-length-encoded length list to exactly ``total`` entries.
 
     Symbols 0..15 are literal lengths; 16 repeats the previous length
@@ -253,13 +246,13 @@ def _rle_code_lengths(
                 f"{len(lengths)} + {count} lengths exceeds {total}",
             )
         lengths.extend([fill] * count)
-    return tuple(lengths), pos
+    return lengths, pos
 
 
-def _coding(lengths: CodeLengths, pos: int) -> DeflateCoding:
+def _coding(lengths: list[int], max_len: int, pos: int) -> DeflateCoding:
     """build_coding, with an over-subscribed vector failing at ``pos``."""
     try:
-        return build_coding(lengths)
+        return build_coding(lengths, max_len)
     except KraftViolation as e:
         raise _Fail(FailReason.BAD_CODING, pos, str(e)) from None
 
@@ -276,10 +269,10 @@ def _dynamic_header(data: bytes, pos: int) -> tuple[DynamicHeader, int]:
     hclen = 4 + hclen_raw
 
     cl_lengths, pos = _cl_lengths(data, pos, hclen)
-    cl_coding = _coding(cl_lengths, pos)
+    cl_coding = _coding(cl_lengths, MAX_CL_CODE_LENGTH, pos)
     combined, pos = _rle_code_lengths(data, pos, bit_end, cl_coding, hlit + hdist)
-    lit_coding = _coding(CodeLengths(combined[:hlit]), pos)
-    dist_coding = _coding(CodeLengths(combined[hlit:]), pos)
+    lit_coding = _coding(combined[:hlit], MAX_CODE_LENGTH, pos)
+    dist_coding = _coding(combined[hlit:], MAX_CODE_LENGTH, pos)
     header = DynamicHeader(hlit, hdist, hclen, cl_coding, lit_coding, dist_coding)
     return header, pos
 

@@ -1,0 +1,166 @@
+"""Reference models of canonical prefix-free codings; only the tests import them.
+
+``build_coding_counting`` is a second, independent construction (per-
+length counting) that must agree with ``prefix_coding.build_coding``
+on every vector, since canonical codings are unique.
+``has_all_ones_code`` is the other side of the extended Kraft property,
+and ``check_axioms`` checks the four canonicity rules that
+``prefix_coding`` lists, with a witness for each rule that fails.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+from .prefix_coding import (
+    MAX_CODE_LENGTH,
+    Bits,
+    DeflateCoding,
+    _int_of_bits,
+    check_lengths,
+)
+
+
+def _bits_of_int(value: int, width: int) -> Bits:
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def build_coding_counting(
+    lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH
+) -> DeflateCoding:
+    """Construct the same canonical coding by counting lengths.
+
+    The first code value of each length comes from the recurrence
+    first[m] = (first[m-1] + count[m-1]) * 2; characters then claim
+    consecutive values within their length class in character order.
+    Note the superficially similar closed form sum(2**j * count[j] for
+    j < m) is NOT equivalent: it disagrees whenever a shorter length
+    class is partially or fully empty (for example count = {1: 0, 2: 2}
+    yields 8 instead of the correct 4), so the recurrence is used.
+    """
+    check_lengths(lengths, max_len)
+    counts = [0] * (max_len + 1)
+    for l in lengths:
+        if l > 0:
+            counts[l] += 1
+    next_value = [0] * (max_len + 1)
+    value = 0
+    for length in range(1, max_len + 1):
+        value = (value + counts[length - 1]) << 1
+        next_value[length] = value
+    codes: list[Bits] = []
+    for l in lengths:
+        if l == 0:
+            codes.append(())
+        else:
+            codes.append(_bits_of_int(next_value[l], l))
+            next_value[l] += 1
+    return DeflateCoding(codes, max_len)
+
+
+def has_all_ones_code(coding: DeflateCoding) -> bool:
+    """True when some nonempty code consists solely of 1-bits.
+
+    For codings built from a length vector this happens exactly when
+    the Kraft sum saturates at 1.
+    """
+    return any(code and all(b == 1 for b in code) for code in coding.codes)
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    """Outcome of checking the four canonicity rules.
+
+    Each field holds None on success or a witness of the violation:
+    a pair of characters for rules 1-3, and (character, bit sequence)
+    for rule 4, where the bit sequence sorts at or below the
+    character's code yet no code prefixes it.
+    """
+
+    prefix_free: Optional[tuple[int, int]]
+    shorter_first: Optional[tuple[int, int]]
+    ordered_within_length: Optional[tuple[int, int]]
+    no_gaps: Optional[tuple[int, Bits]]
+
+    @property
+    def all_pass(self) -> bool:
+        return (
+            self.prefix_free is None
+            and self.shorter_first is None
+            and self.ordered_within_length is None
+            and self.no_gaps is None
+        )
+
+    def failing_axioms(self) -> tuple[int, ...]:
+        out = []
+        for i, w in enumerate(
+            (self.prefix_free, self.shorter_first, self.ordered_within_length, self.no_gaps),
+            start=1,
+        ):
+            if w is not None:
+                out.append(i)
+        return tuple(out)
+
+
+def check_axioms(coding: DeflateCoding) -> AxiomReport:
+    """Check the four canonicity rules, returning witnesses for failures."""
+    nonempty = [(ch, code) for ch, code in enumerate(coding.codes) if code]
+
+    # Rule 1: prefix-freeness.  In lexicographic order any prefix pair
+    # brackets only extensions of the shorter code, so checking adjacent
+    # entries suffices.
+    prefix_witness = None
+    by_code = sorted(nonempty, key=lambda e: e[1])
+    for (ch_a, a), (ch_b, b) in zip(by_code, by_code[1:]):
+        if len(a) <= len(b) and b[: len(a)] == a:
+            prefix_witness = (ch_a, ch_b)
+            break
+
+    # Rules 2 and 3 via per-length extremes and in-class ordering.
+    shorter_witness = None
+    ordered_witness = None
+    by_length: dict[int, list[tuple[int, Bits]]] = {}
+    for ch, code in nonempty:
+        by_length.setdefault(len(code), []).append((ch, code))
+    lengths_present = sorted(by_length)
+    for l_prev, l_next in zip(lengths_present, lengths_present[1:]):
+        ch_a, a = max(by_length[l_prev], key=lambda e: e[1])
+        ch_b, b = min(by_length[l_next], key=lambda e: e[1])
+        if not a <= b:
+            shorter_witness = (ch_a, ch_b)
+            break
+    for l in lengths_present:
+        group = by_length[l]  # already in character order
+        for (ch_a, a), (ch_b, b) in zip(group, group[1:]):
+            if not a <= b:
+                ordered_witness = (ch_a, ch_b)
+                break
+        if ordered_witness:
+            break
+
+    gap_witness = _find_gap(nonempty, by_length, lengths_present)
+
+    return AxiomReport(prefix_witness, shorter_witness, ordered_witness, gap_witness)
+
+
+def _find_gap(nonempty, by_length, lengths_present) -> Optional[tuple[int, Bits]]:
+    """Smallest uncovered bit sequence violating rule 4, if any."""
+    all_values = [(len(code), _int_of_bits(code)) for _, code in nonempty]
+    for l in lengths_present:
+        ch_max, code_max = max(by_length[l], key=lambda e: (_int_of_bits(e[1]), e[0]))
+        vmax = _int_of_bits(code_max)
+        # Union of intervals each code covers when expanded to length l.
+        intervals = sorted(
+            ((v << (l - m)), ((v + 1) << (l - m)))
+            for m, v in all_values
+            if m <= l
+        )
+        covered_up_to = 0
+        for lo, hi in intervals:
+            if lo > covered_up_to:
+                break
+            covered_up_to = max(covered_up_to, hi)
+        if covered_up_to <= vmax:
+            return (ch_max, _bits_of_int(covered_up_to, l))
+    return None

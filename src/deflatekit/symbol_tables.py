@@ -26,10 +26,6 @@ MIN_MATCH_LENGTH = 3
 MAX_MATCH_LENGTH = 258
 MAX_DISTANCE = 32768
 
-END_OF_BLOCK_CODEPOINT = 256
-FIRST_LENGTH_CODEPOINT = 257
-LAST_LENGTH_CODEPOINT = 285
-
 # codepoint -> (extra_bits, base_length)
 LENGTH_TABLE: dict[int, tuple[int, int]] = {
     257: (0, 3),

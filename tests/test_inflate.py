@@ -32,7 +32,6 @@ from deflatekit.inflate import (
     inflate,
     iter_blocks,
     parse_block_header,
-    parse_cl_lengths,
     parse_deflate,
     parse_dynamic_header,
     parse_stored_block,
@@ -466,18 +465,29 @@ def test_dynamic_header_truncated_at_a_byte_boundary():
 
 
 def test_parse_cl_lengths_wire_order_and_domain():
+    # HCLEN 4 carries the lengths of cl symbols 16, 17, 18 and 0, in that
+    # wire order; two symbol-18 runs (138 + 120 zeros) then zero all 258
+    # literal/length and distance lengths.
     sink = BitSink()
-    values = [3, 0, 5, 2]
-    for v in values:
+    sink.write_bits_lsb(0, 5)  # hlit 257
+    sink.write_bits_lsb(0, 5)  # hdist 1
+    sink.write_bits_lsb(0, 4)  # hclen 4
+    for v in (3, 0, 5, 2):
         sink.write_bits_lsb(v, 3)
-    outcome = parse_cl_lengths(BitCursor(sink.to_bytes()), 4)
-    lengths = list(outcome.value)
-    assert lengths[16] == 3 and lengths[17] == 0 and lengths[18] == 5 and lengths[0] == 2
-    assert sum(1 for l in lengths if l) == 3
-    with pytest.raises(ValueOutOfRange):
-        parse_cl_lengths(BitCursor(b"\x00" * 8), 3)
-    with pytest.raises(ValueOutOfRange):
-        parse_cl_lengths(BitCursor(b"\x00" * 8), 20)
+    for extra in (127, 109):
+        sink.write_code_msb((0, 1, 1, 0, 0))  # symbol 18 under that cl coding
+        sink.write_bits_lsb(extra, 7)
+    outcome = parse_dynamic_header(BitCursor(sink.to_bytes()))
+    assert isinstance(outcome, Parsed)
+    assert outcome.consumed_bits == sink.bit_length
+    header = outcome.value
+    assert header.hclen == 4
+    expected = [0] * 19
+    expected[16], expected[18], expected[0] = 3, 5, 2
+    assert [len(code) for code in header.cl_coding.codes] == expected
+    assert header.cl_coding.max_len == 7
+    assert len(header.lit_coding) == 257 and not any(header.lit_coding.codes)
+    assert len(header.dist_coding) == 1 and not any(header.dist_coding.codes)
 
 
 # -- token-level failures in static blocks --------------------------------

@@ -1,7 +1,8 @@
 """Canonical coding construction, Kraft accounting, axiom checks, decoding.
 
-The two constructions are differential twins; the slow decoder below is
-a third, structure-free implementation used to pin down read_symbol.
+``build_coding`` and the reference model ``build_coding_counting`` are
+differential twins; the slow decoder below is a third, structure-free
+implementation used to pin down read_symbol.
 """
 
 import random
@@ -11,30 +12,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deflatekit.bitio import BitCursor, BitSink
+from deflatekit.bitio import BitSink
 from deflatekit.errors import (
     BadCode,
     EndOfInput,
     KraftViolation,
     LengthOverflow,
-    UnencodableCharacter,
     ValueOutOfRange,
 )
 from deflatekit.prefix_coding import (
-    AxiomReport,
-    CodeLengths,
     DeflateCoding,
     MAX_CL_CODE_LENGTH,
     MAX_CODE_LENGTH,
     build_coding,
-    build_coding_counting,
-    check_axioms,
-    decode_symbol,
-    encode_symbol,
     fixed_dist_coding,
     fixed_lit_coding,
-    has_all_ones_code,
     kraft_sum,
+)
+from deflatekit.reference import (
+    AxiomReport,
+    build_coding_counting,
+    check_axioms,
+    has_all_ones_code,
 )
 from conftest import random_code_lengths
 
@@ -95,18 +94,20 @@ def test_constructions_agree_on_random_vectors():
         a = build_coding(lengths)
         b = build_coding_counting(lengths)
         assert a == b
-        assert a.code_lengths().lengths == tuple(lengths)
+        assert [len(code) for code in a.codes] == lengths
 
 
 # -- Kraft accounting ---------------------------------------------------
 
 
 def test_kraft_sum_exact_values():
-    assert kraft_sum([1, 1]).as_fraction() == 1
-    assert kraft_sum([1, 2, 3, 3]).as_fraction() == 1
-    assert kraft_sum([2, 2, 2]).as_fraction() == Fraction(3, 4)
-    assert kraft_sum([0, 0]).as_fraction() == 0
-    assert kraft_sum([1, 1, 1]).as_fraction() == Fraction(3, 2)
+    assert kraft_sum([1, 1]) == 1
+    assert kraft_sum([1, 2, 3, 3]) == 1
+    assert kraft_sum([2, 2, 2]) == Fraction(3, 4)
+    assert kraft_sum([0, 0]) == 0
+    assert kraft_sum([]) == 0
+    assert kraft_sum([1, 1, 1]) == Fraction(3, 2)
+    assert kraft_sum([15] * 40000) == Fraction(40000, 2**15)
 
 
 def test_kraft_flags_and_fraction_oracle():
@@ -114,11 +115,8 @@ def test_kraft_flags_and_fraction_oracle():
     for _ in range(500):
         lengths = random_code_lengths(rng)
         ks = kraft_sum(lengths)
-        oracle = fraction_sum(lengths)
-        assert ks.as_fraction() == oracle
-        assert ks.is_valid == (oracle <= 1)
-        assert ks.is_saturated == (oracle == 1)
-        assert ks == oracle
+        assert type(ks) is Fraction
+        assert ks == fraction_sum(lengths)
 
 
 def test_saturation_iff_all_ones_code():
@@ -129,7 +127,7 @@ def test_saturation_iff_all_ones_code():
         if not any(lengths):
             continue
         coding = build_coding(lengths)
-        saturated = kraft_sum(lengths).is_saturated
+        saturated = kraft_sum(lengths) == 1
         assert has_all_ones_code(coding) == saturated
         seen_saturated += saturated
         seen_unsaturated += not saturated
@@ -138,7 +136,7 @@ def test_saturation_iff_all_ones_code():
 
 def test_oversubscribed_vectors_are_rejected():
     for lengths in ([1, 1, 1], [1, 2, 2, 2], [15] * 40000):
-        assert not kraft_sum(lengths).is_valid
+        assert kraft_sum(lengths) > 1
         with pytest.raises(KraftViolation):
             build_coding(lengths)
         with pytest.raises(KraftViolation):
@@ -146,23 +144,27 @@ def test_oversubscribed_vectors_are_rejected():
 
 
 def test_code_lengths_validation():
-    with pytest.raises(ValueOutOfRange):
-        CodeLengths([1, -1])
-    with pytest.raises(LengthOverflow):
-        CodeLengths([MAX_CODE_LENGTH + 1])
-    with pytest.raises(LengthOverflow):
-        CodeLengths([MAX_CL_CODE_LENGTH + 1], MAX_CL_CODE_LENGTH)
-    with pytest.raises(ValueOutOfRange):
-        CodeLengths([1], max_len=0)
-    cl = CodeLengths([3, 0, 2])
-    assert len(cl) == 3 and list(cl) == [3, 0, 2]
+    # Both constructions share one input check: each bad vector raises
+    # the same exception type from either.
+    cases = [
+        (ValueOutOfRange, [1, -1], MAX_CODE_LENGTH),
+        (LengthOverflow, [MAX_CODE_LENGTH + 1] * 2, MAX_CODE_LENGTH),
+        (LengthOverflow, [MAX_CL_CODE_LENGTH + 1] * 2, MAX_CL_CODE_LENGTH),
+        (ValueOutOfRange, [1], 0),
+        (KraftViolation, [1, 1, 1], MAX_CODE_LENGTH),
+    ]
+    for expected, lengths, max_len in cases:
+        for construct in (build_coding, build_coding_counting):
+            with pytest.raises(Exception) as err:
+                construct(lengths, max_len)
+            assert type(err.value) is expected, (construct.__name__, lengths, max_len)
 
 
 def test_coding_table_validation():
     with pytest.raises(LengthOverflow):
-        DeflateCoding.from_codes([(0,) * 16])
+        DeflateCoding([(0,) * 16])
     with pytest.raises(ValueOutOfRange):
-        DeflateCoding.from_codes([(0, 2)])
+        DeflateCoding([(0, 2)])
 
 
 # -- the four axioms ----------------------------------------------------
@@ -177,7 +179,7 @@ def test_constructed_codings_satisfy_all_axioms():
         assert report.failing_axioms() == ()
 
 
-GAP_CODING = DeflateCoding.from_codes([(0,), (1, 0, 1), (1, 1, 0), (1, 1, 1)])
+GAP_CODING = DeflateCoding([(0,), (1, 0, 1), (1, 1, 0), (1, 1, 1)])
 
 
 def test_gap_coding_fails_exactly_the_fourth_axiom():
@@ -187,7 +189,7 @@ def test_gap_coding_fails_exactly_the_fourth_axiom():
 
 
 def test_prefix_violation_witness():
-    report = check_axioms(DeflateCoding.from_codes([(0,), (0, 0)]))
+    report = check_axioms(DeflateCoding([(0,), (0, 0)]))
     assert report.prefix_free == (0, 1)
     assert report.failing_axioms() == (1,)
 
@@ -195,23 +197,23 @@ def test_prefix_violation_witness():
 def test_shorter_first_violation_witness():
     # The length-1 code sorts above the length-2 one; the uncovered
     # sequence (0,) is then also a gap, so axioms 2 and 4 both fail.
-    report = check_axioms(DeflateCoding.from_codes([(0, 0), (1,)]))
+    report = check_axioms(DeflateCoding([(0, 0), (1,)]))
     assert report.shorter_first == (1, 0)
     assert report.failing_axioms() == (2, 4)
 
 
 def test_character_order_violation_witness():
-    report = check_axioms(DeflateCoding.from_codes([(0, 1), (0, 0)]))
+    report = check_axioms(DeflateCoding([(0, 1), (0, 0)]))
     assert report.ordered_within_length == (0, 1)
     assert report.failing_axioms() == (3,)
 
 
 def test_empty_and_single_code_reports():
-    assert check_axioms(DeflateCoding.from_codes([])).all_pass
-    assert check_axioms(DeflateCoding.from_codes([(), ()])).all_pass
-    assert check_axioms(DeflateCoding.from_codes([(0,)])).all_pass
+    assert check_axioms(DeflateCoding([])).all_pass
+    assert check_axioms(DeflateCoding([(), ()])).all_pass
+    assert check_axioms(DeflateCoding([(0,)])).all_pass
     # A lone code of 1 leaves (0,) uncovered below it.
-    assert check_axioms(DeflateCoding.from_codes([(1,)])).failing_axioms() == (4,)
+    assert check_axioms(DeflateCoding([(1,)])).failing_axioms() == (4,)
 
 
 # -- decoding -----------------------------------------------------------
@@ -220,27 +222,17 @@ def test_empty_and_single_code_reports():
 def test_encode_decode_round_trip_every_character():
     rng = random.Random(13)
     for _ in range(60):
-        coding = build_coding(random_code_lengths(rng, max_alphabet=80))
+        lengths = random_code_lengths(rng, max_alphabet=80)
+        coding = build_coding(lengths)
         for ch, code in enumerate(coding.codes):
+            assert len(code) == lengths[ch]
             if not code:
-                with pytest.raises(UnencodableCharacter):
-                    encode_symbol(coding, ch)
                 continue
-            assert encode_symbol(coding, ch) == code
             sink = BitSink()
             sink.write_code_msb(code)
             sink.write_bits_lsb(0, 7)  # junk tail must not matter
-            got, rest = decode_symbol(coding, BitCursor(sink.to_bytes()))
-            assert got == ch
-            assert rest.bit_pos == len(code)
-
-
-def test_encode_symbol_domain():
-    coding = build_coding([1, 1])
-    with pytest.raises(UnencodableCharacter):
-        encode_symbol(coding, 2)
-    with pytest.raises(UnencodableCharacter):
-        encode_symbol(coding, -1)
+            data = sink.to_bytes()
+            assert coding.read_symbol(data, 0, 8 * len(data)) == (ch, len(code))
 
 
 def test_decode_against_slow_reference():
@@ -331,7 +323,7 @@ def test_truncated_code_reports_end_of_input():
 
 
 def test_non_canonical_table_is_refused():
-    coding = DeflateCoding.from_codes([(0,), (1, 1)])  # (1,0) skipped
+    coding = DeflateCoding([(0,), (1, 1)])  # (1,0) skipped
     with pytest.raises(ValueOutOfRange):
         coding.read_symbol(b"\x00", 0, 8)
 
@@ -348,13 +340,15 @@ def test_random_vectors_round_trip_random_symbol_streams(seed):
     msg = rng.choices(chars, k=30)
     sink = BitSink()
     for ch in msg:
-        sink.write_code_msb(encode_symbol(coding, ch))
-    cur = BitCursor(sink.to_bytes())
+        sink.write_code_msb(coding.codes[ch])
+    data = sink.to_bytes()
+    pos = 0
     seen = []
     for _ in msg:
-        ch, cur = decode_symbol(coding, cur)
+        ch, pos = coding.read_symbol(data, pos, 8 * len(data))
         seen.append(ch)
     assert seen == msg
+    assert pos == sink.bit_length
 
 
 # -- the fixed codings --------------------------------------------------
@@ -372,7 +366,7 @@ def test_fixed_lit_coding_lengths_and_spot_codes():
     assert coding[279] == (0, 0, 1, 0, 1, 1, 1)
     assert coding[280] == (1, 1, 0, 0, 0, 0, 0, 0)
     assert coding[287] == (1, 1, 0, 0, 0, 1, 1, 1)
-    assert kraft_sum(lengths).is_saturated
+    assert kraft_sum(lengths) == 1
     assert check_axioms(coding).all_pass
 
 
