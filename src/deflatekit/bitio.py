@@ -97,7 +97,7 @@ class BitSink:
             self._fill -= 8
 
     def write_code_msb(self, code: Sequence[int]) -> None:
-        """Append a prefix code, leftmost (most significant) bit first."""
+        """Append a code's bits leftmost first; the tests' check of ``stream_codes``."""
         rev = 0
         for i, bit in enumerate(code):
             if bit not in (0, 1):

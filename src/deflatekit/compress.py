@@ -22,10 +22,11 @@ from .errors import ValueOutOfRange
 from .history_window import BackRef, END_OF_BLOCK, EndOfBlock, Literal, WINDOW_SIZE
 from .prefix_coding import fixed_dist_coding, fixed_lit_coding
 from .symbol_tables import (
-    DISTANCE_TABLE,
+    DISTANCE_CODEPOINT,
+    DISTANCE_CODES,
+    LENGTH_ENCODING,
     MAX_MATCH_LENGTH,
     MIN_MATCH_LENGTH,
-    length_encode,
 )
 
 BTYPE_STORED = 0
@@ -43,7 +44,9 @@ class CompressParams:
     """Tuning knobs; defaults favour speed over the last few percent."""
 
     max_chain: int = 128  # candidates examined per position
-    block_payload_limit: int = 1 << 20  # source bytes per block
+    # Source bytes per block; a multiple of MAX_STORED_BLOCK, so that a
+    # stored fallback's chunks tile the input as if it were one block.
+    block_payload_limit: int = 16 * MAX_STORED_BLOCK
 
     def __post_init__(self):
         if self.max_chain < 1:
@@ -199,37 +202,6 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
 # -- block writers ------------------------------------------------------
 
 
-def _encode_table(coding):
-    """Per-character (reversed code value, width) for fast sink writes."""
-    out = []
-    for code in coding.codes:
-        rev = 0
-        for i, b in enumerate(code):
-            rev |= b << i
-        out.append((rev, len(code)))
-    return out
-
-
-_STATIC_LIT_ENC = None
-_STATIC_DIST_ENC = None
-_LENGTH_ENC = None  # match length 3..258 -> (codepoint, extra, extra_bits)
-_DISTANCE_CP = None  # distance 1..32768 -> codepoint, as bytes (index 0 unused)
-
-
-def _static_tables():
-    global _STATIC_LIT_ENC, _STATIC_DIST_ENC, _LENGTH_ENC, _DISTANCE_CP
-    if _STATIC_LIT_ENC is None:
-        _STATIC_LIT_ENC = _encode_table(fixed_lit_coding())
-        _STATIC_DIST_ENC = _encode_table(fixed_dist_coding())
-        _LENGTH_ENC = [None] * (MAX_MATCH_LENGTH + 1)
-        for length in range(MIN_MATCH_LENGTH, MAX_MATCH_LENGTH + 1):
-            _LENGTH_ENC[length] = length_encode(length)
-        _DISTANCE_CP = bytes(1) + b"".join(
-            bytes([cp]) * (1 << bits) for cp, (bits, _) in sorted(DISTANCE_TABLE.items())
-        )
-    return _STATIC_LIT_ENC, _STATIC_DIST_ENC, _LENGTH_ENC, _DISTANCE_CP
-
-
 def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
     """Write one block under the fixed codings; returns the sink.
 
@@ -240,7 +212,8 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
         raise ValueOutOfRange("block tokens must end with EndOfBlock")
     if any(type(t) is EndOfBlock for t in tokens[:-1]):
         raise ValueOutOfRange("EndOfBlock before the end of the block's tokens")
-    lit_enc, dist_enc, len_enc, distance_cp = _static_tables()
+    lit_enc = fixed_lit_coding().stream_codes
+    dist_enc = fixed_dist_coding().stream_codes
     write = sink.write_bits_lsb
     write(1 if final else 0, 1)
     write(BTYPE_STATIC, 2)
@@ -249,15 +222,15 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
             rev, nb = lit_enc[t.value]
             write(rev, nb)
         elif type(t) is BackRef:
-            cp, extra, ebits = len_enc[t.length]
+            cp, extra, ebits = LENGTH_ENCODING[t.length]
             rev, nb = lit_enc[cp]
             write(rev, nb)
             if ebits:
                 write(extra, ebits)
-            dcp = distance_cp[t.distance]
+            dcp = DISTANCE_CODEPOINT[t.distance]
             rev, nb = dist_enc[dcp]
             write(rev, nb)
-            debits, dbase = DISTANCE_TABLE[dcp]
+            debits, dbase = DISTANCE_CODES[dcp]
             if debits:
                 write(t.distance - dbase, debits)
         else:
@@ -282,16 +255,17 @@ def write_stored_block(data: bytes, final: bool, sink: BitSink) -> BitSink:
 
 def _static_cost_bits(tokens) -> int:
     """Exact payload size of write_static_block, excluding the 3 header bits."""
-    lit_enc, dist_enc, len_enc, distance_cp = _static_tables()
+    lit_enc = fixed_lit_coding().stream_codes
+    dist_enc = fixed_dist_coding().stream_codes
     bits = 0
     for t in tokens:
         if type(t) is Literal:
             bits += lit_enc[t.value][1]
         elif type(t) is BackRef:
-            cp, _, ebits = len_enc[t.length]
+            cp, _, ebits = LENGTH_ENCODING[t.length]
             bits += lit_enc[cp][1] + ebits
-            dcp = distance_cp[t.distance]
-            bits += dist_enc[dcp][1] + DISTANCE_TABLE[dcp][0]
+            dcp = DISTANCE_CODEPOINT[t.distance]
+            bits += dist_enc[dcp][1] + DISTANCE_CODES[dcp][0]
         else:
             bits += lit_enc[256][1]
     return bits

@@ -50,15 +50,10 @@ from .prefix_coding import (
     fixed_dist_coding,
     fixed_lit_coding,
 )
-from .symbol_tables import CL_CODE_ORDER, DISTANCE_TABLE, LENGTH_TABLE
+from .symbol_tables import CL_CODE_ORDER, DISTANCE_CODES, LENGTH_CODES
 
 _TOKEN_CHUNK = 4096  # tokens resolved per batch while streaming
 
-# (extra-bit width, base) of length codepoints 257..285 and of distance
-# codepoints 0..29, indexed from 0: the decoder's flat copy of the
-# symbol tables, whose length_decode/distance_decode stay the spec.
-_LENGTH_CODES = tuple(LENGTH_TABLE[cp] for cp in range(257, 286))
-_DISTANCE_CODES = tuple(DISTANCE_TABLE[cp] for cp in range(30))
 # Tokens are immutable values, so each byte value has one shared Literal.
 _LITERALS = tuple(Literal(b) for b in range(256))
 
@@ -333,7 +328,7 @@ def _decode_some(
             return tokens, pos, produced, True
         if sym > 285:
             raise _Fail(FailReason.INVALID_LENGTH_CODEPOINT, sym_pos, f"codepoint {sym}")
-        width, length = _LENGTH_CODES[sym - 257]
+        width, length = LENGTH_CODES[sym - 257]
         if have >= width:
             extra = hold & ((1 << width) - 1)
             hold >>= width
@@ -360,7 +355,7 @@ def _decode_some(
             have = 0
         if dsym >= 30:
             raise _Fail(FailReason.INVALID_DISTANCE_CODEPOINT, dsym_pos, f"codepoint {dsym}")
-        width, distance = _DISTANCE_CODES[dsym]
+        width, distance = DISTANCE_CODES[dsym]
         if have >= width:
             extra = hold & ((1 << width) - 1)
             hold >>= width

@@ -19,16 +19,20 @@ what ``build_coding`` constructs and what the decode table exploits.
 
 A length vector is a plain sequence of ints, one per character, 0
 meaning no code; ``build_coding(lengths, max_len)`` is the one place
-that checks it and the one production construction.  The paper's
-second construction (per-length counting) and the four-rule checker
-are reference models in ``deflatekit.reference``, which the tests
-compare ``build_coding`` against.
+that checks it and the one production construction.  A
+``DeflateCoding`` holds the lengths and each code as an integer value,
+and this module alone decides how a code sits in the stream: its
+``stream_codes`` are the bit-reversed values that the decode table and
+the block writers use.  The paper's second construction (per-length
+counting) and the four-rule checker are reference models in
+``deflatekit.reference``, which the tests compare ``build_coding``
+against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bitio import read_bits
 from .errors import (
@@ -47,6 +51,8 @@ MAX_CL_CODE_LENGTH = 7
 _TABLE_BITS = 9
 
 Bits = tuple[int, ...]
+# Each byte with its bit order reversed.
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def kraft_sum(lengths: Sequence[int]) -> Fraction:
@@ -73,62 +79,77 @@ def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> Non
         )
 
 
-def _int_of_bits(bits: Sequence[int]) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value
-
-
 class DeflateCoding:
-    """A total map from characters 0..n-1 to codes; () marks no code.
+    """A canonical coding of characters 0..n-1, as lengths and code values.
 
-    Instances are value-like: equality is by code table.  The decode
-    index is derived lazily and assumes the coding is canonical (as
-    everything ``build_coding`` returns is); an arbitrary table given
-    to the constructor can be screened first with
-    ``reference.check_axioms``.
+    ``lengths[ch]`` is the code length of ch (0: no code) and
+    ``values[ch]`` its code as an integer read leftmost bit first.
+    ``stream_codes[ch]`` is ``(reversed value, length)``, the code in
+    stream order: written as an LSB-first field it puts the leftmost
+    code bit first.  The block writers and the decode table use it.
+    ``codes`` and ``coding[ch]`` give each code as a tuple of bits,
+    derived once on first use.
+
+    Instances are value-like: equality is by lengths and values.  The
+    constructor trusts that the values are the canonical ones for the
+    lengths (as everything ``build_coding`` returns has); an arbitrary
+    character-to-bits table is screened with ``reference.check_axioms``
+    instead.
     """
 
-    __slots__ = ("codes", "max_len", "_table")
+    __slots__ = ("lengths", "values", "max_len", "stream_codes", "_codes", "_table")
 
-    def __init__(self, codes: Iterable[Sequence[int]], max_len: int = MAX_CODE_LENGTH):
-        table = tuple(tuple(c) for c in codes)
-        for ch, code in enumerate(table):
-            if len(code) > max_len:
-                raise LengthOverflow(
-                    f"code of character {ch} is longer than the maximum {max_len}"
-                )
-            for b in code:
-                if b not in (0, 1):
-                    raise ValueOutOfRange(f"code bit {b!r} of character {ch} is not 0 or 1")
-        self.codes = table
+    def __init__(
+        self, lengths: Sequence[int], values: Sequence[int], max_len: int = MAX_CODE_LENGTH
+    ):
+        self.lengths = tuple(lengths)
+        self.values = tuple(values)
         self.max_len = max_len
-        self._table = None
+        # Reversing a value's bytes and the bits of each byte reverses it
+        # over whole bytes; the shift drops the -l % 8 padding bits.
+        reverse, from_bytes = _REVERSED_BYTE, int.from_bytes
+        self.stream_codes = tuple(
+            (from_bytes(v.to_bytes((l + 7) >> 3, "little").translate(reverse), "big")
+             >> (-l & 7), l)
+            for v, l in zip(self.values, self.lengths)
+        )
+        self._codes: Optional[tuple[Bits, ...]] = None
+        self._table: Optional[_DecodeTable] = None
+
+    @property
+    def codes(self) -> tuple[Bits, ...]:
+        if self._codes is None:
+            self._codes = tuple(
+                tuple([(v >> s) & 1 for s in range(l - 1, -1, -1)])
+                for v, l in zip(self.values, self.lengths)
+            )
+        return self._codes
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.lengths)
 
     def __getitem__(self, ch: int) -> Bits:
         return self.codes[ch]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DeflateCoding):
-            return self.codes == other.codes
+            return self.lengths == other.lengths and self.values == other.values
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.codes)
+        return hash((self.lengths, self.values))
 
     def __repr__(self) -> str:
-        shown = {ch: "".join(map(str, c)) for ch, c in enumerate(self.codes) if c}
+        shown = {
+            ch: f"{v:0{l}b}" for ch, (v, l) in enumerate(zip(self.values, self.lengths)) if l
+        }
         return f"DeflateCoding({shown})"
 
     # -- decoding -----------------------------------------------------
 
     def _decode_table(self) -> "_DecodeTable":
         if self._table is None:
-            self._table = _DecodeTable(self.codes)
+            self._table = _DecodeTable(self.lengths, self.stream_codes)
         return self._table
 
     def read_symbol(self, data: bytes, bit_pos: int, bit_end: int) -> tuple[int, int]:
@@ -147,7 +168,8 @@ class _DecodeTable:
     range [first[L], limit[L]), and first[L] is limit[L-1] doubled.  So
     the walk needs no tree: it accumulates bits into a value, which is
     at least first[L] at length L, until the value drops below limit[L];
-    past the longest length the bits begin no code (BadCode).
+    past the longest length the bits begin no code (BadCode).  The
+    ranges follow from the count of codes of each length alone.
 
     The primary table (zlib ``inftrees.c``; Moffat & Turpin 1997) has
     2**bits entries, bits = min(9, max_len), indexed by the next
@@ -161,40 +183,30 @@ class _DecodeTable:
 
     __slots__ = ("max_len", "limit", "base", "syms", "bits", "table")
 
-    def __init__(self, codes: Sequence[Bits]):
-        entries = sorted(
-            (len(code), _int_of_bits(code), ch)
-            for ch, code in enumerate(codes)
-            if code
-        )
+    def __init__(self, lengths: tuple[int, ...], stream_codes: Sequence[tuple[int, int]]):
         # Every character absent is a legitimate coding (e.g. a block that
         # never uses distances); reads then fail at the read position.
-        self.max_len = entries[-1][0] if entries else 0
+        self.max_len = max(lengths, default=0)
         self.limit = [0] * (self.max_len + 1)
         self.base = [0] * (self.max_len + 1)
-        self.syms: list[int] = []
-        i = 0
+        # Characters in canonical order: by length, then character.
+        self.syms = sorted((ch for ch, l in enumerate(lengths) if l), key=lengths.__getitem__)
+        placed = 0
         value = 0
         for length in range(1, self.max_len + 1):
+            count = lengths.count(length)
             value <<= 1  # first[length]
-            self.base[length] = len(self.syms) - value
-            while i < len(entries) and entries[i][0] == length:
-                if entries[i][1] != value:
-                    raise ValueOutOfRange(
-                        "coding is not canonical; decode table unavailable"
-                    )
-                self.syms.append(entries[i][2])
-                value += 1
-                i += 1
+            self.base[length] = placed - value
+            placed += count
+            value += count
             self.limit[length] = value
         self.bits = min(_TABLE_BITS, self.max_len)
         self.table = [-1] * (1 << self.bits)
-        for ch, code in enumerate(codes):
-            if code and len(code) <= self.bits:
-                # The first code bit is the first stream bit, so the
-                # index ends in the code reversed; the rest is free.
-                fill = [(ch << 4) | len(code)] * (len(self.table) >> len(code))
-                self.table[_int_of_bits(code[::-1]) :: 1 << len(code)] = fill
+        for ch, (rev, length) in enumerate(stream_codes):
+            if 0 < length <= self.bits:
+                # The index ends in the code's stream bits; the rest is free.
+                fill = [(ch << 4) | length] * (len(self.table) >> length)
+                self.table[rev :: 1 << length] = fill
 
     def read(self, data: bytes, bit_pos: int, bit_end: int) -> tuple[int, int]:
         if bit_pos + self.bits <= bit_end:
@@ -217,44 +229,25 @@ class _DecodeTable:
 def build_coding(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> DeflateCoding:
     """Construct the canonical coding for a length vector incrementally.
 
-    Characters are visited sorted by (length, character), zero lengths
-    first (they get the empty code).  The first nonzero-length character
-    receives the all-zero code of its length; each later one takes the
-    binary successor of the previous code, extended with zeros to the
-    new length.  Feasibility (Kraft sum <= 1) guarantees the successor
-    never overflows its width.  ``check_lengths`` raises for a length
-    outside 0..max_len and for an over-subscribed vector.
+    Characters are visited sorted by (length, character), skipping zero
+    lengths (no code).  The first receives the all-zero code of its
+    length; each later one takes the previous code plus one, shifted
+    left by the growth in length (RFC 1951 section 3.2.2).  Feasibility
+    (Kraft sum <= 1) guarantees no code outgrows its width.
+    ``check_lengths`` raises for a length outside 0..max_len and for an
+    over-subscribed vector.
     """
     check_lengths(lengths, max_len)
-    order = sorted(range(len(lengths)), key=lambda ch: (lengths[ch], ch))
-    codes: list[Bits] = [()] * len(lengths)
-    prev: Optional[Bits] = None
-    for ch in order:
+    values = [0] * len(lengths)
+    code = -1  # so that the first code, (code + 1) << its length, is 0
+    prev_len = 0
+    for ch in sorted(range(len(lengths)), key=lengths.__getitem__):
         length = lengths[ch]
-        if length == 0:
-            continue
-        if prev is None:
-            bits = (0,) * length
-        else:
-            bits = _successor(prev) + (0,) * (length - len(prev))
-        codes[ch] = bits
-        prev = bits
-    return DeflateCoding(codes, max_len)
-
-
-def _successor(bits: Bits) -> Bits:
-    """The next bit sequence of the same width, numerically one larger."""
-    out = list(bits)
-    i = len(out) - 1
-    while i >= 0 and out[i] == 1:
-        out[i] = 0
-        i -= 1
-    if i < 0:
-        # Unreachable after the feasibility gate: the all-ones code can
-        # only ever be the last one placed.
-        raise KraftViolation("code space exhausted while assigning codes")
-    out[i] = 1
-    return tuple(out)
+        if length:
+            code = (code + 1) << (length - prev_len)
+            prev_len = length
+            values[ch] = code
+    return DeflateCoding(lengths, values, max_len)
 
 
 # -- the two fixed codings --------------------------------------------

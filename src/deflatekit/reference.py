@@ -5,7 +5,8 @@ length counting) that must agree with ``prefix_coding.build_coding``
 on every vector, since canonical codings are unique.
 ``has_all_ones_code`` is the other side of the extended Kraft property,
 and ``check_axioms`` checks the four canonicity rules that
-``prefix_coding`` lists, with a witness for each rule that fails.
+``prefix_coding`` lists on a raw code table (the paper's map from
+characters to bit sequences), with a witness for each rule that fails.
 """
 
 from __future__ import annotations
@@ -13,17 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .prefix_coding import (
-    MAX_CODE_LENGTH,
-    Bits,
-    DeflateCoding,
-    _int_of_bits,
-    check_lengths,
-)
+from .prefix_coding import MAX_CODE_LENGTH, Bits, DeflateCoding, check_lengths
 
 
 def _bits_of_int(value: int, width: int) -> Bits:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def _int_of_bits(bits: Sequence[int]) -> int:
+    value = 0
+    for b in bits:
+        value = (value << 1) | b
+    return value
 
 
 def build_coding_counting(
@@ -49,14 +51,14 @@ def build_coding_counting(
     for length in range(1, max_len + 1):
         value = (value + counts[length - 1]) << 1
         next_value[length] = value
-    codes: list[Bits] = []
+    values = []
     for l in lengths:
         if l == 0:
-            codes.append(())
+            values.append(0)
         else:
-            codes.append(_bits_of_int(next_value[l], l))
+            values.append(next_value[l])
             next_value[l] += 1
-    return DeflateCoding(codes, max_len)
+    return DeflateCoding(lengths, values, max_len)
 
 
 def has_all_ones_code(coding: DeflateCoding) -> bool:
@@ -103,9 +105,13 @@ class AxiomReport:
         return tuple(out)
 
 
-def check_axioms(coding: DeflateCoding) -> AxiomReport:
-    """Check the four canonicity rules, returning witnesses for failures."""
-    nonempty = [(ch, code) for ch, code in enumerate(coding.codes) if code]
+def check_axioms(codes: Sequence[Sequence[int]]) -> AxiomReport:
+    """Check the four canonicity rules on a code table, with witnesses for failures.
+
+    ``codes[ch]`` is the bit sequence of character ch, () for none; a
+    coding's ``codes`` view is such a table.
+    """
+    nonempty = [(ch, tuple(code)) for ch, code in enumerate(codes) if code]
 
     # Rule 1: prefix-freeness.  In lexicographic order any prefix pair
     # brackets only extensions of the shorter code, so checking adjacent

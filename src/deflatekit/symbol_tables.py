@@ -167,3 +167,19 @@ def distance_encode(distance: int) -> tuple[int, int, int]:
         if base <= distance:
             return cp, distance - base, bits
     raise AssertionError("unreachable: distance ranges tile 1..32768")
+
+
+# The tables flattened for the codec's inner loops, built once at
+# import; the functions above stay the spec that the tests hold them to.
+# (extra_bits, base) of length codepoints 257..285 and distance
+# codepoints 0..29, indexed from 0.
+LENGTH_CODES = tuple(LENGTH_TABLE[cp] for cp in range(257, 286))
+DISTANCE_CODES = tuple(DISTANCE_TABLE[cp] for cp in range(30))
+# Match length 3..258 -> (codepoint, extra, extra_bits).
+LENGTH_ENCODING = (None,) * MIN_MATCH_LENGTH + tuple(
+    length_encode(n) for n in range(MIN_MATCH_LENGTH, MAX_MATCH_LENGTH + 1)
+)
+# Distance 1..32768 -> codepoint, as bytes (index 0 unused).
+DISTANCE_CODEPOINT = bytes(1) + b"".join(
+    bytes([cp]) * (1 << bits) for cp, (bits, _) in enumerate(DISTANCE_CODES)
+)

@@ -30,7 +30,7 @@ from deflatekit.history_window import (
     resolve_tokens_ring,
 )
 from deflatekit.inflate import Parsed, inflate, parse_deflate, parse_dynamic_header
-from deflatekit.prefix_coding import DeflateCoding, build_coding, kraft_sum
+from deflatekit.prefix_coding import build_coding, kraft_sum
 from deflatekit.reference import build_coding_counting, check_axioms, has_all_ones_code
 
 from conftest import (
@@ -159,8 +159,8 @@ def test_criterion_05_axiom_suite():
     ) as notes:
         rng = random.Random(505)
         for _ in range(200):
-            assert check_axioms(build_coding(random_code_lengths(rng))).all_pass
-        gap = DeflateCoding([(0,), (1, 0, 1), (1, 1, 0), (1, 1, 1)])
+            assert check_axioms(build_coding(random_code_lengths(rng)).codes).all_pass
+        gap = [(0,), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
         report = check_axioms(gap)
         assert report.failing_axioms() == (4,)
         assert report.no_gaps == (3, (1, 0, 0))

@@ -20,7 +20,6 @@ from deflatekit.compress import (
     MAX_STORED_BLOCK,
     WINDOW_MASK,
     _hash3,
-    _static_tables,
     deflate,
     find_match,
     tokenize,
@@ -30,7 +29,16 @@ from deflatekit.compress import (
 from deflatekit.errors import ValueOutOfRange
 from deflatekit.history_window import BackRef, END_OF_BLOCK, EndOfBlock, Literal
 from deflatekit.inflate import inflate, parse_stored_block
-from deflatekit.symbol_tables import DISTANCE_TABLE, MAX_DISTANCE, distance_encode
+from deflatekit.symbol_tables import (
+    DISTANCE_CODEPOINT,
+    DISTANCE_TABLE,
+    LENGTH_ENCODING,
+    MAX_DISTANCE,
+    MAX_MATCH_LENGTH,
+    MIN_MATCH_LENGTH,
+    distance_encode,
+    length_encode,
+)
 
 from conftest import (
     GOLDEN_PLAINTEXT,
@@ -266,12 +274,17 @@ def test_write_stored_block_size_limit():
 
 
 def test_distance_table_matches_distance_encode():
-    distance_cp = _static_tables()[3]
-    assert len(distance_cp) == MAX_DISTANCE + 1
+    assert len(DISTANCE_CODEPOINT) == MAX_DISTANCE + 1
     for d in range(1, MAX_DISTANCE + 1):
-        cp = distance_cp[d]
+        cp = DISTANCE_CODEPOINT[d]
         bits, base = DISTANCE_TABLE[cp]
         assert (cp, d - base, bits) == distance_encode(d)
+
+
+def test_length_table_matches_length_encode():
+    assert len(LENGTH_ENCODING) == MAX_MATCH_LENGTH + 1
+    for length in range(MIN_MATCH_LENGTH, MAX_MATCH_LENGTH + 1):
+        assert LENGTH_ENCODING[length] == length_encode(length)
 
 
 # -- deflate ----------------------------------------------------------------
@@ -354,6 +367,22 @@ def test_incompressible_input_falls_back_to_stored():
     out = deflate(data)
     assert block_type_of(out) == 0
     assert len(out) <= len(data) + 5 + 8
+    assert inflate(out) == data
+    assert zlib.decompress(out, -15) == data
+
+
+def test_default_block_limit_is_whole_stored_chunks():
+    # A block boundary then falls on a stored chunk boundary, so the
+    # stored fallback frames the input as if it were one block.
+    assert CompressParams().block_payload_limit % MAX_STORED_BLOCK == 0
+
+
+def test_stored_bound_holds_across_block_boundaries():
+    rng = random.Random(46)
+    data = rng.randbytes(4 * 65536)
+    out = deflate(data, CompressParams(block_payload_limit=MAX_STORED_BLOCK))
+    n = len(data)
+    assert len(out) <= n + 5 * math.ceil(n / MAX_STORED_BLOCK) + 8
     assert inflate(out) == data
     assert zlib.decompress(out, -15) == data
 

@@ -27,8 +27,6 @@ from deflatekit.inflate import (
     FailReason,
     NoParse,
     Parsed,
-    _DISTANCE_CODES,
-    _LENGTH_CODES,
     inflate,
     iter_blocks,
     parse_block_header,
@@ -39,6 +37,8 @@ from deflatekit.inflate import (
 from deflatekit.prefix_coding import build_coding, fixed_dist_coding, fixed_lit_coding
 from deflatekit.symbol_tables import (
     CL_CODE_ORDER,
+    DISTANCE_CODES,
+    LENGTH_CODES,
     distance_decode,
     distance_extra_bits,
     length_decode,
@@ -527,8 +527,8 @@ def test_length_codepoint_284_with_extra_31_is_invalid():
 def test_decoder_base_and_width_tables_match_the_spec():
     # The decoder's flat (width, base) tuples against length_decode and
     # distance_decode, for every extra value each width admits.
-    assert len(_LENGTH_CODES) == 29 and len(_DISTANCE_CODES) == 30
-    for cp, (width, base) in enumerate(_LENGTH_CODES, start=257):
+    assert len(LENGTH_CODES) == 29 and len(DISTANCE_CODES) == 30
+    for cp, (width, base) in enumerate(LENGTH_CODES, start=257):
         for extra in range(1 << width):
             if (cp, extra) == (284, 31):
                 with pytest.raises(InvalidLengthExtra):
@@ -537,7 +537,7 @@ def test_decoder_base_and_width_tables_match_the_spec():
                 assert base + extra == length_decode(cp, extra)
         with pytest.raises(ValueOutOfRange):
             length_decode(cp, 1 << width)
-    for cp, (width, base) in enumerate(_DISTANCE_CODES):
+    for cp, (width, base) in enumerate(DISTANCE_CODES):
         for extra in range(1 << width):
             assert base + extra == distance_decode(cp, extra)
         with pytest.raises(ValueOutOfRange):
