@@ -1,4 +1,4 @@
-"""Bounded back-history for resolving LZ77 backreferences.
+"""Back-history for resolving LZ77 backreferences.
 
 A backreference <length, distance> copies ``length`` bytes starting
 ``distance`` bytes back from the end of the output produced so far.
@@ -6,14 +6,15 @@ Copying is byte-at-a-time, so a length may exceed its distance: the
 bytes written by the copy become sources for its own later bytes,
 which is how short periodic runs are spelled.
 
-Distances never exceed 32768, so a resolver only has to retain that
-much history.  Two window shapes are provided:
+Distances never exceed 32768, so a resolver needs at most that much
+history.  Two windows are provided:
 
-* ``RingWindow``: the newest ``capacity`` bytes in one buffer.  It is
-  the window ``inflate`` decodes with.  Its resolver copies slices with
-  the same byte-at-a-time semantics: a backreference no longer than
-  its distance is one slice, and a longer one repeats the period of
-  its last ``distance`` bytes.
+* ``RingWindow``: every byte decoded so far in one buffer, the output
+  that ``inflate`` builds and its own history, as in zlib's
+  ``inflate_fast``.  Its resolver copies slices with the same
+  byte-at-a-time semantics: a backreference no longer than its
+  distance is one slice, and a longer one repeats the period of its
+  last ``distance`` bytes.
 * ``QueueOfDoom``: two persistent ExpLists, the paper's model of the
   window.  New bytes are pushed onto the front list; when the front
   reaches capacity it becomes the back list wholesale and the previous
@@ -296,30 +297,21 @@ class QueueOfDoom:
 
 
 class RingWindow:
-    """The last ``capacity`` bytes of output in one buffer, oldest first.
+    """Every byte of output so far, oldest first, in one buffer.
 
-    The imperative twin of QueueOfDoom: it reaches ``history`` =
-    min(bytes pushed, capacity) bytes back and never further.  It keeps
-    its ring-era name because ``bench/traced.py`` wraps its push_bytes.
+    The output is its own history: a backreference reaches at most
+    32768 bytes back, into ``buf``.  The class keeps its ring-era name
+    because ``bench/traced.py`` wraps its push_bytes.
     """
 
-    __slots__ = ("buf", "capacity")
+    __slots__ = ("buf",)
 
-    def __init__(self, capacity: int = WINDOW_SIZE):
-        if capacity < 1:
-            raise ValueOutOfRange(f"capacity {capacity} must be at least 1")
+    def __init__(self):
         self.buf = bytearray()
-        self.capacity = capacity
-
-    @property
-    def history(self) -> int:
-        return len(self.buf)
 
     def push_bytes(self, data) -> None:
-        """Append data, keeping only the newest ``capacity`` bytes."""
-        # Trim before appending, so the buffer never holds more than that.
-        del self.buf[: max(0, len(self.buf) + len(data) - self.capacity)]
-        self.buf += data[-self.capacity :]
+        """Append data to the output."""
+        self.buf += data
 
 
 # -- token resolution ---------------------------------------------------
@@ -372,33 +364,29 @@ def resolve_tokens(tokens, window: QueueOfDoom) -> tuple[bytes, QueueOfDoom]:
 def resolve_tokens_ring(tokens, window: RingWindow) -> tuple[bytes, RingWindow]:
     """Resolve tokens against a RingWindow; same contract as resolve_tokens.
 
-    The batch is resolved in one bytearray that holds the window's
-    history followed by the new output, and every backreference is a
-    slice copy: one slice when the length is at most the distance, else
-    the last ``distance`` bytes repeated, which is what a byte-at-a-time
-    copy writes.  The new bytes go into the window once, at the end;
-    the window object is updated in place and returned.
+    The batch is resolved in place at the end of ``window.buf``, and
+    every backreference is a slice copy: one slice when the length is at
+    most the distance, else the last ``distance`` bytes repeated, which
+    is what a byte-at-a-time copy writes.  A distance past the output
+    raises DistanceTooFar and leaves the window as it was.  The window
+    object is updated in place and returned with the batch's bytes.
     """
-    out = bytearray(window.buf)
+    out = window.buf
     start = len(out)
-    cap = window.capacity
     append = out.append
     for t in tokens:
         if type(t) is Literal:
             append(t.value)
         elif type(t) is BackRef:
             d = t.distance
-            if d > cap or d > len(out):
-                raise DistanceTooFar(
-                    f"distance {d} exceeds the {min(len(out), cap)} bytes of"
-                    " available history"
-                )
+            if d > len(out):
+                message = f"distance {d} exceeds the {len(out)} bytes of available history"
+                del out[start:]
+                raise DistanceTooFar(message)
             n = t.length
             if n <= d:
                 src = len(out) - d
                 out += out[src : src + n]
             else:
                 out += (out[-d:] * (n // d + 1))[:n]
-    new = out[start:]
-    window.push_bytes(new)
-    return bytes(new), window
+    return bytes(out[start:]), window

@@ -19,8 +19,9 @@ bits they consume, which gives the layer two global properties:
 
 ``iter_blocks`` is the one walk of the block grammar: block by block,
 batch by batch, up to the final block's last bit.  ``parse_deflate``
-folds it into bytes against a ring window that persists across blocks
-(the format never resets it); ``dump-tokens`` prints the same items.
+folds it into one output buffer, a ``RingWindow`` that persists across
+blocks (the format never resets the history) and that backreferences
+copy from; ``dump-tokens`` prints the same items.
 """
 
 from __future__ import annotations
@@ -437,22 +438,20 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
 def parse_deflate(cursor: BitCursor) -> ParseOutcome:
     """Parse a whole deflate stream into its decompressed bytes.
 
-    Consumption stops at the final block's last bit; trailing bits are
-    ignored and left unconsumed.
+    The window's buffer is the one output buffer; backreferences copy
+    from it.  Consumption stops at the final block's last bit; trailing
+    bits are ignored and left unconsumed.
     """
     window = RingWindow()
-    out = bytearray()
     end = cursor.bit_pos
     for header, item, end in iter_blocks(cursor.data, cursor.bit_pos):
         if isinstance(item, NoParse):
             return item
         if header.block_type is BlockType.STORED:
             window.push_bytes(item)
-            out += item
         else:
-            resolved, window = resolve_tokens_ring(item, window)
-            out += resolved
-    return Parsed(bytes(out), end - cursor.bit_pos, BitCursor(cursor.data, end))
+            resolve_tokens_ring(item, window)
+    return Parsed(bytes(window.buf), end - cursor.bit_pos, BitCursor(cursor.data, end))
 
 
 def inflate(data: bytes) -> bytes:

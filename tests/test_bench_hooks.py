@@ -6,6 +6,7 @@ one would otherwise only show up as a failed or empty traced run.
 """
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
@@ -29,16 +30,33 @@ def test_every_traced_attribute_resolves(traced):
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
-def test_a_traced_round_trip_reaches_the_decoder_hooks(traced):
+# (input, spans its round trip must open, the block count it must give).
+ROUND_TRIPS = {
+    "static": (
+        b"hello hello hello " * 100,
+        {"inflate.parse_block_header", "inflate.decode_tokens",
+         "history_window.resolve_tokens_ring", "compress.tokenize"},
+        "inflate.blocks_static",
+    ),
+    "stored": (
+        random.Random(8).randbytes(4096),
+        {"compress.write_stored_block", "inflate.parse_stored_block",
+         "history_window.ring_push_bytes"},
+        "inflate.blocks_stored",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ROUND_TRIPS)
+def test_a_traced_round_trip_reaches_the_decoder_hooks(traced, kind):
     from deflatekit.gzip_container import gzip_compress, gzip_decompress
 
+    plain, spans, blocks = ROUND_TRIPS[kind]
     tr = traced.Tracer()
     tr.counts = dict.fromkeys(traced._COUNTS, 0)
-    plain = b"hello hello hello " * 100
     with traced.tracing(tr):
         assert gzip_decompress(gzip_compress(plain)) == plain
     names = {span[0] for span in tr.spans}
-    assert {"inflate.parse_block_header", "inflate.decode_tokens",
-            "history_window.resolve_tokens_ring", "compress.tokenize"} <= names
-    assert tr.counts["inflate.blocks_static"] == 1
+    assert spans <= names
+    assert tr.counts[blocks] == 1
     assert traced._side_measurements(tr, plain) == ""

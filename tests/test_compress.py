@@ -28,7 +28,7 @@ from deflatekit.compress import (
 )
 from deflatekit.errors import ValueOutOfRange
 from deflatekit.history_window import BackRef, END_OF_BLOCK, EndOfBlock, Literal
-from deflatekit.inflate import inflate, parse_stored_block
+from deflatekit.inflate import inflate, iter_blocks, parse_stored_block
 from deflatekit.symbol_tables import (
     DISTANCE_CODEPOINT,
     DISTANCE_TABLE,
@@ -348,6 +348,35 @@ def test_deflate_output_matches_the_golden_digests():
         for pname, params in DIGEST_PARAMS.items()
     }
     assert digests == GOLDEN_DIGESTS
+
+
+def far_copies(stream: bytes) -> int:
+    """Backrefs of the stream at distance MAX_DISTANCE past 64 KiB of output."""
+    produced = far = 0
+    for _, item, _ in iter_blocks(stream):
+        if isinstance(item, bytes):
+            produced += len(item)
+            continue
+        for t in item:
+            if type(t) is BackRef:
+                far += t.distance == MAX_DISTANCE and produced > 2 * MAX_DISTANCE
+                produced += t.length
+            elif type(t) is Literal:
+                produced += 1
+    return far
+
+
+def test_digest_streams_round_trip_through_both_decoders():
+    # zlib never emits a distance past 32,506, so only our own streams
+    # copy from exactly 32,768 back; the wrap input does so after 64 KiB
+    # of output, where the decoder's one buffer is the only history.
+    for name, data in digest_inputs().items():
+        for pname, params in DIGEST_PARAMS.items():
+            out = deflate(data, params)
+            assert inflate(out) == data, (name, pname)
+            assert zlib.decompress(out, -15) == data, (name, pname)
+            if name == "wrap":
+                assert far_copies(out) == 12, pname
 
 
 def block_type_of(stream: bytes) -> int:

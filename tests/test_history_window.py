@@ -1,9 +1,9 @@
 """History windows and backreference resolution.
 
 A plain Python list ordered newest-first serves as the oracle for the
-ExpList structure, and the two window shapes are checked against each
-other wherever their contracts coincide (same capacity, distances
-within capacity).
+ExpList structure, and the two windows are checked against each other
+wherever their contracts coincide (distances within the queue's
+capacity; the ring holds the whole output).
 """
 
 import random
@@ -173,30 +173,28 @@ def test_queue_lookback_against_pushed_history():
 
 
 def test_ring_lookback_against_pushed_history():
-    # The window keeps exactly the newest min(pushed, capacity) bytes.
+    # The window keeps every byte pushed, past 32 KiB too.
     rng = random.Random(25)
-    cap = 11
-    ring = RingWindow(cap)
+    ring = RingWindow()
     pushed = bytearray()
     for _ in range(200):
         b = rng.randrange(256)
         ring.push_bytes(bytes([b]))
         pushed.append(b)
-        assert ring.history == min(len(pushed), cap)
-        assert ring.buf == pushed[-cap:]
+        assert ring.buf == pushed
+    far = rng.randbytes(WINDOW_SIZE + 1)
+    ring.push_bytes(far)
+    assert ring.buf == pushed + far
 
 
 def test_ring_push_bytes_paths():
     rng = random.Random(26)
     for size in (0, 3, 7, 8, 9, 20, 100):
         data = rng.randbytes(size)
-        ring = RingWindow(8)
+        ring = RingWindow()
         ring.push_bytes(b"seed")
         ring.push_bytes(data)
-        assert ring.history == min(4 + size, 8)
-        assert ring.buf == (b"seed" + data)[-8:]
-    with pytest.raises(ValueOutOfRange):
-        RingWindow(0)
+        assert ring.buf == b"seed" + data
 
 
 # -- resolution ---------------------------------------------------------
@@ -263,12 +261,6 @@ def test_queue_rotation_can_cut_off_a_long_reach_mid_copy():
     assert out == b"abc"
     with pytest.raises(DistanceTooFar):
         resolve_tokens([BackRef(4, 6)], q)
-    # The ring never reaches past its capacity at all.
-    ring = RingWindow(4)
-    ring.push_bytes(b"abcdef")
-    with pytest.raises(DistanceTooFar):
-        resolve_tokens_ring([BackRef(3, 6)], ring)
-    assert ring.buf == b"cdef"
 
 
 def test_resolution_is_splittable():
@@ -333,13 +325,13 @@ def history_message(distance: int, history: int) -> str:
     return f"distance {distance} exceeds the {history} bytes of available history"
 
 
-@pytest.mark.parametrize("cap", [4, 11, WINDOW_SIZE])
-def test_slice_copies_match_the_queue_across_batches(cap):
+def test_slice_copies_match_the_queue_across_batches():
     # Each batch reaches back into the ones before it, repeats periods
     # 1..8 up to length 258 and copies from exactly the whole history;
     # one byte further fails with the ring's reach in the message.
+    cap = WINDOW_SIZE
     rng = random.Random(cap)
-    ring, queue = RingWindow(cap), QueueOfDoom(cap)
+    ring, queue = RingWindow(), QueueOfDoom(cap)
     produced = 0
     for batch in range(12):
         tokens = []
@@ -372,7 +364,7 @@ def test_slice_copies_match_the_queue_across_batches(cap):
         queue_bytes, queue = resolve_tokens(tokens, queue)
         assert ring_bytes == queue_bytes
         produced = total
-        history, kept = ring.history, bytes(ring.buf)
+        history, kept = min(len(ring.buf), cap), bytes(ring.buf)
         assert history == min(produced, cap)
         if history + 2 > WINDOW_SIZE:
             continue

@@ -10,6 +10,8 @@ import random
 import zlib
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from deflatekit.bitio import BitCursor, BitSink
 from deflatekit.compress import CompressParams, deflate
@@ -636,6 +638,66 @@ def test_zlib_streams_inflate_correctly():
             stream = co.compress(data) + co.flush()
             assert inflate(stream) == data
             assert parse_deflate_queue(BitCursor(stream)).value == data
+
+
+ZLIB_STRATEGIES = (
+    zlib.Z_DEFAULT_STRATEGY,
+    zlib.Z_FILTERED,
+    zlib.Z_HUFFMAN_ONLY,
+    zlib.Z_RLE,
+    zlib.Z_FIXED,
+)
+
+
+@st.composite
+def mutated_zlib_streams(draw) -> bytes:
+    """A raw zlib stream, as is or broken, then 0-8 junk bytes.
+
+    Settings are random (level, strategy, memLevel, window bits), and
+    the input is a repeated unit followed by random bytes.  The stream
+    gets one bit flip, a truncation or a 1-8-byte splice, or is kept.
+    """
+    plain = draw(st.binary(max_size=64)) * draw(st.integers(0, 60))
+    plain += draw(st.binary(max_size=300))
+    co = zlib.compressobj(
+        draw(st.integers(0, 9)),
+        zlib.DEFLATED,
+        -draw(st.integers(9, 15)),
+        draw(st.integers(1, 9)),
+        draw(st.sampled_from(ZLIB_STRATEGIES)),
+    )
+    stream = bytearray(co.compress(plain) + co.flush())
+    mutation = draw(st.sampled_from(("none", "flip", "truncate", "splice")))
+    if mutation == "flip":
+        bit = draw(st.integers(0, 8 * len(stream) - 1))
+        stream[bit >> 3] ^= 1 << (bit & 7)
+    elif mutation == "truncate":
+        del stream[draw(st.integers(0, len(stream) - 1)) :]
+    elif mutation == "splice":
+        at = draw(st.integers(0, len(stream)))
+        stream[at:at] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(stream) + draw(st.binary(max_size=8))
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_zlib_streams())
+def test_what_zlib_accepts_decodes_to_the_same_bytes_and_length(stream):
+    # One way only: where zlib rejects, we may still accept (HDIST 32
+    # and incomplete codings, see above), so we only have to be total.
+    d = zlib.decompressobj(-15)
+    try:
+        expected = d.decompress(stream)
+    except zlib.error:
+        expected = None
+    outcome = parse_deflate(BitCursor(stream))
+    accepted = expected is not None and d.eof
+    event("zlib accepts" if accepted else "zlib rejects")
+    if accepted:
+        assert isinstance(outcome, Parsed)
+        assert outcome.value == expected
+        assert (outcome.consumed_bits + 7) // 8 == len(stream) - len(d.unused_data)
+    else:
+        assert isinstance(outcome, (Parsed, NoParse))
 
 
 def test_ring_and_queue_windows_agree_on_valid_and_invalid_input():
