@@ -1,8 +1,10 @@
 """Gzip framing, CRC-32, and interoperability with the stdlib.
 
 The checksum is pinned three ways: a bit-at-a-time reference written
-here from the polynomial definition, the package's table-driven
-implementation, and zlib.crc32.
+here from the polynomial definition, the package's implementation (64-byte
+lanes through byte planes, a byte loop for the tail), and zlib.crc32,
+which the tests use only as an oracle.  The lane tables are checked
+against their definition entry by entry.
 """
 
 import gzip as stdlib_gzip
@@ -10,10 +12,14 @@ import io
 import math
 import random
 import struct
+import tracemalloc
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deflatekit import gzip_container
 from deflatekit.compress import deflate
 from deflatekit.errors import (
     BadMagic,
@@ -32,9 +38,8 @@ from deflatekit.gzip_container import (
 from conftest import GOLDEN_PLAINTEXT, mixed_corpus_item
 
 
-def crc32_bitwise(data: bytes) -> int:
-    """Reflected CRC-32 straight from the definition, one bit at a time."""
-    crc = 0xFFFFFFFF
+def register_bitwise(data: bytes, crc: int) -> int:
+    """The reflected CRC-32 register after data, one bit at a time."""
     for byte in data:
         crc ^= byte
         for _ in range(8):
@@ -42,7 +47,12 @@ def crc32_bitwise(data: bytes) -> int:
                 crc = (crc >> 1) ^ 0xEDB88320
             else:
                 crc >>= 1
-    return crc ^ 0xFFFFFFFF
+    return crc
+
+
+def crc32_bitwise(data: bytes, value: int = 0) -> int:
+    """Reflected CRC-32 straight from the definition, continuing from value."""
+    return register_bitwise(data, value ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
 
 
 def test_crc32_known_values():
@@ -53,17 +63,37 @@ def test_crc32_known_values():
 
 
 def test_crc32_against_bitwise_reference_and_zlib():
+    """Every length up to three 64-byte blocks and a tail byte, then 96 KiB."""
     rng = random.Random(51)
-    for _ in range(80):
-        data = rng.randbytes(rng.randrange(0, 200))
+    for n in range(3 * 64 + 2):
+        data = rng.randbytes(n)
         expected = crc32_bitwise(data)
-        assert crc32(data) == expected
-        assert zlib.crc32(data) == expected
+        assert crc32(data) == expected, n
+        assert zlib.crc32(data) == expected, n
+    big = rng.randbytes(96 * 1024)
+    assert crc32(big) == crc32_bitwise(big) == zlib.crc32(big)
     big = rng.randbytes(100_000)
     assert crc32(big) == zlib.crc32(big)
 
 
+def test_crc32_continues_from_any_starting_value():
+    rng = random.Random(54)
+    for value in (0, 1, 0xFFFFFFFF, 0x80000000, *(rng.getrandbits(32) for _ in range(40))):
+        data = rng.randbytes(rng.randrange(0, 300))
+        assert crc32(data, value) == crc32_bitwise(data, value) == zlib.crc32(data, value)
+
+
+def test_crc32_keeps_only_the_low_32_bits_of_value_as_zlib_does():
+    data = random.Random(58).randbytes(200)
+    for value in (-1, -(2**40), 2**32 + 5, 2**64 - 7):
+        assert crc32(data, value) == crc32(data, value & 0xFFFFFFFF) == zlib.crc32(data, value)
+
+
 def test_crc32_streams_across_any_split():
+    data = random.Random(55).randbytes(300)
+    whole = zlib.crc32(data)
+    for cut in range(len(data) + 1):
+        assert crc32(data[cut:], crc32(data[:cut])) == whole, cut
     rng = random.Random(52)
     data = rng.randbytes(3000)
     whole = crc32(data)
@@ -71,6 +101,54 @@ def test_crc32_streams_across_any_split():
         cut = rng.randrange(len(data) + 1)
         assert crc32(data[cut:], crc32(data[:cut])) == whole
     assert crc32(b"", whole) == whole
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.binary(max_size=400), st.binary(max_size=400))
+def test_crc32_of_a_concatenation_continues_from_its_prefix(a, b):
+    assert crc32(a + b) == crc32(b, crc32(a)) == zlib.crc32(a + b)
+
+
+def test_lane_planes_match_their_definition():
+    """Lane j holds T[63 - j]; T[k][i] is the register after byte i and k zero bytes."""
+    lanes = gzip_container._LANE_PLANES
+    steps = gzip_container._BLOCK_STEP
+    assert len(lanes) == 64 and len(steps) == 4
+    for i in range(256):
+        register = register_bitwise(bytes([i]), 0)
+        assert gzip_container._CRC_TABLE[i] == register
+        for k in range(64):
+            planes = lanes[63 - k]
+            assert [plane[i] for plane in planes] == list(register.to_bytes(4, "little")), (k, i)
+            if k >= 60:
+                assert steps[63 - k][i] == register, (k, i)
+            register = register_bitwise(b"\x00", register)
+
+
+def test_crc32_takes_bytes_bytearray_and_memoryview_alike():
+    rng = random.Random(56)
+    backing = rng.randbytes(3 * 64 + 40)
+    for n in (0, 1, 63, 64, 65, 128, 3 * 64 + 1):
+        data = backing[7 : 7 + n]
+        value = rng.getrandbits(32)
+        expected = zlib.crc32(data, value)
+        assert crc32(data, value) == expected
+        assert crc32(bytearray(data), value) == expected
+        assert crc32(memoryview(data), value) == expected
+        assert crc32(memoryview(backing)[7 : 7 + n], value) == expected
+        assert crc32(memoryview(bytearray(backing))[7 : 7 + n], value) == expected
+
+
+def test_crc32_does_not_copy_its_input():
+    data = random.Random(57).randbytes(96 * 1024)
+    tracemalloc.start()
+    try:
+        checksum = crc32(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert checksum == zlib.crc32(data)
+    assert peak < len(data) // 4, peak
 
 
 # -- framing ----------------------------------------------------------------

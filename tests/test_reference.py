@@ -3,7 +3,10 @@
 ``deflatekit.reference`` holds the paper's second coding construction
 and the canonicity checker; only the tests import it.  This parses every
 module of the package and fails if any other module imports it, in any
-spelling of the import statement or through ``importlib``.
+spelling of the import statement or through ``importlib``.  The same
+scan keeps the package pure Python: no module of it may import ``zlib``
+or ``binascii``, whose C checksums and codecs would be a shortcut past
+the code under test.
 """
 
 import ast
@@ -13,6 +16,7 @@ import deflatekit
 
 PACKAGE = Path(deflatekit.__file__).parent
 REFERENCE = "deflatekit.reference"
+C_SHORTCUTS = ("zlib", "binascii")
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -57,6 +61,34 @@ def test_no_production_module_imports_reference():
         "gzip_decompress",
         "inflate",
     ]
+
+
+def c_shortcuts(names: set[str]) -> list[str]:
+    """The names in ``names`` that are a C-backed module or one of its members."""
+    return sorted(n for n in names if n.split(".")[0] in C_SHORTCUTS)
+
+
+def test_no_module_imports_a_c_backed_shortcut():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in c_shortcuts(imported_modules(ast.parse(path.read_text(), str(path)))):
+            offenders.append(f"{path.name} imports {name}")
+    assert offenders == []
+
+
+def test_every_c_shortcut_spelling_is_caught():
+    spellings = [
+        "import zlib",
+        "import zlib as z",
+        "from zlib import crc32",
+        "import binascii",
+        "from binascii import crc32 as c",
+        "importlib.import_module('zlib')",
+        "__import__('binascii')",
+    ]
+    for source in spellings:
+        assert c_shortcuts(imported_modules(ast.parse(source))), source
+    assert c_shortcuts(imported_modules(ast.parse("import struct\nfrom . import bitio"))) == []
 
 
 def test_every_import_spelling_is_caught():
