@@ -350,6 +350,33 @@ def test_deflate_output_matches_the_golden_digests():
     assert digests == GOLDEN_DIGESTS
 
 
+# sha256 of repr(tokenize(data, params)), recorded before the matcher was
+# fused into tokenize; pins the token stream itself, apart from the writer.
+GOLDEN_TOKEN_DIGESTS = {
+    ("text", "default"): "249c05a318395abd61c3ad371b39418064bf6e6d7f0b071d504a1edcf32f026d",
+    ("text", "chain1"): "263aa0b644dbd78494c7905718110544fb196f35fe6d8f2bb98e255d71ccfae5",
+    ("text", "chain4-block5000"): "0cddcde345f2925e5f65ee11aee7ca1b276fb2088220bb89aae55ebcb4e081ed",
+    ("random", "default"): "16d1f4c554f03dfdc29da752d3cb22ec854c660fe3adff454b843b61d97b7783",
+    ("random", "chain1"): "16d1f4c554f03dfdc29da752d3cb22ec854c660fe3adff454b843b61d97b7783",
+    ("random", "chain4-block5000"): "884782730ca763b0a7233cdb2b8a6fbe822394483187e361b217af3dce0bcaff",
+    ("runs", "default"): "b3198ac629e91a15fbf49bc00a5192c6c58202e818f93106cda2dfb63924cb54",
+    ("runs", "chain1"): "b3198ac629e91a15fbf49bc00a5192c6c58202e818f93106cda2dfb63924cb54",
+    ("runs", "chain4-block5000"): "480f8dc4ad99be917bbcb26ae4dd5192fb2fc07a0f2958b5548dec2740f241eb",
+    ("wrap", "default"): "95977a8f3228a0a23e53b841dbaef5dbb6c176718c1edba2e20ef2fef19b25a2",
+    ("wrap", "chain1"): "c4f5c983b6b6d5317f33cd23e0ebbf4ff4cb1053a70045adbb026a5061f1d337",
+    ("wrap", "chain4-block5000"): "65c37777195aa2950f0f2e94e2c231ff3b7e672d945e1e94d2bc4d31fe3331ac",
+}
+
+
+def test_tokenize_output_matches_the_golden_token_digests():
+    digests = {
+        (name, pname): hashlib.sha256(repr(tokenize(data, params)).encode()).hexdigest()
+        for name, data in digest_inputs().items()
+        for pname, params in DIGEST_PARAMS.items()
+    }
+    assert digests == GOLDEN_TOKEN_DIGESTS
+
+
 def far_copies(stream: bytes) -> int:
     """Backrefs of the stream at distance MAX_DISTANCE past 64 KiB of output."""
     produced = far = 0
