@@ -96,6 +96,17 @@ class BitSink:
             self._bitbuf >>= 8
             self._fill -= 8
 
+    def write_bits_wide(self, value: int, n: int) -> None:
+        """Append an n-bit int of any width, LSB first; whole bytes go out at once."""
+        if value < 0 or value.bit_length() > n:
+            raise ValueOutOfRange(f"value does not fit in {n} bits")
+        bits = self._bitbuf | value << self._fill
+        fill = self._fill + n
+        whole = fill >> 3
+        self._buf += bits.to_bytes(whole + 1, "little")[:whole]
+        self._bitbuf = bits >> (whole << 3)
+        self._fill = fill & 7
+
     def write_code_msb(self, code: Sequence[int]) -> None:
         """Append a code's bits leftmost first; the tests' check of ``stream_codes``."""
         rev = 0

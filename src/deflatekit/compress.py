@@ -1,16 +1,16 @@
 """Greedy LZ77 tokenizer and deflate block writer.
 
-The tokenizer scans left to right, hashing every three-byte group into
-zlib-style hash chains (RFC 1951 section 4).  At each position it takes
-the longest match among the most recent candidates (ties to the
-smallest distance, i.e. the first candidate examined) or falls back to
-a literal.  Positions covered by an emitted match are still hashed so
-later matches can start inside them.
+``tokenize`` runs zlib's hash-chain search (``deflate.c``) inline: each
+candidate is first rejected on the one byte at ``best_len``, then on its
+first ``best_len + 1`` bytes, which it shares exactly when it beats the
+best match so far; only those are extended.  The longest match wins,
+ties to the smallest distance, else a shared ``Literal``.
 
-Blocks are encoded with the fixed codings only; when that would come
-out larger than simply storing the bytes (e.g. on incompressible
-input), stored blocks are written instead.  The choice is per block, so
-output never exceeds the input by more than the stored-block framing.
+Blocks use the fixed codings, or stored blocks when those come out
+larger (e.g. on incompressible input), per block.  The static writer ORs
+codes and extra bits into a local int and hands whole bytes to the sink
+through ``write_bits_wide``; headers and stored blocks use the checked
+``write_bits_lsb``.
 """
 
 from __future__ import annotations
@@ -58,185 +58,167 @@ class CompressParams:
 DEFAULT_PARAMS = CompressParams()
 
 
-def _hash3(b0: int, b1: int, b2: int) -> int:
-    """Fold a three-byte group into a bucket index by shift-and-xor."""
-    return ((b0 << 10) ^ (b1 << 5) ^ b2) & _HASH_MASK
-
-
-class HashChains:
-    """Hash chains over the positions already seen, as in zlib's deflate.c.
-
-    ``head[key]`` is the newest position whose three-byte group hashes
-    to key, and ``prev[pos & WINDOW_MASK]`` the next older position
-    with the same key as pos, so following prev from head visits a
-    key's positions newest first.  Slots hold NO_POS until filled.
-
-    Positions are inserted in increasing order, and a search from pos
-    runs before pos is inserted.  A prev slot is reused only when the
-    position WINDOW_SIZE later is inserted, so every candidate inside
-    the window still links to its true predecessor.
-    """
-
-    __slots__ = ("head", "prev")
-
-    def __init__(self):
-        self.head = [NO_POS] * (1 << HASH_BITS)
-        self.prev = [NO_POS] * WINDOW_SIZE
-
-    def insert(self, key: int, pos: int) -> None:
-        self.prev[pos & WINDOW_MASK] = self.head[key]
-        self.head[key] = pos
-
-
-def _match_length(data: bytes, cand: int, pos: int, limit: int) -> int:
-    """Longest common prefix of data[cand:] and data[pos:], capped at limit."""
-    if data[cand : cand + limit] == data[pos : pos + limit]:
-        return limit
-    n = 0
-    while limit - n >= 16 and data[cand + n : cand + n + 16] == data[pos + n : pos + n + 16]:
-        n += 16
-    while n < limit and data[cand + n] == data[pos + n]:
-        n += 1
-    return n
-
-
 # Search-effort heuristics, within the "at most max_chain examined"
 # budget: a match of _GOOD_MATCH bytes shrinks the remaining budget to a
 # quarter, and one of _NICE_MATCH bytes is taken without further search.
 _GOOD_MATCH = 8
 _NICE_MATCH = 128
 
-
-def find_match(
-    data: bytes, pos: int, chains: HashChains, params: CompressParams = DEFAULT_PARAMS
-):
-    """Longest match for data[pos:] among recent candidates, or None.
-
-    Returns (length, distance) with length >= MIN_MATCH_LENGTH.  Among
-    equally long matches the smallest distance wins.  At most
-    params.max_chain candidates are examined, fewer once a good match
-    is in hand.
-    """
-    avail = len(data) - pos
-    limit = MAX_MATCH_LENGTH
-    if limit > avail:
-        limit = avail
-    if limit < MIN_MATCH_LENGTH:
-        return None
-    cand = chains.head[_hash3(data[pos], data[pos + 1], data[pos + 2])]
-    min_cand = pos - WINDOW_SIZE
-    if cand < min_cand:
-        return None  # even the newest candidate is beyond the window
-    prev = chains.prev
-    # Starting best_len one short of MIN_MATCH_LENGTH arms the one-byte
-    # reject below from the first candidate: anything it skips could
-    # match at most MIN_MATCH_LENGTH - 1 bytes and so could never become
-    # the best.
-    best_len = MIN_MATCH_LENGTH - 1
-    best_dist = 0
-    chain = params.max_chain
-    good_cap = max(1, chain >> 2)
-    nice_stop = _NICE_MATCH if _NICE_MATCH < limit else limit
-    while cand >= min_cand:
-        if data[cand + best_len] == data[pos + best_len]:
-            n = _match_length(data, cand, pos, limit)
-            if n > best_len:
-                best_len = n
-                best_dist = pos - cand
-                if n >= nice_stop:
-                    break
-                if n >= _GOOD_MATCH and chain > good_cap:
-                    chain = good_cap
-        chain -= 1
-        if not chain:
-            break
-        cand = prev[cand & WINDOW_MASK]
-    if best_dist:
-        return best_len, best_dist
-    return None
+# One shared token per byte value, so a literal costs no construction.
+_LITERALS = tuple(Literal(v) for v in range(256))
 
 
 def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     """Greedy token stream for data; EndOfBlock closes every block.
 
-    The hash chains persist across block boundaries, matching the
-    decoder's window, which likewise never resets between blocks.
+    At each position the longest match among the most recent
+    candidates wins, ties going to the smallest distance; a match of
+    fewer than MIN_MATCH_LENGTH bytes leaves a literal.  A block closes
+    after the token that brings it to params.block_payload_limit source
+    bytes.  The hash chains persist across block boundaries, matching
+    the decoder's window, which likewise never resets between blocks.
     """
     tokens = []
-    chains = HashChains()
-    # Inline of chains.insert: every input position passes through here.
-    head = chains.head
-    prev = chains.prev
-    mask = _HASH_MASK
+    append = tokens.append
+    literals = _LITERALS
+    # head[key]: newest position whose three-byte group hashes to key;
+    # prev[pos & WINDOW_MASK]: the next older position with pos's key.
+    head = [NO_POS] * (1 << HASH_BITS)
+    prev = [NO_POS] * WINDOW_SIZE
+    max_chain = params.max_chain
+    good_cap = max(1, max_chain >> 2)
+    block_limit = params.block_payload_limit
+    block_end = block_limit
     n = len(data)
     last_hash = n - 3  # last position with a full three-byte group
+    # Rolled: the key of i is ((key of i - 1) << 5 ^ data[i + 2]) & mask.
+    key = (data[0] << 5) ^ data[1] if n >= 3 else 0
     i = 0
-    block_left = params.block_payload_limit
-    while i < n:
-        m = find_match(data, i, chains, params) if i <= last_hash else None
-        if m is not None:
-            length, dist = m
-            tokens.append(BackRef(length, dist))
-            stop = min(i + length, last_hash + 1)
-            for j in range(i, stop):
-                key = ((data[j] << 10) ^ (data[j + 1] << 5) ^ data[j + 2]) & mask
+    while i <= last_hash:
+        key = ((key << 5) ^ data[i + 2]) & _HASH_MASK
+        first = cand = head[key]
+        min_cand = i - WINDOW_SIZE
+        best_dist = 0
+        if cand >= min_cand:
+            limit = n - i
+            if limit > MAX_MATCH_LENGTH:
+                limit = MAX_MATCH_LENGTH
+            nice_stop = _NICE_MATCH if _NICE_MATCH < limit else limit
+            # A candidate whose byte at best_len differs from scan
+            # matches at most best_len bytes.
+            best_len = MIN_MATCH_LENGTH - 1
+            scan = data[i + best_len]
+            chain = max_chain
+            while True:
+                if data[cand + best_len] == scan:
+                    k = best_len + 1
+                    # Equal first best_len + 1 bytes: it beats best_len.
+                    if data[cand : cand + k] == data[i : i + k]:
+                        if data[cand : cand + limit] == data[i : i + limit]:
+                            k = limit
+                        else:
+                            while limit - k >= 16 and (
+                                data[cand + k : cand + k + 16] == data[i + k : i + k + 16]
+                            ):
+                                k += 16
+                            while data[cand + k] == data[i + k]:
+                                k += 1
+                        best_len = k
+                        best_dist = i - cand
+                        if k >= nice_stop:
+                            break
+                        scan = data[i + k]
+                        if k >= _GOOD_MATCH and chain > good_cap:
+                            chain = good_cap
+                chain -= 1
+                if not chain:
+                    break
+                cand = prev[cand & WINDOW_MASK]
+                if cand < min_cand:
+                    break
+        # Insert i after its search: its prev slot is that of
+        # i - WINDOW_SIZE, the oldest candidate the walk may reach.
+        prev[i & WINDOW_MASK] = first
+        head[key] = i
+        if best_dist:
+            append(BackRef(best_len, best_dist))
+            # Hash the covered positions; later matches may start there.
+            stop = i + best_len
+            if stop > last_hash:
+                stop = last_hash + 1
+            for j in range(i + 1, stop):
+                key = ((key << 5) ^ data[j + 2]) & _HASH_MASK
                 prev[j & WINDOW_MASK] = head[key]
                 head[key] = j
-            i += length
-            block_left -= length
+            i += best_len
         else:
-            tokens.append(Literal(data[i]))
-            if i <= last_hash:
-                key = ((data[i] << 10) ^ (data[i + 1] << 5) ^ data[i + 2]) & mask
-                prev[i & WINDOW_MASK] = head[key]
-                head[key] = i
+            append(literals[data[i]])
             i += 1
-            block_left -= 1
-        if block_left <= 0 and i < n:
-            tokens.append(END_OF_BLOCK)
-            block_left = params.block_payload_limit
-    tokens.append(END_OF_BLOCK)
+        if i >= block_end and i < n:
+            append(END_OF_BLOCK)
+            block_end = i + block_limit
+    while i < n:
+        append(literals[data[i]])
+        i += 1
+        if i >= block_end and i < n:
+            append(END_OF_BLOCK)
+            block_end = i + block_limit
+    append(END_OF_BLOCK)
     return tokens
 
 
 # -- block writers ------------------------------------------------------
 
+# (reversed code, width) per literal/length symbol, and per match length
+# its code with the extra bits above it; distance codes are all 5 bits.
+_LIT_CODES = fixed_lit_coding().stream_codes
+_LENGTH_CODES = (None,) * MIN_MATCH_LENGTH + tuple(
+    (_LIT_CODES[cp][0] | extra << _LIT_CODES[cp][1], _LIT_CODES[cp][1] + ebits)
+    for cp, extra, ebits in LENGTH_ENCODING[MIN_MATCH_LENGTH:]
+)
+_DIST_CODES = fixed_dist_coding().stream_codes
+_WRITE_RUN = 64  # tokens per accumulator, so it stays a small int
+
 
 def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
     """Write one block under the fixed codings; returns the sink.
 
-    ``tokens`` must contain exactly one EndOfBlock, as its last element.
+    ``tokens`` must contain exactly one EndOfBlock, as its last element;
+    the sink is touched only once the whole block has been coded.
     """
-    tokens = list(tokens)
-    if not tokens or type(tokens[-1]) is not EndOfBlock:
+    body = list(tokens)
+    if not body or type(body.pop()) is not EndOfBlock:
         raise ValueOutOfRange("block tokens must end with EndOfBlock")
-    if any(type(t) is EndOfBlock for t in tokens[:-1]):
-        raise ValueOutOfRange("EndOfBlock before the end of the block's tokens")
-    lit_enc = fixed_lit_coding().stream_codes
-    dist_enc = fixed_dist_coding().stream_codes
-    write = sink.write_bits_lsb
-    write(1 if final else 0, 1)
-    write(BTYPE_STATIC, 2)
-    for t in tokens[:-1]:
-        if type(t) is Literal:
-            rev, nb = lit_enc[t.value]
-            write(rev, nb)
-        elif type(t) is BackRef:
-            cp, extra, ebits = LENGTH_ENCODING[t.length]
-            rev, nb = lit_enc[cp]
-            write(rev, nb)
-            if ebits:
-                write(extra, ebits)
-            dcp = DISTANCE_CODEPOINT[t.distance]
-            rev, nb = dist_enc[dcp]
-            write(rev, nb)
-            debits, dbase = DISTANCE_CODES[dcp]
-            if debits:
-                write(t.distance - dbase, debits)
-        else:
-            raise ValueOutOfRange(f"unknown token {t!r}")
-    rev, nb = lit_enc[256]
-    write(rev, nb)
+    lits, lens, dists = _LIT_CODES, _LENGTH_CODES, _DIST_CODES
+    fields = []
+    for start in range(0, len(body), _WRITE_RUN):
+        acc = fill = 0
+        for t in body[start : start + _WRITE_RUN]:
+            tt = type(t)
+            if tt is Literal:
+                code, nb = lits[t.value]
+                acc |= code << fill
+                fill += nb
+            elif tt is BackRef:
+                code, nb = lens[t.length]
+                acc |= code << fill
+                fill += nb
+                d = t.distance
+                dcp = DISTANCE_CODEPOINT[d]
+                nb, base = DISTANCE_CODES[dcp]
+                acc |= (dists[dcp][0] | (d - base) << 5) << fill
+                fill += 5 + nb
+            elif tt is EndOfBlock:
+                raise ValueOutOfRange("EndOfBlock before the end of the block's tokens")
+            else:
+                raise ValueOutOfRange(f"unknown token {t!r}")
+        fields.append((acc, fill))
+    fields.append(lits[256])
+    sink.write_bits_lsb(1 if final else 0, 1)
+    sink.write_bits_lsb(BTYPE_STATIC, 2)
+    write = sink.write_bits_wide
+    for acc, fill in fields:
+        write(acc, fill)
     return sink
 
 
@@ -255,19 +237,16 @@ def write_stored_block(data: bytes, final: bool, sink: BitSink) -> BitSink:
 
 def _static_cost_bits(tokens) -> int:
     """Exact payload size of write_static_block, excluding the 3 header bits."""
-    lit_enc = fixed_lit_coding().stream_codes
-    dist_enc = fixed_dist_coding().stream_codes
+    lits, lens = _LIT_CODES, _LENGTH_CODES
     bits = 0
     for t in tokens:
-        if type(t) is Literal:
-            bits += lit_enc[t.value][1]
-        elif type(t) is BackRef:
-            cp, _, ebits = LENGTH_ENCODING[t.length]
-            bits += lit_enc[cp][1] + ebits
-            dcp = DISTANCE_CODEPOINT[t.distance]
-            bits += dist_enc[dcp][1] + DISTANCE_CODES[dcp][0]
+        tt = type(t)
+        if tt is Literal:
+            bits += lits[t.value][1]
+        elif tt is BackRef:
+            bits += lens[t.length][1] + 5 + DISTANCE_CODES[DISTANCE_CODEPOINT[t.distance]][0]
         else:
-            bits += lit_enc[256][1]
+            bits += lits[256][1]
     return bits
 
 
@@ -282,28 +261,26 @@ def _stored_cost_bits(span: int) -> int:
 def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     """Compress data into a raw deflate stream (static/stored blocks)."""
     tokens = tokenize(data, params)
-    blocks = []
-    current = []
-    for t in tokens:
-        current.append(t)
-        if type(t) is EndOfBlock:
-            blocks.append(current)
-            current = []
     sink = BitSink()
-    offset = 0
-    for bi, block in enumerate(blocks):
-        final = bi == len(blocks) - 1
-        span = sum(
-            t.length if type(t) is BackRef else 1
-            for t in block
-            if type(t) is not EndOfBlock
-        )
-        if _static_cost_bits(block) <= _stored_cost_bits(span):
-            write_static_block(block, final, sink)
+    last = len(tokens) - 1
+    start = offset = span = 0
+    for index, t in enumerate(tokens):
+        tt = type(t)
+        if tt is Literal:
+            span += 1
+        elif tt is BackRef:
+            span += t.length
         else:
-            payload = data[offset : offset + span]
-            for start in range(0, span, MAX_STORED_BLOCK):
-                chunk = payload[start : start + MAX_STORED_BLOCK]
-                write_stored_block(chunk, final and start + MAX_STORED_BLOCK >= span, sink)
-        offset += span
+            block = tokens[start : index + 1]
+            final = index == last
+            end = offset + span
+            if _static_cost_bits(block) <= _stored_cost_bits(span):
+                write_static_block(block, final, sink)
+            else:
+                for chunk in range(offset, end, MAX_STORED_BLOCK):
+                    stop = min(chunk + MAX_STORED_BLOCK, end)
+                    write_stored_block(data[chunk:stop], final and stop == end, sink)
+            start = index + 1
+            offset = end
+            span = 0
     return sink.to_bytes()

@@ -13,8 +13,17 @@ from __future__ import annotations
 import random
 
 from deflatekit.bitio import BitCursor
-from deflatekit.history_window import QueueOfDoom, resolve_tokens
+from deflatekit.compress import DEFAULT_PARAMS, CompressParams
+from deflatekit.history_window import (
+    END_OF_BLOCK,
+    WINDOW_SIZE,
+    BackRef,
+    Literal,
+    QueueOfDoom,
+    resolve_tokens,
+)
 from deflatekit.inflate import BlockType, NoParse, Parsed, iter_blocks
+from deflatekit.symbol_tables import MAX_MATCH_LENGTH, MIN_MATCH_LENGTH
 
 GOLDEN_PLAINTEXT = b"ananas_banana_batata"
 
@@ -87,6 +96,121 @@ def parse_deflate_queue(cursor: BitCursor):
             resolved, window = resolve_tokens(item, window)
             out += resolved
     return Parsed(bytes(out), end - cursor.bit_pos, BitCursor(cursor.data, end))
+
+
+# -- reference greedy matcher ----------------------------------------------
+#
+# The hash-chain matcher as it stood before compress.tokenize inlined it:
+# one find_match call per position over a HashChains object, with the
+# match length taken byte by byte and no quick reject (neither changes
+# which candidate wins).  It is the differential oracle for tokenize,
+# which must produce the same tokens.
+
+HASH_BITS = 15
+_HASH_MASK = (1 << HASH_BITS) - 1
+WINDOW_MASK = WINDOW_SIZE - 1
+NO_POS = -WINDOW_SIZE - 1  # below pos - WINDOW_SIZE for every pos >= 0
+_GOOD_MATCH = 8
+_NICE_MATCH = 128
+
+
+def _hash3(b0: int, b1: int, b2: int) -> int:
+    """Fold a three-byte group into a bucket index by shift-and-xor."""
+    return ((b0 << 10) ^ (b1 << 5) ^ b2) & _HASH_MASK
+
+
+class HashChains:
+    """Hash chains over the positions already seen, as in zlib's deflate.c.
+
+    ``head[key]`` is the newest position whose three-byte group hashes
+    to key, and ``prev[pos & WINDOW_MASK]`` the next older position
+    with the same key as pos, so following prev from head visits a
+    key's positions newest first.  Slots hold NO_POS until filled.
+    """
+
+    __slots__ = ("head", "prev")
+
+    def __init__(self):
+        self.head = [NO_POS] * (1 << HASH_BITS)
+        self.prev = [NO_POS] * WINDOW_SIZE
+
+    def insert(self, key: int, pos: int) -> None:
+        self.prev[pos & WINDOW_MASK] = self.head[key]
+        self.head[key] = pos
+
+
+def _match_length(data: bytes, cand: int, pos: int, limit: int) -> int:
+    """Longest common prefix of data[cand:] and data[pos:], capped at limit."""
+    n = 0
+    while n < limit and data[cand + n] == data[pos + n]:
+        n += 1
+    return n
+
+
+def find_match(
+    data: bytes, pos: int, chains: HashChains, params: CompressParams = DEFAULT_PARAMS
+):
+    """Longest match for data[pos:] among recent candidates, or None.
+
+    Returns (length, distance) with length >= MIN_MATCH_LENGTH; among
+    equally long matches the smallest distance wins.  At most
+    params.max_chain candidates are examined, a quarter of that once a
+    match of _GOOD_MATCH bytes is in hand, and a match of _NICE_MATCH
+    bytes ends the search.
+    """
+    limit = min(MAX_MATCH_LENGTH, len(data) - pos)
+    if limit < MIN_MATCH_LENGTH:
+        return None
+    cand = chains.head[_hash3(data[pos], data[pos + 1], data[pos + 2])]
+    min_cand = pos - WINDOW_SIZE
+    best_len = MIN_MATCH_LENGTH - 1
+    best_dist = 0
+    chain = params.max_chain
+    good_cap = max(1, chain >> 2)
+    nice_stop = min(_NICE_MATCH, limit)
+    while cand >= min_cand:
+        n = _match_length(data, cand, pos, limit)
+        if n > best_len:
+            best_len = n
+            best_dist = pos - cand
+            if n >= nice_stop:
+                break
+            if n >= _GOOD_MATCH and chain > good_cap:
+                chain = good_cap
+        chain -= 1
+        if not chain:
+            break
+        cand = chains.prev[cand & WINDOW_MASK]
+    if best_dist:
+        return best_len, best_dist
+    return None
+
+
+def reference_tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> list:
+    """Greedy token stream for data by find_match at each position.
+
+    Every position with a full three-byte group is inserted into the
+    chains, covered by a match or not; a block closes after the token
+    that reaches params.block_payload_limit source bytes.
+    """
+    tokens = []
+    chains = HashChains()
+    n = len(data)
+    i = 0
+    block_left = params.block_payload_limit
+    while i < n:
+        m = find_match(data, i, chains, params)
+        step = m[0] if m else 1
+        tokens.append(BackRef(*m) if m else Literal(data[i]))
+        for j in range(i, min(i + step, n - 2)):
+            chains.insert(_hash3(data[j], data[j + 1], data[j + 2]), j)
+        i += step
+        block_left -= step
+        if block_left <= 0 and i < n:
+            tokens.append(END_OF_BLOCK)
+            block_left = params.block_payload_limit
+    tokens.append(END_OF_BLOCK)
+    return tokens
 
 
 def random_code_lengths(rng: random.Random, max_alphabet: int = 300, max_len: int = 15):

@@ -134,6 +134,34 @@ def test_sink_write_validation():
     assert sink.bit_length == 0  # failed writes leave no trace
 
 
+@given(
+    st.integers(min_value=0, max_value=7),
+    st.lists(st.integers(min_value=0, max_value=300).flatmap(
+        lambda n: st.tuples(st.integers(min_value=0, max_value=(1 << n) - 1), st.just(n))
+    ), max_size=8),
+)
+def test_wide_writes_match_one_bit_at_a_time(fill, fields):
+    wide, narrow = BitSink(), BitSink()
+    for sink in (wide, narrow):
+        sink.write_bits_lsb(0b1010101 >> (7 - fill), fill)
+    for value, n in fields:
+        wide.write_bits_wide(value, n)
+        for k in range(n):
+            narrow.write_bits_lsb(value >> k & 1, 1)
+        assert wide.bit_length == narrow.bit_length
+    assert wide.to_bytes() == narrow.to_bytes()
+
+
+def test_wide_write_validation():
+    sink = BitSink()
+    sink.write_bits_lsb(1, 3)
+    with pytest.raises(ValueOutOfRange):
+        sink.write_bits_wide(1 << 40, 40)  # does not fit
+    with pytest.raises(ValueOutOfRange):
+        sink.write_bits_wide(-1, 4)
+    assert sink.bit_length == 3
+
+
 def test_sink_align_and_aligned_bytes():
     sink = BitSink()
     sink.write_bits_lsb(1, 1)
