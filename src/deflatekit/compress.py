@@ -205,9 +205,9 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
                 fill += nb
                 d = t.distance
                 dcp = DISTANCE_CODEPOINT[d]
-                nb, base = DISTANCE_CODES[dcp]
+                dbits, base = DISTANCE_CODES[dcp]
                 acc |= (dists[dcp][0] | (d - base) << 5) << fill
-                fill += 5 + nb
+                fill += 5 + dbits
             elif tt is EndOfBlock:
                 raise ValueOutOfRange("EndOfBlock before the end of the block's tokens")
             else:

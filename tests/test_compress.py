@@ -347,19 +347,19 @@ def test_static_writer_matches_a_field_by_field_writer():
     )
     text = english_text(3000, seed=9)
     blocks = [tokens, tokens[256:], [END_OF_BLOCK], tokenize(text + text)]
-    starts = [(fill, lambda sink, fill=fill: sink.write_bits_lsb(0b1011011 >> (7 - fill), fill))
-              for fill in range(8)]
-    starts.append(("stored", lambda sink: write_stored_block(b"raw", False, sink)))
     for block in blocks:
         for final in (False, True):
-            for name, start in starts:
+            for lead in [*range(8), "stored"]:  # sink fill, or a stored block
                 expected, got = BitSink(), BitSink()
-                start(expected)
-                start(got)
+                for sink in (expected, got):
+                    if lead == "stored":
+                        write_stored_block(b"raw", False, sink)
+                    else:
+                        sink.write_bits_lsb(0b1011011 >> (7 - lead), lead)
                 write_static_fields(block, final, expected)
                 assert write_static_block(block, final, got) is got
-                assert got.bit_length == expected.bit_length, name
-                assert got.to_bytes() == expected.to_bytes(), name
+                assert got.bit_length == expected.bit_length, lead
+                assert got.to_bytes() == expected.to_bytes(), lead
 
 
 def test_write_stored_block_round_trips():
