@@ -19,7 +19,6 @@ pair that the public parsers take and return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import EndOfInput, ValueOutOfRange
 
@@ -99,15 +98,6 @@ class BitSink:
         self._buf += bits.to_bytes(whole + 1, "little")[:whole]
         self._bitbuf = bits >> (whole << 3)
         self._fill = fill & 7
-
-    def write_code_msb(self, code: Sequence[int]) -> None:
-        """Append a code's bits leftmost first; the tests' check of ``stream_codes``."""
-        rev = 0
-        for i, bit in enumerate(code):
-            if bit not in (0, 1):
-                raise ValueOutOfRange(f"code bit {bit!r} is not 0 or 1")
-            rev |= bit << i
-        self.write_bits_lsb(rev, len(code))
 
     def align_to_byte(self) -> None:
         """Pad the current partial byte (if any) with zero bits."""

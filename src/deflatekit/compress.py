@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .bitio import BitSink
 from .errors import ValueOutOfRange
-from .history_window import BackRef, END_OF_BLOCK, EndOfBlock, Literal, WINDOW_SIZE
+from .history_window import BackRef, END_OF_BLOCK, EndOfBlock, LITERALS, Literal, WINDOW_SIZE
 from .prefix_coding import fixed_dist_coding, fixed_lit_coding
 from .symbol_tables import (
     DISTANCE_CODEPOINT,
@@ -64,9 +64,6 @@ DEFAULT_PARAMS = CompressParams()
 _GOOD_MATCH = 8
 _NICE_MATCH = 128
 
-# One shared token per byte value, so a literal costs no construction.
-_LITERALS = tuple(Literal(v) for v in range(256))
-
 
 def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     """Greedy token stream for data; EndOfBlock closes every block.
@@ -80,7 +77,7 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     """
     tokens = []
     append = tokens.append
-    literals = _LITERALS
+    literals = LITERALS
     # head[key]: newest position whose three-byte group hashes to key;
     # prev[pos & WINDOW_MASK]: the next older position with pos's key.
     head = [NO_POS] * (1 << HASH_BITS)

@@ -37,10 +37,6 @@ class InvalidCodepoint(DeflateError, ValueError):
     """A codepoint is outside the table's domain or forbidden in data."""
 
 
-class InvalidLengthExtra(DeflateError, ValueError):
-    """An extra-bits value names a match length the codepoint cannot carry."""
-
-
 class IndexOutOfRange(DeflateError, IndexError):
     """A sequence index is past the end of the structure."""
 

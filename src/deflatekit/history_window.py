@@ -29,7 +29,7 @@ at a time.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import DistanceTooFar, IndexOutOfRange, ValueOutOfRange
 
@@ -61,6 +61,10 @@ class Literal:
 
     def __repr__(self):
         return f"Literal({self.value})"
+
+
+# One shared token per byte value, so a literal costs no construction.
+LITERALS = tuple(Literal(v) for v in range(256))
 
 
 class BackRef:
@@ -180,39 +184,6 @@ def explist_index(e: ExpList, i: int):
     for bit in reversed(path):
         item = item[bit]
     return item
-
-
-def explist_len(e: ExpList) -> int:
-    n = 0
-    width = 1
-    node = e
-    while node is not ENIL:
-        n += width if type(node) is Econs1 else 2 * width
-        width <<= 1
-        node = node.tail
-    return n
-
-
-def explist_iter(e: ExpList) -> Iterator:
-    """All elements in index order (most recent first)."""
-    node = e
-    depth = 0
-    while node is not ENIL:
-        if type(node) is Econs1:
-            yield from _flatten(node.head, depth)
-        else:
-            yield from _flatten(node.head, depth)
-            yield from _flatten(node.head2, depth)
-        node = node.tail
-        depth += 1
-
-
-def _flatten(item, depth: int) -> Iterator:
-    if depth == 0:
-        yield item
-    else:
-        yield from _flatten(item[0], depth - 1)
-        yield from _flatten(item[1], depth - 1)
 
 
 # -- the two window shapes ----------------------------------------------

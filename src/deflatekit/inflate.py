@@ -39,7 +39,7 @@ from .errors import (
 from .history_window import (
     BackRef,
     END_OF_BLOCK,
-    Literal,
+    LITERALS,
     RingWindow,
     resolve_tokens_ring,
 )
@@ -54,9 +54,6 @@ from .prefix_coding import (
 from .symbol_tables import CL_CODE_ORDER, DISTANCE_CODES, LENGTH_CODES
 
 _TOKEN_CHUNK = 4096  # tokens resolved per batch while streaming
-
-# Tokens are immutable values, so each byte value has one shared Literal.
-_LITERALS = tuple(Literal(b) for b in range(256))
 
 
 class FailReason(enum.Enum):
@@ -297,7 +294,7 @@ def _decode_some(
     """
     tokens: list = []
     append = tokens.append
-    literals = _LITERALS
+    literals = LITERALS
     lit, dist = lit_coding._decode_table(), dist_coding._decode_table()
     lit_table, lit_bits, lit_mask = lit.table, lit.bits, (1 << lit.bits) - 1
     dist_table, dist_bits, dist_mask = dist.table, dist.bits, (1 << dist.bits) - 1

@@ -1,20 +1,26 @@
-"""Reference models of canonical prefix-free codings; only the tests import them.
+"""Reference models and specifications; only the tests import them.
 
-``build_coding_counting`` is a second, independent construction (per-
-length counting) that must agree with ``prefix_coding.build_coding``
+``build_coding_counting`` is a second, independent construction
+(per-length counting) that must agree with ``prefix_coding.build_coding``
 on every vector, since canonical codings are unique.
 ``has_all_ones_code`` is the other side of the extended Kraft property,
 and ``check_axioms`` checks the four canonicity rules that
 ``prefix_coding`` lists on a raw code table (the paper's map from
 characters to bit sequences), with a witness for each rule that fails.
+``LENGTH_TABLE``, ``DISTANCE_TABLE`` and their encode/decode functions
+transcribe RFC 1951 §3.2.5, the spec of ``symbol_tables``' flat tables;
+``explist_len`` and ``explist_iter`` view a whole ExpList.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from .errors import DeflateError, InvalidCodepoint, ValueOutOfRange
+from .history_window import ENIL, Econs1, ExpList
 from .prefix_coding import MAX_CODE_LENGTH, Bits, DeflateCoding, check_lengths
+from .symbol_tables import MAX_MATCH_LENGTH, MIN_MATCH_LENGTH
 
 
 def _bits_of_int(value: int, width: int) -> Bits:
@@ -170,3 +176,170 @@ def _find_gap(nonempty, by_length, lengths_present) -> Optional[tuple[int, Bits]
         if covered_up_to <= vmax:
             return (ch_max, _bits_of_int(covered_up_to, l))
     return None
+
+
+# -- RFC 1951 §3.2.5: length and distance codepoints ----------------------
+
+MAX_DISTANCE = 32768
+
+# codepoint -> (extra_bits, base_length)
+LENGTH_TABLE: dict[int, tuple[int, int]] = {
+    257: (0, 3),
+    258: (0, 4),
+    259: (0, 5),
+    260: (0, 6),
+    261: (0, 7),
+    262: (0, 8),
+    263: (0, 9),
+    264: (0, 10),
+    265: (1, 11),
+    266: (1, 13),
+    267: (1, 15),
+    268: (1, 17),
+    269: (2, 19),
+    270: (2, 23),
+    271: (2, 27),
+    272: (2, 31),
+    273: (3, 35),
+    274: (3, 43),
+    275: (3, 51),
+    276: (3, 59),
+    277: (4, 67),
+    278: (4, 83),
+    279: (4, 99),
+    280: (4, 115),
+    281: (5, 131),
+    282: (5, 163),
+    283: (5, 195),
+    284: (5, 227),
+    285: (0, 258),
+}
+
+# codepoint -> (extra_bits, base_distance)
+DISTANCE_TABLE: dict[int, tuple[int, int]] = {
+    0: (0, 1),
+    1: (0, 2),
+    2: (0, 3),
+    3: (0, 4),
+    4: (1, 5),
+    5: (1, 7),
+    6: (2, 9),
+    7: (2, 13),
+    8: (3, 17),
+    9: (3, 25),
+    10: (4, 33),
+    11: (4, 49),
+    12: (5, 65),
+    13: (5, 97),
+    14: (6, 129),
+    15: (6, 193),
+    16: (7, 257),
+    17: (7, 385),
+    18: (8, 513),
+    19: (8, 769),
+    20: (9, 1025),
+    21: (9, 1537),
+    22: (10, 2049),
+    23: (10, 3073),
+    24: (11, 4097),
+    25: (11, 6145),
+    26: (12, 8193),
+    27: (12, 12289),
+    28: (13, 16385),
+    29: (13, 24577),
+}
+
+# Distance codepoints that may appear in a coding but never in data.
+FORBIDDEN_DISTANCE_CODEPOINTS = (30, 31)
+
+
+class InvalidLengthExtra(DeflateError, ValueError):
+    """An extra-bits value names a match length the codepoint cannot carry."""
+
+
+def length_decode(codepoint: int, extra: int) -> int:
+    """Match length named by (codepoint, extra)."""
+    bits, base = LENGTH_TABLE.get(codepoint, (None, None))
+    if base is None:
+        raise InvalidCodepoint(f"{codepoint} is not a length codepoint")
+    if not 0 <= extra < (1 << bits):
+        raise ValueOutOfRange(f"extra value {extra} does not fit in {bits} bits")
+    if codepoint == 284 and extra == 31:
+        # 227 + 31 would be 258, which codepoint 285 owns.
+        raise InvalidLengthExtra("length codepoint 284 with extra value 31")
+    return base + extra
+
+
+def length_encode(length: int) -> tuple[int, int, int]:
+    """Encode a match length as (codepoint, extra, extra_bits).
+
+    Always picks the unique codepoint whose range covers the length;
+    258 maps to codepoint 285, never to 284 with extra 31.
+    """
+    if not MIN_MATCH_LENGTH <= length <= MAX_MATCH_LENGTH:
+        raise ValueOutOfRange(f"match length {length} not in 3..258")
+    if length == MAX_MATCH_LENGTH:
+        return 285, 0, 0
+    # Ranges tile 3..257 in codepoint order; scan is fine for table size.
+    for cp in range(284, 256, -1):
+        bits, base = LENGTH_TABLE[cp]
+        if base <= length:
+            return cp, length - base, bits
+    raise AssertionError("unreachable: length ranges tile 3..257")
+
+
+def distance_decode(codepoint: int, extra: int) -> int:
+    """Distance named by (codepoint, extra)."""
+    bits, base = DISTANCE_TABLE.get(codepoint, (None, None))
+    if base is None:
+        raise InvalidCodepoint(f"{codepoint} is not a usable distance codepoint")
+    if not 0 <= extra < (1 << bits):
+        raise ValueOutOfRange(f"extra value {extra} does not fit in {bits} bits")
+    return base + extra
+
+
+def distance_encode(distance: int) -> tuple[int, int, int]:
+    """Encode a distance as (codepoint, extra, extra_bits)."""
+    if not 1 <= distance <= MAX_DISTANCE:
+        raise ValueOutOfRange(f"distance {distance} not in 1..32768")
+    for cp in range(29, -1, -1):
+        bits, base = DISTANCE_TABLE[cp]
+        if base <= distance:
+            return cp, distance - base, bits
+    raise AssertionError("unreachable: distance ranges tile 1..32768")
+
+
+# -- whole-list views of an ExpList ----------------------------------------
+
+
+def explist_len(e: ExpList) -> int:
+    n = 0
+    width = 1
+    node = e
+    while node is not ENIL:
+        n += width if type(node) is Econs1 else 2 * width
+        width <<= 1
+        node = node.tail
+    return n
+
+
+def explist_iter(e: ExpList) -> Iterator:
+    """All elements in index order (most recent first)."""
+    node = e
+    depth = 0
+    while node is not ENIL:
+        if type(node) is Econs1:
+            yield from _flatten(node.head, depth)
+        else:
+            yield from _flatten(node.head, depth)
+            yield from _flatten(node.head2, depth)
+        node = node.tail
+        depth += 1
+
+
+def _flatten(item, depth: int) -> Iterator:
+    if depth == 0:
+        yield item
+    else:
+        yield from _flatten(item[0], depth - 1)
+        yield from _flatten(item[1], depth - 1)

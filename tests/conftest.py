@@ -1,4 +1,4 @@
-"""Shared helpers: golden bit listings, bit packing, corpus generators.
+"""Shared helpers: golden bit listings, bit packing, reference encoders, corpora.
 
 The two golden listings below are transcriptions of a worked example of
 the block formats: the same 20-byte string compressed once as a static
@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import random
 
-from deflatekit.bitio import BitCursor
-from deflatekit.compress import DEFAULT_PARAMS, CompressParams
+from deflatekit.bitio import BitCursor, BitSink
+from deflatekit.compress import (
+    DEFAULT_PARAMS,
+    MAX_STORED_BLOCK,
+    CompressParams,
+    write_static_block,
+    write_stored_block,
+)
+from deflatekit.errors import ValueOutOfRange
 from deflatekit.history_window import (
     END_OF_BLOCK,
     WINDOW_SIZE,
     BackRef,
+    EndOfBlock,
     Literal,
     QueueOfDoom,
     resolve_tokens,
@@ -74,6 +82,21 @@ GOLDEN_DYNAMIC_BYTES = pack_bits(GOLDEN_DYNAMIC_LISTING)
 # i.e. everything except the byte-filling pad line.
 GOLDEN_STATIC_CONSUMED = len(listing_bits(GOLDEN_STATIC_LISTING)) - 4
 GOLDEN_DYNAMIC_CONSUMED = len(listing_bits(GOLDEN_DYNAMIC_LISTING)) - 7
+
+
+def write_code_msb(sink: BitSink, code) -> None:
+    """Append a code's bits leftmost first.
+
+    The block writers emit a coding's ``stream_codes``, each code's bits
+    already reversed into an LSB-first field; this writes the bit tuple
+    itself, one bit at a time in reading order, as the independent check.
+    """
+    rev = 0
+    for i, bit in enumerate(code):
+        if bit not in (0, 1):
+            raise ValueOutOfRange(f"code bit {bit!r} is not 0 or 1")
+        rev |= bit << i
+    sink.write_bits_lsb(rev, len(code))
 
 
 def parse_deflate_queue(cursor: BitCursor):
@@ -211,6 +234,37 @@ def reference_tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> 
             block_left = params.block_payload_limit
     tokens.append(END_OF_BLOCK)
     return tokens
+
+
+def reference_deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
+    """A frozen copy of ``deflate``: reference_tokenize's tokens in the
+    same blocks, each written static or stored by the same rule.
+
+    A block is written static when that takes no more bits than storing
+    its bytes in 65535-byte chunks at worst-case alignment.  The
+    decoder's pinned parse digest is built with it, so a change to the
+    live encoder's tokens leaves that digest alone.
+    """
+    tokens = reference_tokenize(data, params)
+    sink = BitSink()
+    start = offset = 0
+    for index, t in enumerate(tokens):
+        if type(t) is not EndOfBlock:
+            continue
+        block = tokens[start : index + 1]
+        final = index == len(tokens) - 1
+        span = sum(1 if type(x) is Literal else x.length for x in block[:-1])
+        end = offset + span
+        chunks = max(1, -(-span // MAX_STORED_BLOCK))
+        stored_bits = chunks * (3 + 7 + 32) + 8 * span
+        if write_static_block(block, final, BitSink()).bit_length <= stored_bits:
+            write_static_block(block, final, sink)
+        else:
+            for chunk in range(offset, end, MAX_STORED_BLOCK):
+                stop = min(chunk + MAX_STORED_BLOCK, end)
+                write_stored_block(data[chunk:stop], final and stop == end, sink)
+        start, offset = index + 1, end
+    return sink.to_bytes()
 
 
 def random_code_lengths(rng: random.Random, max_alphabet: int = 300, max_len: int = 15):

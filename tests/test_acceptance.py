@@ -25,13 +25,17 @@ from deflatekit.history_window import (
     QueueOfDoom,
     RingWindow,
     WINDOW_SIZE,
-    explist_iter,
     resolve_tokens,
     resolve_tokens_ring,
 )
 from deflatekit.inflate import Parsed, inflate, parse_deflate, parse_dynamic_header
 from deflatekit.prefix_coding import build_coding, kraft_sum
-from deflatekit.reference import build_coding_counting, check_axioms, has_all_ones_code
+from deflatekit.reference import (
+    build_coding_counting,
+    check_axioms,
+    explist_iter,
+    has_all_ones_code,
+)
 
 from conftest import (
     ACCEPTANCE_LINES,

@@ -11,6 +11,8 @@ from deflatekit.bitio import MAX_FIELD_BITS, BitCursor, BitSink, read_bits
 from deflatekit.errors import EndOfInput, ValueOutOfRange
 from deflatekit.inflate import FailReason, NoParse, parse_stored_block
 
+from conftest import write_code_msb
+
 
 def naive_bit(data: bytes, k: int) -> int:
     """Absolute bit k of the buffer: bit (k mod 8) of byte (k div 8)."""
@@ -116,11 +118,11 @@ def test_sink_packs_lsb_first():
 
 def test_write_code_msb_emits_leftmost_bit_first():
     sink = BitSink()
-    sink.write_code_msb((1, 0, 1, 1))
+    write_code_msb(sink, (1, 0, 1, 1))
     out = sink.to_bytes()
     assert [naive_bit(out, k) for k in range(4)] == [1, 0, 1, 1]
     with pytest.raises(ValueOutOfRange):
-        sink.write_code_msb((1, 2, 0))
+        write_code_msb(sink, (1, 2, 0))
 
 
 def test_sink_write_validation():
@@ -210,7 +212,7 @@ def test_sink_cursor_round_trip(fields):
 def test_code_then_bitwise_read_round_trip(codes):
     sink = BitSink()
     for code in codes:
-        sink.write_code_msb(code)
+        write_code_msb(sink, code)
     data = sink.to_bytes()
     pos = 0
     for code in codes:

@@ -26,16 +26,13 @@ from deflatekit.errors import ValueOutOfRange
 from deflatekit.history_window import BackRef, END_OF_BLOCK, EndOfBlock, Literal
 from deflatekit.inflate import inflate, iter_blocks, parse_stored_block
 from deflatekit.prefix_coding import fixed_dist_coding, fixed_lit_coding
+from deflatekit.reference import DISTANCE_TABLE, MAX_DISTANCE, distance_encode, length_encode
 from deflatekit.symbol_tables import (
     DISTANCE_CODEPOINT,
     DISTANCE_CODES,
-    DISTANCE_TABLE,
     LENGTH_ENCODING,
-    MAX_DISTANCE,
     MAX_MATCH_LENGTH,
     MIN_MATCH_LENGTH,
-    distance_encode,
-    length_encode,
 )
 
 from conftest import (

@@ -22,11 +22,10 @@ from deflatekit.history_window import (
     WINDOW_SIZE,
     explist_cons,
     explist_index,
-    explist_iter,
-    explist_len,
     resolve_tokens,
     resolve_tokens_ring,
 )
+from deflatekit.reference import explist_iter, explist_len
 
 from conftest import GOLDEN_PLAINTEXT
 

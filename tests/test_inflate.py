@@ -14,8 +14,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from deflatekit.bitio import BitCursor, BitSink
-from deflatekit.compress import CompressParams, deflate
-from deflatekit.errors import InflateError, InvalidLengthExtra, ValueOutOfRange
+from deflatekit.compress import CompressParams
+from deflatekit.errors import InflateError, ValueOutOfRange
 from deflatekit.history_window import (
     BackRef,
     END_OF_BLOCK,
@@ -37,13 +37,12 @@ from deflatekit.inflate import (
     parse_stored_block,
 )
 from deflatekit.prefix_coding import build_coding, fixed_dist_coding, fixed_lit_coding
+from deflatekit.reference import InvalidLengthExtra, distance_decode, length_decode
 from deflatekit.symbol_tables import (
     CL_CODE_ORDER,
     DISTANCE_CODES,
     LENGTH_CODES,
-    distance_decode,
     distance_extra_bits,
-    length_decode,
     length_extra_bits,
 )
 
@@ -56,6 +55,8 @@ from conftest import (
     mixed_corpus_item,
     parse_deflate_queue,
     random_code_lengths,
+    reference_deflate,
+    write_code_msb,
 )
 
 GOLDEN_TOKENS = [
@@ -230,7 +231,7 @@ def test_stored_then_static_multiblock():
     sink.write_bytes_aligned(b"ok")
     sink.write_bits_lsb(1, 1)  # final static block holding only EOB
     sink.write_bits_lsb(1, 2)
-    sink.write_code_msb(fixed_lit_coding()[256])
+    write_code_msb(sink, fixed_lit_coding()[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome.value == b"ok"
     assert outcome.consumed_bits == sink.bit_length
@@ -261,7 +262,7 @@ RLE_EXTRA_BITS = {16: 2, 17: 3, 18: 7}
 
 def write_rle(sink: BitSink, coding, ops):
     for sym, extra in ops:
-        sink.write_code_msb(coding[sym])
+        write_code_msb(sink, coding[sym])
         if sym in RLE_EXTRA_BITS:
             sink.write_bits_lsb(extra, RLE_EXTRA_BITS[sym])
 
@@ -273,8 +274,8 @@ def literal_only_stream(count: int) -> bytes:
         sink, cl, [(18, 86), (1, None), (18, 127), (18, 9), (1, None), (1, None)]
     )
     for _ in range(count):
-        sink.write_code_msb((0,))
-    sink.write_code_msb((1,))
+        write_code_msb(sink, (0,))
+    write_code_msb(sink, (1,))
     return sink.to_bytes()
 
 
@@ -286,10 +287,10 @@ def backref_stream() -> bytes:
         cl,
         [(18, 86), (1, None), (18, 127), (18, 9), (2, None), (2, None), (1, None)],
     )
-    sink.write_code_msb((0,))  # 'a'
-    sink.write_code_msb((1, 1))  # codepoint 257, length 3
-    sink.write_code_msb((0,))  # distance codepoint 0, distance 1
-    sink.write_code_msb((1, 0))  # end of block
+    write_code_msb(sink, (0,))  # 'a'
+    write_code_msb(sink, (1, 1))  # codepoint 257, length 3
+    write_code_msb(sink, (0,))  # distance codepoint 0, distance 1
+    write_code_msb(sink, (1, 0))  # end of block
     return sink.to_bytes()
 
 
@@ -317,8 +318,8 @@ def test_empty_distance_coding_fails_only_when_used():
     assert isinstance(header, Parsed)
     assert all(code == () for code in header.value.dist_coding.codes)
 
-    sink.write_code_msb((0,))  # 'a'
-    sink.write_code_msb((1, 1))  # codepoint 257: now a distance must follow
+    write_code_msb(sink, (0,))  # 'a'
+    write_code_msb(sink, (1, 1))  # codepoint 257: now a distance must follow
     fail_at = sink.bit_length
     sink.write_bits_lsb(0b101, 3)  # whatever bits: nothing can match
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
@@ -341,11 +342,11 @@ def thirty_two_distance_codes_stream(dist_code: int) -> tuple[bytes, int]:
         [(18, 86), (1, None), (18, 127), (18, 9), (2, None), (2, None)]
         + [(1, None), (18, 19), (1, None)],
     )
-    sink.write_code_msb((0,))  # 'a'
-    sink.write_code_msb((1, 1))  # codepoint 257, length 3
+    write_code_msb(sink, (0,))  # 'a'
+    write_code_msb(sink, (1, 1))  # codepoint 257, length 3
     dist_at = sink.bit_length
-    sink.write_code_msb((dist_code,))
-    sink.write_code_msb((1, 0))  # end of block
+    write_code_msb(sink, (dist_code,))
+    write_code_msb(sink, (1, 0))  # end of block
     return sink.to_bytes(), dist_at
 
 
@@ -375,10 +376,10 @@ def incomplete_codings_stream(a_length: int, *codes) -> tuple[bytes, int]:
     cl_lengths = {2: 1, 18: 1} if a_length == 2 else {1: 2, 2: 2, 18: 1}
     sink, cl = start_dynamic(cl_lengths, 1, 1)
     write_rle(sink, cl, [(18, 86), (a_length, None), (18, 127), (18, 9)] + [(2, None)] * 4)
-    sink.write_code_msb((0,) * a_length)  # 'a'
+    write_code_msb(sink, (0,) * a_length)  # 'a'
     after_a = sink.bit_length
     for code in codes:
-        sink.write_code_msb(code)
+        write_code_msb(sink, code)
     return sink.to_bytes(), after_a
 
 
@@ -477,7 +478,7 @@ def test_parse_cl_lengths_wire_order_and_domain():
     for v in (3, 0, 5, 2):
         sink.write_bits_lsb(v, 3)
     for extra in (127, 109):
-        sink.write_code_msb((0, 1, 1, 0, 0))  # symbol 18 under that cl coding
+        write_code_msb(sink, (0, 1, 1, 0, 0))  # symbol 18 under that cl coding
         sink.write_bits_lsb(extra, 7)
     outcome = parse_dynamic_header(BitCursor(sink.to_bytes()))
     assert isinstance(outcome, Parsed)
@@ -501,7 +502,7 @@ def static_sink(*codepoints: int) -> BitSink:
     sink.write_bits_lsb(1, 2)
     lit = fixed_lit_coding()
     for cp in codepoints:
-        sink.write_code_msb(lit[cp])
+        write_code_msb(sink, lit[cp])
     return sink
 
 
@@ -550,8 +551,8 @@ def test_length_codepoint_284_with_extra_30_is_length_257():
     # 'a', then 256 more copies via <257, 1>, then end of block.
     sink = static_sink(97, 284)
     sink.write_bits_lsb(30, 5)
-    sink.write_code_msb(fixed_dist_coding()[0])
-    sink.write_code_msb(fixed_lit_coding()[256])
+    write_code_msb(sink, fixed_dist_coding()[0])
+    write_code_msb(sink, fixed_lit_coding()[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome.value == b"a" * 258
     assert zlib.decompress(sink.to_bytes(), -15) == b"a" * 258
@@ -561,7 +562,7 @@ def test_distance_codepoints_30_and_31_are_invalid_in_data():
     for dcp in (30, 31):
         sink = static_sink(97, 257)
         fail_at = sink.bit_length
-        sink.write_code_msb(fixed_dist_coding()[dcp])
+        write_code_msb(sink, fixed_dist_coding()[dcp])
         outcome = parse_deflate(BitCursor(sink.to_bytes()))
         assert outcome == NoParse(
             FailReason.INVALID_DISTANCE_CODEPOINT, fail_at, f"codepoint {dcp}"
@@ -570,9 +571,9 @@ def test_distance_codepoints_30_and_31_are_invalid_in_data():
 
 def test_distance_reaching_past_produced_output():
     sink = static_sink(97, 257)  # one byte produced, then length 3
-    sink.write_code_msb(fixed_dist_coding()[1])  # distance 2
+    write_code_msb(sink, fixed_dist_coding()[1])  # distance 2
     fail_at = sink.bit_length
-    sink.write_code_msb(fixed_lit_coding()[256])
+    write_code_msb(sink, fixed_lit_coding()[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome == NoParse(
         FailReason.DISTANCE_TOO_FAR, fail_at, "distance 2 with only 1 bytes produced"
@@ -737,7 +738,7 @@ def write_random_tokens(sink: BitSink, rng: random.Random, lit, dist) -> None:
             continue
         if not lit.codes[sym]:
             continue
-        sink.write_code_msb(lit.codes[sym])
+        write_code_msb(sink, lit.codes[sym])
         if sym == 256:
             return
         if sym <= 256:
@@ -750,11 +751,11 @@ def write_random_tokens(sink: BitSink, rng: random.Random, lit, dist) -> None:
             sink.write_bits_lsb(rng.randrange(8), 3)
             continue
         dsym = rng.choice(dist_syms) if rng.random() < 0.5 else dist_syms[0]
-        sink.write_code_msb(dist.codes[dsym])
+        write_code_msb(sink, dist.codes[dsym])
         width = distance_extra_bits(dsym) if dsym < 30 else 0
         sink.write_bits_lsb(rng.randrange(1 << width), width)
     if 256 < len(lit.codes) and lit.codes[256]:
-        sink.write_code_msb(lit.codes[256])
+        write_code_msb(sink, lit.codes[256])
 
 
 def random_static_block(rng: random.Random) -> bytes:
@@ -782,7 +783,7 @@ def dynamic_block(lit_lengths: list, dist_lengths: list):
         sink.write_bits_lsb(4 if sym < 16 else 0, 3)
     cl = build_coding([4] * 16 + [0] * 3, 7)
     for length in lit_lengths + dist_lengths:
-        sink.write_code_msb(cl[length])
+        write_code_msb(sink, cl[length])
     return sink, build_coding(lit_lengths), build_coding(dist_lengths)
 
 
@@ -806,12 +807,12 @@ def test_long_codes_decode_between_short_ones():
     tokens = [Literal(97), Literal(98), BackRef(3, 1), BackRef(3, 2)] * 40 + [END_OF_BLOCK]
     for t in tokens:
         if type(t) is Literal:
-            sink.write_code_msb(lit[t.value])
+            write_code_msb(sink, lit[t.value])
         elif type(t) is BackRef:
-            sink.write_code_msb(lit[257])
-            sink.write_code_msb(dist[t.distance - 1])
+            write_code_msb(sink, lit[257])
+            write_code_msb(sink, dist[t.distance - 1])
         else:
-            sink.write_code_msb(lit[256])
+            write_code_msb(sink, lit[256])
     stream = sink.to_bytes()
     assert [t for _, item, _ in iter_blocks(stream) for t in item] == tokens
     expected, _ = resolve_tokens(tokens, QueueOfDoom())
@@ -828,7 +829,7 @@ def pinned_corpus():
     for _ in range(24):
         data = mixed_corpus_item(rng, rng.randrange(0, 3000))
         params = CompressParams(max_chain=8, block_payload_limit=rng.randrange(200, 2000))
-        streams.append(deflate(data, params))
+        streams.append(reference_deflate(data, params))
     streams += [random_static_block(rng) for _ in range(150)]
     streams += [random_dynamic_block(rng) for _ in range(150)]
     for stream in streams:

@@ -37,7 +37,7 @@ from deflatekit.reference import (
     check_axioms,
     has_all_ones_code,
 )
-from conftest import random_code_lengths
+from conftest import random_code_lengths, write_code_msb
 
 
 def fraction_sum(lengths) -> Fraction:
@@ -275,7 +275,7 @@ def test_encode_decode_round_trip_every_character():
             if not code:
                 continue
             sink = BitSink()
-            sink.write_code_msb(code)
+            write_code_msb(sink, code)
             sink.write_bits_lsb(0, 7)  # junk tail must not matter
             data = sink.to_bytes()
             assert coding.read_symbol(data, 0, 8 * len(data)) == (ch, len(code))
@@ -310,7 +310,7 @@ def symbol_stream(coding: DeflateCoding, rng: random.Random, count: int) -> byte
     sink = BitSink()
     for _ in range(count if by_length else 0):
         chars = by_length[rng.choice(sorted(by_length))]
-        sink.write_code_msb(coding[rng.choice(chars)])
+        write_code_msb(sink, coding[rng.choice(chars)])
     return sink.to_bytes()
 
 
@@ -380,7 +380,7 @@ def test_random_vectors_round_trip_random_symbol_streams(seed):
     msg = rng.choices(chars, k=30)
     sink = BitSink()
     for ch in msg:
-        sink.write_code_msb(coding.codes[ch])
+        write_code_msb(sink, coding.codes[ch])
     data = sink.to_bytes()
     pos = 0
     seen = []
@@ -407,7 +407,7 @@ def test_stream_codes_put_the_leftmost_code_bit_first():
                 continue
             as_field, as_code = BitSink(), BitSink()
             as_field.write_bits_lsb(rev, length)
-            as_code.write_code_msb(coding[ch])
+            write_code_msb(as_code, coding[ch])
             data = as_field.to_bytes()
             assert as_field.bit_length == as_code.bit_length
             assert data == as_code.to_bytes()

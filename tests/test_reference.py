@@ -1,9 +1,10 @@
 """The reference models stay off the production path.
 
-``deflatekit.reference`` holds the paper's second coding construction
-and the canonicity checker; only the tests import it.  This parses every
-module of the package and fails if any other module imports it, in any
-spelling of the import statement or through ``importlib``.  The same
+``deflatekit.reference`` holds the paper's second coding construction,
+the canonicity checker and the RFC 1951 codepoint spec; only the tests
+import it.  This parses every module of the package and fails if any
+other module imports it, in any spelling of the import statement or
+through ``importlib``, or defines a name it defines.  The same
 scan keeps the package pure Python: no module of it may import ``zlib``
 or ``binascii``, whose C checksums and codecs would be a shortcut past
 the code under test.
@@ -61,6 +62,36 @@ def test_no_production_module_imports_reference():
         "gzip_decompress",
         "inflate",
     ]
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module's own top-level statements define (imports excluded)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_no_production_module_defines_a_reference_name():
+    spec = top_level_names(ast.parse((PACKAGE / "reference.py").read_text()))
+    assert {"LENGTH_TABLE", "length_decode", "InvalidLengthExtra", "explist_iter"} <= spec
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "reference.py":
+            continue
+        defined = top_level_names(ast.parse(path.read_text(), str(path)))
+        offenders += [f"{path.name} defines {name}" for name in sorted(defined & spec)]
+    assert offenders == []
+
+
+def test_every_definition_spelling_is_caught():
+    source = "A = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\ndef f(): G = 6\nclass H: I = 7\nimport J"
+    assert top_level_names(ast.parse(source)) == {"A", "B", "C", "D", "E", "f", "H"}
 
 
 def c_shortcuts(names: set[str]) -> list[str]:

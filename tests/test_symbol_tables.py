@@ -2,20 +2,23 @@
 
 import pytest
 
-from deflatekit.errors import InvalidCodepoint, InvalidLengthExtra, ValueOutOfRange
-from deflatekit.symbol_tables import (
-    CL_CODE_ORDER,
+from deflatekit.errors import InvalidCodepoint, ValueOutOfRange
+from deflatekit.reference import (
     DISTANCE_TABLE,
     FORBIDDEN_DISTANCE_CODEPOINTS,
     LENGTH_TABLE,
     MAX_DISTANCE,
-    MAX_MATCH_LENGTH,
-    MIN_MATCH_LENGTH,
+    InvalidLengthExtra,
     distance_decode,
     distance_encode,
-    distance_extra_bits,
     length_decode,
     length_encode,
+)
+from deflatekit.symbol_tables import (
+    CL_CODE_ORDER,
+    MAX_MATCH_LENGTH,
+    MIN_MATCH_LENGTH,
+    distance_extra_bits,
     length_extra_bits,
 )
 
