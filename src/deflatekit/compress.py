@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bitio import BitSink
 from .errors import ValueOutOfRange
 from .history_window import BackRef, END_OF_BLOCK, EndOfBlock, LITERALS, Literal, WINDOW_SIZE
-from .prefix_coding import fixed_dist_coding, fixed_lit_coding
+from .prefix_coding import FIXED_DIST, FIXED_LIT
 from .symbol_tables import (
     DISTANCE_CODEPOINT,
     DISTANCE_CODES,
@@ -172,12 +172,12 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
 
 # (reversed code, width) per literal/length symbol, and per match length
 # its code with the extra bits above it; distance codes are all 5 bits.
-_LIT_CODES = fixed_lit_coding().stream_codes
+_LIT_CODES = FIXED_LIT.stream_codes
 _LENGTH_CODES = (None,) * MIN_MATCH_LENGTH + tuple(
     (_LIT_CODES[cp][0] | extra << _LIT_CODES[cp][1], _LIT_CODES[cp][1] + ebits)
     for cp, extra, ebits in LENGTH_ENCODING[MIN_MATCH_LENGTH:]
 )
-_DIST_CODES = fixed_dist_coding().stream_codes
+_DIST_CODES = FIXED_DIST.stream_codes
 _WRITE_RUN = 64  # tokens per accumulator, so it stays a small int
 
 

@@ -45,11 +45,11 @@ from .history_window import (
 )
 from .prefix_coding import (
     DeflateCoding,
+    FIXED_DIST,
+    FIXED_LIT,
     MAX_CL_CODE_LENGTH,
     MAX_CODE_LENGTH,
     build_coding,
-    fixed_dist_coding,
-    fixed_lit_coding,
 )
 from .symbol_tables import CL_CODE_ORDER, DISTANCE_CODES, LENGTH_CODES
 
@@ -285,19 +285,19 @@ def _decode_some(
     distance must reach no further back than the ``produced`` bytes.
     Malformed content raises one of ``_PARSE_ERRORS`` at an exact offset.
 
-    Symbols are looked up inline in the codings' primary decode tables
+    Symbols are looked up inline in the codings' primary ``table``
     (zlib ``inffast.c``).  ``hold`` caches ``have`` stream bits from
     ``pos`` on, reloaded 16 bytes at a time while 16 whole bytes remain
     before ``bit_end``.  A field the cache cannot serve (a -1 entry, too
-    few bits) is read by the table's ``read`` or by ``read_bits``, which
-    empties the cache.
+    few bits) is read by the coding's ``read_symbol`` or by
+    ``read_bits``, which empties the cache.
     """
     tokens: list = []
     append = tokens.append
     literals = LITERALS
-    lit, dist = lit_coding._decode_table(), dist_coding._decode_table()
-    lit_table, lit_bits, lit_mask = lit.table, lit.bits, (1 << lit.bits) - 1
-    dist_table, dist_bits, dist_mask = dist.table, dist.bits, (1 << dist.bits) - 1
+    lit_table, lit_bits = lit_coding.table, lit_coding.table_bits
+    dist_table, dist_bits = dist_coding.table, dist_coding.table_bits
+    lit_mask, dist_mask = (1 << lit_bits) - 1, (1 << dist_bits) - 1
     hold = have = 0
     reload_end = 8 * (bit_end >> 3) - 128
     for _ in range(max_tokens):
@@ -315,7 +315,7 @@ def _decode_some(
             pos += n
             sym = entry >> 4
         else:
-            sym, pos = lit.read(data, pos, bit_end)
+            sym, pos = lit_coding.read_symbol(data, pos, bit_end)
             have = 0
         if sym < 256:
             append(literals[sym])
@@ -349,7 +349,7 @@ def _decode_some(
             pos += n
             dsym = entry >> 4
         else:
-            dsym, pos = dist.read(data, pos, bit_end)
+            dsym, pos = dist_coding.read_symbol(data, pos, bit_end)
             have = 0
         if dsym >= 30:
             raise _Fail(FailReason.INVALID_DISTANCE_CODEPOINT, dsym_pos, f"codepoint {dsym}")
@@ -407,7 +407,7 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
             yield header, outcome.value, pos
         else:
             if header.block_type is BlockType.STATIC:
-                lit_coding, dist_coding = fixed_lit_coding(), fixed_dist_coding()
+                lit_coding, dist_coding = FIXED_LIT, FIXED_DIST
             else:
                 outcome = parse_dynamic_header(BitCursor(data, pos))
                 if isinstance(outcome, NoParse):

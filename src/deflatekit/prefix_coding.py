@@ -15,15 +15,17 @@ prefix sorts before its extensions):
 
 Rules 1-4 force each length class to occupy a dense range of values
 starting right after the (doubled) end of the previous class, which is
-what ``build_coding`` constructs and what the decode table exploits.
+what ``build_coding`` constructs.  Decoding does not rely on it: a
+coding reads the stream by looking its own codes up.
 
 A length vector is a plain sequence of ints, one per character, 0
 meaning no code; ``build_coding(lengths, max_len)`` is the one place
 that checks it and the one production construction.  A
 ``DeflateCoding`` holds the lengths and each code as an integer value,
 and this module alone decides how a code sits in the stream: its
-``stream_codes`` are the bit-reversed values that the decode table and
-the block writers use.  The paper's second construction (per-length
+``stream_codes`` are the bit-reversed values that its decode lookups
+and the block writers use.  ``FIXED_LIT`` and ``FIXED_DIST`` are the
+static-block codings.  The paper's second construction (per-length
 counting) and the four-rule checker are reference models in
 ``deflatekit.reference``, which the tests compare ``build_coding``
 against.
@@ -47,7 +49,7 @@ from .errors import (
 MAX_CODE_LENGTH = 15
 # The coding that encodes the dynamic header's code lengths is shallower.
 MAX_CL_CODE_LENGTH = 7
-# Stream bits a decode table's primary lookup indexes (zlib's root table).
+# Stream bits a coding's primary lookup table indexes (zlib's root table).
 _TABLE_BITS = 9
 
 Bits = tuple[int, ...]
@@ -80,24 +82,31 @@ def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> Non
 
 
 class DeflateCoding:
-    """A canonical coding of characters 0..n-1, as lengths and code values.
+    """A prefix-free coding of characters 0..n-1, as lengths and code values.
 
     ``lengths[ch]`` is the code length of ch (0: no code) and
     ``values[ch]`` its code as an integer read leftmost bit first.
     ``stream_codes[ch]`` is ``(reversed value, length)``, the code in
     stream order: written as an LSB-first field it puts the leftmost
-    code bit first.  The block writers and the decode table use it.
+    code bit first.  The block writers and the decoder use it.
     ``codes`` and ``coding[ch]`` give each code as a tuple of bits,
     derived once on first use.
 
-    Instances are value-like: equality is by lengths and values.  The
-    constructor trusts that the values are the canonical ones for the
-    lengths (as everything ``build_coding`` returns has); an arbitrary
-    character-to-bits table is screened with ``reference.check_axioms``
-    instead.
+    Decoding looks the stream codes up, so it needs the values to be
+    prefix-free, not canonical.  ``table`` (zlib ``inftrees.c``) maps
+    each ``table_bits`` = min(9, longest code) stream bits, least
+    significant first, to ``(symbol << 4) | length`` for the code of at
+    most ``table_bits`` bits they begin with, else -1.  A dict maps
+    every code, as ``rev << 4 | length``, to its character.
+
+    Instances are value-like: equality is by lengths and values.  Only
+    ``build_coding`` checks lengths and assigns canonical values; an
+    arbitrary character-to-bits table is screened with
+    ``reference.check_axioms``.
     """
 
-    __slots__ = ("lengths", "values", "max_len", "stream_codes", "_codes", "_table")
+    __slots__ = ("lengths", "values", "max_len", "stream_codes", "table_bits", "table",
+                 "_chars", "_longest", "_codes")
 
     def __init__(
         self, lengths: Sequence[int], values: Sequence[int], max_len: int = MAX_CODE_LENGTH
@@ -113,8 +122,19 @@ class DeflateCoding:
              >> (-l & 7), l)
             for v, l in zip(self.values, self.lengths)
         )
+        # A coding with no codes is legitimate (a block that never uses
+        # distances); reads then fail at the read position.
+        self._longest = max(self.lengths, default=0)
+        self.table_bits = bits = min(_TABLE_BITS, self._longest)
+        self.table = table = [-1] * (1 << bits)
+        self._chars = {}
+        for ch, (rev, length) in enumerate(self.stream_codes):
+            if length:
+                self._chars[rev << 4 | length] = ch
+                if length <= bits:
+                    # The index ends in the code's stream bits; the rest is free.
+                    table[rev :: 1 << length] = [(ch << 4) | length] * (len(table) >> length)
         self._codes: Optional[tuple[Bits, ...]] = None
-        self._table: Optional[_DecodeTable] = None
 
     @property
     def codes(self) -> tuple[Bits, ...]:
@@ -145,84 +165,33 @@ class DeflateCoding:
         }
         return f"DeflateCoding({shown})"
 
-    # -- decoding -----------------------------------------------------
-
-    def _decode_table(self) -> "_DecodeTable":
-        if self._table is None:
-            self._table = _DecodeTable(self.lengths, self.stream_codes)
-        return self._table
-
     def read_symbol(self, data: bytes, bit_pos: int, bit_end: int) -> tuple[int, int]:
         """Decode one code starting at bit_pos; returns (character, next position).
 
         Raises BadCode when the bits begin no code and EndOfInput when
-        bit_end comes first; no bit at or past bit_end is read.
+        bit_end comes first; no bit at or past bit_end is read.  Past a
+        -1 table entry, or with fewer than ``table_bits`` bits left, the
+        dict is asked for each longer prefix up to the longest code.
         """
-        return self._decode_table().read(data, bit_pos, bit_end)
-
-
-class _DecodeTable:
-    """A primary lookup table over a per-length first-value/limit walk.
-
-    For each code length L the nonempty codes occupy the dense value
-    range [first[L], limit[L]), and first[L] is limit[L-1] doubled.  So
-    the walk needs no tree: it accumulates bits into a value, which is
-    at least first[L] at length L, until the value drops below limit[L];
-    past the longest length the bits begin no code (BadCode).  The
-    ranges follow from the count of codes of each length alone.
-
-    The primary table (zlib ``inftrees.c``; Moffat & Turpin 1997) has
-    2**bits entries, bits = min(9, max_len), indexed by the next
-    ``bits`` stream bits, least significant first: ``(symbol << 4) |
-    length`` for the code of length <= bits they begin with, else -1.
-    ``read`` looks up only when ``bits`` bits remain before ``bit_end``;
-    a -1 entry or a shorter tail goes to the walk, so BadCode and
-    EndOfInput keep the walk's bit positions and no bit past
-    ``bit_end`` is read.
-    """
-
-    __slots__ = ("max_len", "limit", "base", "syms", "bits", "table")
-
-    def __init__(self, lengths: tuple[int, ...], stream_codes: Sequence[tuple[int, int]]):
-        # Every character absent is a legitimate coding (e.g. a block that
-        # never uses distances); reads then fail at the read position.
-        self.max_len = max(lengths, default=0)
-        self.limit = [0] * (self.max_len + 1)
-        self.base = [0] * (self.max_len + 1)
-        # Characters in canonical order: by length, then character.
-        self.syms = sorted((ch for ch, l in enumerate(lengths) if l), key=lengths.__getitem__)
-        placed = 0
-        value = 0
-        for length in range(1, self.max_len + 1):
-            count = lengths.count(length)
-            value <<= 1  # first[length]
-            self.base[length] = placed - value
-            placed += count
-            value += count
-            self.limit[length] = value
-        self.bits = min(_TABLE_BITS, self.max_len)
-        self.table = [-1] * (1 << self.bits)
-        for ch, (rev, length) in enumerate(stream_codes):
-            if 0 < length <= self.bits:
-                # The index ends in the code's stream bits; the rest is free.
-                fill = [(ch << 4) | length] * (len(self.table) >> length)
-                self.table[rev :: 1 << length] = fill
-
-    def read(self, data: bytes, bit_pos: int, bit_end: int) -> tuple[int, int]:
-        if bit_pos + self.bits <= bit_end:
-            entry = self.table[read_bits(data, bit_pos, self.bits, bit_end)[0]]
+        if bit_pos + self.table_bits <= bit_end:
+            rev = read_bits(data, bit_pos, self.table_bits, bit_end)[0]
+            entry = self.table[rev]
             if entry >= 0:
                 return entry >> 4, bit_pos + (entry & 15)
-        value = 0
-        pos = bit_pos
-        limit = self.limit
-        for length in range(1, self.max_len + 1):
+            length = self.table_bits
+        else:
+            rev = length = 0
+        chars = self._chars
+        pos = bit_pos + length
+        while length < self._longest:
             if pos >= bit_end:
                 raise EndOfInput(pos, "a prefix code")
-            value = (value << 1) | ((data[pos >> 3] >> (pos & 7)) & 1)
+            rev |= ((data[pos >> 3] >> (pos & 7)) & 1) << length
+            length += 1
             pos += 1
-            if value < limit[length]:
-                return self.syms[self.base[length] + value], pos
+            ch = chars.get(rev << 4 | length)
+            if ch is not None:
+                return ch, pos
         raise BadCode(bit_pos)
 
 
@@ -252,22 +221,7 @@ def build_coding(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> Defl
 
 # -- the two fixed codings --------------------------------------------
 
-_FIXED_LIT: Optional[DeflateCoding] = None
-_FIXED_DIST: Optional[DeflateCoding] = None
-
-
-def fixed_lit_coding() -> DeflateCoding:
-    """The static-block literal/length coding over the 288-character alphabet."""
-    global _FIXED_LIT
-    if _FIXED_LIT is None:
-        lengths = [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8
-        _FIXED_LIT = build_coding(lengths)
-    return _FIXED_LIT
-
-
-def fixed_dist_coding() -> DeflateCoding:
-    """The static-block distance coding: 32 five-bit codes."""
-    global _FIXED_DIST
-    if _FIXED_DIST is None:
-        _FIXED_DIST = build_coding([5] * 32)
-    return _FIXED_DIST
+# The static-block literal/length coding over the 288-character alphabet.
+FIXED_LIT = build_coding([8] * 144 + [9] * 112 + [7] * 24 + [8] * 8)
+# The static-block distance coding: 32 five-bit codes.
+FIXED_DIST = build_coding([5] * 32)

@@ -25,7 +25,7 @@ from deflatekit.compress import (
 from deflatekit.errors import ValueOutOfRange
 from deflatekit.history_window import BackRef, END_OF_BLOCK, EndOfBlock, Literal
 from deflatekit.inflate import inflate, iter_blocks, parse_stored_block
-from deflatekit.prefix_coding import fixed_dist_coding, fixed_lit_coding
+from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT
 from deflatekit.reference import DISTANCE_TABLE, MAX_DISTANCE, distance_encode, length_encode
 from deflatekit.symbol_tables import (
     DISTANCE_CODEPOINT,
@@ -295,8 +295,8 @@ def test_write_static_block_validates_before_writing():
 
 def write_static_fields(tokens, final: bool, sink: BitSink) -> BitSink:
     """write_static_block field by field through the checked write_bits_lsb."""
-    lit_enc = fixed_lit_coding().stream_codes
-    dist_enc = fixed_dist_coding().stream_codes
+    lit_enc = FIXED_LIT.stream_codes
+    dist_enc = FIXED_DIST.stream_codes
     write = sink.write_bits_lsb
     write(1 if final else 0, 1)
     write(1, 2)

@@ -14,7 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from deflatekit.bitio import BitCursor, BitSink
-from deflatekit.compress import CompressParams
+from deflatekit.compress import CompressParams, deflate
 from deflatekit.errors import InflateError, ValueOutOfRange
 from deflatekit.history_window import (
     BackRef,
@@ -36,7 +36,7 @@ from deflatekit.inflate import (
     parse_dynamic_header,
     parse_stored_block,
 )
-from deflatekit.prefix_coding import build_coding, fixed_dist_coding, fixed_lit_coding
+from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding
 from deflatekit.reference import InvalidLengthExtra, distance_decode, length_decode
 from deflatekit.symbol_tables import (
     CL_CODE_ORDER,
@@ -231,7 +231,7 @@ def test_stored_then_static_multiblock():
     sink.write_bytes_aligned(b"ok")
     sink.write_bits_lsb(1, 1)  # final static block holding only EOB
     sink.write_bits_lsb(1, 2)
-    write_code_msb(sink, fixed_lit_coding()[256])
+    write_code_msb(sink, FIXED_LIT[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome.value == b"ok"
     assert outcome.consumed_bits == sink.bit_length
@@ -500,9 +500,8 @@ def static_sink(*codepoints: int) -> BitSink:
     sink = BitSink()
     sink.write_bits_lsb(1, 1)
     sink.write_bits_lsb(1, 2)
-    lit = fixed_lit_coding()
     for cp in codepoints:
-        write_code_msb(sink, lit[cp])
+        write_code_msb(sink, FIXED_LIT[cp])
     return sink
 
 
@@ -551,8 +550,8 @@ def test_length_codepoint_284_with_extra_30_is_length_257():
     # 'a', then 256 more copies via <257, 1>, then end of block.
     sink = static_sink(97, 284)
     sink.write_bits_lsb(30, 5)
-    write_code_msb(sink, fixed_dist_coding()[0])
-    write_code_msb(sink, fixed_lit_coding()[256])
+    write_code_msb(sink, FIXED_DIST[0])
+    write_code_msb(sink, FIXED_LIT[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome.value == b"a" * 258
     assert zlib.decompress(sink.to_bytes(), -15) == b"a" * 258
@@ -562,7 +561,7 @@ def test_distance_codepoints_30_and_31_are_invalid_in_data():
     for dcp in (30, 31):
         sink = static_sink(97, 257)
         fail_at = sink.bit_length
-        write_code_msb(sink, fixed_dist_coding()[dcp])
+        write_code_msb(sink, FIXED_DIST[dcp])
         outcome = parse_deflate(BitCursor(sink.to_bytes()))
         assert outcome == NoParse(
             FailReason.INVALID_DISTANCE_CODEPOINT, fail_at, f"codepoint {dcp}"
@@ -571,9 +570,9 @@ def test_distance_codepoints_30_and_31_are_invalid_in_data():
 
 def test_distance_reaching_past_produced_output():
     sink = static_sink(97, 257)  # one byte produced, then length 3
-    write_code_msb(sink, fixed_dist_coding()[1])  # distance 2
+    write_code_msb(sink, FIXED_DIST[1])  # distance 2
     fail_at = sink.bit_length
-    write_code_msb(sink, fixed_lit_coding()[256])
+    write_code_msb(sink, FIXED_LIT[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome == NoParse(
         FailReason.DISTANCE_TOO_FAR, fail_at, "distance 2 with only 1 bytes produced"
@@ -683,8 +682,8 @@ def mutated_zlib_streams(draw) -> bytes:
 @settings(max_examples=600, deadline=None)
 @given(mutated_zlib_streams())
 def test_what_zlib_accepts_decodes_to_the_same_bytes_and_length(stream):
-    # One way only: where zlib rejects, we may still accept (HDIST 32
-    # and incomplete codings, see above), so we only have to be total.
+    # Where zlib rejects, this test only asks us to be total; the next
+    # one asks us to reject as well, outside the documented divergences.
     d = zlib.decompressobj(-15)
     try:
         expected = d.decompress(stream)
@@ -699,6 +698,71 @@ def test_what_zlib_accepts_decodes_to_the_same_bytes_and_length(stream):
         assert (outcome.consumed_bits + 7) // 8 == len(stream) - len(d.unused_data)
     else:
         assert isinstance(outcome, (Parsed, NoParse))
+
+
+# zlib's messages for the divergences documented above: HDIST 32 (HLIT
+# 287 and 288 get the same message, and we refuse those too) and
+# incomplete codings, which zlib refuses per coding.
+ZLIB_DIVERGENCES = (
+    "too many length or distance symbols",
+    "invalid code lengths set",
+    "invalid literal/lengths set",
+    "invalid distances set",
+)
+ZIPF_WEIGHTS = [1 / (rank + 1) for rank in range(256)]
+
+
+@st.composite
+def broken_streams(draw) -> bytes:
+    """A zlib or ``deflate`` stream with 1-3 bit flips, a truncation, or both.
+
+    zlib runs at level 1, 6 or 9 with the default, huffman-only or rle
+    strategy.  The input is Zipf-distributed bytes, which give codes
+    past 9 bits, then a repeated unit, which gives matches.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    plain = bytes(rng.choices(range(256), ZIPF_WEIGHTS, k=draw(st.integers(0, 2000))))
+    plain += rng.randbytes(draw(st.integers(1, 40))) * draw(st.integers(0, 40))
+    encoder = draw(st.sampled_from(("zlib", "deflate")))
+    if encoder == "zlib":
+        co = zlib.compressobj(
+            draw(st.sampled_from((1, 6, 9))),
+            zlib.DEFLATED,
+            -15,
+            8,
+            draw(st.sampled_from((zlib.Z_DEFAULT_STRATEGY, zlib.Z_HUFFMAN_ONLY, zlib.Z_RLE))),
+        )
+        stream = bytearray(co.compress(plain) + co.flush())
+    else:
+        stream = bytearray(deflate(plain))
+    flips = draw(st.integers(0, 3))
+    truncate = flips == 0 or draw(st.booleans())
+    for _ in range(flips):
+        bit = draw(st.integers(0, 8 * len(stream) - 1))
+        stream[bit >> 3] ^= 1 << (bit & 7)
+    if truncate:
+        del stream[draw(st.integers(0, len(stream) - 1)) :]
+    event(f"{encoder}, {flips} flips" + (", truncated" if truncate else ""))
+    return bytes(stream)
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_streams())
+def test_what_zlib_rejects_we_reject_too(stream):
+    # Rejecting includes stopping before the final block's end.
+    d = zlib.decompressobj(-15)
+    try:
+        d.decompress(stream)
+    except zlib.error as e:
+        if any(message in str(e) for message in ZLIB_DIVERGENCES):
+            event("documented divergence")
+            return
+        rejected = True
+    else:
+        rejected = not d.eof
+    event("zlib rejects" if rejected else "zlib accepts")
+    if rejected:
+        assert isinstance(parse_deflate(BitCursor(stream)), NoParse)
 
 
 def test_ring_and_queue_windows_agree_on_valid_and_invalid_input():
@@ -762,7 +826,7 @@ def random_static_block(rng: random.Random) -> bytes:
     sink = BitSink()
     sink.write_bits_lsb(1, 1)
     sink.write_bits_lsb(1, 2)
-    write_random_tokens(sink, rng, fixed_lit_coding(), fixed_dist_coding())
+    write_random_tokens(sink, rng, FIXED_LIT, FIXED_DIST)
     return sink.to_bytes()
 
 

@@ -24,11 +24,11 @@ from deflatekit.errors import (
 )
 from deflatekit.prefix_coding import (
     DeflateCoding,
+    FIXED_DIST,
+    FIXED_LIT,
     MAX_CL_CODE_LENGTH,
     MAX_CODE_LENGTH,
     build_coding,
-    fixed_dist_coding,
-    fixed_lit_coding,
     kraft_sum,
 )
 from deflatekit.reference import (
@@ -49,7 +49,8 @@ def slow_decode(coding: DeflateCoding, data: bytes, pos: int, bit_end=None):
     """Read one code by scanning the table; (char, new pos) or exception.
 
     Compares the accumulated bits against every code at each step, with
-    none of the canonical-range machinery the real decoder uses.  Bits
+    neither the lookup table nor the stream-code dict the real decoder
+    uses, so it holds for non-canonical values too.  Bits
     that match no code are reported (at their first bit) only once as
     many bits as the longest code have been read; with fewer bits left
     before ``bit_end`` the read runs out of input, as the decoder's does.
@@ -314,23 +315,35 @@ def symbol_stream(coding: DeflateCoding, rng: random.Random, count: int) -> byte
     return sink.to_bytes()
 
 
+# Prefix-free codings whose values are not the canonical ones for their
+# lengths: the decoder must follow the values it is given.
+NON_CANONICAL = [
+    ([2, 2, 2, 4, 4], [1, 0, 2, 13, 12]),  # 01 00 10 1101 1100
+    ([1, 10, 10], [0, 513, 512]),  # 0 1000000001 1000000000
+]
+
+
 @pytest.mark.parametrize(
-    "lengths",
+    "lengths, values",
     [
-        list(range(1, 16)) + [15],  # complete, down to 15-bit codes
-        [3, 10, 15, 0, 12, 9, 9],  # incomplete, with codes past 9 bits
-        [2, 2, 2],  # incomplete, all shorter than 9 bits
-        [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8,  # fixed literal/length
-        [0, 1],  # a single code
-        [0, 0, 0],  # no codes at all
+        (list(range(1, 16)) + [15], None),  # complete, down to 15-bit codes
+        ([3, 10, 15, 0, 12, 9, 9], None),  # incomplete, with codes past 9 bits
+        ([2, 2, 2], None),  # incomplete, all shorter than 9 bits
+        ([8] * 144 + [9] * 112 + [7] * 24 + [8] * 8, None),  # fixed literal/length
+        ([0, 1], None),  # a single code
+        ([0, 0, 0], None),  # no codes at all
+    ]
+    + NON_CANONICAL,
+    ids=[
+        "15-bit", "incomplete-long", "incomplete-short", "fixed", "single", "empty",
+        "non-canonical-short", "non-canonical-long",
     ],
-    ids=["15-bit", "incomplete-long", "incomplete-short", "fixed", "single", "empty"],
 )
-def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths):
+def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths, values):
     # Every bit_end from the start bit on exercises the lookup, the walk
     # after a -1 entry, and the walk with fewer than the table's bits left.
     rng = random.Random(len(lengths))
-    coding = build_coding(lengths)
+    coding = build_coding(lengths) if values is None else DeflateCoding(lengths, values)
     samples = [symbol_stream(coding, rng, 4) + rng.randbytes(1), rng.randbytes(4)]
     for data in samples:
         for start in range(8 * len(data) + 1):
@@ -343,6 +356,24 @@ def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths):
                     assert err.value.bit_pos == e.bit_pos
                 else:
                     assert coding.read_symbol(data, start, end) == expected
+
+
+@pytest.mark.parametrize("lengths, values", NON_CANONICAL, ids=["short", "long"])
+def test_non_canonical_codes_read_as_their_own_characters(lengths, values):
+    # Each code, followed by any bits, reads as its own character for
+    # every bit_end at or past the code's end.
+    coding = DeflateCoding(lengths, values)
+    assert check_axioms(coding.codes).prefix_free is None
+    assert coding != build_coding(lengths)
+    for ch, code in enumerate(coding.codes):
+        for tail in (0x00, 0xFF, 0x55, 0xAA):
+            sink = BitSink()
+            write_code_msb(sink, code)
+            sink.write_bits_lsb(tail, 8)
+            sink.write_bits_lsb(tail, 8)
+            data = sink.to_bytes()
+            for end in range(len(code), 8 * len(data) + 1):
+                assert coding.read_symbol(data, 0, end) == (ch, len(code))
 
 
 def test_decoding_with_no_codes_at_all_fails_at_the_read_position():
@@ -399,7 +430,7 @@ def test_stream_codes_put_the_leftmost_code_bit_first():
     # as writing the code leftmost bit first, and decodes back.
     rng = random.Random(16)
     codings = [build_coding(random_code_lengths(rng)) for _ in range(200)]
-    for coding in codings + [fixed_lit_coding(), fixed_dist_coding()]:
+    for coding in codings + [FIXED_LIT, FIXED_DIST]:
         assert len(coding.stream_codes) == len(coding)
         for ch, (rev, length) in enumerate(coding.stream_codes):
             assert length == coding.lengths[ch] == len(coding[ch])
@@ -418,7 +449,7 @@ def test_stream_codes_put_the_leftmost_code_bit_first():
 
 
 def test_fixed_lit_coding_lengths_and_spot_codes():
-    coding = fixed_lit_coding()
+    coding = FIXED_LIT
     lengths = [len(c) for c in coding.codes]
     assert lengths == [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8
     assert coding[0] == (0, 0, 1, 1, 0, 0, 0, 0)
@@ -434,14 +465,9 @@ def test_fixed_lit_coding_lengths_and_spot_codes():
 
 
 def test_fixed_dist_coding_is_five_bit_counting():
-    coding = fixed_dist_coding()
+    coding = FIXED_DIST
     assert len(coding) == 32
     for ch, code in enumerate(coding.codes):
         assert len(code) == 5
         assert sum(b << (4 - i) for i, b in enumerate(code)) == ch
     assert check_axioms(coding.codes).all_pass
-
-
-def test_fixed_codings_are_cached():
-    assert fixed_lit_coding() is fixed_lit_coding()
-    assert fixed_dist_coding() is fixed_dist_coding()
