@@ -6,11 +6,13 @@ first ``best_len + 1`` bytes, which it shares exactly when it beats the
 best match so far; only those are extended.  The longest match wins,
 ties to the smallest distance, else a shared ``Literal``.
 
-Blocks use the fixed codings, or stored blocks when those come out
-larger (e.g. on incompressible input), per block.  The static writer ORs
-codes and extra bits into a local int and hands whole bytes to the sink
-through ``write_bits_wide``; headers and stored blocks use the checked
-``write_bits_lsb``.
+No match runs past its block's end, so every block but the last covers
+exactly ``block_payload_limit`` input bytes, and ``deflate`` computes
+each block's byte range.  A block uses the fixed codings, or stored
+blocks when those come out larger (e.g. on incompressible input).  The
+static writer ORs codes and extra bits into a local int and hands whole
+bytes to the sink through ``write_bits_wide``; headers and stored blocks
+use the checked ``write_bits_lsb``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from .bitio import BitSink
 from .errors import ValueOutOfRange
 from .history_window import BackRef, END_OF_BLOCK, EndOfBlock, LITERALS, Literal, WINDOW_SIZE
+from .inflate import BlockType
 from .prefix_coding import FIXED_DIST, FIXED_LIT
 from .symbol_tables import (
     DISTANCE_CODEPOINT,
@@ -28,9 +31,6 @@ from .symbol_tables import (
     MAX_MATCH_LENGTH,
     MIN_MATCH_LENGTH,
 )
-
-BTYPE_STORED = 0
-BTYPE_STATIC = 1
 
 MAX_STORED_BLOCK = 65535
 HASH_BITS = 15
@@ -44,8 +44,9 @@ class CompressParams:
     """Tuning knobs; defaults favour speed over the last few percent."""
 
     max_chain: int = 128  # candidates examined per position
-    # Source bytes per block; a multiple of MAX_STORED_BLOCK, so that a
-    # stored fallback's chunks tile the input as if it were one block.
+    # Source bytes in every block but the last; a multiple of
+    # MAX_STORED_BLOCK, so that a stored fallback's chunks tile the input
+    # as if it were one block.
     block_payload_limit: int = 16 * MAX_STORED_BLOCK
 
     def __post_init__(self):
@@ -70,10 +71,11 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
 
     At each position the longest match among the most recent
     candidates wins, ties going to the smallest distance; a match of
-    fewer than MIN_MATCH_LENGTH bytes leaves a literal.  A block closes
-    after the token that brings it to params.block_payload_limit source
-    bytes.  The hash chains persist across block boundaries, matching
-    the decoder's window, which likewise never resets between blocks.
+    fewer than MIN_MATCH_LENGTH bytes leaves a literal.  A match stops
+    at its block's end, so every block but the last covers exactly
+    params.block_payload_limit source bytes.  The hash chains persist
+    across block boundaries, matching the decoder's window, which
+    likewise never resets between blocks.
     """
     tokens = []
     append = tokens.append
@@ -85,87 +87,88 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     max_chain = params.max_chain
     good_cap = max(1, max_chain >> 2)
     block_limit = params.block_payload_limit
-    block_end = block_limit
     n = len(data)
     last_hash = n - 3  # last position with a full three-byte group
     # Rolled: the key of i is ((key of i - 1) << 5 ^ data[i + 2]) & mask.
     key = (data[0] << 5) ^ data[1] if n >= 3 else 0
     i = 0
-    while i <= last_hash:
-        key = ((key << 5) ^ data[i + 2]) & _HASH_MASK
-        first = cand = head[key]
-        min_cand = i - WINDOW_SIZE
-        best_dist = 0
-        if cand >= min_cand:
-            limit = n - i
-            if limit > MAX_MATCH_LENGTH:
-                limit = MAX_MATCH_LENGTH
-            nice_stop = _NICE_MATCH if _NICE_MATCH < limit else limit
-            # A candidate whose byte at best_len differs from scan
-            # matches at most best_len bytes.
-            best_len = MIN_MATCH_LENGTH - 1
-            scan = data[i + best_len]
-            chain = max_chain
-            while True:
-                if data[cand + best_len] == scan:
-                    k = best_len + 1
-                    # Equal first best_len + 1 bytes: it beats best_len.
-                    if data[cand : cand + k] == data[i : i + k]:
-                        if data[cand : cand + limit] == data[i : i + limit]:
-                            k = limit
-                        else:
-                            while limit - k >= 16 and (
-                                data[cand + k : cand + k + 16] == data[i + k : i + k + 16]
-                            ):
-                                k += 16
-                            while data[cand + k] == data[i + k]:
-                                k += 1
-                        best_len = k
-                        best_dist = i - cand
-                        if k >= nice_stop:
-                            break
-                        scan = data[i + k]
-                        if k >= _GOOD_MATCH and chain > good_cap:
-                            chain = good_cap
-                chain -= 1
-                if not chain:
-                    break
-                cand = prev[cand & WINDOW_MASK]
-                if cand < min_cand:
-                    break
-        # Insert i after its search: its prev slot is that of
-        # i - WINDOW_SIZE, the oldest candidate the walk may reach.
-        prev[i & WINDOW_MASK] = first
-        head[key] = i
-        if best_dist:
-            append(BackRef(best_len, best_dist))
-            # Hash the covered positions; later matches may start there.
-            stop = i + best_len
-            if stop > last_hash:
-                stop = last_hash + 1
-            for j in range(i + 1, stop):
-                key = ((key << 5) ^ data[j + 2]) & _HASH_MASK
-                prev[j & WINDOW_MASK] = head[key]
-                head[key] = j
-            i += best_len
-        else:
+    while True:
+        block_end = min(i + block_limit, n)
+        # Search only where a match of MIN_MATCH_LENGTH fits the block.
+        last_search = block_end - MIN_MATCH_LENGTH
+        while i <= last_search:
+            key = ((key << 5) ^ data[i + 2]) & _HASH_MASK
+            first = cand = head[key]
+            min_cand = i - WINDOW_SIZE
+            best_dist = 0
+            if cand >= min_cand:
+                limit = block_end - i
+                if limit > MAX_MATCH_LENGTH:
+                    limit = MAX_MATCH_LENGTH
+                nice_stop = _NICE_MATCH if _NICE_MATCH < limit else limit
+                # A candidate whose byte at best_len differs from scan
+                # matches at most best_len bytes.
+                best_len = MIN_MATCH_LENGTH - 1
+                scan = data[i + best_len]
+                chain = max_chain
+                while True:
+                    if data[cand + best_len] == scan:
+                        k = best_len + 1
+                        # Equal first best_len + 1 bytes: it beats best_len.
+                        if data[cand : cand + k] == data[i : i + k]:
+                            if data[cand : cand + limit] == data[i : i + limit]:
+                                k = limit
+                            else:
+                                while limit - k >= 16 and (
+                                    data[cand + k : cand + k + 16] == data[i + k : i + k + 16]
+                                ):
+                                    k += 16
+                                while data[cand + k] == data[i + k]:
+                                    k += 1
+                            best_len = k
+                            best_dist = i - cand
+                            if k >= nice_stop:
+                                break
+                            scan = data[i + k]
+                            if k >= _GOOD_MATCH and chain > good_cap:
+                                chain = good_cap
+                    chain -= 1
+                    if not chain:
+                        break
+                    cand = prev[cand & WINDOW_MASK]
+                    if cand < min_cand:
+                        break
+            # Insert i after its search: its prev slot is that of
+            # i - WINDOW_SIZE, the oldest candidate the walk may reach.
+            prev[i & WINDOW_MASK] = first
+            head[key] = i
+            if best_dist:
+                append(BackRef(best_len, best_dist))
+                # Hash the covered positions; later matches may start there.
+                stop = i + best_len
+                if stop > last_hash:
+                    stop = last_hash + 1
+                for j in range(i + 1, stop):
+                    key = ((key << 5) ^ data[j + 2]) & _HASH_MASK
+                    prev[j & WINDOW_MASK] = head[key]
+                    head[key] = j
+                i += best_len
+            else:
+                append(literals[data[i]])
+                i += 1
+        # The block's last one or two bytes (all of a block shorter than
+        # a match) are literals; those that start a three-byte group
+        # still enter the chains.
+        while i < block_end:
+            if i <= last_hash:
+                key = ((key << 5) ^ data[i + 2]) & _HASH_MASK
+                prev[i & WINDOW_MASK] = head[key]
+                head[key] = i
             append(literals[data[i]])
             i += 1
-        if i >= block_end and i < n:
-            append(END_OF_BLOCK)
-            block_end = i + block_limit
-    # The last one or two bytes start no three-byte group.  Handling
-    # them here, instead of an `i <= last_hash` test on every position
-    # of the loop above, measured about 3 % more `compress_mbps` on the
-    # benchmark's `incompressible` workload (5 of 6 pairs).
-    while i < n:
-        append(literals[data[i]])
-        i += 1
-        if i >= block_end and i < n:
-            append(END_OF_BLOCK)
-            block_end = i + block_limit
-    append(END_OF_BLOCK)
-    return tokens
+        append(END_OF_BLOCK)
+        if i == n:
+            return tokens
 
 
 # -- block writers ------------------------------------------------------
@@ -216,7 +219,7 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
         fields.append((acc, fill))
     fields.append(lits[256])
     sink.write_bits_lsb(1 if final else 0, 1)
-    sink.write_bits_lsb(BTYPE_STATIC, 2)
+    sink.write_bits_lsb(BlockType.STATIC, 2)
     write = sink.write_bits_wide
     for acc, fill in fields:
         write(acc, fill)
@@ -228,7 +231,7 @@ def write_stored_block(data: bytes, final: bool, sink: BitSink) -> BitSink:
     if len(data) > MAX_STORED_BLOCK:
         raise ValueOutOfRange(f"stored block of {len(data)} bytes exceeds {MAX_STORED_BLOCK}")
     sink.write_bits_lsb(1 if final else 0, 1)
-    sink.write_bits_lsb(BTYPE_STORED, 2)
+    sink.write_bits_lsb(BlockType.STORED, 2)
     sink.align_to_byte()
     sink.write_bits_lsb(len(data), 16)
     sink.write_bits_lsb(len(data) ^ 0xFFFF, 16)
@@ -263,25 +266,21 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     """Compress data into a raw deflate stream (static/stored blocks)."""
     tokens = tokenize(data, params)
     sink = BitSink()
-    last = len(tokens) - 1
-    start = offset = span = 0
-    for index, t in enumerate(tokens):
-        tt = type(t)
-        if tt is Literal:
-            span += 1
-        elif tt is BackRef:
-            span += t.length
+    n = len(data)
+    start = 0
+    # tokenize's blocks tile the input at params.block_payload_limit.
+    for offset in range(0, n or 1, params.block_payload_limit):
+        end = min(offset + params.block_payload_limit, n)
+        index = start
+        while tokens[index] is not END_OF_BLOCK:
+            index += 1
+        block = tokens[start : index + 1]
+        final = end == n
+        if _static_cost_bits(block) <= _stored_cost_bits(end - offset):
+            write_static_block(block, final, sink)
         else:
-            block = tokens[start : index + 1]
-            final = index == last
-            end = offset + span
-            if _static_cost_bits(block) <= _stored_cost_bits(span):
-                write_static_block(block, final, sink)
-            else:
-                for chunk in range(offset, end, MAX_STORED_BLOCK):
-                    stop = min(chunk + MAX_STORED_BLOCK, end)
-                    write_stored_block(data[chunk:stop], final and stop == end, sink)
-            start = index + 1
-            offset = end
-            span = 0
+            for chunk in range(offset, end, MAX_STORED_BLOCK):
+                stop = min(chunk + MAX_STORED_BLOCK, end)
+                write_stored_block(data[chunk:stop], final and stop == end, sink)
+        start = index + 1
     return sink.to_bytes()

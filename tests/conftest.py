@@ -171,9 +171,13 @@ def _match_length(data: bytes, cand: int, pos: int, limit: int) -> int:
 
 
 def find_match(
-    data: bytes, pos: int, chains: HashChains, params: CompressParams = DEFAULT_PARAMS
+    data: bytes,
+    pos: int,
+    chains: HashChains,
+    params: CompressParams = DEFAULT_PARAMS,
+    end: int | None = None,
 ):
-    """Longest match for data[pos:] among recent candidates, or None.
+    """Longest match for data[pos:end] among recent candidates, or None.
 
     Returns (length, distance) with length >= MIN_MATCH_LENGTH; among
     equally long matches the smallest distance wins.  At most
@@ -181,7 +185,7 @@ def find_match(
     match of _GOOD_MATCH bytes is in hand, and a match of _NICE_MATCH
     bytes ends the search.
     """
-    limit = min(MAX_MATCH_LENGTH, len(data) - pos)
+    limit = min(MAX_MATCH_LENGTH, (len(data) if end is None else end) - pos)
     if limit < MIN_MATCH_LENGTH:
         return None
     cand = chains.head[_hash3(data[pos], data[pos + 1], data[pos + 2])]
@@ -209,43 +213,48 @@ def find_match(
     return None
 
 
-def reference_tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> list:
+def reference_tokenize(
+    data: bytes, params: CompressParams = DEFAULT_PARAMS, cap_at_block_end: bool = True
+) -> list:
     """Greedy token stream for data by find_match at each position.
 
     Every position with a full three-byte group is inserted into the
-    chains, covered by a match or not; a block closes after the token
-    that reaches params.block_payload_limit source bytes.
+    chains, covered by a match or not.  With cap_at_block_end, as in
+    tokenize, a match stops at its block's end, so every block but the
+    last covers exactly params.block_payload_limit source bytes.
+    Without it, a match may run on to the end of the input, and a block
+    closes after the token that reaches the limit.
     """
     tokens = []
     chains = HashChains()
     n = len(data)
     i = 0
-    block_left = params.block_payload_limit
+    block_end = min(params.block_payload_limit, n)
     while i < n:
-        m = find_match(data, i, chains, params)
+        m = find_match(data, i, chains, params, block_end if cap_at_block_end else n)
         step = m[0] if m else 1
         tokens.append(BackRef(*m) if m else Literal(data[i]))
         for j in range(i, min(i + step, n - 2)):
             chains.insert(_hash3(data[j], data[j + 1], data[j + 2]), j)
         i += step
-        block_left -= step
-        if block_left <= 0 and i < n:
+        if i >= block_end and i < n:
             tokens.append(END_OF_BLOCK)
-            block_left = params.block_payload_limit
+            block_end = min(i + params.block_payload_limit, n)
     tokens.append(END_OF_BLOCK)
     return tokens
 
 
 def reference_deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
-    """A frozen copy of ``deflate``: reference_tokenize's tokens in the
-    same blocks, each written static or stored by the same rule.
+    """A frozen copy of ``deflate``: reference_tokenize's tokens, with
+    matches free to run past a block's limit, in the same blocks, each
+    written static or stored by the same rule.
 
     A block is written static when that takes no more bits than storing
     its bytes in 65535-byte chunks at worst-case alignment.  The
     decoder's pinned parse digest is built with it, so a change to the
     live encoder's tokens leaves that digest alone.
     """
-    tokens = reference_tokenize(data, params)
+    tokens = reference_tokenize(data, params, cap_at_block_end=False)
     sink = BitSink()
     start = offset = 0
     for index, t in enumerate(tokens):
