@@ -1,7 +1,7 @@
 """deflatekit: a pure-Python deflate codec built from first principles.
 
 The pieces compose bottom-up: bit-level IO, canonical prefix codings,
-codepoint tables, LZ77 history windows, the block parser/decompressor,
+codepoint tables and tokens, the decompressor and its output window,
 the greedy compressor, and gzip framing.  The top-level convenience
 surface below covers the common round trip.
 """

@@ -83,12 +83,6 @@ class BitSink:
         return 8 * len(self._buf) + self._fill
 
     def write_bits_lsb(self, value: int, n: int) -> None:
-        """Append an n-bit integer, least significant bit first."""
-        if not 0 <= n <= MAX_FIELD_BITS:
-            raise ValueOutOfRange(f"field width {n} not in 0..{MAX_FIELD_BITS}")
-        self.write_bits_wide(value, n)
-
-    def write_bits_wide(self, value: int, n: int) -> None:
         """Append an n-bit int of any width, LSB first; whole bytes go out at once."""
         if value < 0 or value.bit_length() > n:
             raise ValueOutOfRange(f"value does not fit in {n} bits")

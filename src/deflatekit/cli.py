@@ -13,9 +13,9 @@ from typing import Optional
 from .compress import DEFAULT_PARAMS, CompressParams, deflate
 from .errors import DeflateError
 from .gzip_container import _parse_header, gzip_compress, gzip_decompress
-from .history_window import BackRef, Literal
 from .inflate import BlockType, NoParse, inflate, iter_blocks
 from .prefix_coding import DeflateCoding, build_coding
+from .symbol_tables import BackRef, Literal
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -10,9 +10,9 @@ No match runs past its block's end, so every block but the last covers
 exactly ``block_payload_limit`` input bytes, and ``deflate`` computes
 each block's byte range.  A block uses the fixed codings, or stored
 blocks when those come out larger (e.g. on incompressible input).  The
-static writer ORs codes and extra bits into a local int and hands whole
-bytes to the sink through ``write_bits_wide``; headers and stored blocks
-use the checked ``write_bits_lsb``.
+static writer ORs codes and extra bits into a local int and hands it to
+the sink's one LSB-first writer, ``write_bits_lsb``, which emits whole
+bytes at once; headers and stored blocks use the same call.
 """
 
 from __future__ import annotations
@@ -21,15 +21,20 @@ from dataclasses import dataclass
 
 from .bitio import BitSink
 from .errors import ValueOutOfRange
-from .history_window import BackRef, END_OF_BLOCK, EndOfBlock, LITERALS, Literal, WINDOW_SIZE
 from .inflate import BlockType
 from .prefix_coding import FIXED_DIST, FIXED_LIT
 from .symbol_tables import (
     DISTANCE_CODEPOINT,
     DISTANCE_CODES,
+    END_OF_BLOCK,
     LENGTH_ENCODING,
+    LITERALS,
     MAX_MATCH_LENGTH,
     MIN_MATCH_LENGTH,
+    WINDOW_SIZE,
+    BackRef,
+    EndOfBlock,
+    Literal,
 )
 
 MAX_STORED_BLOCK = 65535
@@ -220,7 +225,7 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
     fields.append(lits[256])
     sink.write_bits_lsb(1 if final else 0, 1)
     sink.write_bits_lsb(BlockType.STATIC, 2)
-    write = sink.write_bits_wide
+    write = sink.write_bits_lsb
     for acc, fill in fields:
         write(acc, fill)
     return sink

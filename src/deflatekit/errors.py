@@ -37,10 +37,6 @@ class InvalidCodepoint(DeflateError, ValueError):
     """A codepoint is outside the table's domain or forbidden in data."""
 
 
-class IndexOutOfRange(DeflateError, IndexError):
-    """A sequence index is past the end of the structure."""
-
-
 class DistanceTooFar(DeflateError):
     """A backreference reaches past the bytes the window currently holds."""
 

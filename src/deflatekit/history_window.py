@@ -1,109 +1,26 @@
-"""Back-history for resolving LZ77 backreferences.
+"""The paper's model of the backreference window: a reference, not a production path.
 
-A backreference <length, distance> copies ``length`` bytes starting
-``distance`` bytes back from the end of the output produced so far.
-Copying is byte-at-a-time, so a length may exceed its distance: the
-bytes written by the copy become sources for its own later bytes,
-which is how short periodic runs are spelled.
+``QueueOfDoom`` keeps the history in two persistent ExpLists.  New
+bytes are pushed onto the front list; when the front reaches capacity
+it becomes the back list wholesale and the previous back is dropped
+(doomed).  Lookups beyond the front fall through to the back, so
+between W and 2W bytes are reachable once warm.  ``resolve_tokens``
+folds tokens through it one byte at a time.
 
-Distances never exceed 32768, so a resolver needs at most that much
-history.  Two windows are provided:
-
-* ``RingWindow``: every byte decoded so far in one buffer, the output
-  that ``inflate`` builds and its own history, as in zlib's
-  ``inflate_fast``.  Its resolver copies slices with the same
-  byte-at-a-time semantics: a backreference no longer than its
-  distance is one slice, and a longer one repeats the period of its
-  last ``distance`` bytes.
-* ``QueueOfDoom``: two persistent ExpLists, the paper's model of the
-  window.  New bytes are pushed onto the front list; when the front
-  reaches capacity it becomes the back list wholesale and the previous
-  back is dropped (doomed).  Lookups beyond the front fall through to
-  the back, so between W and 2W bytes are reachable once warm.
-
-QueueOfDoom is a reference model, not a production path: nothing in the
-package decodes with it.  The tests (acceptance criterion 6 among them)
-check the ring's resolver against the queue's, which copies one byte
-at a time.
+Nothing in the package decodes with it, and no production module
+imports this module.  The tests (acceptance criterion 6 among them)
+check ``inflate.resolve_tokens_ring``, the decoder's slice-copying
+resolver, against ``resolve_tokens``.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .errors import DistanceTooFar, IndexOutOfRange, ValueOutOfRange
-
-WINDOW_SIZE = 32768
-
-
-# -- token vocabulary ---------------------------------------------------
-#
-# Plain __slots__ classes rather than dataclasses: tokens are minted in
-# the innermost codec loops, where construction cost is visible.  Treat
-# instances as immutable values.
-
-
-class Literal:
-    """A single plain byte."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        if not 0 <= value <= 255:
-            raise ValueOutOfRange(f"literal byte {value} not in 0..255")
-        self.value = value
-
-    def __eq__(self, other):
-        return type(other) is Literal and other.value == self.value
-
-    def __hash__(self):
-        return hash((Literal, self.value))
-
-    def __repr__(self):
-        return f"Literal({self.value})"
-
-
-# One shared token per byte value, so a literal costs no construction.
-LITERALS = tuple(Literal(v) for v in range(256))
-
-
-class BackRef:
-    """Copy ``length`` bytes from ``distance`` bytes back."""
-
-    __slots__ = ("length", "distance")
-
-    def __init__(self, length: int, distance: int):
-        if not 3 <= length <= 258:
-            raise ValueOutOfRange(f"match length {length} not in 3..258")
-        if not 1 <= distance <= WINDOW_SIZE:
-            raise ValueOutOfRange(f"distance {distance} not in 1..{WINDOW_SIZE}")
-        self.length = length
-        self.distance = distance
-
-    def __eq__(self, other):
-        return (
-            type(other) is BackRef
-            and other.length == self.length
-            and other.distance == self.distance
-        )
-
-    def __hash__(self):
-        return hash((BackRef, self.length, self.distance))
-
-    def __repr__(self):
-        return f"BackRef({self.length}, {self.distance})"
-
-
-class EndOfBlock:
-    """Marks the end of one compressed block; produces no bytes."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "EndOfBlock()"
-
-
-END_OF_BLOCK = EndOfBlock()
+from .errors import DeflateError, DistanceTooFar, ValueOutOfRange
+# bench/traced.py imports RingWindow from here.
+from .inflate import RingWindow  # noqa: F401
+from .symbol_tables import WINDOW_SIZE, BackRef, Literal
 
 
 # -- ExpList: persistent random-access list -----------------------------
@@ -155,6 +72,10 @@ def explist_cons(x, e: ExpList) -> ExpList:
     return Econs1(x, explist_cons((e.head, e.head2), e.tail))
 
 
+class IndexOutOfRange(DeflateError, IndexError):
+    """A sequence index is past the end of the structure."""
+
+
 def explist_index(e: ExpList, i: int):
     """Element i counted from the most recent cons; O(log i)."""
     if i < 0:
@@ -186,7 +107,7 @@ def explist_index(e: ExpList, i: int):
     return item
 
 
-# -- the two window shapes ----------------------------------------------
+# -- the window ---------------------------------------------------------
 
 
 class QueueOfDoom:
@@ -267,24 +188,6 @@ class QueueOfDoom:
         return explist_index(self.back, distance - self.front_count - 1)
 
 
-class RingWindow:
-    """Every byte of output so far, oldest first, in one buffer.
-
-    The output is its own history: a backreference reaches at most
-    32768 bytes back, into ``buf``.  The class keeps its ring-era name
-    because ``bench/traced.py`` wraps its push_bytes.
-    """
-
-    __slots__ = ("buf",)
-
-    def __init__(self):
-        self.buf = bytearray()
-
-    def push_bytes(self, data) -> None:
-        """Append data to the output."""
-        self.buf += data
-
-
 # -- token resolution ---------------------------------------------------
 
 
@@ -330,34 +233,3 @@ def resolve_tokens(tokens, window: QueueOfDoom) -> tuple[bytes, QueueOfDoom]:
                 append(b)
         # EndOfBlock produces nothing.
     return bytes(out), QueueOfDoom(cap, front, fc, back, bc)
-
-
-def resolve_tokens_ring(tokens, window: RingWindow) -> tuple[bytes, RingWindow]:
-    """Resolve tokens against a RingWindow; same contract as resolve_tokens.
-
-    The batch is resolved in place at the end of ``window.buf``, and
-    every backreference is a slice copy: one slice when the length is at
-    most the distance, else the last ``distance`` bytes repeated, which
-    is what a byte-at-a-time copy writes.  A distance past the output
-    raises DistanceTooFar and leaves the window as it was.  The window
-    object is updated in place and returned with the batch's bytes.
-    """
-    out = window.buf
-    start = len(out)
-    append = out.append
-    for t in tokens:
-        if type(t) is Literal:
-            append(t.value)
-        elif type(t) is BackRef:
-            d = t.distance
-            if d > len(out):
-                message = f"distance {d} exceeds the {len(out)} bytes of available history"
-                del out[start:]
-                raise DistanceTooFar(message)
-            n = t.length
-            if n <= d:
-                src = len(out) - d
-                out += out[src : src + n]
-            else:
-                out += (out[-d:] * (n // d + 1))[:n]
-    return bytes(out[start:]), window

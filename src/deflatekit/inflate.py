@@ -20,8 +20,10 @@ bits they consume, which gives the layer two global properties:
 ``iter_blocks`` is the one walk of the block grammar: block by block,
 batch by batch, up to the final block's last bit.  ``parse_deflate``
 folds it into one output buffer, a ``RingWindow`` that persists across
-blocks (the format never resets the history) and that backreferences
-copy from; ``dump-tokens`` prints the same items.
+blocks (the format never resets the history) and that
+``resolve_tokens_ring`` copies backreferences from by slices;
+``dump-tokens`` prints the same items.  The tests hold that resolver to
+the paper's window model, ``history_window.resolve_tokens``.
 """
 
 from __future__ import annotations
@@ -32,16 +34,10 @@ from dataclasses import dataclass
 from .bitio import BitCursor, read_bits
 from .errors import (
     BadCode,
+    DistanceTooFar,
     EndOfInput,
     InflateError,
     KraftViolation,
-)
-from .history_window import (
-    BackRef,
-    END_OF_BLOCK,
-    LITERALS,
-    RingWindow,
-    resolve_tokens_ring,
 )
 from .prefix_coding import (
     DeflateCoding,
@@ -51,7 +47,15 @@ from .prefix_coding import (
     MAX_CODE_LENGTH,
     build_coding,
 )
-from .symbol_tables import CL_CODE_ORDER, DISTANCE_CODES, LENGTH_CODES
+from .symbol_tables import (
+    CL_CODE_ORDER,
+    DISTANCE_CODES,
+    END_OF_BLOCK,
+    LENGTH_CODES,
+    LITERALS,
+    BackRef,
+    Literal,
+)
 
 _TOKEN_CHUNK = 4096  # tokens resolved per batch while streaming
 
@@ -430,6 +434,55 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
                 yield header, tokens, pos
         if header.is_final:
             return
+
+
+class RingWindow:
+    """Every byte of output so far, oldest first, in one buffer.
+
+    The output is its own history: a backreference reaches at most
+    32768 bytes back, into ``buf``.  The class keeps its ring-era name
+    because ``bench/traced.py`` wraps its push_bytes.
+    """
+
+    __slots__ = ("buf",)
+
+    def __init__(self):
+        self.buf = bytearray()
+
+    def push_bytes(self, data) -> None:
+        """Append data to the output."""
+        self.buf += data
+
+
+def resolve_tokens_ring(tokens, window: RingWindow) -> tuple[bytes, RingWindow]:
+    """Resolve tokens against a RingWindow, as ``history_window.resolve_tokens`` does.
+
+    The batch is resolved in place at the end of ``window.buf``, and
+    every backreference is a slice copy: one slice when the length is at
+    most the distance, else the last ``distance`` bytes repeated, which
+    is what a byte-at-a-time copy writes.  A distance past the output
+    raises DistanceTooFar and leaves the window as it was.  The window
+    object is updated in place and returned with the batch's bytes.
+    """
+    out = window.buf
+    start = len(out)
+    append = out.append
+    for t in tokens:
+        if type(t) is Literal:
+            append(t.value)
+        elif type(t) is BackRef:
+            d = t.distance
+            if d > len(out):
+                message = f"distance {d} exceeds the {len(out)} bytes of available history"
+                del out[start:]
+                raise DistanceTooFar(message)
+            n = t.length
+            if n <= d:
+                src = len(out) - d
+                out += out[src : src + n]
+            else:
+                out += (out[-d:] * (n // d + 1))[:n]
+    return bytes(out[start:]), window
 
 
 def parse_deflate(cursor: BitCursor) -> ParseOutcome:

@@ -1,4 +1,4 @@
-"""Codepoint tables mapping match lengths and distances to (codepoint, extra bits).
+"""Codepoint tables for match lengths and distances, and the tokens they code.
 
 Match lengths 3..258 are carried by codepoints 257..285 and distances
 1..32768 by codepoints 0..29.  Each codepoint names a base value and a
@@ -19,14 +19,24 @@ forbidden in actual data.
 
 The tables here are the flat ones the decoder and the block writer
 index; the tests hold them to the RFC 1951 spec in ``deflatekit.reference``.
+
+The tokens live here too, which ``tokenize`` emits, the block writer
+codes and the decoder yields: ``Literal`` (with ``LITERALS``, one
+shared token per byte value), ``BackRef`` <length, distance> and the
+``END_OF_BLOCK`` marker.  A backreference copies ``length`` bytes
+starting ``distance`` bytes back from the end of the output so far,
+one byte at a time, so a length may exceed its distance: the copied
+bytes become sources for its own later bytes, which is how short
+periodic runs are spelled.  Distances never exceed ``WINDOW_SIZE``.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidCodepoint
+from .errors import InvalidCodepoint, ValueOutOfRange
 
 MIN_MATCH_LENGTH = 3
 MAX_MATCH_LENGTH = 258
+WINDOW_SIZE = 32768
 
 # (extra_bits, base_length) of length codepoints 257..285, indexed from 0.
 LENGTH_CODES = (
@@ -74,3 +84,73 @@ LENGTH_ENCODING = (None,) * MIN_MATCH_LENGTH + tuple(
 DISTANCE_CODEPOINT = bytes(1) + b"".join(
     bytes([cp]) * (1 << bits) for cp, (bits, _) in enumerate(DISTANCE_CODES)
 )
+
+
+# -- token vocabulary ---------------------------------------------------
+#
+# Plain __slots__ classes rather than dataclasses: tokens are minted in
+# the innermost codec loops, where construction cost is visible.  Treat
+# instances as immutable values.
+
+
+class Literal:
+    """A single plain byte."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        if not 0 <= value <= 255:
+            raise ValueOutOfRange(f"literal byte {value} not in 0..255")
+        self.value = value
+
+    def __eq__(self, other):
+        return type(other) is Literal and other.value == self.value
+
+    def __hash__(self):
+        return hash((Literal, self.value))
+
+    def __repr__(self):
+        return f"Literal({self.value})"
+
+
+# One shared token per byte value, so a literal costs no construction.
+LITERALS = tuple(Literal(v) for v in range(256))
+
+
+class BackRef:
+    """Copy ``length`` bytes from ``distance`` bytes back."""
+
+    __slots__ = ("length", "distance")
+
+    def __init__(self, length: int, distance: int):
+        if not 3 <= length <= 258:
+            raise ValueOutOfRange(f"match length {length} not in 3..258")
+        if not 1 <= distance <= WINDOW_SIZE:
+            raise ValueOutOfRange(f"distance {distance} not in 1..{WINDOW_SIZE}")
+        self.length = length
+        self.distance = distance
+
+    def __eq__(self, other):
+        return (
+            type(other) is BackRef
+            and other.length == self.length
+            and other.distance == self.distance
+        )
+
+    def __hash__(self):
+        return hash((BackRef, self.length, self.distance))
+
+    def __repr__(self):
+        return f"BackRef({self.length}, {self.distance})"
+
+
+class EndOfBlock:
+    """Marks the end of one compressed block; produces no bytes."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "EndOfBlock()"
+
+
+END_OF_BLOCK = EndOfBlock()

@@ -21,17 +21,17 @@ from deflatekit.compress import (
     write_stored_block,
 )
 from deflatekit.errors import ValueOutOfRange
-from deflatekit.history_window import (
+from deflatekit.history_window import QueueOfDoom, resolve_tokens
+from deflatekit.inflate import BlockType, NoParse, Parsed, iter_blocks
+from deflatekit.symbol_tables import (
     END_OF_BLOCK,
+    MAX_MATCH_LENGTH,
+    MIN_MATCH_LENGTH,
     WINDOW_SIZE,
     BackRef,
     EndOfBlock,
     Literal,
-    QueueOfDoom,
-    resolve_tokens,
 )
-from deflatekit.inflate import BlockType, NoParse, Parsed, iter_blocks
-from deflatekit.symbol_tables import MAX_MATCH_LENGTH, MIN_MATCH_LENGTH
 
 GOLDEN_PLAINTEXT = b"ananas_banana_batata"
 

@@ -19,16 +19,15 @@ import pytest
 from deflatekit.bitio import BitCursor
 from deflatekit.compress import deflate
 from deflatekit.gzip_container import gzip_compress, gzip_decompress
-from deflatekit.history_window import (
-    BackRef,
-    Literal,
-    QueueOfDoom,
+from deflatekit.history_window import QueueOfDoom, resolve_tokens
+from deflatekit.inflate import (
+    Parsed,
     RingWindow,
-    WINDOW_SIZE,
-    resolve_tokens,
+    inflate,
+    parse_deflate,
+    parse_dynamic_header,
     resolve_tokens_ring,
 )
-from deflatekit.inflate import Parsed, inflate, parse_deflate, parse_dynamic_header
 from deflatekit.prefix_coding import build_coding, kraft_sum
 from deflatekit.reference import (
     build_coding_counting,
@@ -36,6 +35,7 @@ from deflatekit.reference import (
     explist_iter,
     has_all_ones_code,
 )
+from deflatekit.symbol_tables import WINDOW_SIZE, BackRef, Literal
 
 from conftest import (
     ACCEPTANCE_LINES,

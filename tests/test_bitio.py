@@ -132,7 +132,7 @@ def test_sink_write_validation():
     with pytest.raises(ValueOutOfRange):
         sink.write_bits_lsb(-1, 4)
     with pytest.raises(ValueOutOfRange):
-        sink.write_bits_lsb(0, MAX_FIELD_BITS + 1)
+        sink.write_bits_lsb(0, -1)
     assert sink.bit_length == 0  # failed writes leave no trace
 
 
@@ -147,7 +147,7 @@ def test_wide_writes_match_one_bit_at_a_time(fill, fields):
     for sink in (wide, narrow):
         sink.write_bits_lsb(0b1010101 >> (7 - fill), fill)
     for value, n in fields:
-        wide.write_bits_wide(value, n)
+        wide.write_bits_lsb(value, n)
         for k in range(n):
             narrow.write_bits_lsb(value >> k & 1, 1)
         assert wide.bit_length == narrow.bit_length
@@ -158,9 +158,9 @@ def test_wide_write_validation():
     sink = BitSink()
     sink.write_bits_lsb(1, 3)
     with pytest.raises(ValueOutOfRange):
-        sink.write_bits_wide(1 << 40, 40)  # does not fit
+        sink.write_bits_lsb(1 << 40, 40)  # does not fit
     with pytest.raises(ValueOutOfRange):
-        sink.write_bits_wide(-1, 4)
+        sink.write_bits_lsb(-1, 4)
     assert sink.bit_length == 3
 
 

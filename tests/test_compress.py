@@ -23,16 +23,19 @@ from deflatekit.compress import (
     write_stored_block,
 )
 from deflatekit.errors import ValueOutOfRange
-from deflatekit.history_window import BackRef, END_OF_BLOCK, EndOfBlock, Literal
 from deflatekit.inflate import inflate, iter_blocks, parse_stored_block
 from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT
 from deflatekit.reference import DISTANCE_TABLE, MAX_DISTANCE, distance_encode, length_encode
 from deflatekit.symbol_tables import (
     DISTANCE_CODEPOINT,
     DISTANCE_CODES,
+    END_OF_BLOCK,
     LENGTH_ENCODING,
     MAX_MATCH_LENGTH,
     MIN_MATCH_LENGTH,
+    BackRef,
+    EndOfBlock,
+    Literal,
 )
 
 from conftest import (

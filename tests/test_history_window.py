@@ -10,22 +10,18 @@ import random
 
 import pytest
 
-from deflatekit.errors import DistanceTooFar, IndexOutOfRange, ValueOutOfRange
+from deflatekit.errors import DistanceTooFar, ValueOutOfRange
 from deflatekit.history_window import (
-    BackRef,
     ENIL,
-    END_OF_BLOCK,
-    EndOfBlock,
-    Literal,
+    IndexOutOfRange,
     QueueOfDoom,
-    RingWindow,
-    WINDOW_SIZE,
     explist_cons,
     explist_index,
     resolve_tokens,
-    resolve_tokens_ring,
 )
+from deflatekit.inflate import RingWindow, resolve_tokens_ring
 from deflatekit.reference import explist_iter, explist_len
+from deflatekit.symbol_tables import END_OF_BLOCK, WINDOW_SIZE, BackRef, EndOfBlock, Literal
 
 from conftest import GOLDEN_PLAINTEXT
 

@@ -16,13 +16,7 @@ from hypothesis import strategies as st
 from deflatekit.bitio import BitCursor, BitSink
 from deflatekit.compress import CompressParams, deflate
 from deflatekit.errors import InflateError, ValueOutOfRange
-from deflatekit.history_window import (
-    BackRef,
-    END_OF_BLOCK,
-    Literal,
-    QueueOfDoom,
-    resolve_tokens,
-)
+from deflatekit.history_window import QueueOfDoom, resolve_tokens
 from deflatekit.inflate import (
     BlockHeader,
     BlockType,
@@ -41,7 +35,10 @@ from deflatekit.reference import InvalidLengthExtra, distance_decode, length_dec
 from deflatekit.symbol_tables import (
     CL_CODE_ORDER,
     DISTANCE_CODES,
+    END_OF_BLOCK,
     LENGTH_CODES,
+    BackRef,
+    Literal,
     distance_extra_bits,
     length_extra_bits,
 )

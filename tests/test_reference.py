@@ -1,22 +1,29 @@
 """The reference models stay off the production path.
 
 ``deflatekit.reference`` holds the paper's second coding construction,
-the canonicity checker and the RFC 1951 codepoint spec; only the tests
-import it.  This parses every module of the package and fails if any
-other module imports it, in any spelling of the import statement or
-through ``importlib``, or defines a name it defines.  The same
+the canonicity checker and the RFC 1951 codepoint spec, and
+``deflatekit.history_window`` the paper's window model (ExpList,
+QueueOfDoom, ``resolve_tokens``); only the tests import them.  This
+parses every module of the package and fails if any other module
+imports either, in any spelling of the import statement or through
+``importlib``, or defines a name either defines; and it checks in a
+fresh interpreter that importing the codec loads neither.  The same
 scan keeps the package pure Python: no module of it may import ``zlib``
 or ``binascii``, whose C checksums and codecs would be a shortcut past
 the code under test.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import deflatekit
 
 PACKAGE = Path(deflatekit.__file__).parent
-REFERENCE = "deflatekit.reference"
+REFERENCE_MODULES = ("reference", "history_window")
+REFERENCE_FILES = {f"{name}.py" for name in REFERENCE_MODULES}
 C_SHORTCUTS = ("zlib", "binascii")
 
 
@@ -41,16 +48,26 @@ def imported_modules(tree: ast.AST) -> set[str]:
     return names
 
 
+def reference_imports(names: set[str]) -> list[str]:
+    """The names in ``names`` that are a reference module or one of its members."""
+    return sorted(
+        name
+        for name in names
+        for module in REFERENCE_MODULES
+        if name in (module, f"deflatekit.{module}")
+        or name.startswith(f"deflatekit.{module}.")
+    )
+
+
 def test_no_production_module_imports_reference():
     sources = sorted(PACKAGE.glob("*.py"))
-    assert PACKAGE / "reference.py" in sources
+    assert {PACKAGE / name for name in REFERENCE_FILES} <= set(sources)
     offenders = []
     for path in sources:
-        if path.name == "reference.py":
+        if path.name in REFERENCE_FILES:
             continue
-        for name in imported_modules(ast.parse(path.read_text(), str(path))):
-            if name in (REFERENCE, "reference") or name.startswith(REFERENCE + "."):
-                offenders.append(f"{path.name} imports {name}")
+        for name in reference_imports(imported_modules(ast.parse(path.read_text(), str(path)))):
+            offenders.append(f"{path.name} imports {name}")
     assert offenders == []
     assert deflatekit.__all__ == [
         "CompressParams",
@@ -78,11 +95,14 @@ def top_level_names(tree: ast.Module) -> set[str]:
 
 
 def test_no_production_module_defines_a_reference_name():
-    spec = top_level_names(ast.parse((PACKAGE / "reference.py").read_text()))
+    spec = set()
+    for name in REFERENCE_FILES:
+        spec |= top_level_names(ast.parse((PACKAGE / name).read_text()))
     assert {"LENGTH_TABLE", "length_decode", "InvalidLengthExtra", "explist_iter"} <= spec
+    assert {"QueueOfDoom", "resolve_tokens", "explist_index", "IndexOutOfRange"} <= spec
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "reference.py":
+        if path.name in REFERENCE_FILES:
             continue
         defined = top_level_names(ast.parse(path.read_text(), str(path)))
         offenders += [f"{path.name} defines {name}" for name in sorted(defined & spec)]
@@ -134,8 +154,35 @@ def test_every_import_spelling_is_caught():
         "importlib.import_module('deflatekit.reference')",
         "importlib.import_module('.reference', 'deflatekit')",
         "__import__('deflatekit.reference')",
+        "from . import history_window",
+        "from .history_window import QueueOfDoom",
+        "from .history_window import *",
+        "import deflatekit.history_window",
+        "import deflatekit.history_window as h",
+        "from deflatekit import history_window",
+        "from deflatekit.history_window import resolve_tokens",
+        "importlib.import_module('deflatekit.history_window')",
+        "importlib.import_module('.history_window', 'deflatekit')",
+        "__import__('deflatekit.history_window')",
     ]
     for source in spellings:
-        names = imported_modules(ast.parse(source))
-        assert REFERENCE in names or "reference" in names, source
-    assert REFERENCE not in imported_modules(ast.parse("from . import prefix_coding"))
+        assert reference_imports(imported_modules(ast.parse(source))), source
+    assert reference_imports(imported_modules(ast.parse("from . import prefix_coding"))) == []
+
+
+def test_importing_the_codec_loads_no_reference_module():
+    probe = (
+        "import sys, deflatekit, deflatekit.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('deflatekit'))))"
+    )
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = set(result.stdout.split())
+    assert {"deflatekit.inflate", "deflatekit.cli"} <= loaded
+    assert loaded.isdisjoint({f"deflatekit.{name}" for name in REFERENCE_MODULES})
