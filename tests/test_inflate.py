@@ -848,20 +848,23 @@ def dynamic_block(lit_lengths: list, dist_lengths: list):
     return sink, build_coding(lit_lengths), build_coding(dist_lengths)
 
 
-def random_dynamic_block(rng: random.Random) -> bytes:
+def random_dynamic_block(rng: random.Random, long_codes: bool = False) -> bytes:
     """A final dynamic block over random (often incomplete) codings, with
-    codes up to 15 bits."""
-    lit_lengths = list(random_code_lengths(rng, max_alphabet=286))
-    lit_lengths += [0] * (257 - len(lit_lengths))
-    dist_lengths = list(random_code_lengths(rng, max_alphabet=32))
+    codes up to 15 bits; with long_codes, one of them longer than 9."""
+    while True:
+        lit_lengths = list(random_code_lengths(rng, max_alphabet=286))
+        lit_lengths += [0] * (257 - len(lit_lengths))
+        dist_lengths = list(random_code_lengths(rng, max_alphabet=32))
+        if not long_codes or max(lit_lengths + dist_lengths) > 9:
+            break
     sink, lit, dist = dynamic_block(lit_lengths, dist_lengths)
     write_random_tokens(sink, rng, lit, dist)
     return sink.to_bytes()
 
 
-def test_long_codes_decode_between_short_ones():
-    # 15-bit literal, end and distance codes go past the 9-bit primary
-    # tables to the walk; the tokens after them must still line up.
+def long_codes_stream():
+    """A dynamic block whose 15-bit literal, end and distance codes sit
+    between 1- and 2-bit ones; returns the sink and its tokens."""
     lit_lengths = [0] * 259
     lit_lengths[97], lit_lengths[257], lit_lengths[98], lit_lengths[256] = 1, 2, 15, 15
     sink, lit, dist = dynamic_block(lit_lengths, [15, 1])  # distance 1: 15 bits, 2: 1 bit
@@ -874,6 +877,13 @@ def test_long_codes_decode_between_short_ones():
             write_code_msb(sink, dist[t.distance - 1])
         else:
             write_code_msb(sink, lit[256])
+    return sink, tokens
+
+
+def test_long_codes_decode_between_short_ones():
+    # 15-bit codes go past the 9-bit primary tables; the tokens after
+    # them must still line up.
+    sink, tokens = long_codes_stream()
     stream = sink.to_bytes()
     assert [t for _, item, _ in iter_blocks(stream) for t in item] == tokens
     expected, _ = resolve_tokens(tokens, QueueOfDoom())
@@ -908,19 +918,48 @@ def pinned_corpus():
 PINNED_OUTCOMES_SHA256 = "fd7467cd187be2e58dc0a38a5458a3824c27dabe1c255b4d418cad9c24b5895c"
 
 
+def outcome_line(outcome) -> bytes:
+    """One digest line for a parse_deflate outcome."""
+    if isinstance(outcome, Parsed):
+        line = (
+            f"ok {hashlib.sha256(outcome.value).hexdigest()}"
+            f" {outcome.consumed_bits} {outcome.rest.bit_pos}"
+        )
+    else:
+        line = f"no {outcome.reason.name} {outcome.bit_pos} {outcome.detail}"
+    return line.encode() + b"\n"
+
+
 def test_parse_outcomes_match_the_pinned_digest():
     digest = hashlib.sha256()
     reasons = set()
     for stream in pinned_corpus():
         outcome = parse_deflate(BitCursor(stream))
-        if isinstance(outcome, Parsed):
-            line = (
-                f"ok {hashlib.sha256(outcome.value).hexdigest()}"
-                f" {outcome.consumed_bits} {outcome.rest.bit_pos}"
-            )
-        else:
+        if isinstance(outcome, NoParse):
             reasons.add(outcome.reason)
-            line = f"no {outcome.reason.name} {outcome.bit_pos} {outcome.detail}"
-        digest.update(line.encode() + b"\n")
+        digest.update(outcome_line(outcome))
     assert reasons == set(FailReason)
     assert digest.hexdigest() == PINNED_OUTCOMES_SHA256
+
+
+def long_code_streams():
+    """The long-codes stream and 20 random dynamic blocks with codes
+    longer than 9 bits, built without zlib."""
+    rng = random.Random(15)
+    yield long_codes_stream()[0].to_bytes()
+    for _ in range(20):
+        yield random_dynamic_block(rng, long_codes=True)
+
+
+# sha256 over the parse_deflate outcomes of every byte prefix of
+# long_code_streams(), recorded while inflate still read long codes and
+# the last 16 bytes of a stream through read_symbol and read_bits.
+PINNED_TAIL_OUTCOMES_SHA256 = "cf5fa1f87508052a6c8b44d128aefc19b14b8056abbc8bd1f8dbe18bf7c8d44b"
+
+
+def test_every_prefix_of_long_code_streams_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for stream in long_code_streams():
+        for k in range(len(stream) + 1):
+            digest.update(outcome_line(parse_deflate(BitCursor(stream[:k]))))
+    assert digest.hexdigest() == PINNED_TAIL_OUTCOMES_SHA256
