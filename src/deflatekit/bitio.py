@@ -49,14 +49,11 @@ def read_bits(data: bytes, pos: int, n: int, bit_end: int) -> tuple[int, int]:
     """Read an n-bit field packed least-significant bit first at bit ``pos``.
 
     Returns (value, pos + n).  n is 0 (yields 0 and the unchanged
-    position) up to ``MAX_FIELD_BITS``; every caller passes a constant
-    or a table width.  Raises ``EndOfInput`` at ``pos`` when the field
-    would run past ``bit_end``.
+    position) up to ``MAX_FIELD_BITS``.  Raises ``EndOfInput`` at
+    ``pos`` when the field would run past ``bit_end``.
     """
     if pos + n > bit_end:
         raise EndOfInput(pos, f"a {n}-bit field")
-    if n == 0:
-        return 0, pos
     first = pos >> 3
     nbytes = ((pos & 7) + n + 7) >> 3
     chunk = int.from_bytes(data[first : first + nbytes], "little")

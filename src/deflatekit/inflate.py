@@ -289,38 +289,34 @@ def _decode_some(
     distance must reach no further back than the ``produced`` bytes.
     Malformed content raises one of ``_PARSE_ERRORS`` at an exact offset.
 
-    Symbols are looked up inline in the codings' primary ``table``
-    (zlib ``inffast.c``).  ``hold`` caches ``have`` stream bits from
-    ``pos`` on, reloaded 16 bytes at a time while 16 whole bytes remain
-    before ``bit_end``.  A field the cache cannot serve (a -1 entry, too
-    few bits) is read by the coding's ``read_symbol`` or by
-    ``read_bits``, which empties the cache.
+    ``hold`` caches ``have`` stream bits from ``pos`` on, reloaded 16
+    bytes at a time, or up to ``bit_end`` (a byte boundary) near it, so
+    it serves every field.  Symbols are looked up inline in the codings'
+    primary ``table`` (zlib ``inffast.c``); a -1 entry, or fewer than 15
+    bits in hand, sends the same bits to the coding's ``entry``.  Extra
+    bits past ``bit_end`` raise EndOfInput at their first bit.
     """
     tokens: list = []
     append = tokens.append
     literals = LITERALS
-    lit_table, lit_bits = lit_coding.table, lit_coding.table_bits
-    dist_table, dist_bits = dist_coding.table, dist_coding.table_bits
-    lit_mask, dist_mask = (1 << lit_bits) - 1, (1 << dist_bits) - 1
+    lit_table, dist_table = lit_coding.table, dist_coding.table
+    lit_mask, dist_mask = len(lit_table) - 1, len(dist_table) - 1
     hold = have = 0
-    reload_end = 8 * (bit_end >> 3) - 128
+    reload_end = bit_end - 128
     for _ in range(max_tokens):
         # 48 bits hold any token: 15 + 5 extra + 15 + 13 extra.
-        if have < 48 and pos <= reload_end:
+        if have < 48:
             i = pos >> 3
             hold = int.from_bytes(data[i : i + 16], "little") >> (pos & 7)
-            have = 128 - (pos & 7)
-        sym_pos = pos
-        entry = lit_table[hold & lit_mask] if have >= lit_bits else -1
-        if entry >= 0:
-            n = entry & 15
-            hold >>= n
-            have -= n
-            pos += n
-            sym = entry >> 4
-        else:
-            sym, pos = lit_coding.read_symbol(data, pos, bit_end)
-            have = 0
+            have = 128 - (pos & 7) if pos <= reload_end else bit_end - pos
+        entry = lit_table[hold & lit_mask]
+        if entry < 0 or have < 15:
+            entry = lit_coding.entry(hold, have, pos)
+        n = entry & 15
+        hold >>= n
+        have -= n
+        pos += n
+        sym = entry >> 4
         if sym < 256:
             append(literals[sym])
             produced += 1
@@ -329,43 +325,36 @@ def _decode_some(
             append(END_OF_BLOCK)
             return tokens, pos, produced, True
         if sym > 285:
-            raise _Fail(FailReason.INVALID_LENGTH_CODEPOINT, sym_pos, f"codepoint {sym}")
+            raise _Fail(FailReason.INVALID_LENGTH_CODEPOINT, pos - n, f"codepoint {sym}")
         width, length = LENGTH_CODES[sym - 257]
-        if have >= width:
-            extra = hold & ((1 << width) - 1)
-            hold >>= width
-            have -= width
-            pos += width
-        else:
-            extra, pos = read_bits(data, pos, width, bit_end)
-            have = 0
+        if width > have:
+            raise EndOfInput(pos, f"a {width}-bit field")
+        extra = hold & ((1 << width) - 1)
+        hold >>= width
+        have -= width
+        pos += width
         if extra == 31 and sym == 284:
             # 227 + 31 would be 258, which codepoint 285 owns.
             detail = "length codepoint 284 with extra value 31"
             raise _Fail(FailReason.INVALID_LENGTH_EXTRA, pos, detail)
         length += extra
-        dsym_pos = pos
-        entry = dist_table[hold & dist_mask] if have >= dist_bits else -1
-        if entry >= 0:
-            n = entry & 15
-            hold >>= n
-            have -= n
-            pos += n
-            dsym = entry >> 4
-        else:
-            dsym, pos = dist_coding.read_symbol(data, pos, bit_end)
-            have = 0
+        entry = dist_table[hold & dist_mask]
+        if entry < 0 or have < 15:
+            entry = dist_coding.entry(hold, have, pos)
+        n = entry & 15
+        hold >>= n
+        have -= n
+        pos += n
+        dsym = entry >> 4
         if dsym >= 30:
-            raise _Fail(FailReason.INVALID_DISTANCE_CODEPOINT, dsym_pos, f"codepoint {dsym}")
+            raise _Fail(FailReason.INVALID_DISTANCE_CODEPOINT, pos - n, f"codepoint {dsym}")
         width, distance = DISTANCE_CODES[dsym]
-        if have >= width:
-            extra = hold & ((1 << width) - 1)
-            hold >>= width
-            have -= width
-            pos += width
-        else:
-            extra, pos = read_bits(data, pos, width, bit_end)
-            have = 0
+        if width > have:
+            raise EndOfInput(pos, f"a {width}-bit field")
+        extra = hold & ((1 << width) - 1)
+        hold >>= width
+        have -= width
+        pos += width
         distance += extra
         if distance > produced:
             raise _Fail(

@@ -16,7 +16,8 @@ prefix sorts before its extensions):
 Rules 1-4 force each length class to occupy a dense range of values
 starting right after the (doubled) end of the previous class, which is
 what ``build_coding`` constructs.  Decoding does not rely on it: a
-coding reads the stream by looking its own codes up.
+coding reads the stream by looking its own codes up, in one resolver,
+``DeflateCoding.entry``, that works on stream bits already read.
 
 A length vector is a plain sequence of ints, one per character, 0
 meaning no code; ``build_coding(lengths, max_len)`` is the one place
@@ -64,9 +65,10 @@ def kraft_sum(lengths: Sequence[int]) -> Fraction:
 
 
 def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> None:
-    """Raise unless every length is in 0..max_len and the vector is feasible."""
-    if max_len < 1:
-        raise ValueOutOfRange(f"max_len {max_len} must be at least 1")
+    """Raise unless max_len is in 1..15, each length in 0..max_len, and the vector feasible."""
+    if not 1 <= max_len <= MAX_CODE_LENGTH:
+        bound = "at least 1" if max_len < 1 else f"at most {MAX_CODE_LENGTH}"
+        raise ValueOutOfRange(f"max_len {max_len} must be {bound}")
     for ch, l in enumerate(lengths):
         if l < 0:
             raise ValueOutOfRange(f"length {l} of character {ch} is negative")
@@ -96,8 +98,10 @@ class DeflateCoding:
     prefix-free, not canonical.  ``table`` (zlib ``inftrees.c``) maps
     each ``table_bits`` = min(9, longest code) stream bits, least
     significant first, to ``(symbol << 4) | length`` for the code of at
-    most ``table_bits`` bits they begin with, else -1.  A dict maps
-    every code, as ``rev << 4 | length``, to its character.
+    most ``table_bits`` bits they begin with, else -1.  A dict maps each
+    longer code, as ``rev << 4 | length``, to the same packed entry.
+    ``entry`` resolves bits already read through both; ``read_symbol``
+    and inflate's token loop both decode through it.
 
     Instances are value-like: equality is by lengths and values.  Only
     ``build_coding`` checks lengths and assigns canonical values; an
@@ -106,7 +110,7 @@ class DeflateCoding:
     """
 
     __slots__ = ("lengths", "values", "max_len", "stream_codes", "table_bits", "table",
-                 "_chars", "_longest", "_codes")
+                 "_long_codes", "_longest", "_codes")
 
     def __init__(
         self, lengths: Sequence[int], values: Sequence[int], max_len: int = MAX_CODE_LENGTH
@@ -127,13 +131,13 @@ class DeflateCoding:
         self._longest = max(self.lengths, default=0)
         self.table_bits = bits = min(_TABLE_BITS, self._longest)
         self.table = table = [-1] * (1 << bits)
-        self._chars = {}
+        self._long_codes = {}
         for ch, (rev, length) in enumerate(self.stream_codes):
-            if length:
-                self._chars[rev << 4 | length] = ch
-                if length <= bits:
-                    # The index ends in the code's stream bits; the rest is free.
-                    table[rev :: 1 << length] = [(ch << 4) | length] * (len(table) >> length)
+            if length > bits:
+                self._long_codes[rev << 4 | length] = (ch << 4) | length
+            elif length:
+                # The index ends in the code's stream bits; the rest is free.
+                table[rev :: 1 << length] = [(ch << 4) | length] * (len(table) >> length)
         self._codes: Optional[tuple[Bits, ...]] = None
 
     @property
@@ -165,34 +169,39 @@ class DeflateCoding:
         }
         return f"DeflateCoding({shown})"
 
+    def entry(self, bits: int, avail: int, bit_pos: int) -> int:
+        """The ``(character << 4) | length`` of the code ``bits`` begin with.
+
+        ``bits`` are the stream bits from ``bit_pos`` on, least
+        significant first, of which only the low ``avail`` count: the
+        table is asked first (bits above ``avail`` may fill its index,
+        but a hit counts only if no longer than ``avail``), then the dict
+        for each longer prefix up to the longest code.  Raises
+        EndOfInput at ``bit_pos + avail`` when fewer bits than the
+        longest code begin no code, else BadCode at ``bit_pos``.
+        """
+        length = self.table_bits
+        entry = self.table[bits & ((1 << length) - 1)]
+        stop = min(avail, self._longest)
+        while entry < 0 and length < stop:
+            length += 1
+            entry = self._long_codes.get((bits & ((1 << length) - 1)) << 4 | length, -1)
+        if 0 <= entry and entry & 15 <= avail:
+            return entry
+        if avail < self._longest:
+            raise EndOfInput(bit_pos + avail, "a prefix code")
+        raise BadCode(bit_pos)
+
     def read_symbol(self, data: bytes, bit_pos: int, bit_end: int) -> tuple[int, int]:
         """Decode one code starting at bit_pos; returns (character, next position).
 
-        Raises BadCode when the bits begin no code and EndOfInput when
-        bit_end comes first; no bit at or past bit_end is read.  Past a
-        -1 table entry, or with fewer than ``table_bits`` bits left, the
-        dict is asked for each longer prefix up to the longest code.
+        Reads up to the longest code's bits, never past bit_end, and
+        resolves them with ``entry``: BadCode when they begin no code,
+        EndOfInput when bit_end comes first.
         """
-        if bit_pos + self.table_bits <= bit_end:
-            rev = read_bits(data, bit_pos, self.table_bits, bit_end)[0]
-            entry = self.table[rev]
-            if entry >= 0:
-                return entry >> 4, bit_pos + (entry & 15)
-            length = self.table_bits
-        else:
-            rev = length = 0
-        chars = self._chars
-        pos = bit_pos + length
-        while length < self._longest:
-            if pos >= bit_end:
-                raise EndOfInput(pos, "a prefix code")
-            rev |= ((data[pos >> 3] >> (pos & 7)) & 1) << length
-            length += 1
-            pos += 1
-            ch = chars.get(rev << 4 | length)
-            if ch is not None:
-                return ch, pos
-        raise BadCode(bit_pos)
+        avail = min(bit_end - bit_pos, self._longest)
+        entry = self.entry(read_bits(data, bit_pos, avail, bit_end)[0], avail, bit_pos)
+        return entry >> 4, bit_pos + (entry & 15)
 
 
 def build_coding(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> DeflateCoding:

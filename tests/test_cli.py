@@ -64,6 +64,7 @@ def test_dump_coding_rejects_garbage():
         ["2,x,3"],
         ["1,1,1"],  # over-subscribed: no prefix-free coding exists
         ["--max-len", "0", "1,1"],
+        ["--max-len", "16", "1,1"],  # no deflate code is longer than 15 bits
     ):
         with pytest.raises(SystemExit) as err:
             main(["dump-coding", *argv])

@@ -204,6 +204,9 @@ def test_code_lengths_validation():
         (LengthOverflow, [MAX_CODE_LENGTH + 1] * 2, MAX_CODE_LENGTH),
         (LengthOverflow, [MAX_CL_CODE_LENGTH + 1] * 2, MAX_CL_CODE_LENGTH),
         (ValueOutOfRange, [1], 0),
+        # A packed entry holds a length in 4 bits: a 17-bit code would
+        # read as a 1-bit one.
+        (ValueOutOfRange, [1, MAX_CODE_LENGTH + 2], MAX_CODE_LENGTH + 2),
         (KraftViolation, [1, 1, 1], MAX_CODE_LENGTH),
     ]
     for expected, lengths, max_len in cases:
