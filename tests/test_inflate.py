@@ -963,3 +963,75 @@ def test_every_prefix_of_long_code_streams_matches_the_pinned_digest():
         for k in range(len(stream) + 1):
             digest.update(outcome_line(parse_deflate(BitCursor(stream[:k]))))
     assert digest.hexdigest() == PINNED_TAIL_OUTCOMES_SHA256
+
+
+def write_coded_tokens(sink: BitSink, rng: random.Random, lit, dist, count: int) -> list:
+    """``count`` tokens the codings can code, then end of block; returns them.
+
+    Only symbols with a code are drawn: literals, length codepoints with
+    an extra value that codes a valid length, and distance codes whose
+    base lies inside the output so far, with an extra value that keeps
+    the distance there.  The codings must code end of block and some
+    literal.
+    """
+    lit_syms = [s for s in range(256) if lit.lengths[s]]
+    len_syms = [s for s in range(257, min(len(lit), 286)) if lit.lengths[s]]
+    dist_syms = [s for s in range(min(len(dist), 30)) if dist.lengths[s]]
+    tokens = []
+    produced = 0
+    for _ in range(count):
+        reachable = [d for d in dist_syms if DISTANCE_CODES[d][1] <= produced]
+        if not (len_syms and reachable and rng.random() < 0.4):
+            sym = rng.choice(lit_syms)
+            write_code_msb(sink, lit[sym])
+            tokens.append(Literal(sym))
+            produced += 1
+            continue
+        sym = rng.choice(len_syms)
+        width, length = LENGTH_CODES[sym - 257]
+        extra = rng.randrange((1 << width) - (sym == 284))  # 284 + 31 is invalid
+        write_code_msb(sink, lit[sym])
+        sink.write_bits_lsb(extra, width)
+        length += extra
+        dsym = rng.choice(reachable)
+        width, distance = DISTANCE_CODES[dsym]
+        extra = rng.randrange(min(1 << width, produced - distance + 1))
+        write_code_msb(sink, dist[dsym])
+        sink.write_bits_lsb(extra, width)
+        tokens.append(BackRef(length, distance + extra))
+        produced += length
+    write_code_msb(sink, lit[256])
+    return tokens + [END_OF_BLOCK]
+
+
+def token_carrying_dynamic_block(rng: random.Random) -> tuple[bytes, list]:
+    """A final dynamic block over random codings that code end of block,
+    some literal, some length and some distance, with 40-160 tokens that
+    all decode; returns the stream and its tokens."""
+    while True:
+        lit_lengths = list(random_code_lengths(rng, max_alphabet=286))
+        lit_lengths += [0] * (257 - len(lit_lengths))
+        dist_lengths = list(random_code_lengths(rng, max_alphabet=32))
+        if lit_lengths[256] and all(map(any, (lit_lengths[:256], lit_lengths[257:286],
+                                              dist_lengths[:30]))):
+            break
+    sink, lit, dist = dynamic_block(lit_lengths, dist_lengths)
+    tokens = write_coded_tokens(sink, rng, lit, dist, rng.randrange(40, 161))
+    return sink.to_bytes(), tokens
+
+
+# sha256 over the parse_deflate outcomes of every byte prefix of 8
+# token_carrying_dynamic_block() streams, recorded while DeflateCoding
+# still took code values from its caller.
+PINNED_TOKEN_OUTCOMES_SHA256 = "80922591292f9c8b2696e3682114f3faeb5a67de602cbfc3fec55eb02474f264"
+
+
+def test_every_prefix_of_token_carrying_dynamic_blocks_matches_the_pinned_digest():
+    rng = random.Random(16)
+    digest = hashlib.sha256()
+    for _ in range(8):
+        stream, tokens = token_carrying_dynamic_block(rng)
+        assert [t for _, item, _ in iter_blocks(stream) for t in item] == tokens
+        for k in range(len(stream) + 1):
+            digest.update(outcome_line(parse_deflate(BitCursor(stream[:k]))))
+    assert digest.hexdigest() == PINNED_TOKEN_OUTCOMES_SHA256
