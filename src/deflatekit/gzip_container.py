@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import struct
 import warnings
-from typing import NamedTuple
 
 from .bitio import BitCursor
 from .compress import CompressParams, DEFAULT_PARAMS, deflate
@@ -37,13 +36,6 @@ _FEXTRA = 4
 _FNAME = 8
 _FCOMMENT = 16
 _FRESERVED = 0xE0  # bits 5-7, which RFC 1952 requires a reader to reject
-
-
-class PlaintextStats(NamedTuple):
-    """What the trailer records about the uncompressed data."""
-
-    crc: int
-    size: int
 
 
 # CRC-32 with the reflected polynomial.  T[k][i] is the register after
@@ -144,10 +136,11 @@ def crc32(data: bytes, value: int = 0) -> int:
     return crc ^ 0xFFFFFFFF
 
 
-def gzip_wrap(deflate_bytes: bytes, stats: PlaintextStats) -> bytes:
-    """Frame a raw deflate stream as a single-member gzip file."""
+def gzip_wrap(deflate_bytes: bytes, crc: int, size: int) -> bytes:
+    """Frame a raw deflate stream as a single-member gzip file; the
+    trailer records the plaintext's CRC-32 and size, modulo 2**32."""
     header = _MAGIC + bytes([_METHOD_DEFLATE, 0]) + b"\x00\x00\x00\x00" + b"\x00\xff"
-    trailer = struct.pack("<II", stats.crc & 0xFFFFFFFF, stats.size & 0xFFFFFFFF)
+    trailer = struct.pack("<II", crc & 0xFFFFFFFF, size & 0xFFFFFFFF)
     return header + deflate_bytes + trailer
 
 
@@ -183,7 +176,7 @@ def _parse_header(data: bytes) -> int:
 
 def gzip_compress(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     """Compress plaintext straight into a gzip file."""
-    return gzip_wrap(deflate(data, params), PlaintextStats(crc32(data), len(data)))
+    return gzip_wrap(deflate(data, params), crc32(data), len(data))
 
 
 def gzip_decompress(data: bytes) -> bytes:

@@ -281,9 +281,8 @@ def _decode_some(
     lit_coding: DeflateCoding,
     dist_coding: DeflateCoding,
     produced: int,
-    max_tokens: int,
 ):
-    """Decode up to max_tokens tokens; returns (tokens, pos, produced, done).
+    """Decode up to _TOKEN_CHUNK tokens; returns (tokens, pos, produced, done).
 
     ``done`` reports whether the end-of-block symbol was consumed.  A
     distance must reach no further back than the ``produced`` bytes.
@@ -303,7 +302,7 @@ def _decode_some(
     lit_mask, dist_mask = len(lit_table) - 1, len(dist_table) - 1
     hold = have = 0
     reload_end = bit_end - 128
-    for _ in range(max_tokens):
+    for _ in range(_TOKEN_CHUNK):
         # 48 bits hold any token: 15 + 5 extra + 15 + 13 extra.
         if have < 48:
             i = pos >> 3
@@ -413,8 +412,7 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
             while not done:
                 try:
                     tokens, pos, produced, done = _decode_some(
-                        data, pos, bit_end, lit_coding, dist_coding, produced,
-                        _TOKEN_CHUNK,
+                        data, pos, bit_end, lit_coding, dist_coding, produced
                     )
                 except _PARSE_ERRORS as e:
                     failure = _no_parse(e)

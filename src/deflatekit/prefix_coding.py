@@ -15,20 +15,21 @@ prefix sorts before its extensions):
 
 Rules 1-4 force each length class to occupy a dense range of values
 starting right after the (doubled) end of the previous class, which is
-what ``build_coding`` constructs.  Decoding does not rely on it: a
-coding reads the stream by looking its own codes up, in one resolver,
-``DeflateCoding.entry``, that works on stream bits already read.
+what the one construction, ``DeflateCoding(lengths, max_len)``, assigns;
+``build_coding`` is another name for it.  A coding reads the stream in
+one resolver, ``DeflateCoding.entry``, that works on stream bits already
+read.
 
 A length vector is a plain sequence of ints, one per character, 0
-meaning no code; ``build_coding(lengths, max_len)`` is the one place
-that checks it and the one production construction.  A
+meaning no code.  The constructor checks it once, so no coding has a
+code longer than 15 bits or an over-subscribed vector.  A
 ``DeflateCoding`` holds the lengths and each code as an integer value,
 and this module alone decides how a code sits in the stream: its
 ``stream_codes`` are the bit-reversed values that its decode lookups
 and the block writers use.  ``FIXED_LIT`` and ``FIXED_DIST`` are the
 static-block codings.  The paper's second construction (per-length
 counting) and the four-rule checker are reference models in
-``deflatekit.reference``, which the tests compare ``build_coding``
+``deflatekit.reference``, which the tests compare this construction
 against.
 """
 
@@ -84,7 +85,15 @@ def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> Non
 
 
 class DeflateCoding:
-    """A prefix-free coding of characters 0..n-1, as lengths and code values.
+    """The canonical prefix-free coding of characters 0..n-1 for a length vector.
+
+    ``check_lengths`` raises for max_len outside 1..15, a length outside
+    0..max_len and an over-subscribed vector.  Then characters are visited sorted by
+    (length, character), skipping zero lengths (no code): the first
+    receives the all-zero code of its length, and each later one takes
+    the previous code plus one, shifted left by the growth in length
+    (RFC 1951 section 3.2.2).  Feasibility (Kraft sum <= 1) guarantees
+    no code outgrows its width.
 
     ``lengths[ch]`` is the code length of ch (0: no code) and
     ``values[ch]`` its code as an integer read leftmost bit first.
@@ -94,41 +103,47 @@ class DeflateCoding:
     ``codes`` and ``coding[ch]`` give each code as a tuple of bits,
     derived once on first use.
 
-    Decoding looks the stream codes up, so it needs the values to be
-    prefix-free, not canonical.  ``table`` (zlib ``inftrees.c``) maps
-    each ``table_bits`` = min(9, longest code) stream bits, least
-    significant first, to ``(symbol << 4) | length`` for the code of at
-    most ``table_bits`` bits they begin with, else -1.  A dict maps each
-    longer code, as ``rev << 4 | length``, to the same packed entry.
-    ``entry`` resolves bits already read through both; ``read_symbol``
-    and inflate's token loop both decode through it.
+    ``table`` (zlib ``inftrees.c``) maps each ``table_bits`` = min(9,
+    longest code) stream bits, least significant first, to
+    ``(symbol << 4) | length`` for the code of at most ``table_bits``
+    bits they begin with, else -1.  A dict maps each longer code, as
+    ``rev << 4 | length``, to the same packed entry.  ``entry`` resolves
+    bits already read through both; ``read_symbol`` and inflate's token
+    loop both decode through it.
 
-    Instances are value-like: equality is by lengths and values.  Only
-    ``build_coding`` checks lengths and assigns canonical values; an
-    arbitrary character-to-bits table is screened with
+    Instances are value-like: the lengths fix the codes, so equality is
+    by lengths.  An arbitrary character-to-bits table is screened with
     ``reference.check_axioms``.
     """
 
     __slots__ = ("lengths", "values", "max_len", "stream_codes", "table_bits", "table",
                  "_long_codes", "_longest", "_codes")
 
-    def __init__(
-        self, lengths: Sequence[int], values: Sequence[int], max_len: int = MAX_CODE_LENGTH
-    ):
-        self.lengths = tuple(lengths)
-        self.values = tuple(values)
+    def __init__(self, lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH):
+        self.lengths = lengths = tuple(lengths)
+        check_lengths(lengths, max_len)
         self.max_len = max_len
+        values = [0] * len(lengths)
+        code = -1  # so that the first code, (code + 1) << its length, is 0
+        prev_len = 0
+        for ch in sorted(range(len(lengths)), key=lengths.__getitem__):
+            length = lengths[ch]
+            if length:
+                code = (code + 1) << (length - prev_len)
+                prev_len = length
+                values[ch] = code
+        self.values = tuple(values)
         # Reversing a value's bytes and the bits of each byte reverses it
         # over whole bytes; the shift drops the -l % 8 padding bits.
         reverse, from_bytes = _REVERSED_BYTE, int.from_bytes
         self.stream_codes = tuple(
             (from_bytes(v.to_bytes((l + 7) >> 3, "little").translate(reverse), "big")
              >> (-l & 7), l)
-            for v, l in zip(self.values, self.lengths)
+            for v, l in zip(values, lengths)
         )
         # A coding with no codes is legitimate (a block that never uses
         # distances); reads then fail at the read position.
-        self._longest = max(self.lengths, default=0)
+        self._longest = max(lengths, default=0)
         self.table_bits = bits = min(_TABLE_BITS, self._longest)
         self.table = table = [-1] * (1 << bits)
         self._long_codes = {}
@@ -157,11 +172,11 @@ class DeflateCoding:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DeflateCoding):
-            return self.lengths == other.lengths and self.values == other.values
+            return self.lengths == other.lengths
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.lengths, self.values))
+        return hash(self.lengths)
 
     def __repr__(self) -> str:
         shown = {
@@ -204,33 +219,13 @@ class DeflateCoding:
         return entry >> 4, bit_pos + (entry & 15)
 
 
-def build_coding(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> DeflateCoding:
-    """Construct the canonical coding for a length vector incrementally.
-
-    Characters are visited sorted by (length, character), skipping zero
-    lengths (no code).  The first receives the all-zero code of its
-    length; each later one takes the previous code plus one, shifted
-    left by the growth in length (RFC 1951 section 3.2.2).  Feasibility
-    (Kraft sum <= 1) guarantees no code outgrows its width.
-    ``check_lengths`` raises for a length outside 0..max_len and for an
-    over-subscribed vector.
-    """
-    check_lengths(lengths, max_len)
-    values = [0] * len(lengths)
-    code = -1  # so that the first code, (code + 1) << its length, is 0
-    prev_len = 0
-    for ch in sorted(range(len(lengths)), key=lengths.__getitem__):
-        length = lengths[ch]
-        if length:
-            code = (code + 1) << (length - prev_len)
-            prev_len = length
-            values[ch] = code
-    return DeflateCoding(lengths, values, max_len)
+# The construction's other name; inflate builds each dynamic block's codings by it.
+build_coding = DeflateCoding
 
 
 # -- the two fixed codings --------------------------------------------
 
 # The static-block literal/length coding over the 288-character alphabet.
-FIXED_LIT = build_coding([8] * 144 + [9] * 112 + [7] * 24 + [8] * 8)
+FIXED_LIT = DeflateCoding([8] * 144 + [9] * 112 + [7] * 24 + [8] * 8)
 # The static-block distance coding: 32 five-bit codes.
-FIXED_DIST = build_coding([5] * 32)
+FIXED_DIST = DeflateCoding([5] * 32)

@@ -1,8 +1,8 @@
 """Reference models and specifications; only the tests import them.
 
 ``build_coding_counting`` is a second, independent construction
-(per-length counting) that must agree with ``prefix_coding.build_coding``
-on every vector, since canonical codings are unique.
+(per-length counting): its code values must equal ``build_coding``'s on
+every vector, since canonical codings are unique.
 ``has_all_ones_code`` is the other side of the extended Kraft property,
 and ``check_axioms`` checks the four canonicity rules that
 ``prefix_coding`` lists on a raw code table (the paper's map from
@@ -36,8 +36,8 @@ def _int_of_bits(bits: Sequence[int]) -> int:
 
 def build_coding_counting(
     lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH
-) -> DeflateCoding:
-    """Construct the same canonical coding by counting lengths.
+) -> tuple[int, ...]:
+    """The canonical code values of a length vector, by counting lengths.
 
     The first code value of each length comes from the recurrence
     first[m] = (first[m-1] + count[m-1]) * 2; characters then claim
@@ -64,7 +64,7 @@ def build_coding_counting(
         else:
             values.append(next_value[l])
             next_value[l] += 1
-    return DeflateCoding(lengths, values, max_len)
+    return tuple(values)
 
 
 def has_all_ones_code(coding: DeflateCoding) -> bool:

@@ -28,7 +28,6 @@ from deflatekit.errors import (
     UnsupportedMethod,
 )
 from deflatekit.gzip_container import (
-    PlaintextStats,
     crc32,
     gzip_compress,
     gzip_decompress,
@@ -156,7 +155,7 @@ def test_crc32_does_not_copy_its_input():
 
 def test_wrap_emits_the_fixed_header_and_trailer():
     payload = deflate(GOLDEN_PLAINTEXT)
-    out = gzip_wrap(payload, PlaintextStats(crc32(GOLDEN_PLAINTEXT), len(GOLDEN_PLAINTEXT)))
+    out = gzip_wrap(payload, crc32(GOLDEN_PLAINTEXT), len(GOLDEN_PLAINTEXT))
     assert out[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
     assert out[10:-8] == payload
     crc, size = struct.unpack("<II", out[-8:])
@@ -165,14 +164,14 @@ def test_wrap_emits_the_fixed_header_and_trailer():
 
 
 def test_trailer_size_is_modulo_2_32():
-    out = gzip_wrap(b"", PlaintextStats(0, (1 << 32) + 5))
+    out = gzip_wrap(b"", 0, (1 << 32) + 5)
     assert struct.unpack("<I", out[-4:])[0] == 5
 
 
 def test_wrap_unwrap_round_trip():
     payload = deflate(b"some payload")
-    stats = PlaintextStats(crc32(b"some payload"), 12)
-    assert gzip_decompress(gzip_wrap(payload, stats)) == b"some payload"
+    wrapped = gzip_wrap(payload, crc32(b"some payload"), 12)
+    assert gzip_decompress(wrapped) == b"some payload"
 
 
 def test_compress_decompress_round_trip():

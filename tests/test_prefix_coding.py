@@ -1,8 +1,8 @@
 """Canonical coding construction, Kraft accounting, axiom checks, decoding.
 
 ``build_coding`` and the reference model ``build_coding_counting`` are
-differential twins; the slow decoder below is a third, structure-free
-implementation used to pin down read_symbol.
+differential twins on the code values; the slow decoder below is a
+third, structure-free implementation used to pin down read_symbol.
 """
 
 import hashlib
@@ -50,10 +50,10 @@ def slow_decode(coding: DeflateCoding, data: bytes, pos: int, bit_end=None):
 
     Compares the accumulated bits against every code at each step, with
     neither the lookup table nor the stream-code dict the real decoder
-    uses, so it holds for non-canonical values too.  Bits
-    that match no code are reported (at their first bit) only once as
-    many bits as the longest code have been read; with fewer bits left
-    before ``bit_end`` the read runs out of input, as the decoder's does.
+    uses.  Bits that match no code are reported (at their first bit)
+    only once as many bits as the longest code have been read; with
+    fewer bits left before ``bit_end`` the read runs out of input, as
+    the decoder's does.
     """
     if bit_end is None:
         bit_end = 8 * len(data)
@@ -82,32 +82,41 @@ def test_worked_example_codes():
 
 
 def test_worked_example_via_counting():
-    assert build_coding_counting([2, 1, 3, 3, 0]) == build_coding([2, 1, 3, 3, 0])
+    assert build_coding_counting([2, 1, 3, 3, 0]) == build_coding([2, 1, 3, 3, 0]).values
 
 
 def test_counting_recurrence_handles_empty_length_classes():
     # No length-1 codes, two length-2 codes, then one of length 3: the
     # length-3 class must start at value 4 (binary 100), not 8.
-    coding = build_coding_counting([2, 2, 3])
-    assert coding.codes == ((0, 0), (0, 1), (1, 0, 0))
-
-
-def test_equal_lengths_with_other_values_are_another_coding():
-    coding = build_coding([2, 1, 3, 3])
-    swapped = DeflateCoding(coding.lengths, [0b10, 0b0, 0b111, 0b110])
-    assert swapped.lengths == coding.lengths
-    assert swapped != coding
-    assert swapped != build_coding_counting([2, 1, 3, 3])
+    assert build_coding_counting([2, 2, 3]) == (0b00, 0b01, 0b100)
 
 
 def test_constructions_agree_on_random_vectors():
     rng = random.Random(7)
     for _ in range(400):
         lengths = random_code_lengths(rng)
-        a = build_coding(lengths)
-        b = build_coding_counting(lengths)
+        coding = build_coding(lengths)
+        assert coding.values == build_coding_counting(lengths)
+        assert [len(code) for code in coding.codes] == lengths
+
+
+def test_the_constructor_is_build_coding():
+    # A coding is built only from its length vector, under either name.
+    rng = random.Random(17)
+    for _ in range(200):
+        lengths = random_code_lengths(rng)
+        a, b = DeflateCoding(lengths), build_coding(lengths)
         assert a == b
-        assert [len(code) for code in a.codes] == lengths
+        assert (a.values, a.stream_codes, a.table) == (b.values, b.stream_codes, b.table)
+
+
+def test_a_bad_coding_fails_when_it_is_built():
+    # Neither length fits a table entry's 4-bit length field: unchecked,
+    # the first read a code in zero bits, the second one after one bit.
+    with pytest.raises(LengthOverflow):
+        DeflateCoding([1, 16])
+    with pytest.raises(ValueOutOfRange):
+        DeflateCoding([1, 17], 17)
 
 
 def build_coding_vectors():
@@ -318,35 +327,23 @@ def symbol_stream(coding: DeflateCoding, rng: random.Random, count: int) -> byte
     return sink.to_bytes()
 
 
-# Prefix-free codings whose values are not the canonical ones for their
-# lengths: the decoder must follow the values it is given.
-NON_CANONICAL = [
-    ([2, 2, 2, 4, 4], [1, 0, 2, 13, 12]),  # 01 00 10 1101 1100
-    ([1, 10, 10], [0, 513, 512]),  # 0 1000000001 1000000000
-]
-
-
 @pytest.mark.parametrize(
-    "lengths, values",
+    "lengths",
     [
-        (list(range(1, 16)) + [15], None),  # complete, down to 15-bit codes
-        ([3, 10, 15, 0, 12, 9, 9], None),  # incomplete, with codes past 9 bits
-        ([2, 2, 2], None),  # incomplete, all shorter than 9 bits
-        ([8] * 144 + [9] * 112 + [7] * 24 + [8] * 8, None),  # fixed literal/length
-        ([0, 1], None),  # a single code
-        ([0, 0, 0], None),  # no codes at all
-    ]
-    + NON_CANONICAL,
-    ids=[
-        "15-bit", "incomplete-long", "incomplete-short", "fixed", "single", "empty",
-        "non-canonical-short", "non-canonical-long",
+        list(range(1, 16)) + [15],  # complete, down to 15-bit codes
+        [3, 10, 15, 0, 12, 9, 9],  # incomplete, with codes past 9 bits
+        [2, 2, 2],  # incomplete, all shorter than 9 bits
+        [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8,  # fixed literal/length
+        [0, 1],  # a single code
+        [0, 0, 0],  # no codes at all
     ],
+    ids=["15-bit", "incomplete-long", "incomplete-short", "fixed", "single", "empty"],
 )
-def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths, values):
+def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths):
     # Every bit_end from the start bit on exercises the lookup, the walk
     # after a -1 entry, and the walk with fewer than the table's bits left.
     rng = random.Random(len(lengths))
-    coding = build_coding(lengths) if values is None else DeflateCoding(lengths, values)
+    coding = build_coding(lengths)
     samples = [symbol_stream(coding, rng, 4) + rng.randbytes(1), rng.randbytes(4)]
     for data in samples:
         for start in range(8 * len(data) + 1):
@@ -359,24 +356,6 @@ def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths, va
                     assert err.value.bit_pos == e.bit_pos
                 else:
                     assert coding.read_symbol(data, start, end) == expected
-
-
-@pytest.mark.parametrize("lengths, values", NON_CANONICAL, ids=["short", "long"])
-def test_non_canonical_codes_read_as_their_own_characters(lengths, values):
-    # Each code, followed by any bits, reads as its own character for
-    # every bit_end at or past the code's end.
-    coding = DeflateCoding(lengths, values)
-    assert check_axioms(coding.codes).prefix_free is None
-    assert coding != build_coding(lengths)
-    for ch, code in enumerate(coding.codes):
-        for tail in (0x00, 0xFF, 0x55, 0xAA):
-            sink = BitSink()
-            write_code_msb(sink, code)
-            sink.write_bits_lsb(tail, 8)
-            sink.write_bits_lsb(tail, 8)
-            data = sink.to_bytes()
-            for end in range(len(code), 8 * len(data) + 1):
-                assert coding.read_symbol(data, 0, end) == (ch, len(code))
 
 
 def test_decoding_with_no_codes_at_all_fails_at_the_read_position():
