@@ -95,28 +95,10 @@ def test_constructions_agree_on_random_vectors():
     rng = random.Random(7)
     for _ in range(400):
         lengths = random_code_lengths(rng)
-        coding = build_coding(lengths)
+        coding = DeflateCoding(lengths)
+        assert coding == build_coding(lengths)
         assert coding.values == build_coding_counting(lengths)
         assert [len(code) for code in coding.codes] == lengths
-
-
-def test_the_constructor_is_build_coding():
-    # A coding is built only from its length vector, under either name.
-    rng = random.Random(17)
-    for _ in range(200):
-        lengths = random_code_lengths(rng)
-        a, b = DeflateCoding(lengths), build_coding(lengths)
-        assert a == b
-        assert (a.values, a.stream_codes, a.table) == (b.values, b.stream_codes, b.table)
-
-
-def test_a_bad_coding_fails_when_it_is_built():
-    # Neither length fits a table entry's 4-bit length field: unchecked,
-    # the first read a code in zero bits, the second one after one bit.
-    with pytest.raises(LengthOverflow):
-        DeflateCoding([1, 16])
-    with pytest.raises(ValueOutOfRange):
-        DeflateCoding([1, 17], 17)
 
 
 def build_coding_vectors():
@@ -206,20 +188,22 @@ def test_oversubscribed_vectors_are_rejected():
 
 
 def test_code_lengths_validation():
-    # Both constructions share one input check: each bad vector raises
-    # the same exception type from either.
+    # The constructor, under both its names, and the counting model share
+    # one input check: each bad vector raises the same exception type from
+    # each, when the coding is built.
     cases = [
         (ValueOutOfRange, [1, -1], MAX_CODE_LENGTH),
         (LengthOverflow, [MAX_CODE_LENGTH + 1] * 2, MAX_CODE_LENGTH),
         (LengthOverflow, [MAX_CL_CODE_LENGTH + 1] * 2, MAX_CL_CODE_LENGTH),
         (ValueOutOfRange, [1], 0),
-        # A packed entry holds a length in 4 bits: a 17-bit code would
-        # read as a 1-bit one.
+        # A packed entry holds a length in 4 bits: unchecked, a 16-bit code
+        # would read in zero bits and a 17-bit one as a 1-bit one.
+        (LengthOverflow, [1, MAX_CODE_LENGTH + 1], MAX_CODE_LENGTH),
         (ValueOutOfRange, [1, MAX_CODE_LENGTH + 2], MAX_CODE_LENGTH + 2),
         (KraftViolation, [1, 1, 1], MAX_CODE_LENGTH),
     ]
     for expected, lengths, max_len in cases:
-        for construct in (build_coding, build_coding_counting):
+        for construct in (DeflateCoding, build_coding, build_coding_counting):
             with pytest.raises(Exception) as err:
                 construct(lengths, max_len)
             assert type(err.value) is expected, (construct.__name__, lengths, max_len)
