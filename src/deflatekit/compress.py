@@ -4,7 +4,11 @@
 candidate is first rejected on the one byte at ``best_len``, then on its
 first ``best_len + 1`` bytes, which it shares exactly when it beats the
 best match so far; only those are extended.  The longest match wins,
-ties to the smallest distance, else a shared ``Literal``.
+ties to the smallest distance, else a shared ``Literal``.  After 32
+searched positions in a row without a match it skips ahead, as Snappy
+and LZ4 do: each further miss passes the next ``misses >> 5`` bytes as
+literals that are neither searched nor hashed, so incompressible input
+costs a few thousand searches per 96 KiB instead of one per byte.
 
 No match runs past its block's end, so every block but the last covers
 exactly ``block_payload_limit`` input bytes, and ``deflate`` computes
@@ -70,6 +74,11 @@ DEFAULT_PARAMS = CompressParams()
 _GOOD_MATCH = 8
 _NICE_MATCH = 128
 
+# Skip-ahead after a run of misses (see tokenize), after Snappy's
+# bytes_between_hash_lookups and LZ4's skip trigger.
+_SKIP_TRIGGER = 32
+_SKIP_SHIFT = 5
+
 
 def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     """Greedy token stream for data; EndOfBlock closes every block.
@@ -81,6 +90,13 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     params.block_payload_limit source bytes.  The hash chains persist
     across block boundaries, matching the decoder's window, which
     likewise never resets between blocks.
+
+    Misses accelerate: once 32 searched positions in a row found no
+    match, each further miss emits the next ``misses >> 5`` bytes as
+    literals without searching them, then searches the position after
+    them.  Skipped positions are not inserted into the hash chains.  A
+    skip stops where the block's last search would be, the count
+    carries across blocks, and any match resets it.
     """
     tokens = []
     append = tokens.append
@@ -96,6 +112,7 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     last_hash = n - 3  # last position with a full three-byte group
     # Rolled: the key of i is ((key of i - 1) << 5 ^ data[i + 2]) & mask.
     key = (data[0] << 5) ^ data[1] if n >= 3 else 0
+    misses = 0  # searched positions since the last match
     i = 0
     while True:
         block_end = min(i + block_limit, n)
@@ -148,6 +165,7 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
             prev[i & WINDOW_MASK] = first
             head[key] = i
             if best_dist:
+                misses = 0
                 append(BackRef(best_len, best_dist))
                 # Hash the covered positions; later matches may start there.
                 stop = i + best_len
@@ -161,6 +179,16 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
             else:
                 append(literals[data[i]])
                 i += 1
+                misses += 1
+                if misses >= _SKIP_TRIGGER:
+                    stop = i + (misses >> _SKIP_SHIFT)
+                    if stop > last_search + 1:
+                        stop = last_search + 1
+                    tokens.extend(map(literals.__getitem__, data[i:stop]))
+                    i = stop
+                    # The rolled key skipped these bytes too: start over at i.
+                    if i <= last_hash:
+                        key = (data[i] << 5) ^ data[i + 1]
         # The block's last one or two bytes (all of a block shorter than
         # a match) are literals; those that start a three-byte group
         # still enter the chains.

@@ -135,6 +135,8 @@ WINDOW_MASK = WINDOW_SIZE - 1
 NO_POS = -WINDOW_SIZE - 1  # below pos - WINDOW_SIZE for every pos >= 0
 _GOOD_MATCH = 8
 _NICE_MATCH = 128
+_SKIP_TRIGGER = 32
+_SKIP_SHIFT = 5
 
 
 def _hash3(b0: int, b1: int, b2: int) -> int:
@@ -214,21 +216,31 @@ def find_match(
 
 
 def reference_tokenize(
-    data: bytes, params: CompressParams = DEFAULT_PARAMS, cap_at_block_end: bool = True
+    data: bytes,
+    params: CompressParams = DEFAULT_PARAMS,
+    cap_at_block_end: bool = True,
+    skip: bool = True,
 ) -> list:
     """Greedy token stream for data by find_match at each position.
 
-    Every position with a full three-byte group is inserted into the
-    chains, covered by a match or not.  With cap_at_block_end, as in
-    tokenize, a match stops at its block's end, so every block but the
-    last covers exactly params.block_payload_limit source bytes.
-    Without it, a match may run on to the end of the input, and a block
-    closes after the token that reaches the limit.
+    Every searched or matched position with a full three-byte group is
+    inserted into the chains.  With cap_at_block_end, as in tokenize, a
+    match stops at its block's end, so every block but the last covers
+    exactly params.block_payload_limit source bytes.  Without it, a
+    match may run on to the end of the input, and a block closes after
+    the token that reaches the limit.
+
+    With skip, as in tokenize, a miss at a searched position (one with
+    room for a match before the block's end) counts; from the 32nd miss
+    in a row on, each miss lets the next ``misses >> 5`` bytes, up to the
+    block's last searched position, pass as literals that are neither
+    searched nor inserted.  A match resets the count.
     """
     tokens = []
     chains = HashChains()
     n = len(data)
     i = 0
+    misses = 0
     block_end = min(params.block_payload_limit, n)
     while i < n:
         m = find_match(data, i, chains, params, block_end if cap_at_block_end else n)
@@ -236,7 +248,17 @@ def reference_tokenize(
         tokens.append(BackRef(*m) if m else Literal(data[i]))
         for j in range(i, min(i + step, n - 2)):
             chains.insert(_hash3(data[j], data[j + 1], data[j + 2]), j)
+        last_search = block_end - MIN_MATCH_LENGTH
+        searched = i <= last_search
         i += step
+        if m:
+            misses = 0
+        elif skip and searched:
+            misses += 1
+            if misses >= _SKIP_TRIGGER:
+                stop = min(i + (misses >> _SKIP_SHIFT), last_search + 1)
+                tokens.extend(Literal(b) for b in data[i:stop])
+                i = stop
         if i >= block_end and i < n:
             tokens.append(END_OF_BLOCK)
             block_end = min(i + params.block_payload_limit, n)
@@ -254,7 +276,7 @@ def reference_deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> b
     decoder's pinned parse digest is built with it, so a change to the
     live encoder's tokens leaves that digest alone.
     """
-    tokens = reference_tokenize(data, params, cap_at_block_end=False)
+    tokens = reference_tokenize(data, params, cap_at_block_end=False, skip=False)
     sink = BitSink()
     start = offset = 0
     for index, t in enumerate(tokens):

@@ -241,15 +241,20 @@ def matcher_inputs(draw):
     Random bytes, runs of period 1 to 8 (long ones cross the 258 cap),
     pieces repeated at distances 32767, 32768 and 32769, and inputs of
     fewer than three bytes; whatever comes last ends the input, so
-    matches there stop at len(data).
+    matches there stop at len(data).  Random stretches of 1.5 to 6 KiB,
+    built from a drawn seed, run long enough without a match to make
+    the matcher skip.
     """
     if draw(st.integers(0, 9)) == 0:
         return draw(st.binary(max_size=2))
     out = bytearray()
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["random", "period", "far"]))
+        kind = draw(st.sampled_from(["random", "long-random", "period", "far"]))
         if kind == "random":
             out += draw(st.binary(min_size=1, max_size=300))
+        elif kind == "long-random":
+            rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+            out += rng.randbytes(draw(st.integers(1536, 6144)))
         elif kind == "period":
             unit = draw(st.binary(min_size=1, max_size=8))
             out += unit * draw(st.integers(1, 700 // len(unit)))
@@ -272,6 +277,21 @@ def test_tokenize_matches_the_reference_matcher(data, max_chain, block_limit):
     tokens = tokenize(data, params)
     assert tokens == reference_tokenize(data, params)
     assert all(span == block_limit for span in block_spans(tokens)[:-1])
+
+
+@pytest.mark.parametrize("block_limit", [1, 7, 200, 777, 65535])
+def test_tokenize_matches_the_reference_matcher_through_skips(block_limit):
+    # Random stretches miss long enough to skip, mixed items end the
+    # misses with matches; skips must stop short of every block end.
+    rng = random.Random(48)
+    params = CompressParams(block_payload_limit=block_limit)
+    for _ in range(4):
+        data = rng.randbytes(rng.randrange(1500, 6000))
+        data += mixed_corpus_item(rng, rng.randrange(0, 2000)) + data[:300]
+        for item in (data, mixed_corpus_item(rng, rng.randrange(0, 3000))):
+            tokens = tokenize(item, params)
+            assert tokens == reference_tokenize(item, params)
+            assert all(span == block_limit for span in block_spans(tokens)[:-1])
 
 
 # -- block writers ----------------------------------------------------------
@@ -424,7 +444,9 @@ def test_deflate_empty_input():
 # QueueOfDoom buckets to head/prev hash chains; any change to the matcher
 # or the block writers that alters the stream shows here.  The
 # chain4-block5000 entries of text, runs and wrap were re-pinned when
-# matches came to stop at the block end.
+# matches came to stop at the block end, and the wrap entries when the
+# matcher came to skip after a run of misses (skipped positions are not
+# hashed, so part of the random stretch's repeat goes unfound).
 DIGEST_PARAMS = {
     "default": CompressParams(),
     "chain1": CompressParams(max_chain=1),
@@ -440,9 +462,9 @@ GOLDEN_DIGESTS = {
     ("runs", "default"): "e30e8b33924ac1a5c15c5fa9e47a21721a639f81e6a16d95c858577091b57228",
     ("runs", "chain1"): "e30e8b33924ac1a5c15c5fa9e47a21721a639f81e6a16d95c858577091b57228",
     ("runs", "chain4-block5000"): "d07cd7c917a71d1688f5849f616bd0d04d39ada6cf1ef320d5fcc0ea8a11996d",
-    ("wrap", "default"): "66ec85e70cebcbcf1f67838089807871116a9587a56312ef56ddeea98f6efb2c",
-    ("wrap", "chain1"): "8098c32c4f12f372552c18dbe2e1c200f81dc0fb08c9f182828485e1f496b60e",
-    ("wrap", "chain4-block5000"): "c1591c7b7584747f51d9c8d423dfc0b927ff08d26c9899b90fba2ec9953a15e4",
+    ("wrap", "default"): "46e8b6ef51d42de3eb79a2573f1ca48789ac4b1f760fa2ac43611a8294e7053e",
+    ("wrap", "chain1"): "229c79fb47e03fcf6809749480e38faf989b5f95be29075f6fac18e40de406fa",
+    ("wrap", "chain4-block5000"): "ca367d6ce6b9de442b4adfc9ae967e4e4606ef64f6cf512f496febd1c78847ac",
 }
 
 
@@ -472,20 +494,21 @@ def test_deflate_output_matches_the_golden_digests():
 
 # sha256 of repr(tokenize(data, params)), recorded before the matcher was
 # fused into tokenize; pins the token stream itself, apart from the writer.
-# Re-pinned with GOLDEN_DIGESTS for the block-end cap.
+# Re-pinned with GOLDEN_DIGESTS for the block-end cap; the random and
+# wrap entries again for the skip after a run of misses.
 GOLDEN_TOKEN_DIGESTS = {
     ("text", "default"): "249c05a318395abd61c3ad371b39418064bf6e6d7f0b071d504a1edcf32f026d",
     ("text", "chain1"): "263aa0b644dbd78494c7905718110544fb196f35fe6d8f2bb98e255d71ccfae5",
     ("text", "chain4-block5000"): "94c8e27c03cc104371cb9ee33f9b2f021adde174006d36e650439448c1a1c7be",
-    ("random", "default"): "16d1f4c554f03dfdc29da752d3cb22ec854c660fe3adff454b843b61d97b7783",
-    ("random", "chain1"): "16d1f4c554f03dfdc29da752d3cb22ec854c660fe3adff454b843b61d97b7783",
-    ("random", "chain4-block5000"): "884782730ca763b0a7233cdb2b8a6fbe822394483187e361b217af3dce0bcaff",
+    ("random", "default"): "aaaee3c250c9bcbfe9f0bb59e19d44504ebb01112ea57bdbd2215e898ec274f7",
+    ("random", "chain1"): "aaaee3c250c9bcbfe9f0bb59e19d44504ebb01112ea57bdbd2215e898ec274f7",
+    ("random", "chain4-block5000"): "e3d0b96b19f0f342959523763eb8a1648400022b6451ddb5562efd91a46e76e4",
     ("runs", "default"): "b3198ac629e91a15fbf49bc00a5192c6c58202e818f93106cda2dfb63924cb54",
     ("runs", "chain1"): "b3198ac629e91a15fbf49bc00a5192c6c58202e818f93106cda2dfb63924cb54",
     ("runs", "chain4-block5000"): "8905d3dfa372f5dde6b2c5b983c73b4646f9d1a46b811d2d7f547ac65f171da4",
-    ("wrap", "default"): "95977a8f3228a0a23e53b841dbaef5dbb6c176718c1edba2e20ef2fef19b25a2",
-    ("wrap", "chain1"): "c4f5c983b6b6d5317f33cd23e0ebbf4ff4cb1053a70045adbb026a5061f1d337",
-    ("wrap", "chain4-block5000"): "621cc8a2c0925f08c12ed2c69462b466b8e18d3d1cbb2ba9ac35bc7897e87dac",
+    ("wrap", "default"): "0c79bc9382997601c1ef7584b35a53f24b0ca6f1321257d2abd63dd485fffaa7",
+    ("wrap", "chain1"): "5015c7818426c98ce1f7faf1f63c5a2a000a99876de517c0e0120309826ca2ae",
+    ("wrap", "chain4-block5000"): "8a7be29cfa9a7eef3c55843750fdd9364f709897cf586e7b6f90a1e8029f1dbf",
 }
 
 
@@ -496,6 +519,13 @@ def test_tokenize_output_matches_the_golden_token_digests():
         for pname, params in DIGEST_PARAMS.items()
     }
     assert digests == GOLDEN_TOKEN_DIGESTS
+
+
+def test_skipping_still_finds_the_copy_at_the_window_edge():
+    # wrap repeats 3000 bytes at distance 32768 after a random stretch
+    # long enough that the matcher is skipping when the repeat begins.
+    tokens = tokenize(digest_inputs()["wrap"])
+    assert any(type(t) is BackRef and t.distance == MAX_DISTANCE for t in tokens)
 
 
 def far_copies(stream: bytes) -> int:
