@@ -12,16 +12,18 @@ costs a few thousand searches per 96 KiB instead of one per byte.
 
 No match runs past its block's end, so every block but the last covers
 exactly ``block_payload_limit`` input bytes, and ``deflate`` computes
-each block's byte range.  A block uses the fixed codings, or stored
-blocks when those come out larger (e.g. on incompressible input).  The
-static writer ORs codes and extra bits into a local int and hands it to
-the sink's one LSB-first writer, ``write_bits_lsb``, which emits whole
-bytes at once; headers and stored blocks use the same call.
+each block's byte range.  ``tokenize`` counts each block's symbols as
+it emits them (zlib's ``_tr_tally``); from those counts ``deflate``
+writes the block with the fixed codings, or stored when that is smaller
+(e.g. incompressible input).  The static writer ORs codes and extra
+bits into a local int and hands it to ``write_bits_lsb``, which emits
+whole bytes at once; headers and stored blocks use the same call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .bitio import BitSink
 from .errors import ValueOutOfRange
@@ -31,6 +33,7 @@ from .symbol_tables import (
     DISTANCE_CODEPOINT,
     DISTANCE_CODES,
     END_OF_BLOCK,
+    LENGTH_CODES,
     LENGTH_ENCODING,
     LITERALS,
     MAX_MATCH_LENGTH,
@@ -78,9 +81,10 @@ _NICE_MATCH = 128
 # bytes_between_hash_lookups and LZ4's skip trigger.
 _SKIP_TRIGGER = 32
 _SKIP_SHIFT = 5
+_LOW_BYTES = bytes(range(144))  # the literals with 8-bit fixed codes
 
 
-def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
+def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=None):
     """Greedy token stream for data; EndOfBlock closes every block.
 
     At each position the longest match among the most recent
@@ -97,6 +101,11 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     them.  Skipped positions are not inserted into the hash chains.  A
     skip stops where the block's last search would be, the count
     carries across blocks, and any match resets it.
+
+    Each block appends ``(end, lit, dist, skipped, high)`` to ``blocks``,
+    if given: the index past its EndOfBlock, its counts of symbols 0..285
+    and distance symbols 0..29 over all but its skipped literals, and
+    how many literals it skipped, ``high`` of them bytes 144..255.
     """
     tokens = []
     append = tokens.append
@@ -115,6 +124,9 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
     misses = 0  # searched positions since the last match
     i = 0
     while True:
+        lit_counts = [0] * 256 + [1] + [0] * 29
+        dist_counts = [0] * 30
+        skipped = skipped_high = 0
         block_end = min(i + block_limit, n)
         # Search only where a match of MIN_MATCH_LENGTH fits the block.
         last_search = block_end - MIN_MATCH_LENGTH
@@ -167,6 +179,8 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
             if best_dist:
                 misses = 0
                 append(BackRef(best_len, best_dist))
+                lit_counts[LENGTH_ENCODING[best_len][0]] += 1
+                dist_counts[DISTANCE_CODEPOINT[best_dist]] += 1
                 # Hash the covered positions; later matches may start there.
                 stop = i + best_len
                 if stop > last_hash:
@@ -178,13 +192,17 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
                 i += best_len
             else:
                 append(literals[data[i]])
+                lit_counts[data[i]] += 1
                 i += 1
                 misses += 1
                 if misses >= _SKIP_TRIGGER:
                     stop = i + (misses >> _SKIP_SHIFT)
                     if stop > last_search + 1:
                         stop = last_search + 1
-                    tokens.extend(map(literals.__getitem__, data[i:stop]))
+                    run = data[i:stop]
+                    tokens.extend(map(literals.__getitem__, run))
+                    skipped += stop - i
+                    skipped_high += len(bytes(run).translate(None, _LOW_BYTES))
                     i = stop
                     # The rolled key skipped these bytes too: start over at i.
                     if i <= last_hash:
@@ -198,8 +216,11 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS):
                 prev[i & WINDOW_MASK] = head[key]
                 head[key] = i
             append(literals[data[i]])
+            lit_counts[data[i]] += 1
             i += 1
         append(END_OF_BLOCK)
+        if blocks is not None:
+            blocks.append((len(tokens), lit_counts, dist_counts, skipped, skipped_high))
         if i == n:
             return tokens
 
@@ -214,6 +235,9 @@ _LENGTH_CODES = (None,) * MIN_MATCH_LENGTH + tuple(
     for cp, extra, ebits in LENGTH_ENCODING[MIN_MATCH_LENGTH:]
 )
 _DIST_CODES = FIXED_DIST.stream_codes
+# Bits per literal/length symbol and per distance symbol, extra bits included.
+_LIT_BITS = [nb for _, nb in _LIT_CODES[:257]] + [_LENGTH_CODES[b][1] for _, b in LENGTH_CODES]
+_DIST_BITS = [5 + ebits for ebits, _ in DISTANCE_CODES]
 _WRITE_RUN = 64  # tokens per accumulator, so it stays a small int
 
 
@@ -272,19 +296,11 @@ def write_stored_block(data: bytes, final: bool, sink: BitSink) -> BitSink:
     return sink
 
 
-def _static_cost_bits(tokens) -> int:
-    """Exact payload size of write_static_block, excluding the 3 header bits."""
-    lits, lens = _LIT_CODES, _LENGTH_CODES
-    bits = 0
-    for t in tokens:
-        tt = type(t)
-        if tt is Literal:
-            bits += lits[t.value][1]
-        elif tt is BackRef:
-            bits += lens[t.length][1] + 5 + DISTANCE_CODES[DISTANCE_CODEPOINT[t.distance]][0]
-        else:
-            bits += lits[256][1]
-    return bits
+def _static_cost_bits(counts) -> int:
+    """Exact payload size of write_static_block for one block of tokenize's
+    counts, excluding the 3 header bits."""
+    _, lit, dist, skipped, high = counts
+    return sum(map(mul, lit, _LIT_BITS)) + sum(map(mul, dist, _DIST_BITS)) + 8 * skipped + high
 
 
 def _stored_cost_bits(span: int) -> int:
@@ -296,24 +312,22 @@ def _stored_cost_bits(span: int) -> int:
 
 
 def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
-    """Compress data into a raw deflate stream (static/stored blocks)."""
-    tokens = tokenize(data, params)
+    """Compress data into a raw deflate stream; each block is static or
+    stored, priced from tokenize's counts without walking its tokens."""
+    blocks = []
+    tokens = tokenize(data, params, blocks=blocks)
     sink = BitSink()
     n = len(data)
     start = 0
     # tokenize's blocks tile the input at params.block_payload_limit.
-    for offset in range(0, n or 1, params.block_payload_limit):
+    for offset, counts in zip(range(0, n or 1, params.block_payload_limit), blocks):
         end = min(offset + params.block_payload_limit, n)
-        index = start
-        while tokens[index] is not END_OF_BLOCK:
-            index += 1
-        block = tokens[start : index + 1]
         final = end == n
-        if _static_cost_bits(block) <= _stored_cost_bits(end - offset):
-            write_static_block(block, final, sink)
+        if _static_cost_bits(counts) <= _stored_cost_bits(end - offset):
+            write_static_block(tokens[start : counts[0]], final, sink)
         else:
             for chunk in range(offset, end, MAX_STORED_BLOCK):
                 stop = min(chunk + MAX_STORED_BLOCK, end)
                 write_stored_block(data[chunk:stop], final and stop == end, sink)
-        start = index + 1
+        start = counts[0]
     return sink.to_bytes()

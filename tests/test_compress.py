@@ -17,13 +17,22 @@ from deflatekit.bitio import BitCursor, BitSink
 from deflatekit.compress import (
     CompressParams,
     MAX_STORED_BLOCK,
+    _static_cost_bits,
     deflate,
     tokenize,
     write_static_block,
     write_stored_block,
 )
 from deflatekit.errors import ValueOutOfRange
-from deflatekit.inflate import inflate, iter_blocks, parse_stored_block
+from deflatekit.inflate import (
+    BlockType,
+    NoParse,
+    Parsed,
+    inflate,
+    iter_blocks,
+    parse_deflate,
+    parse_stored_block,
+)
 from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT
 from deflatekit.reference import DISTANCE_TABLE, MAX_DISTANCE, distance_encode, length_encode
 from deflatekit.symbol_tables import (
@@ -294,6 +303,55 @@ def test_tokenize_matches_the_reference_matcher_through_skips(block_limit):
             assert all(span == block_limit for span in block_spans(tokens)[:-1])
 
 
+def pricing_inputs() -> list:
+    """Prose, bytes of 9-bit literal codes, random stretches long enough
+    to skip through, and short-period runs, in a seeded order."""
+    rng = random.Random(49)
+    items = []
+    for _ in range(2):
+        parts = [
+            english_text(rng.randrange(300, 3000), seed=rng.randrange(100)),
+            bytes(rng.choices(range(144, 256), k=rng.randrange(50, 600))),
+            rng.randbytes(rng.randrange(1536, 6144)),
+            rng.randbytes(rng.randrange(1, 9)) * rng.randrange(20, 120),
+        ]
+        rng.shuffle(parts)
+        items.append(b"".join(parts))
+    return items
+
+
+@pytest.mark.parametrize(
+    "block_limit", [1, 7, 200, 5000, 65535, CompressParams().block_payload_limit]
+)
+def test_block_counts_price_each_block_exactly(block_limit):
+    # Each block's counts give exactly the bits write_static_block
+    # writes after its 3-bit header, skipped literals included, and end
+    # one past that block's EndOfBlock.
+    skipped = skipped_high = 0
+    for data in pricing_inputs():
+        for max_chain in (1, 4, 128):
+            blocks = []
+            params = CompressParams(max_chain=max_chain, block_payload_limit=block_limit)
+            tokens = tokenize(data, params, blocks=blocks)
+            assert tokens == tokenize(data, params)
+            start = 0
+            for k, counts in enumerate(blocks):
+                block = tokens[start : counts[0]]
+                assert sum(type(t) is EndOfBlock for t in block) == 1
+                assert block[-1] is END_OF_BLOCK
+                final = k == len(blocks) - 1
+                bits = write_static_block(block, final, BitSink()).bit_length
+                assert _static_cost_bits(counts) + 3 == bits, (k, max_chain)
+                skipped += counts[3]
+                skipped_high += counts[4]
+                start = counts[0]
+            assert start == len(tokens)
+    # The inputs reach the skip rule and skip 9-bit literals, except
+    # where blocks are too short to search.
+    if block_limit > MIN_MATCH_LENGTH:
+        assert skipped > skipped_high > 0
+
+
 # -- block writers ----------------------------------------------------------
 
 
@@ -388,6 +446,51 @@ def test_static_writer_matches_a_field_by_field_writer():
                 assert write_static_block(block, final, got) is got
                 assert got.bit_length == expected.bit_length, lead
                 assert got.to_bytes() == expected.to_bytes(), lead
+
+
+@st.composite
+def valid_tokens(draw):
+    """Literals and backrefs of any valid length, each distance within the
+    output so far.  A drawn number of BackRef(258, 1) first grows the
+    output past 32 KiB at times, so every distance code can be drawn."""
+    tokens = [Literal(draw(st.integers(0, 255)))] if draw(st.booleans()) else []
+    produced = len(tokens)
+    if tokens:
+        tokens += [BackRef(MAX_MATCH_LENGTH, 1)] * draw(st.sampled_from([0, 0, 1, 20, 127, 130]))
+        produced += MAX_MATCH_LENGTH * (len(tokens) - 1)
+    for _ in range(draw(st.integers(0, 40))):
+        if produced and draw(st.booleans()):
+            far = min(produced, MAX_DISTANCE)
+            distance = draw(st.one_of(st.integers(1, far), st.just(far)))
+            length = draw(st.one_of(st.integers(MIN_MATCH_LENGTH, MAX_MATCH_LENGTH),
+                                    st.sampled_from([MIN_MATCH_LENGTH, 257, MAX_MATCH_LENGTH])))
+            tokens.append(BackRef(length, distance))
+            produced += length
+        else:
+            tokens.append(Literal(draw(st.integers(0, 255))))
+            produced += 1
+    return tokens
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_tokens())
+def test_static_block_parses_back_to_its_tokens(tokens):
+    block = tokens + [END_OF_BLOCK]
+    sink = write_static_block(block, True, BitSink())
+    stream = sink.to_bytes()
+    parsed, end = [], None
+    for header, item, end in iter_blocks(stream):
+        assert not isinstance(item, NoParse), item
+        assert (header.block_type, header.is_final) == (BlockType.STATIC, True)
+        parsed += item
+    assert parsed == block
+    assert end == sink.bit_length
+    from deflatekit.history_window import QueueOfDoom, resolve_tokens
+
+    d = zlib.decompressobj(wbits=-15)
+    assert d.decompress(stream) == resolve_tokens(tokens, QueueOfDoom())[0]
+    assert d.eof
+    assert d.unused_data == b""
 
 
 def test_write_stored_block_round_trips():
@@ -557,6 +660,40 @@ def test_digest_streams_round_trip_through_both_decoders():
                 assert far_copies(out) == 12, pname
 
 
+def assert_strongly_unique(stream: bytes, rng: random.Random) -> None:
+    """The parse consumes all but the last byte's padding, and junk after
+    the stream changes neither the output nor the bits consumed."""
+    base = parse_deflate(BitCursor(stream))
+    assert isinstance(base, Parsed)
+    assert 0 <= 8 * len(stream) - base.consumed_bits < 8
+    for junk in (rng.randbytes(1), rng.randbytes(2), rng.randbytes(rng.randrange(3, 64)),
+                 rng.randbytes(64), b"\xff" * 64):
+        extended = parse_deflate(BitCursor(stream + junk))
+        assert isinstance(extended, Parsed)
+        assert (extended.value, extended.consumed_bits) == (base.value, base.consumed_bits)
+
+
+def test_digest_streams_are_strongly_unique():
+    # Criterion 8 sees only short single-block static streams; these
+    # have many blocks, skips and stored blocks.
+    rng = random.Random(50)
+    for data in digest_inputs().values():
+        for params in DIGEST_PARAMS.values():
+            assert_strongly_unique(deflate(data, params), rng)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    matcher_inputs(),
+    st.sampled_from([1, 4, 128]),
+    st.sampled_from([7, 200, 65535]),
+    st.randoms(use_true_random=False),
+)
+def test_deflate_output_is_strongly_unique(data, max_chain, block_limit, rng):
+    params = CompressParams(max_chain=max_chain, block_payload_limit=block_limit)
+    assert_strongly_unique(deflate(data, params), rng)
+
+
 def block_type_of(stream: bytes) -> int:
     return (stream[0] >> 1) & 3
 
@@ -658,6 +795,16 @@ def test_round_trips_with_tiny_blocks_and_chains():
         out = deflate(data, params)
         assert inflate(out) == data
         assert zlib.decompress(out, -15) == data
+
+
+def test_deflate_takes_bytes_bytearray_and_memoryview_alike():
+    # Long enough a random stretch to skip, so every type reaches the
+    # skipped literals' count too.
+    data = random.Random(51).randbytes(3000) + english_text(2000, seed=5)
+    out = deflate(data)
+    assert deflate(bytearray(data)) == out
+    assert deflate(memoryview(data)) == out
+    assert inflate(out) == data
 
 
 @settings(max_examples=40, deadline=None)
