@@ -18,16 +18,14 @@ pair that the public parsers take and return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EndOfInput, ValueOutOfRange
+from .record import Record, set_field
 
 # Widest fixed-width field in the format (stored-block LEN/NLEN).
 MAX_FIELD_BITS = 16
 
 
-@dataclass(frozen=True)
-class BitCursor:
+class BitCursor(Record):
     """An immutable read position inside a byte buffer.
 
     ``bit_pos`` is the absolute bit index; 0 addresses the least
@@ -35,14 +33,13 @@ class BitCursor:
     end of the buffer, where any further ``read_bits`` raises ``EndOfInput``.
     """
 
-    data: bytes
-    bit_pos: int = 0
+    __slots__ = ("data", "bit_pos")
 
-    def __post_init__(self):
-        if not 0 <= self.bit_pos <= 8 * len(self.data):
-            raise ValueOutOfRange(
-                f"bit_pos {self.bit_pos} outside a {len(self.data)}-byte buffer"
-            )
+    def __init__(self, data: bytes, bit_pos: int = 0):
+        if not 0 <= bit_pos <= 8 * len(data):
+            raise ValueOutOfRange(f"bit_pos {bit_pos} outside a {len(data)}-byte buffer")
+        set_field(self, "data", data)
+        set_field(self, "bit_pos", bit_pos)
 
 
 def read_bits(data: bytes, pos: int, n: int, bit_end: int) -> tuple[int, int]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from .compress import DEFAULT_PARAMS, CompressParams, deflate
 from .errors import DeflateError
@@ -84,7 +83,7 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _write_output(path: Optional[str], data: bytes) -> None:
+def _write_output(path: str | None, data: bytes) -> None:
     if path is None or path == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -162,7 +161,7 @@ def run(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     _check_args(args, parser)

@@ -22,13 +22,13 @@ whole bytes at once; headers and stored blocks use the same call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .bitio import BitSink
 from .errors import ValueOutOfRange
 from .inflate import BlockType
 from .prefix_coding import FIXED_DIST, FIXED_LIT
+from .record import Record, set_field
 from .symbol_tables import (
     DISTANCE_CODEPOINT,
     DISTANCE_CODES,
@@ -51,21 +51,24 @@ WINDOW_MASK = WINDOW_SIZE - 1
 NO_POS = -WINDOW_SIZE - 1  # below pos - WINDOW_SIZE for every pos >= 0
 
 
-@dataclass(frozen=True)
-class CompressParams:
-    """Tuning knobs; defaults favour speed over the last few percent."""
+class CompressParams(Record):
+    """Tuning knobs; defaults favour speed over the last few percent.
 
-    max_chain: int = 128  # candidates examined per position
-    # Source bytes in every block but the last; a multiple of
-    # MAX_STORED_BLOCK, so that a stored fallback's chunks tile the input
-    # as if it were one block.
-    block_payload_limit: int = 16 * MAX_STORED_BLOCK
+    ``max_chain`` is the number of candidates examined per position.
+    ``block_payload_limit`` is the source bytes in every block but the
+    last; the default is a multiple of MAX_STORED_BLOCK, so that a
+    stored fallback's chunks tile the input as if it were one block.
+    """
 
-    def __post_init__(self):
-        if self.max_chain < 1:
+    __slots__ = ("max_chain", "block_payload_limit")
+
+    def __init__(self, max_chain: int = 128, block_payload_limit: int = 16 * MAX_STORED_BLOCK):
+        if max_chain < 1:
             raise ValueOutOfRange("max_chain must be at least 1")
-        if self.block_payload_limit < 1:
+        if block_payload_limit < 1:
             raise ValueOutOfRange("block_payload_limit must be at least 1")
+        set_field(self, "max_chain", max_chain)
+        set_field(self, "block_payload_limit", block_payload_limit)
 
 
 DEFAULT_PARAMS = CompressParams()

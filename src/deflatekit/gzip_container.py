@@ -158,6 +158,8 @@ def _parse_header(data: bytes) -> int:
         if flags & _FEXTRA:
             (xlen,) = struct.unpack_from("<H", data, pos)
             pos += 2 + xlen
+        if flags & (_FNAME | _FCOMMENT):
+            data = bytes(data)  # a no-op on bytes; memoryview has no index
         if flags & _FNAME:
             pos = data.index(b"\x00", pos) + 1
         if flags & _FCOMMENT:

@@ -29,7 +29,6 @@ the paper's window model, ``history_window.resolve_tokens``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .bitio import BitCursor, read_bits
 from .errors import (
@@ -47,6 +46,7 @@ from .prefix_coding import (
     MAX_CODE_LENGTH,
     build_coding,
 )
+from .record import Record, set_field
 from .symbol_tables import (
     CL_CODE_ORDER,
     DISTANCE_CODES,
@@ -77,22 +77,26 @@ class FailReason(enum.Enum):
     DISTANCE_TOO_FAR = "backreference reaches beyond the produced output"
 
 
-@dataclass(frozen=True)
-class Parsed:
+class Parsed(Record):
     """Successful parse: the value, exact bit consumption, and the rest."""
 
-    value: object
-    consumed_bits: int
-    rest: BitCursor
+    __slots__ = ("value", "consumed_bits", "rest")
+
+    def __init__(self, value: object, consumed_bits: int, rest: BitCursor):
+        set_field(self, "value", value)
+        set_field(self, "consumed_bits", consumed_bits)
+        set_field(self, "rest", rest)
 
 
-@dataclass(frozen=True)
-class NoParse:
+class NoParse(Record):
     """Failed parse: the reason and the absolute bit offset of failure."""
 
-    reason: FailReason
-    bit_pos: int
-    detail: str = ""
+    __slots__ = ("reason", "bit_pos", "detail")
+
+    def __init__(self, reason: FailReason, bit_pos: int, detail: str = ""):
+        set_field(self, "reason", reason)
+        set_field(self, "bit_pos", bit_pos)
+        set_field(self, "detail", detail)
 
     def error(self) -> InflateError:
         """The exception the raising entry points report this failure with."""
@@ -108,22 +112,27 @@ class BlockType(enum.IntEnum):
     DYNAMIC = 2
 
 
-@dataclass(frozen=True)
-class BlockHeader:
-    is_final: bool
-    block_type: BlockType
+class BlockHeader(Record):
+    __slots__ = ("is_final", "block_type")
+
+    def __init__(self, is_final: bool, block_type: BlockType):
+        set_field(self, "is_final", is_final)
+        set_field(self, "block_type", block_type)
 
 
-@dataclass(frozen=True)
-class DynamicHeader:
+class DynamicHeader(Record):
     """Everything a dynamic block declares before its token payload."""
 
-    hlit: int
-    hdist: int
-    hclen: int
-    cl_coding: DeflateCoding
-    lit_coding: DeflateCoding
-    dist_coding: DeflateCoding
+    __slots__ = ("hlit", "hdist", "hclen", "cl_coding", "lit_coding", "dist_coding")
+
+    def __init__(self, hlit: int, hdist: int, hclen: int, cl_coding: DeflateCoding,
+                 lit_coding: DeflateCoding, dist_coding: DeflateCoding):
+        set_field(self, "hlit", hlit)
+        set_field(self, "hdist", hdist)
+        set_field(self, "hclen", hclen)
+        set_field(self, "cl_coding", cl_coding)
+        set_field(self, "lit_coding", lit_coding)
+        set_field(self, "dist_coding", dist_coding)
 
 
 class _Fail(Exception):
@@ -298,6 +307,10 @@ def _decode_some(
     tokens: list = []
     append = tokens.append
     literals = LITERALS
+    # The codepoint checks below already keep every length in 3..258 and
+    # every distance in 1..32768, so a BackRef is minted with two slot
+    # stores instead of its constructor, which would check them again.
+    new = object.__new__
     lit_table, dist_table = lit_coding.table, dist_coding.table
     lit_mask, dist_mask = len(lit_table) - 1, len(dist_table) - 1
     hold = have = 0
@@ -361,7 +374,10 @@ def _decode_some(
                 pos,
                 f"distance {distance} with only {produced} bytes produced",
             )
-        append(BackRef(length, distance))
+        ref = new(BackRef)
+        ref.length = length
+        ref.distance = distance
+        append(ref)
         produced += length
     return tokens, pos, produced, False
 

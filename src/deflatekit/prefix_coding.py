@@ -35,8 +35,7 @@ against.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .bitio import read_bits
 from .errors import (
@@ -59,8 +58,10 @@ Bits = tuple[int, ...]
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def kraft_sum(lengths: Sequence[int]) -> Fraction:
-    """Exact sum of 2**-l over the nonzero entries of the vector."""
+def kraft_sum(lengths: Sequence[int]) -> Fraction:  # noqa: F821 (imported when called)
+    """Exact sum of 2**-l over the nonzero entries of the vector, as a Fraction."""
+    from fractions import Fraction  # only error messages and tests need it
+
     shift = max(lengths, default=0)
     return Fraction(sum(1 << (shift - l) for l in lengths if l > 0), 1 << shift)
 
@@ -77,10 +78,11 @@ def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> Non
             raise LengthOverflow(
                 f"length {l} of character {ch} exceeds the maximum {max_len}"
             )
-    ks = kraft_sum(lengths)
-    if ks > 1:
+    # The Kraft sum scaled by 2**shift, on integers: at most 1 means at most 2**shift.
+    shift = max(lengths, default=0)
+    if sum(1 << (shift - l) for l in lengths if l > 0) > 1 << shift:
         raise KraftViolation(
-            f"code-length vector is over-subscribed: sum of 2**-l is {ks} > 1"
+            f"code-length vector is over-subscribed: sum of 2**-l is {kraft_sum(lengths)} > 1"
         )
 
 
@@ -153,7 +155,7 @@ class DeflateCoding:
             elif length:
                 # The index ends in the code's stream bits; the rest is free.
                 table[rev :: 1 << length] = [(ch << 4) | length] * (len(table) >> length)
-        self._codes: Optional[tuple[Bits, ...]] = None
+        self._codes: tuple[Bits, ...] | None = None
 
     @property
     def codes(self) -> tuple[Bits, ...]:

@@ -90,7 +90,9 @@ DISTANCE_CODEPOINT = bytes(1) + b"".join(
 #
 # Plain __slots__ classes rather than dataclasses: tokens are minted in
 # the innermost codec loops, where construction cost is visible.  Treat
-# instances as immutable values.
+# instances as immutable values.  The codec's records (``record.Record``)
+# follow them for import cost: ``dataclasses`` alone would take longer
+# to import than the whole package.
 
 
 class Literal:

@@ -67,10 +67,25 @@ def test_reads_past_the_end_report_the_read_position():
 
 def test_cursor_positions_are_bounded():
     BitCursor(b"ab", 16)  # exactly at the end is fine
-    with pytest.raises(ValueOutOfRange):
+    with pytest.raises(ValueOutOfRange, match="^bit_pos 17 outside a 2-byte buffer$"):
         BitCursor(b"ab", 17)
-    with pytest.raises(ValueOutOfRange):
+    with pytest.raises(ValueOutOfRange, match="^bit_pos -1 outside a 2-byte buffer$"):
         BitCursor(b"ab", -1)
+    with pytest.raises(ValueOutOfRange):
+        BitCursor(b"", 1)
+    # A cursor is a frozen value: equal and hashed by its fields.
+    cursor = BitCursor(b"ab", 3)
+    assert cursor == BitCursor(data=b"ab", bit_pos=3) != BitCursor(b"ab", 4)
+    assert BitCursor(b"ab") == BitCursor(b"ab", 0)
+    assert cursor != (b"ab", 3)
+    assert hash(cursor) == hash((b"ab", 3))
+    assert repr(cursor) == "BitCursor(data=b'ab', bit_pos=3)"
+    for name in ("bit_pos", "data", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cursor, name, 0)
+    with pytest.raises(AttributeError):
+        del cursor.bit_pos
+    assert cursor == BitCursor(b"ab", 3)
 
 
 def stored_block(payload: bytes) -> bytes:

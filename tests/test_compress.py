@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from deflatekit.bitio import BitCursor, BitSink
 from deflatekit.compress import (
+    DEFAULT_PARAMS,
     CompressParams,
     MAX_STORED_BLOCK,
     _static_cost_bits,
@@ -816,7 +817,19 @@ def test_round_trip_property(data):
 
 
 def test_compress_params_validation():
-    with pytest.raises(ValueOutOfRange):
+    with pytest.raises(ValueOutOfRange, match="^max_chain must be at least 1$"):
         CompressParams(max_chain=0)
-    with pytest.raises(ValueOutOfRange):
+    with pytest.raises(ValueOutOfRange, match="^block_payload_limit must be at least 1$"):
         CompressParams(block_payload_limit=0)
+    with pytest.raises(ValueOutOfRange):
+        CompressParams(1, -5)
+    # Frozen values: equal and hashed by their fields, in declaration order.
+    params = CompressParams(4, 7)
+    assert params == CompressParams(block_payload_limit=7, max_chain=4) != CompressParams(4)
+    assert CompressParams() == DEFAULT_PARAMS
+    assert hash(params) == hash((4, 7))
+    assert repr(DEFAULT_PARAMS) == "CompressParams(max_chain=128, block_payload_limit=1048560)"
+    for name in ("max_chain", "block_payload_limit", "other"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, 1)
+    assert params.max_chain == 4

@@ -6,6 +6,7 @@ independent decoder.
 """
 
 import hashlib
+import pickle
 import random
 import zlib
 
@@ -20,6 +21,7 @@ from deflatekit.history_window import QueueOfDoom, resolve_tokens
 from deflatekit.inflate import (
     BlockHeader,
     BlockType,
+    DynamicHeader,
     FailReason,
     NoParse,
     Parsed,
@@ -155,6 +157,38 @@ def test_block_header_fields():
     outcome = parse_block_header(BitCursor(b"\x00"))
     assert not outcome.value.is_final
     assert outcome.value.block_type is BlockType.STORED
+    # Headers and outcomes are frozen values: equal by class and fields,
+    # hashed on the fields, shown field by field, never reassigned.
+    header = outcome.value
+    assert header == BlockHeader(False, BlockType.STORED) != BlockHeader(True, BlockType.STORED)
+    assert hash(header) == hash((False, BlockType.STORED))
+    assert repr(header) == "BlockHeader(is_final=False, block_type=<BlockType.STORED: 0>)"
+    assert outcome == Parsed(header, 3, BitCursor(b"\x00", 3))
+    assert hash(outcome) == hash((header, 3, BitCursor(b"\x00", 3)))
+    rest = outcome.rest
+    assert Parsed(1, 2, rest) != NoParse(1, 2, rest)
+    assert NoParse(1, 2, rest) != Parsed(1, 2, rest)
+    assert Parsed(1, 2, rest) != (1, 2, rest)
+    failure = NoParse(FailReason.BAD_CODE, 5)
+    assert failure == NoParse(FailReason.BAD_CODE, 5, "") != NoParse(FailReason.BAD_CODE, 5, "x")
+    assert repr(failure) == (
+        "NoParse(reason=<FailReason.BAD_CODE: 'bits match no code of the coding'>,"
+        " bit_pos=5, detail='')"
+    )
+    assert str(NoParse(FailReason.BAD_CODE, 5, "x").error()) == (
+        "cannot parse deflate stream at bit 5: bits match no code of the coding (x)"
+    )
+    dynamic = parse_dynamic_header(BitCursor(GOLDEN_DYNAMIC_BYTES, 3)).value
+    fields = (dynamic.hlit, dynamic.hdist, dynamic.hclen,
+              dynamic.cl_coding, dynamic.lit_coding, dynamic.dist_coding)
+    assert dynamic == DynamicHeader(*fields)
+    assert hash(dynamic) == hash(fields)
+    assert repr(dynamic).startswith(f"DynamicHeader(hlit={dynamic.hlit}, hdist={dynamic.hdist},")
+    for record, name in ((header, "is_final"), (outcome, "rest"), (failure, "detail"),
+                         (dynamic, "hlit"), (header, "other")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_reserved_block_type():
@@ -635,6 +669,10 @@ def test_zlib_streams_inflate_correctly():
             stream = co.compress(data) + co.flush()
             assert inflate(stream) == data
             assert parse_deflate_queue(BitCursor(stream)).value == data
+            # The decoder mints BackRefs past their constructor's checks.
+            refs = [t for _, item, _ in iter_blocks(stream) if type(item) is list
+                    for t in item if type(t) is BackRef]
+            assert all(t == BackRef(t.length, t.distance) for t in refs)
 
 
 ZLIB_STRATEGIES = (

@@ -181,7 +181,8 @@ def test_saturation_iff_all_ones_code():
 def test_oversubscribed_vectors_are_rejected():
     for lengths in ([1, 1, 1], [1, 2, 2, 2], [15] * 40000):
         assert kraft_sum(lengths) > 1
-        with pytest.raises(KraftViolation):
+        # The check runs on integers; the message shows the exact Fraction.
+        with pytest.raises(KraftViolation, match=f"is {kraft_sum(lengths)} > 1$"):
             build_coding(lengths)
         with pytest.raises(KraftViolation):
             build_coding_counting(lengths)

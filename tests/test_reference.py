@@ -25,6 +25,8 @@ PACKAGE = Path(deflatekit.__file__).parent
 REFERENCE_MODULES = ("reference", "history_window")
 REFERENCE_FILES = {f"{name}.py" for name in REFERENCE_MODULES}
 C_SHORTCUTS = ("zlib", "binascii")
+# Standard-library modules that would cost a CLI call most of its start-up.
+SLOW_IMPORTS = ("dataclasses", "inspect", "fractions", "decimal", "typing")
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -171,9 +173,14 @@ def test_every_import_spelling_is_caught():
 
 
 def test_importing_the_codec_loads_no_reference_module():
+    # Nor the slow stdlib modules the records and the Kraft check once
+    # pulled in.  ``site`` may preload some of them, so only the modules
+    # the import adds count.
     probe = (
-        "import sys, deflatekit, deflatekit.cli\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('deflatekit'))))"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import deflatekit, deflatekit.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
@@ -186,3 +193,4 @@ def test_importing_the_codec_loads_no_reference_module():
     loaded = set(result.stdout.split())
     assert {"deflatekit.inflate", "deflatekit.cli"} <= loaded
     assert loaded.isdisjoint({f"deflatekit.{name}" for name in REFERENCE_MODULES})
+    assert loaded.isdisjoint(SLOW_IMPORTS)
