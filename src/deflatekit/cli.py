@@ -17,6 +17,13 @@ from .prefix_coding import DeflateCoding, build_coding
 from .symbol_tables import BackRef, Literal
 
 
+def _add_input_and_format(parser: argparse.ArgumentParser, default: str, fmt_help: str) -> None:
+    """The input path and -f/--format that compress, decompress and dump-tokens share."""
+    parser.add_argument("input", nargs="?", default="-", help="input path, - for stdin")
+    parser.add_argument("-f", "--format", choices=("raw", "gzip"), default=default,
+                        dest="fmt", help=fmt_help)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deflatekit",
@@ -24,13 +31,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="mode", required=True)
 
+    gzip_help = "raw deflate stream or gzip container (default gzip)"
     comp = sub.add_parser("compress", help="compress a file or stdin")
-    comp.add_argument("input", nargs="?", default="-", help="input path, - for stdin")
+    _add_input_and_format(comp, "gzip", gzip_help)
     comp.add_argument("-o", "--output", help="output path, - for stdout")
-    comp.add_argument(
-        "-f", "--format", choices=("raw", "gzip"), default="gzip", dest="fmt",
-        help="raw deflate stream or gzip container (default gzip)",
-    )
     comp.add_argument("--max-chain", type=int, default=DEFAULT_PARAMS.max_chain,
                       metavar="N", help="match candidates examined per position")
     comp.add_argument("--block-limit", type=int,
@@ -38,10 +42,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                       help="source bytes per block")
 
     deco = sub.add_parser("decompress", help="decompress a file or stdin")
-    deco.add_argument("input", nargs="?", default="-")
-    deco.add_argument("-o", "--output")
-    deco.add_argument("-f", "--format", choices=("raw", "gzip"), default="gzip",
-                      dest="fmt")
+    _add_input_and_format(deco, "gzip", gzip_help)
+    deco.add_argument("-o", "--output", help="output path, - for stdout")
 
     coding = sub.add_parser("dump-coding",
                             help="show the canonical coding for a length vector")
@@ -51,9 +53,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     tokens = sub.add_parser("dump-tokens",
                             help="list the tokens of each block of a stream")
-    tokens.add_argument("input", nargs="?", default="-")
-    tokens.add_argument("-f", "--format", choices=("raw", "gzip"), default="raw",
-                        dest="fmt", help="dump-tokens defaults to raw deflate input")
+    _add_input_and_format(tokens, "raw", "dump-tokens defaults to raw deflate input")
     return parser
 
 
@@ -126,6 +126,13 @@ def _dump_tokens(args: argparse.Namespace, data: bytes) -> None:
                 print(f"  {_token_line(token)}")
 
 
+# The codec for each (mode, format) pair; compress also takes the params.
+_CODECS = {
+    "compress": {"gzip": gzip_compress, "raw": deflate},
+    "decompress": {"gzip": gzip_decompress, "raw": inflate},
+}
+
+
 def run(args: argparse.Namespace) -> int:
     """Execute one checked invocation; returns the exit status."""
     try:
@@ -133,29 +140,16 @@ def run(args: argparse.Namespace) -> int:
             _dump_coding(args.coding)
             return 0
         data = _read_input(args.input)
-        if args.mode == "compress":
-            params = CompressParams(
-                max_chain=args.max_chain, block_payload_limit=args.block_limit
-            )
-            if args.fmt == "gzip":
-                out = gzip_compress(data, params)
-            else:
-                out = deflate(data, params)
-            _write_output(args.output, out)
-        elif args.mode == "decompress":
-            if args.fmt == "gzip":
-                out = gzip_decompress(data)
-            else:
-                out = inflate(data)
-            _write_output(args.output, out)
-        elif args.mode == "dump-tokens":
+        if args.mode == "dump-tokens":
             _dump_tokens(args, data)
+            return 0
+        codec = _CODECS[args.mode][args.fmt]
+        if args.mode == "compress":
+            out = codec(data, CompressParams(args.max_chain, args.block_limit))
         else:
-            raise AssertionError(f"unhandled mode {args.mode}")
-    except DeflateError as e:
-        print(f"deflatekit: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+            out = codec(data)
+        _write_output(args.output, out)
+    except (DeflateError, OSError) as e:
         print(f"deflatekit: {e}", file=sys.stderr)
         return 1
     return 0

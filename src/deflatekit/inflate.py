@@ -18,7 +18,11 @@ bits they consume, which gives the layer two global properties:
   a value or a specific failure reason at a specific bit offset.
 
 ``iter_blocks`` is the one walk of the block grammar: block by block,
-batch by batch, up to the final block's last bit.  ``parse_deflate``
+batch by batch, up to the final block's last bit.  It calls the public
+parsers through ``_parsed``, which raises a NoParse as ``_Fail``, so
+every failure leaves the walk through one exit: a last item pairing the
+NoParse with its block's header, or with None when a block header
+itself failed.  ``parse_deflate``
 folds it into one output buffer, a ``RingWindow`` that persists across
 blocks (the format never resets the history) and that
 ``resolve_tokens_ring`` copies backreferences from by slices;
@@ -157,10 +161,10 @@ def _no_parse(exc: Exception) -> NoParse:
     return NoParse(exc.reason, exc.bit_pos, exc.detail)
 
 
-def _outcome(raw, cursor: BitCursor, *args) -> ParseOutcome:
-    """Run raw(data, pos, *args) -> (value, pos) from a cursor, as a ParseOutcome."""
+def _outcome(raw, cursor: BitCursor) -> ParseOutcome:
+    """Run raw(data, pos) -> (value, pos) from a cursor, as a ParseOutcome."""
     try:
-        value, pos = raw(cursor.data, cursor.bit_pos, *args)
+        value, pos = raw(cursor.data, cursor.bit_pos)
     except _PARSE_ERRORS as e:
         return _no_parse(e)
     return Parsed(value, pos - cursor.bit_pos, BitCursor(cursor.data, pos))
@@ -203,7 +207,7 @@ def _stored_block(data: bytes, pos: int) -> tuple[bytes, int]:
     start = pos >> 3
     if start + length > len(data):
         raise EndOfInput(pos, f"{length} stored bytes")
-    return data[start : start + length], pos + 8 * length
+    return bytes(data[start : start + length]), pos + 8 * length
 
 
 def _cl_lengths(data: bytes, pos: int, hclen: int) -> tuple[list[int], int]:
@@ -213,6 +217,10 @@ def _cl_lengths(data: bytes, pos: int, hclen: int) -> tuple[list[int], int]:
     for i in range(hclen):
         lengths[CL_CODE_ORDER[i]], pos = read_bits(data, pos, 3, bit_end)
     return lengths, pos
+
+
+# The repeat symbols of the code-length alphabet: (extra-bit width, base count).
+_REPEATS = {16: (2, 3), 17: (3, 3), 18: (7, 11)}
 
 
 def _rle_code_lengths(
@@ -231,27 +239,18 @@ def _rle_code_lengths(
         if sym <= 15:
             lengths.append(sym)
             continue
-        if sym == 16:
-            if not lengths:
-                raise _Fail(FailReason.REPEAT_WITHOUT_PREVIOUS, pos)
-            extra, pos = read_bits(data, pos, 2, bit_end)
-            count = 3 + extra
-            fill = lengths[-1]
-        elif sym == 17:
-            extra, pos = read_bits(data, pos, 3, bit_end)
-            count = 3 + extra
-            fill = 0
-        else:  # 18
-            extra, pos = read_bits(data, pos, 7, bit_end)
-            count = 11 + extra
-            fill = 0
+        if sym == 16 and not lengths:
+            raise _Fail(FailReason.REPEAT_WITHOUT_PREVIOUS, pos)
+        width, count = _REPEATS[sym]
+        extra, pos = read_bits(data, pos, width, bit_end)
+        count += extra
         if len(lengths) + count > total:
             raise _Fail(
                 FailReason.REPEAT_OVERRUN,
                 pos,
                 f"{len(lengths)} + {count} lengths exceeds {total}",
             )
-        lengths.extend([fill] * count)
+        lengths.extend([lengths[-1] if sym == 16 else 0] * count)
     return lengths, pos
 
 
@@ -382,61 +381,57 @@ def _decode_some(
     return tokens, pos, produced, False
 
 
+def _parsed(parse, data: bytes, pos: int):
+    """Run a public parser at ``pos``: (value, end bit), or its NoParse raised as _Fail."""
+    outcome = parse(BitCursor(data, pos))
+    if isinstance(outcome, NoParse):
+        raise _Fail(outcome.reason, outcome.bit_pos, outcome.detail)
+    return outcome.value, outcome.rest.bit_pos
+
+
 def iter_blocks(data: bytes, bit_pos: int = 0):
     """Walk a raw stream block by block, up to the final block's last bit.
 
     Yields ``(header, item, end_bit)``, where ``end_bit`` is the bit
     offset just past ``item``.  For a stored block the item is its
-    payload; for a compressed block it is the next batch of at most
-    _TOKEN_CHUNK tokens, the block's last batch ending with
+    payload, as ``bytes``; for a compressed block it is the next batch
+    of at most _TOKEN_CHUNK tokens, the block's last batch ending with
     END_OF_BLOCK.  Each header is a new object, so a change of header
     marks a new block.  Every distance is checked against all the output
     produced so far.  A malformed stream ends the walk with one item
-    that is a NoParse, paired with the header of the block it broke in
-    (None when the block header itself failed).
+    that is a NoParse, paired with the header of the block it broke in.
+    Every failure leaves the walk through the one ``except`` below; the
+    header is reset before each block header is parsed, so a failed
+    block header, the first or a later one, pairs with None.
     """
     bit_end = 8 * len(data)
     pos = bit_pos
     produced = 0
-    while True:
-        outcome = parse_block_header(BitCursor(data, pos))
-        if isinstance(outcome, NoParse):
-            yield None, outcome, outcome.bit_pos
-            return
-        header = outcome.value
-        pos = outcome.rest.bit_pos
-        if header.block_type is BlockType.STORED:
-            outcome = parse_stored_block(BitCursor(data, pos))
-            if isinstance(outcome, NoParse):
-                yield header, outcome, outcome.bit_pos
-                return
-            pos = outcome.rest.bit_pos
-            produced += len(outcome.value)
-            yield header, outcome.value, pos
-        else:
-            if header.block_type is BlockType.STATIC:
-                lit_coding, dist_coding = FIXED_LIT, FIXED_DIST
+    try:
+        while True:
+            header = None
+            header, pos = _parsed(parse_block_header, data, pos)
+            if header.block_type is BlockType.STORED:
+                payload, pos = _parsed(parse_stored_block, data, pos)
+                produced += len(payload)
+                yield header, payload, pos
             else:
-                outcome = parse_dynamic_header(BitCursor(data, pos))
-                if isinstance(outcome, NoParse):
-                    yield header, outcome, outcome.bit_pos
-                    return
-                lit_coding = outcome.value.lit_coding
-                dist_coding = outcome.value.dist_coding
-                pos = outcome.rest.bit_pos
-            done = False
-            while not done:
-                try:
+                if header.block_type is BlockType.STATIC:
+                    lit_coding, dist_coding = FIXED_LIT, FIXED_DIST
+                else:
+                    dynamic, pos = _parsed(parse_dynamic_header, data, pos)
+                    lit_coding, dist_coding = dynamic.lit_coding, dynamic.dist_coding
+                done = False
+                while not done:
                     tokens, pos, produced, done = _decode_some(
                         data, pos, bit_end, lit_coding, dist_coding, produced
                     )
-                except _PARSE_ERRORS as e:
-                    failure = _no_parse(e)
-                    yield header, failure, failure.bit_pos
-                    return
-                yield header, tokens, pos
-        if header.is_final:
-            return
+                    yield header, tokens, pos
+            if header.is_final:
+                return
+    except _PARSE_ERRORS as e:
+        failure = _no_parse(e)
+        yield header, failure, failure.bit_pos
 
 
 class RingWindow:

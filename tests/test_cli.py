@@ -5,11 +5,14 @@ import sys
 
 import pytest
 
+from deflatekit.bitio import BitSink
 from deflatekit.cli import main
 from deflatekit.compress import deflate
 from deflatekit.gzip_container import gzip_compress
 
-from conftest import GOLDEN_PLAINTEXT, GOLDEN_STATIC_BYTES
+from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT
+
+from conftest import GOLDEN_PLAINTEXT, GOLDEN_STATIC_BYTES, write_code_msb
 
 
 class FakeStdin:
@@ -159,3 +162,33 @@ def test_decompress_output_written_before_success(tmp_path):
     out = tmp_path / "ok.txt"
     assert main(["decompress", str(packed), "-f", "raw", "-o", str(out)]) == 0
     assert out.read_bytes() == b"abc" * 100
+
+
+def test_dump_tokens_stored_then_static_exact_lines(tmp_path, capsys):
+    # A non-final stored block of "hi", then a final static block whose
+    # <3,2> reaches back into the stored bytes.
+    sink = BitSink()
+    sink.write_bits_lsb(0, 3)
+    sink.align_to_byte()
+    sink.write_bits_lsb(2, 16)
+    sink.write_bits_lsb(2 ^ 0xFFFF, 16)
+    sink.write_bytes_aligned(b"hi")
+    sink.write_bits_lsb(1, 1)
+    sink.write_bits_lsb(1, 2)
+    write_code_msb(sink, FIXED_LIT[ord("!")])
+    write_code_msb(sink, FIXED_LIT[257])  # length 3
+    write_code_msb(sink, FIXED_DIST[1])  # distance 2
+    write_code_msb(sink, FIXED_LIT[256])
+    stream = tmp_path / "two.raw"
+    stream.write_bytes(sink.to_bytes())
+    assert main(["dump-tokens", str(stream)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "block 0 (stored)",
+        "  stored 2 bytes",
+        "block 1 (static final)",
+        "  literal 33 '!'",
+        "  backref <3,2>",
+        "  end-of-block",
+    ]
+    assert main(["decompress", str(stream), "-f", "raw"]) == 0
+    assert capsys.readouterr().out == "hi!i!i"

@@ -223,6 +223,17 @@ def test_stored_block_round_trip():
     assert outcome.value == b"hello stored world"
     assert outcome.rest.bit_pos == 8 * len(data)
     assert parse_deflate(BitCursor(data)).value == b"hello stored world"
+    # Over any buffer type the payload is bytes of its own, not a view
+    # into the caller's buffer: overwriting that buffer leaves it as it was.
+    backing = bytearray(data)
+    for buffer in (data, bytearray(data), memoryview(backing)):
+        parsed = parse_stored_block(BitCursor(buffer, 3)).value
+        ((_, walked, _),) = iter_blocks(buffer)
+        backing[:] = bytes(len(backing))
+        for payload in (parsed, walked):
+            assert type(payload) is bytes
+            assert payload == b"hello stored world"
+        backing[:] = data
 
 
 def test_stored_block_empty_payload():
@@ -612,6 +623,48 @@ def test_distance_reaching_past_produced_output():
     assert list(iter_blocks(sink.to_bytes())) == [
         (BlockHeader(True, BlockType.STATIC), outcome, fail_at)
     ]
+
+
+def reserved_first_header():
+    return bytes([0x07]), None, FailReason.RESERVED_BLOCK_TYPE, 1
+
+
+def stored_len_nlen_mismatch():
+    data = bytearray(stored_stream(b"abc"))
+    data[3] ^= 0x01  # corrupt NLEN's low byte
+    return bytes(data), BlockHeader(True, BlockType.STORED), FailReason.LEN_NLEN_MISMATCH, 24
+
+
+def oversubscribed_dynamic_header():
+    sink = BitSink()
+    sink.write_bits_lsb(1, 1)
+    sink.write_bits_lsb(2, 2)
+    sink.write_bits_lsb(0, 10)
+    sink.write_bits_lsb(1, 4)  # hclen 5
+    for _ in range(5):
+        sink.write_bits_lsb(1, 3)  # five length-1 codes
+    header = BlockHeader(True, BlockType.DYNAMIC)
+    return sink.to_bytes(), header, FailReason.BAD_CODING, sink.bit_length
+
+
+def reserved_second_header():
+    first = stored_stream(b"ab", final=False)
+    return first + bytes([0x07]), None, FailReason.RESERVED_BLOCK_TYPE, 8 * len(first) + 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [reserved_first_header, stored_len_nlen_mismatch, oversubscribed_dynamic_header,
+     reserved_second_header],
+)
+def test_a_walk_failure_is_the_last_item_with_its_blocks_header(build):
+    data, header, reason, bit = build()
+    outcome = parse_deflate(BitCursor(data))
+    assert isinstance(outcome, NoParse)
+    assert (outcome.reason, outcome.bit_pos) == (reason, bit)
+    items = list(iter_blocks(data))
+    assert items[-1] == (header, outcome, bit)
+    assert not any(isinstance(item, NoParse) for _, item, _ in items[:-1])
 
 
 def test_every_byte_truncation_of_the_goldens_runs_out_of_input():
