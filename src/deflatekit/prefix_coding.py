@@ -14,11 +14,11 @@ prefix sorts before its extensions):
    below that code has a nonempty code as prefix.
 
 Rules 1-4 force each length class to occupy a dense range of values
-starting right after the (doubled) end of the previous class, which is
-what the one construction, ``DeflateCoding(lengths, max_len)``, assigns;
-``build_coding`` is another name for it.  A coding reads the stream in
-one resolver, ``DeflateCoding.entry``, that works on stream bits already
-read.
+starting right after the (doubled) end of the previous class: the one
+construction, ``DeflateCoding(lengths, max_len)`` (also named
+``build_coding``), assigns them from the characters counted per length
+(RFC 1951 section 3.2.2).  A coding reads the stream in one resolver,
+``DeflateCoding.entry``, on stream bits already read.
 
 A length vector is a plain sequence of ints, one per character, 0
 meaning no code.  The constructor checks it once, so no coding has a
@@ -27,15 +27,16 @@ code longer than 15 bits or an over-subscribed vector.  A
 and this module alone decides how a code sits in the stream: its
 ``stream_codes`` are the bit-reversed values that its decode lookups
 and the block writers use.  ``FIXED_LIT`` and ``FIXED_DIST`` are the
-static-block codings.  The paper's second construction (per-length
-counting) and the four-rule checker are reference models in
-``deflatekit.reference``, which the tests compare this construction
-against.
+static-block codings.  The paper's other construction, by sorting the
+characters (``build_coding_sorted``), and the four-rule checker are
+reference models in ``deflatekit.reference`` that the tests hold this
+construction to.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import compress
 
 from .bitio import read_bits
 from .errors import (
@@ -66,36 +67,36 @@ def kraft_sum(lengths: Sequence[int]) -> Fraction:  # noqa: F821 (imported when 
     return Fraction(sum(1 << (shift - l) for l in lengths if l > 0), 1 << shift)
 
 
-def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> None:
-    """Raise unless max_len is in 1..15, each length in 0..max_len, and the vector feasible."""
+def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> list[int]:
+    """Characters per length 0..max_len; raises at the first bad length, then if infeasible."""
     if not 1 <= max_len <= MAX_CODE_LENGTH:
         bound = "at least 1" if max_len < 1 else f"at most {MAX_CODE_LENGTH}"
         raise ValueOutOfRange(f"max_len {max_len} must be {bound}")
+    counts = [0] * (max_len + 1)
     for ch, l in enumerate(lengths):
-        if l < 0:
-            raise ValueOutOfRange(f"length {l} of character {ch} is negative")
-        if l > max_len:
-            raise LengthOverflow(
-                f"length {l} of character {ch} exceeds the maximum {max_len}"
-            )
-    # The Kraft sum scaled by 2**shift, on integers: at most 1 means at most 2**shift.
-    shift = max(lengths, default=0)
-    if sum(1 << (shift - l) for l in lengths if l > 0) > 1 << shift:
+        if not 0 <= l <= max_len:
+            if l < 0:
+                raise ValueOutOfRange(f"length {l} of character {ch} is negative")
+            raise LengthOverflow(f"length {l} of character {ch} exceeds the maximum {max_len}")
+        counts[l] += 1
+    # The Kraft sum scaled by 2**max_len, on integers: at most 1 means at most 2**max_len.
+    if sum(n << (max_len - l) for l, n in enumerate(counts) if l) > 1 << max_len:
         raise KraftViolation(
             f"code-length vector is over-subscribed: sum of 2**-l is {kraft_sum(lengths)} > 1"
         )
+    return counts
 
 
 class DeflateCoding:
     """The canonical prefix-free coding of characters 0..n-1 for a length vector.
 
     ``check_lengths`` raises for max_len outside 1..15, a length outside
-    0..max_len and an over-subscribed vector.  Then characters are visited sorted by
-    (length, character), skipping zero lengths (no code): the first
-    receives the all-zero code of its length, and each later one takes
-    the previous code plus one, shifted left by the growth in length
-    (RFC 1951 section 3.2.2).  Feasibility (Kraft sum <= 1) guarantees
-    no code outgrows its width.
+    0..max_len and an over-subscribed vector, and counts the characters
+    of each length.  The first code of length l is (the first of l-1 +
+    the count of l-1) << 1, RFC 1951 section 3.2.2's ``next_code``.  One
+    walk over the coded characters, in character order, gives each the
+    next code of its length, its stream code and its lookup entry;
+    feasibility (Kraft sum <= 1) keeps every code within its width.
 
     ``lengths[ch]`` is the code length of ch (0: no code) and
     ``values[ch]`` its code as an integer read leftmost bit first.
@@ -123,38 +124,34 @@ class DeflateCoding:
 
     def __init__(self, lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH):
         self.lengths = lengths = tuple(lengths)
-        check_lengths(lengths, max_len)
+        counts = check_lengths(lengths, max_len)
         self.max_len = max_len
-        values = [0] * len(lengths)
-        code = -1  # so that the first code, (code + 1) << its length, is 0
-        prev_len = 0
-        for ch in sorted(range(len(lengths)), key=lengths.__getitem__):
-            length = lengths[ch]
-            if length:
-                code = (code + 1) << (length - prev_len)
-                prev_len = length
-                values[ch] = code
-        self.values = tuple(values)
-        # Reversing a value's bytes and the bits of each byte reverses it
-        # over whole bytes; the shift drops the -l % 8 padding bits.
-        reverse, from_bytes = _REVERSED_BYTE, int.from_bytes
-        self.stream_codes = tuple(
-            (from_bytes(v.to_bytes((l + 7) >> 3, "little").translate(reverse), "big")
-             >> (-l & 7), l)
-            for v, l in zip(values, lengths)
-        )
+        next_code = [0] * (max_len + 1)
+        for length in range(2, max_len + 1):
+            next_code[length] = (next_code[length - 1] + counts[length - 1]) << 1
         # A coding with no codes is legitimate (a block that never uses
         # distances); reads then fail at the read position.
         self._longest = max(lengths, default=0)
         self.table_bits = bits = min(_TABLE_BITS, self._longest)
         self.table = table = [-1] * (1 << bits)
-        self._long_codes = {}
-        for ch, (rev, length) in enumerate(self.stream_codes):
+        self._long_codes = long_codes = {}
+        values = [0] * len(lengths)
+        stream_codes = [(0, 0)] * len(lengths)
+        reverse = _REVERSED_BYTE
+        for ch in compress(range(len(lengths)), lengths):
+            length = lengths[ch]
+            values[ch] = value = next_code[length]
+            next_code[length] = value + 1
+            # The value reversed over 16 bits, less the 16 - length padding.
+            rev = (reverse[value & 255] << 8 | reverse[value >> 8]) >> (16 - length)
+            stream_codes[ch] = (rev, length)
             if length > bits:
-                self._long_codes[rev << 4 | length] = (ch << 4) | length
-            elif length:
+                long_codes[rev << 4 | length] = ch << 4 | length
+            else:
                 # The index ends in the code's stream bits; the rest is free.
-                table[rev :: 1 << length] = [(ch << 4) | length] * (len(table) >> length)
+                table[rev :: 1 << length] = [ch << 4 | length] * (len(table) >> length)
+        self.values = tuple(values)
+        self.stream_codes = tuple(stream_codes)
         self._codes: tuple[Bits, ...] | None = None
 
     @property

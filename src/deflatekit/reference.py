@@ -1,8 +1,9 @@
 """Reference models and specifications; only the tests import them.
 
-``build_coding_counting`` is a second, independent construction
-(per-length counting): its code values must equal ``build_coding``'s on
-every vector, since canonical codings are unique.
+``build_coding_sorted`` is a second, independent construction (a sort
+by length, then character): its code values must equal
+``build_coding``'s, which come from per-length counts, on every vector,
+since canonical codings are unique.
 ``has_all_ones_code`` is the other side of the extended Kraft property,
 and ``check_axioms`` checks the four canonicity rules that
 ``prefix_coding`` lists on a raw code table (the paper's map from
@@ -34,36 +35,26 @@ def _int_of_bits(bits: Sequence[int]) -> int:
     return value
 
 
-def build_coding_counting(
+def build_coding_sorted(
     lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH
 ) -> tuple[int, ...]:
-    """The canonical code values of a length vector, by counting lengths.
+    """The canonical code values of a length vector, by sorting its characters.
 
-    The first code value of each length comes from the recurrence
-    first[m] = (first[m-1] + count[m-1]) * 2; characters then claim
-    consecutive values within their length class in character order.
-    Note the superficially similar closed form sum(2**j * count[j] for
-    j < m) is NOT equivalent: it disagrees whenever a shorter length
-    class is partially or fully empty (for example count = {1: 0, 2: 2}
-    yields 8 instead of the correct 4), so the recurrence is used.
+    Characters are visited sorted by (length, character), skipping zero
+    lengths (no code): the first receives the all-zero code of its
+    length, and each later one the previous code plus one, shifted left
+    by the growth in length.
     """
     check_lengths(lengths, max_len)
-    counts = [0] * (max_len + 1)
-    for l in lengths:
-        if l > 0:
-            counts[l] += 1
-    next_value = [0] * (max_len + 1)
-    value = 0
-    for length in range(1, max_len + 1):
-        value = (value + counts[length - 1]) << 1
-        next_value[length] = value
-    values = []
-    for l in lengths:
-        if l == 0:
-            values.append(0)
-        else:
-            values.append(next_value[l])
-            next_value[l] += 1
+    values = [0] * len(lengths)
+    code = -1  # so that the first code, (code + 1) << its length, is 0
+    prev_len = 0
+    for ch in sorted(range(len(lengths)), key=lengths.__getitem__):
+        length = lengths[ch]
+        if length:
+            code = (code + 1) << (length - prev_len)
+            prev_len = length
+            values[ch] = code
     return tuple(values)
 
 

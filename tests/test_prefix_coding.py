@@ -1,8 +1,11 @@
 """Canonical coding construction, Kraft accounting, axiom checks, decoding.
 
-``build_coding`` and the reference model ``build_coding_counting`` are
-differential twins on the code values; the slow decoder below is a
-third, structure-free implementation used to pin down read_symbol.
+``build_coding`` assigns code values from the characters counted per
+length (RFC 1951's ``next_code`` recurrence); the reference model
+``build_coding_sorted`` visits the characters sorted by (length,
+character) instead.  The two are differential twins on the code values
+and share one input check.  The slow decoder below is a third,
+structure-free implementation used to pin down read_symbol.
 """
 
 import hashlib
@@ -33,7 +36,7 @@ from deflatekit.prefix_coding import (
 )
 from deflatekit.reference import (
     AxiomReport,
-    build_coding_counting,
+    build_coding_sorted,
     check_axioms,
     has_all_ones_code,
 )
@@ -82,13 +85,14 @@ def test_worked_example_codes():
 
 
 def test_worked_example_via_counting():
-    assert build_coding_counting([2, 1, 3, 3, 0]) == build_coding([2, 1, 3, 3, 0]).values
+    assert build_coding([2, 1, 3, 3, 0]).values == build_coding_sorted([2, 1, 3, 3, 0])
 
 
 def test_counting_recurrence_handles_empty_length_classes():
     # No length-1 codes, two length-2 codes, then one of length 3: the
-    # length-3 class must start at value 4 (binary 100), not 8.
-    assert build_coding_counting([2, 2, 3]) == (0b00, 0b01, 0b100)
+    # length-3 class must start at value 4 (binary 100), not 8, which
+    # the closed form sum of count[j] << j over j < 3 would give.
+    assert build_coding([2, 2, 3]).values == (0b00, 0b01, 0b100)
 
 
 def test_constructions_agree_on_random_vectors():
@@ -97,7 +101,7 @@ def test_constructions_agree_on_random_vectors():
         lengths = random_code_lengths(rng)
         coding = DeflateCoding(lengths)
         assert coding == build_coding(lengths)
-        assert coding.values == build_coding_counting(lengths)
+        assert coding.values == build_coding_sorted(lengths)
         assert [len(code) for code in coding.codes] == lengths
 
 
@@ -185,29 +189,45 @@ def test_oversubscribed_vectors_are_rejected():
         with pytest.raises(KraftViolation, match=f"is {kraft_sum(lengths)} > 1$"):
             build_coding(lengths)
         with pytest.raises(KraftViolation):
-            build_coding_counting(lengths)
+            build_coding_sorted(lengths)
 
 
 def test_code_lengths_validation():
-    # The constructor, under both its names, and the counting model share
-    # one input check: each bad vector raises the same exception type from
-    # each, when the coding is built.
+    # The constructor, under both its names, and the sorted model share
+    # one input check: each bad vector raises the same exception, with the
+    # same message, from each, when the coding is built.  A length out of
+    # range is reported for the first character that has one, before
+    # over-subscription is considered.
+    over = "code-length vector is over-subscribed: sum of 2**-l is 3/2 > 1"
     cases = [
-        (ValueOutOfRange, [1, -1], MAX_CODE_LENGTH),
-        (LengthOverflow, [MAX_CODE_LENGTH + 1] * 2, MAX_CODE_LENGTH),
-        (LengthOverflow, [MAX_CL_CODE_LENGTH + 1] * 2, MAX_CL_CODE_LENGTH),
-        (ValueOutOfRange, [1], 0),
+        (ValueOutOfRange, "length -1 of character 1 is negative", [1, -1], MAX_CODE_LENGTH),
+        (LengthOverflow, "length 16 of character 0 exceeds the maximum 15",
+         [MAX_CODE_LENGTH + 1] * 2, MAX_CODE_LENGTH),
+        (LengthOverflow, "length 8 of character 0 exceeds the maximum 7",
+         [MAX_CL_CODE_LENGTH + 1] * 2, MAX_CL_CODE_LENGTH),
+        (ValueOutOfRange, "max_len 0 must be at least 1", [1], 0),
         # A packed entry holds a length in 4 bits: unchecked, a 16-bit code
         # would read in zero bits and a 17-bit one as a 1-bit one.
-        (LengthOverflow, [1, MAX_CODE_LENGTH + 1], MAX_CODE_LENGTH),
-        (ValueOutOfRange, [1, MAX_CODE_LENGTH + 2], MAX_CODE_LENGTH + 2),
-        (KraftViolation, [1, 1, 1], MAX_CODE_LENGTH),
+        (LengthOverflow, "length 16 of character 1 exceeds the maximum 15",
+         [1, MAX_CODE_LENGTH + 1], MAX_CODE_LENGTH),
+        (ValueOutOfRange, "max_len 17 must be at most 15",
+         [1, MAX_CODE_LENGTH + 2], MAX_CODE_LENGTH + 2),
+        (KraftViolation, over, [1, 1, 1], MAX_CODE_LENGTH),
+        # Mixed offences: the first offending character wins, whatever its offence.
+        (LengthOverflow, "length 16 of character 0 exceeds the maximum 15",
+         [16, -1], MAX_CODE_LENGTH),
+        (ValueOutOfRange, "length -1 of character 0 is negative", [-1, 16], MAX_CODE_LENGTH),
+        (LengthOverflow, "length 16 of character 3 exceeds the maximum 15",
+         [1, 1, 1, 16], MAX_CODE_LENGTH),
+        (ValueOutOfRange, "length -2 of character 2 is negative",
+         [1, 1, -2, 1, 16, -1], MAX_CODE_LENGTH),
     ]
-    for expected, lengths, max_len in cases:
-        for construct in (DeflateCoding, build_coding, build_coding_counting):
+    for expected, message, lengths, max_len in cases:
+        for construct in (DeflateCoding, build_coding, build_coding_sorted):
             with pytest.raises(Exception) as err:
                 construct(lengths, max_len)
             assert type(err.value) is expected, (construct.__name__, lengths, max_len)
+            assert str(err.value) == message, (construct.__name__, lengths, max_len)
 
 
 # -- the four axioms ----------------------------------------------------

@@ -152,7 +152,7 @@ def test_every_import_spelling_is_caught():
         "import deflatekit.reference",
         "import deflatekit.reference as r",
         "from deflatekit import reference",
-        "from deflatekit.reference import build_coding_counting",
+        "from deflatekit.reference import build_coding_sorted",
         "importlib.import_module('deflatekit.reference')",
         "importlib.import_module('.reference', 'deflatekit')",
         "__import__('deflatekit.reference')",

@@ -1,0 +1,148 @@
+"""Small-scope exhaustive checks of the paper's theorems.
+
+The paper proves its properties for every input, and the other tests
+sample them.  Here every case of a scope small enough to run in a few
+seconds is checked instead (the small-scope hypothesis behind Jackson's
+Alloy):
+
+* every length vector over 1-5 characters with lengths 0-5: the coding
+  exists exactly when the Kraft sum is at most 1, equals the sorted
+  construction, satisfies the four rules, saturates exactly when it has
+  an all-ones code, and reads each of its codes back;
+* every raw input of at most 2 bytes: parsing is total and agrees with
+  zlib on value and end byte, except where we fail before zlib does,
+  and a failure other than running out of input is final: one more
+  byte fails at the same bit for the same reason (strong decidability);
+* every static block holding one backreference, for each match length
+  and the first and last distance of each distance code, behind a stored
+  block of history: it parses back to its token in exactly the bits
+  written, and zlib decodes it to the same bytes.
+"""
+
+import itertools
+import random
+import zlib
+from collections import Counter
+
+import pytest
+
+from deflatekit.bitio import BitCursor, BitSink
+from deflatekit.errors import KraftViolation
+from deflatekit.inflate import FailReason, NoParse, Parsed, iter_blocks, parse_deflate
+from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding, kraft_sum
+from deflatekit.reference import (
+    DISTANCE_TABLE,
+    build_coding_sorted,
+    check_axioms,
+    distance_encode,
+    has_all_ones_code,
+    length_encode,
+)
+from deflatekit.symbol_tables import (
+    END_OF_BLOCK,
+    MAX_MATCH_LENGTH,
+    MIN_MATCH_LENGTH,
+    WINDOW_SIZE,
+    BackRef,
+)
+
+from conftest import write_code_msb
+
+
+def test_every_length_vector_over_five_characters_up_to_length_five():
+    vectors = [v for n in range(1, 6) for v in itertools.product(range(6), repeat=n)]
+    assert len(vectors) == 9330
+    kinds = Counter()
+    for lengths in vectors:
+        ks = kraft_sum(lengths)
+        if ks > 1:
+            with pytest.raises(KraftViolation):
+                build_coding(lengths)
+            kinds["over-subscribed"] += 1
+            continue
+        coding = build_coding(lengths)
+        assert coding.values == build_coding_sorted(lengths), lengths
+        assert check_axioms(coding.codes).all_pass, lengths
+        assert has_all_ones_code(coding) == (ks == 1), lengths
+        kinds["saturated" if ks == 1 else "unsaturated"] += 1
+        for ch, code in enumerate(coding.codes):
+            if code:
+                sink = BitSink()
+                write_code_msb(sink, code)
+                assert coding.read_symbol(sink.to_bytes(), 0, len(code)) == (ch, len(code))
+    assert kinds == {"over-subscribed": 2425, "saturated": 218, "unsaturated": 6687}
+
+
+def zlib_outcome(data: bytes):
+    """zlib's verdict on a raw stream: (value, end byte), "error" or "more"."""
+    d = zlib.decompressobj(-15)
+    try:
+        value = d.decompress(data)
+    except zlib.error:
+        return "error"
+    if d.eof:
+        return value, len(data) - len(d.unused_data)
+    return "more"
+
+
+# Inputs we reject while zlib still asks for more, both deliberate: we
+# fail at the first bit that rules out every continuation.  zlib checks
+# HLIT only after reading HDIST and HCLEN, and it takes length codepoint
+# 284 with extra value 31 as length 258 and reads on.
+EARLY_FAILURES = {FailReason.FORBIDDEN_HLIT: 1028, FailReason.INVALID_LENGTH_EXTRA: 2}
+
+
+def test_every_input_of_at_most_two_bytes():
+    inputs = [bytes(v) for n in range(3) for v in itertools.product(range(256), repeat=n)]
+    assert len(inputs) == 65793
+    early = Counter()
+    for i, data in enumerate(inputs):
+        outcome = parse_deflate(BitCursor(data))
+        theirs = zlib_outcome(data)
+        if isinstance(outcome, Parsed):
+            assert theirs == (outcome.value, (outcome.consumed_bits + 7) >> 3), data
+            continue
+        assert isinstance(outcome, NoParse), data
+        if outcome.reason is FailReason.END_OF_INPUT:
+            assert theirs == "more", data
+            continue
+        if theirs == "more":
+            early[outcome.reason] += 1
+        else:
+            assert theirs == "error", data
+        # One extension byte per input, cycling through every byte value.
+        assert parse_deflate(BitCursor(data + bytes([i & 255]))) == outcome, data
+    assert early == EARLY_FAILURES
+
+
+def test_every_single_backref_static_block_behind_a_stored_history():
+    history = random.Random(12).randbytes(WINDOW_SIZE)
+    # A non-final stored block of WINDOW_SIZE bytes: header bits 000, LEN, NLEN.
+    prefix = b"\x00" + WINDOW_SIZE.to_bytes(2, "little")
+    prefix += (WINDOW_SIZE ^ 0xFFFF).to_bytes(2, "little") + history
+    distances = sorted(
+        {d for extra, base in DISTANCE_TABLE.values() for d in (base, base + (1 << extra) - 1)}
+    )
+    assert len(distances) == 56
+    streams = 0
+    for length in range(MIN_MATCH_LENGTH, MAX_MATCH_LENGTH + 1):
+        for distance in distances:
+            sink = BitSink()
+            sink.write_bits_lsb(0b011, 3)  # final, static
+            codepoint, extra, width = length_encode(length)
+            write_code_msb(sink, FIXED_LIT[codepoint])
+            sink.write_bits_lsb(extra, width)
+            codepoint, extra, width = distance_encode(distance)
+            write_code_msb(sink, FIXED_DIST[codepoint])
+            sink.write_bits_lsb(extra, width)
+            write_code_msb(sink, FIXED_LIT[256])
+            stream = prefix + sink.to_bytes()
+            (_, payload, stored_end), (_, tokens, end) = iter_blocks(stream)
+            assert (payload, stored_end) == (history, 8 * len(prefix))
+            assert tokens == [BackRef(length, distance), END_OF_BLOCK], (length, distance)
+            assert end == 8 * len(prefix) + sink.bit_length, (length, distance)
+            d = zlib.decompressobj(-15)
+            assert d.decompress(stream) == parse_deflate(BitCursor(stream)).value
+            assert d.eof and not d.unused_data
+            streams += 1
+    assert streams == 14336
