@@ -13,23 +13,35 @@ costs a few thousand searches per 96 KiB instead of one per byte.
 No match runs past its block's end, so every block but the last covers
 exactly ``block_payload_limit`` input bytes, and ``deflate`` computes
 each block's byte range.  ``tokenize`` counts each block's symbols as
-it emits them (zlib's ``_tr_tally``); from those counts ``deflate``
-writes the block with the fixed codings, or stored when that is smaller
-(e.g. incompressible input).  The static writer ORs codes and extra
-bits into a local int and hands it to ``write_bits_lsb``, which emits
-whole bytes at once; headers and stored blocks use the same call.
+it emits them (zlib's ``_tr_tally``).  From those counts ``deflate``
+prices the block stored, static (the fixed codings) and dynamic (codes
+built for the block, RFC 1951 section 3.2.7), each to the exact bit, and
+writes the smallest; incompressible input stays stored.  A dynamic
+block's code lengths are length-limited Huffman lengths
+(``huffman_lengths``), and its codes are the canonical ones the decoder
+rebuilds from them (``DeflateCoding``).  Both token writers OR codes and
+extra bits into a local int and hand it to ``write_bits_lsb``, which
+emits whole bytes at once; headers and stored blocks use the same call.
 """
 
 from __future__ import annotations
 
+from itertools import compress, groupby
 from operator import mul
 
 from .bitio import BitSink
 from .errors import ValueOutOfRange
 from .inflate import BlockType
-from .prefix_coding import FIXED_DIST, FIXED_LIT
+from .prefix_coding import (
+    FIXED_DIST,
+    FIXED_LIT,
+    MAX_CL_CODE_LENGTH,
+    MAX_CODE_LENGTH,
+    DeflateCoding,
+)
 from .record import Record, set_field
 from .symbol_tables import (
+    CL_CODE_ORDER,
     DISTANCE_CODEPOINT,
     DISTANCE_CODES,
     END_OF_BLOCK,
@@ -230,30 +242,40 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
 
 # -- block writers ------------------------------------------------------
 
-# (reversed code, width) per literal/length symbol, and per match length
-# its code with the extra bits above it; distance codes are all 5 bits.
-_LIT_CODES = FIXED_LIT.stream_codes
-_LENGTH_CODES = (None,) * MIN_MATCH_LENGTH + tuple(
-    (_LIT_CODES[cp][0] | extra << _LIT_CODES[cp][1], _LIT_CODES[cp][1] + ebits)
-    for cp, extra, ebits in LENGTH_ENCODING[MIN_MATCH_LENGTH:]
-)
-_DIST_CODES = FIXED_DIST.stream_codes
-# Bits per literal/length symbol and per distance symbol, extra bits included.
-_LIT_BITS = [nb for _, nb in _LIT_CODES[:257]] + [_LENGTH_CODES[b][1] for _, b in LENGTH_CODES]
-_DIST_BITS = [5 + ebits for ebits, _ in DISTANCE_CODES]
+
+def _code_tables(lit_codes, dist_codes):
+    """What the token loop ORs in: per literal/length symbol its stream code,
+    per match length its code with the extra bits above it, and per
+    distance symbol (code, width, extra bits, base distance)."""
+    lens = (None,) * MIN_MATCH_LENGTH + tuple(
+        (lit_codes[cp][0] | extra << lit_codes[cp][1], lit_codes[cp][1] + ebits)
+        for cp, extra, ebits in LENGTH_ENCODING[MIN_MATCH_LENGTH:]
+    )
+    dists = tuple(code + spec for code, spec in zip(dist_codes, DISTANCE_CODES))
+    return lit_codes, lens, dists
+
+
+_STATIC_TABLES = _code_tables(FIXED_LIT.stream_codes, FIXED_DIST.stream_codes)
+# Extra bits per literal/length symbol and per distance symbol, and each
+# symbol's static size with them.
+_LIT_EXTRA = [0] * 257 + [ebits for ebits, _ in LENGTH_CODES]
+_DIST_EXTRA = [ebits for ebits, _ in DISTANCE_CODES]
+_LIT_BITS = [nb + ebits for (_, nb), ebits in zip(FIXED_LIT.stream_codes, _LIT_EXTRA)]
+_DIST_BITS = [5 + ebits for ebits in _DIST_EXTRA]
 _WRITE_RUN = 64  # tokens per accumulator, so it stays a small int
 
 
-def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
-    """Write one block under the fixed codings; returns the sink.
-
-    ``tokens`` must contain exactly one EndOfBlock, as its last element;
-    the sink is touched only once the whole block has been coded.
-    """
+def _block_body(tokens) -> list:
+    """The tokens before the block's one EndOfBlock, which must come last."""
     body = list(tokens)
     if not body or type(body.pop()) is not EndOfBlock:
         raise ValueOutOfRange("block tokens must end with EndOfBlock")
-    lits, lens, dists = _LIT_CODES, _LENGTH_CODES, _DIST_CODES
+    return body
+
+
+def _token_fields(body, tables) -> list[tuple[int, int]]:
+    """The block's tokens and end-of-block code as (bits, width) fields."""
+    lits, lens, dists = tables
     fields = []
     for start in range(0, len(body), _WRITE_RUN):
         acc = fill = 0
@@ -268,22 +290,35 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
                 acc |= code << fill
                 fill += nb
                 d = t.distance
-                dcp = DISTANCE_CODEPOINT[d]
-                dbits, base = DISTANCE_CODES[dcp]
-                acc |= (dists[dcp][0] | (d - base) << 5) << fill
-                fill += 5 + dbits
+                code, nb, dbits, base = dists[DISTANCE_CODEPOINT[d]]
+                acc |= (code | (d - base) << nb) << fill
+                fill += nb + dbits
             elif tt is EndOfBlock:
                 raise ValueOutOfRange("EndOfBlock before the end of the block's tokens")
             else:
                 raise ValueOutOfRange(f"unknown token {t!r}")
         fields.append((acc, fill))
     fields.append(lits[256])
-    sink.write_bits_lsb(1 if final else 0, 1)
-    sink.write_bits_lsb(BlockType.STATIC, 2)
+    return fields
+
+
+def _write_fields(sink: BitSink, final: bool, block_type: BlockType, fields) -> BitSink:
+    """The 3-bit block header, then the (bits, width) fields."""
+    sink.write_bits_lsb((1 if final else 0) | block_type << 1, 3)
     write = sink.write_bits_lsb
     for acc, fill in fields:
         write(acc, fill)
     return sink
+
+
+def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
+    """Write one block under the fixed codings; returns the sink.
+
+    ``tokens`` must contain exactly one EndOfBlock, as its last element;
+    the sink is touched only once the whole block has been coded.
+    """
+    fields = _token_fields(_block_body(tokens), _STATIC_TABLES)
+    return _write_fields(sink, final, BlockType.STATIC, fields)
 
 
 def write_stored_block(data: bytes, final: bool, sink: BitSink) -> BitSink:
@@ -299,6 +334,189 @@ def write_stored_block(data: bytes, final: bool, sink: BitSink) -> BitSink:
     return sink
 
 
+# -- dynamic blocks ------------------------------------------------------
+
+
+def huffman_lengths(counts, max_len: int) -> list[int]:
+    """Code lengths of at most max_len bits for symbol counts; 0 for an unused symbol.
+
+    As zlib's ``build_tree`` does, a coding gets at least two codes: when
+    fewer than two symbols are used, the lowest unused ones join them.
+    Huffman's construction runs on two queues (van Leeuwen): the used
+    symbols by rising count, and the merged trees in the order they are
+    made, which is by rising weight too; a tie takes the symbol first,
+    which keeps the tree shallow.  Leaves deeper than max_len are lifted
+    to it; then, while the Kraft sum exceeds 1, a leaf above max_len
+    moves down one level and a leaf at max_len becomes its sibling,
+    which lowers the sum by 2**-max_len (zlib ``gen_bitlen``'s overflow
+    repair).  The lengths go to the symbols by falling count, ties to
+    the lower symbol, so the code is complete: its Kraft sum is exactly 1.
+    """
+    if len(counts) < 2:
+        raise ValueOutOfRange("a coding of at least two codes needs two symbols")
+    used = list(compress(range(len(counts)), counts))
+    if len(used) < 2:
+        used += [s for s in (0, 1) if s not in used][: 2 - len(used)]
+    # Most frequent first; node i < k is the leaf order[k - 1 - i], and
+    # node k + m the m-th merged tree, so a parent outnumbers its children.
+    order = sorted(used, key=lambda s: (-counts[s], s))
+    k = len(order)
+    weight = [counts[s] for s in reversed(order)]
+    parent = [0] * (2 * k - 1)
+    leaf, tree = 0, k
+    for node in range(k, 2 * k - 1):
+        pair = 0
+        for _ in range(2):
+            if leaf < k and (tree == node or weight[leaf] <= weight[tree]):
+                parent[leaf] = node
+                pair += weight[leaf]
+                leaf += 1
+            else:
+                parent[tree] = node
+                pair += weight[tree]
+                tree += 1
+        weight.append(pair)
+    depth = [0] * (2 * k - 1)
+    for x in range(2 * k - 3, -1, -1):
+        depth[x] = depth[parent[x]] + 1
+    bl_count = [0] * (max_len + 1)
+    for d in depth[:k]:
+        bl_count[min(d, max_len)] += 1
+    excess = sum(c << (max_len - l) for l, c in enumerate(bl_count)) - (1 << max_len)
+    while excess > 0:
+        bits = max_len - 1
+        while not bl_count[bits]:
+            bits -= 1
+        bl_count[bits] -= 1
+        bl_count[bits + 1] += 2
+        bl_count[max_len] -= 1
+        excess -= 1
+    lengths = [0] * len(counts)
+    symbols = iter(order)
+    for length, count in enumerate(bl_count):
+        for _ in range(count):
+            lengths[next(symbols)] = length
+    return lengths
+
+
+# Extra bits of each code-length symbol: 16, 17 and 18 carry a run length.
+_RUN_EXTRA = (0,) * 16 + (2, 3, 7)
+
+
+def _rle_lengths(lengths) -> list[tuple[int, int]]:
+    """The (symbol, extra) pairs that inflate's ``_rle_code_lengths`` expands to lengths.
+
+    A zero run of 11..138 is symbol 18, one of 3..10 symbol 17; a
+    nonzero length is written once, then repeated 3..6 at a time by 16.
+    Shorter remainders are written as they are.
+    """
+    out = []
+    for length, group in groupby(lengths):
+        run = len(list(group))
+        if length == 0:
+            while run >= 11:
+                k = min(run, 138)
+                out.append((18, k - 11))
+                run -= k
+            if run >= 3:
+                out.append((17, run - 3))
+                run = 0
+        else:
+            out.append((length, 0))
+            run -= 1
+            while run >= 3:
+                k = min(run, 6)
+                out.append((16, k - 3))
+                run -= k
+        out += [(length, 0)] * run
+    return out
+
+
+def _symbol_counts(tokens) -> tuple[list[int], list[int]]:
+    """Counts of literal/length symbols 0..285, the end of block once, and
+    of distance symbols 0..29 over a block's tokens."""
+    lit, dist = [0] * 256 + [1] + [0] * 29, [0] * 30
+    for t in tokens:
+        if type(t) is Literal:
+            lit[t.value] += 1
+        elif type(t) is BackRef:
+            lit[LENGTH_ENCODING[t.length][0]] += 1
+            dist[DISTANCE_CODEPOINT[t.distance]] += 1
+    return lit, dist
+
+
+def _dynamic_plan(lit, dist):
+    """A dynamic block's codes for symbol counts, and its exact size.
+
+    ``lit`` holds the counts of literal/length symbols 0..285 and
+    ``dist`` those of distance symbols 0..29, each over the whole block.
+    Returns ``(bits, lit_lengths, dist_lengths, cl_lengths, counts,
+    runs)``: the bits write_dynamic_block writes after the 3-bit block
+    header; the three codings' lengths; the header's HLIT, HDIST and
+    HCLEN counts, the last being how many code-length lengths it
+    carries in CL_CODE_ORDER; and
+    the first HLIT literal/length lengths and first HDIST distance
+    lengths, run-length coded as one list.
+    """
+    lit_lengths = huffman_lengths(lit, MAX_CODE_LENGTH)
+    dist_lengths = huffman_lengths(dist, MAX_CODE_LENGTH)
+    hlit = max(257, 1 + max(compress(range(286), lit_lengths)))
+    hdist = 1 + max(compress(range(30), dist_lengths))
+    runs = _rle_lengths(lit_lengths[:hlit] + dist_lengths[:hdist])
+    cl_counts = [0] * 19
+    for sym, _ in runs:
+        cl_counts[sym] += 1
+    cl_lengths = huffman_lengths(cl_counts, MAX_CL_CODE_LENGTH)
+    # Trailing zeros trimmed; a length 1..15 is always coded (the end of
+    # block has one), and each sits past the first four, so HCLEN >= 5.
+    hclen = 19
+    while not cl_lengths[CL_CODE_ORDER[hclen - 1]]:
+        hclen -= 1
+    bits = (
+        14
+        + 3 * hclen
+        + sum(map(mul, cl_counts, cl_lengths))
+        + sum(map(mul, cl_counts[16:], _RUN_EXTRA[16:]))
+        + sum(map(mul, lit, lit_lengths))
+        + sum(map(mul, lit[257:], _LIT_EXTRA[257:]))
+        + sum(map(mul, dist, dist_lengths))
+        + sum(map(mul, dist, _DIST_EXTRA))
+    )
+    return bits, lit_lengths, dist_lengths, cl_lengths, (hlit, hdist, hclen), runs
+
+
+def write_dynamic_block(tokens, final: bool, sink: BitSink, plan=None) -> BitSink:
+    """Write one block under codings built for its own symbol counts; returns the sink.
+
+    ``tokens`` are as for write_static_block.  ``plan`` is
+    ``_dynamic_plan`` of exactly these tokens' symbol counts; without
+    it they are counted here.  The codes come from the lengths by the
+    canonical construction (``DeflateCoding``), so the decoder rebuilds
+    the same ones from the header.
+    """
+    body = _block_body(tokens)
+    _, lit_lengths, dist_lengths, cl_lengths, (hlit, hdist, hclen), runs = (
+        plan or _dynamic_plan(*_symbol_counts(body))
+    )
+    lit_codes = DeflateCoding(lit_lengths).stream_codes
+    dist_codes = DeflateCoding(dist_lengths).stream_codes
+    cl_codes = DeflateCoding(cl_lengths, MAX_CL_CODE_LENGTH).stream_codes
+    acc = (hlit - 257) | (hdist - 1) << 5 | (hclen - 4) << 10
+    fill = 14
+    for sym in CL_CODE_ORDER[:hclen]:
+        acc |= cl_lengths[sym] << fill
+        fill += 3
+    for sym, extra in runs:
+        code, nb = cl_codes[sym]
+        acc |= (code | extra << nb) << fill
+        fill += nb + _RUN_EXTRA[sym]
+    fields = _token_fields(body, _code_tables(lit_codes, dist_codes))
+    return _write_fields(sink, final, BlockType.DYNAMIC, [(acc, fill), *fields])
+
+
+# -- block choice --------------------------------------------------------
+
+
 def _static_cost_bits(counts) -> int:
     """Exact payload size of write_static_block for one block of tokenize's
     counts, excluding the 3 header bits."""
@@ -306,17 +524,24 @@ def _static_cost_bits(counts) -> int:
     return sum(map(mul, lit, _LIT_BITS)) + sum(map(mul, dist, _DIST_BITS)) + 8 * skipped + high
 
 
-def _stored_cost_bits(span: int) -> int:
-    """Worst-case size of storing span bytes, excluding the first header."""
+def _stored_cost_bits(span: int, bit_pos: int) -> int:
+    """Exact size of storing span bytes from bit_pos on, excluding the first header."""
     chunks = max(1, -(-span // MAX_STORED_BLOCK))
-    # Per chunk: up to 7 alignment bits after the 3-bit header, then
-    # LEN/NLEN and the payload; later chunks repeat the 3-bit header.
-    return chunks * (7 + 32) + (chunks - 1) * 3 + 8 * span
+    # The first chunk pads its 3-bit header to a byte; each later one
+    # starts on a byte, so its header takes 3 + 5 bits.  Then LEN/NLEN.
+    return -(bit_pos + 3) % 8 + 32 + (chunks - 1) * (8 + 32) + 8 * span
 
 
 def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
-    """Compress data into a raw deflate stream; each block is static or
-    stored, priced from tokenize's counts without walking its tokens."""
+    """Compress data into a raw deflate stream, each block stored, static or
+    dynamic, whichever is smallest by exact size.
+
+    Each block is priced from tokenize's counts.  A tie goes to static,
+    then to stored.  A block with skipped literals gets a dynamic price
+    only when static already beats stored; only then are its literals
+    counted from its tokens, so an incompressible block is stored with
+    no per-byte work and no code built.
+    """
     blocks = []
     tokens = tokenize(data, params, blocks=blocks)
     sink = BitSink()
@@ -326,11 +551,21 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     for offset, counts in zip(range(0, n or 1, params.block_payload_limit), blocks):
         end = min(offset + params.block_payload_limit, n)
         final = end == n
-        if _static_cost_bits(counts) <= _stored_cost_bits(end - offset):
-            write_static_block(tokens[start : counts[0]], final, sink)
+        stop, lit, dist, skipped, _ = counts
+        static = _static_cost_bits(counts)
+        stored = _stored_cost_bits(end - offset, sink.bit_length)
+        plan = None
+        if static <= stored or not skipped:
+            if skipped:
+                lit, dist = _symbol_counts(tokens[start:stop])
+            plan = _dynamic_plan(lit, dist)
+        if plan is not None and plan[0] < min(static, stored):
+            write_dynamic_block(tokens[start:stop], final, sink, plan)
+        elif static <= stored:
+            write_static_block(tokens[start:stop], final, sink)
         else:
             for chunk in range(offset, end, MAX_STORED_BLOCK):
-                stop = min(chunk + MAX_STORED_BLOCK, end)
-                write_stored_block(data[chunk:stop], final and stop == end, sink)
-        start = counts[0]
+                chunk_end = min(chunk + MAX_STORED_BLOCK, end)
+                write_stored_block(data[chunk:chunk_end], final and chunk_end == end, sink)
+        start = stop
     return sink.to_bytes()

@@ -7,12 +7,13 @@ import pytest
 
 from deflatekit.bitio import BitSink
 from deflatekit.cli import main
-from deflatekit.compress import deflate
+from deflatekit.compress import deflate, tokenize
 from deflatekit.gzip_container import gzip_compress
+from deflatekit.symbol_tables import BackRef, Literal
 
 from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT
 
-from conftest import GOLDEN_PLAINTEXT, GOLDEN_STATIC_BYTES, write_code_msb
+from conftest import GOLDEN_PLAINTEXT, GOLDEN_STATIC_BYTES, english_text, write_code_msb
 
 
 class FakeStdin:
@@ -91,6 +92,26 @@ def test_dump_tokens_gzip_and_stored(tmp_path, capsys):
     assert main(["dump-tokens", str(blob), "-f", "gzip"]) == 0
     out = capsys.readouterr().out
     assert "(stored" in out or "(static" in out
+
+
+def test_dump_tokens_of_prose_shows_one_dynamic_block_of_the_tokenized_stream(
+    tmp_path, capsys
+):
+    prose = english_text(4000, seed=3)
+    blob = tmp_path / "prose.gz"
+    blob.write_bytes(gzip_compress(prose))
+    assert main(["dump-tokens", str(blob), "-f", "gzip"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = []
+    for t in tokenize(prose):
+        if type(t) is Literal:
+            shown = chr(t.value) if 32 <= t.value < 127 else "."
+            expected.append(f"  literal {t.value} {shown!r}")
+        elif type(t) is BackRef:
+            expected.append(f"  backref <{t.length},{t.distance}>")
+        else:
+            expected.append("  end-of-block")
+    assert lines == ["block 0 (dynamic final)", *expected]
 
 
 def test_dump_tokens_gzip_without_its_trailer(tmp_path, capsys):

@@ -18,9 +18,13 @@ from deflatekit.compress import (
     DEFAULT_PARAMS,
     CompressParams,
     MAX_STORED_BLOCK,
+    _dynamic_plan,
     _static_cost_bits,
+    _stored_cost_bits,
     deflate,
+    huffman_lengths,
     tokenize,
+    write_dynamic_block,
     write_static_block,
     write_stored_block,
 )
@@ -32,10 +36,17 @@ from deflatekit.inflate import (
     inflate,
     iter_blocks,
     parse_deflate,
+    parse_dynamic_header,
     parse_stored_block,
 )
 from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT
-from deflatekit.reference import DISTANCE_TABLE, MAX_DISTANCE, distance_encode, length_encode
+from deflatekit.reference import (
+    DISTANCE_TABLE,
+    MAX_DISTANCE,
+    check_axioms,
+    distance_encode,
+    length_encode,
+)
 from deflatekit.symbol_tables import (
     DISTANCE_CODEPOINT,
     DISTANCE_CODES,
@@ -353,6 +364,84 @@ def test_block_counts_price_each_block_exactly(block_limit):
         assert skipped > skipped_high > 0
 
 
+def symbol_counts(tokens) -> tuple[list, list]:
+    """Literal/length and distance symbol counts of a block's tokens, with its end of block."""
+    lit, dist = [0] * 286, [0] * 30
+    lit[256] = 1
+    for t in tokens:
+        if type(t) is Literal:
+            lit[t.value] += 1
+        elif type(t) is BackRef:
+            lit[LENGTH_ENCODING[t.length][0]] += 1
+            dist[DISTANCE_CODEPOINT[t.distance]] += 1
+    return lit, dist
+
+
+def written_blocks(stream: bytes) -> list:
+    """[block type, first bit, end bit] of each block in the stream."""
+    blocks, start, last = [], 0, None
+    for header, item, end in iter_blocks(stream):
+        assert not isinstance(item, NoParse), item
+        if header is not last:
+            blocks.append([header.block_type, start, end])
+            last = header
+        blocks[-1][2] = start = end
+    return blocks
+
+
+@pytest.mark.parametrize("block_limit", [7, 200, 5000, CompressParams().block_payload_limit])
+def test_each_block_is_written_at_its_price_as_the_cheapest_type(block_limit):
+    # Every writer puts down exactly its price plus the 3-bit header, from
+    # the bit where deflate's block starts, and deflate picks the least
+    # price: static on a tie, then stored.  A block with skipped literals
+    # whose static price loses to storing is stored unpriced as dynamic.
+    seen = set()
+    text = digest_inputs()["text"]
+    inputs = [b"", b"ab" * 500, text[:3000]]
+    if block_limit >= 200:
+        inputs += pricing_inputs() + [text, random.Random(52).randbytes(3000)]
+    params = CompressParams(block_payload_limit=block_limit)
+    for data in inputs:
+        blocks = []
+        tokens = tokenize(data, params, blocks=blocks)
+        written = iter(written_blocks(deflate(data, params)))
+        start = 0
+        for offset, counts in zip(range(0, len(data) or 1, block_limit), blocks):
+            block = tokens[start : counts[0]]
+            start = counts[0]
+            lit, dist = symbol_counts(block)
+            assert (lit[256:], dist) == (counts[1][256:], counts[2])
+            assert sum(lit[:256]) - sum(counts[1][:256]) == counts[3]
+            kind, first, end = next(written)
+            span = min(block_limit, len(data) - offset)
+            price = {
+                BlockType.STORED: _stored_cost_bits(span, first),
+                BlockType.STATIC: _static_cost_bits(counts),
+                BlockType.DYNAMIC: _dynamic_plan(lit, dist)[0],
+            }
+            for block_type, write in ((BlockType.STATIC, write_static_block),
+                                      (BlockType.DYNAMIC, write_dynamic_block)):
+                sink = BitSink()
+                sink.write_bits_lsb(0, first % 8)
+                write(block, False, sink)
+                assert sink.bit_length == first % 8 + price[block_type] + 3
+            if kind is BlockType.STORED:
+                for _ in range(1, -(-span // MAX_STORED_BLOCK)):
+                    kind, _, end = next(written)
+                    assert kind is BlockType.STORED
+            assert end - first == price[kind] + 3
+            if counts[3] and price[BlockType.STATIC] > price[BlockType.STORED]:
+                assert kind is BlockType.STORED
+            else:
+                best = min(price.values())
+                assert kind is next(t for t in (BlockType.STATIC, BlockType.STORED,
+                                                BlockType.DYNAMIC) if price[t] == best)
+            seen.add(kind)
+        assert next(written, None) is None
+    # Seven bytes never pay for a dynamic header or a stored block's framing.
+    assert seen == (set(BlockType) if block_limit >= 200 else {BlockType.STATIC})
+
+
 # -- block writers ----------------------------------------------------------
 
 
@@ -369,18 +458,26 @@ def test_write_static_block_empty_block():
     assert inflate(sink.to_bytes()) == b""
 
 
-def test_write_static_block_validates_before_writing():
+def assert_writer_validates_before_writing(write) -> None:
     sink = BitSink()
     sink.write_bits_lsb(1, 1)
     with pytest.raises(ValueOutOfRange):
-        write_static_block([Literal(97)], True, sink)  # no end marker
+        write([Literal(97)], True, sink)  # no end marker
     with pytest.raises(ValueOutOfRange):
-        write_static_block([END_OF_BLOCK, Literal(97), END_OF_BLOCK], True, sink)
+        write([END_OF_BLOCK, Literal(97), END_OF_BLOCK], True, sink)
     with pytest.raises(ValueOutOfRange):
-        write_static_block([], True, sink)
+        write([], True, sink)
     with pytest.raises(ValueOutOfRange):
-        write_static_block([Literal(97), "x", END_OF_BLOCK], True, sink)  # unknown token
+        write([Literal(97), "x", END_OF_BLOCK], True, sink)  # unknown token
     assert sink.bit_length == 1  # the sink was never touched
+
+
+def test_write_static_block_validates_before_writing():
+    assert_writer_validates_before_writing(write_static_block)
+
+
+def test_write_dynamic_block_validates_before_writing():
+    assert_writer_validates_before_writing(write_dynamic_block)
 
 
 def write_static_fields(tokens, final: bool, sink: BitSink) -> BitSink:
@@ -473,25 +570,74 @@ def valid_tokens(draw):
     return tokens
 
 
-@settings(max_examples=60, deadline=None)
-@given(valid_tokens())
-def test_static_block_parses_back_to_its_tokens(tokens):
-    block = tokens + [END_OF_BLOCK]
-    sink = write_static_block(block, True, BitSink())
+def assert_block_parses_back(block: list, write, block_type: BlockType) -> bytes:
+    """The written block parses back to exactly its tokens in exactly the
+    bits written, and zlib decodes it to what they resolve to."""
+    sink = write(block, True, BitSink())
     stream = sink.to_bytes()
     parsed, end = [], None
     for header, item, end in iter_blocks(stream):
         assert not isinstance(item, NoParse), item
-        assert (header.block_type, header.is_final) == (BlockType.STATIC, True)
+        assert (header.block_type, header.is_final) == (block_type, True)
         parsed += item
     assert parsed == block
     assert end == sink.bit_length
     from deflatekit.history_window import QueueOfDoom, resolve_tokens
 
     d = zlib.decompressobj(wbits=-15)
-    assert d.decompress(stream) == resolve_tokens(tokens, QueueOfDoom())[0]
+    assert d.decompress(stream) == resolve_tokens(block[:-1], QueueOfDoom())[0]
     assert d.eof
     assert d.unused_data == b""
+    return stream
+
+
+def assert_dynamic_codings_are_canonical(stream: bytes) -> tuple:
+    """The three codings of a dynamic block's header, each passing the four rules."""
+    header = parse_dynamic_header(BitCursor(stream, 3)).value
+    codings = (header.cl_coding, header.lit_coding, header.dist_coding)
+    for coding in codings:
+        assert check_axioms(coding.codes).all_pass
+    return codings
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_tokens())
+def test_static_block_parses_back_to_its_tokens(tokens):
+    assert_block_parses_back(tokens + [END_OF_BLOCK], write_static_block, BlockType.STATIC)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_tokens())
+def test_dynamic_block_parses_back_to_its_tokens(tokens):
+    block = tokens + [END_OF_BLOCK]
+    stream = assert_block_parses_back(block, write_dynamic_block, BlockType.DYNAMIC)
+    assert_dynamic_codings_are_canonical(stream)
+
+
+def fib(n: int) -> int:
+    a, b = 1, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_a_fibonacci_weighted_block_repairs_both_length_limits():
+    # Distance code k is used fib(k) times for k = 0..16, which makes an
+    # unlimited Huffman tree 16 deep; literal s appears fib(popcount(s))
+    # times, which skews the code-length counts into a tree 9 deep.
+    block = [Literal(s) for s in range(256) for _ in range(fib(bin(s).count("1")))]
+    block += [BackRef(3, DISTANCE_CODES[k][1]) for k in range(17) for _ in range(fib(k))]
+    lit, dist = symbol_counts(block)
+    runs = _dynamic_plan(lit, dist)[5]
+    cl_counts = [sum(sym == c for sym, _ in runs) for c in range(19)]
+    assert max(huffman_lengths(dist, 64)) > 15
+    assert max(huffman_lengths(cl_counts, 64)) > 7
+    stream = assert_block_parses_back(block + [END_OF_BLOCK], write_dynamic_block,
+                                      BlockType.DYNAMIC)
+    cl_coding, lit_coding, dist_coding = assert_dynamic_codings_are_canonical(stream)
+    assert max(dist_coding.lengths) == 15
+    assert max(cl_coding.lengths) == 7
+    assert inflate(stream) == zlib.decompress(stream, -15)
 
 
 def test_write_stored_block_round_trips():
@@ -550,25 +696,27 @@ def test_deflate_empty_input():
 # chain4-block5000 entries of text, runs and wrap were re-pinned when
 # matches came to stop at the block end, and the wrap entries when the
 # matcher came to skip after a run of misses (skipped positions are not
-# hashed, so part of the random stretch's repeat goes unfound).
+# hashed, so part of the random stretch's repeat goes unfound).  The text
+# and wrap entries were re-pinned when deflate came to write a dynamic
+# block wherever it is the smallest; random and runs stay stored and static.
 DIGEST_PARAMS = {
     "default": CompressParams(),
     "chain1": CompressParams(max_chain=1),
     "chain4-block5000": CompressParams(max_chain=4, block_payload_limit=5000),
 }
 GOLDEN_DIGESTS = {
-    ("text", "default"): "40b0581277238c4c62d496c8e1fc6eb99c91b29cad7ce64ff84f158a3fcaa1f5",
-    ("text", "chain1"): "a8ef145eb919b16dfc0119d55e734159816d6825000583b2fcb46f1a54cef688",
-    ("text", "chain4-block5000"): "492532b564bf7f548571236266fc32de5373766159131f9297d2d6d230a24ff3",
+    ("text", "default"): "dd7e2df454b590fe856ed9e5a834844336a8418fd5e44759948b13846fcb5abd",
+    ("text", "chain1"): "a4e0d53823ed86298bcc0191417110f04e7cb680bf48873b8d943e4c817f6ff0",
+    ("text", "chain4-block5000"): "3aee21723e4494f304d1e6a94ed928f670fc05b5c636b368c98a87ce955c6440",
     ("random", "default"): "512fd432c710400e94eb339b4903c813aa83c9aa2fb00c5138da395299243a68",
     ("random", "chain1"): "512fd432c710400e94eb339b4903c813aa83c9aa2fb00c5138da395299243a68",
     ("random", "chain4-block5000"): "c4ab07480d75461958663d2bf44eba12e5164437eee202103313b3a9a84ba45c",
     ("runs", "default"): "e30e8b33924ac1a5c15c5fa9e47a21721a639f81e6a16d95c858577091b57228",
     ("runs", "chain1"): "e30e8b33924ac1a5c15c5fa9e47a21721a639f81e6a16d95c858577091b57228",
     ("runs", "chain4-block5000"): "d07cd7c917a71d1688f5849f616bd0d04d39ada6cf1ef320d5fcc0ea8a11996d",
-    ("wrap", "default"): "46e8b6ef51d42de3eb79a2573f1ca48789ac4b1f760fa2ac43611a8294e7053e",
-    ("wrap", "chain1"): "229c79fb47e03fcf6809749480e38faf989b5f95be29075f6fac18e40de406fa",
-    ("wrap", "chain4-block5000"): "ca367d6ce6b9de442b4adfc9ae967e4e4606ef64f6cf512f496febd1c78847ac",
+    ("wrap", "default"): "1fe1c2bdd68518aea7b9ef4552153ffe1c3d4b823e3ca7c09a835358b0482760",
+    ("wrap", "chain1"): "068620b1acc44fc5c082ff0cd94337ca0c47bc1b1621d4c71a567ebee95b600f",
+    ("wrap", "chain4-block5000"): "ac9e6792c72af48c0daef1ba95555aa4822039eecfadb843e821e2adafba437c",
 }
 
 
@@ -676,11 +824,15 @@ def assert_strongly_unique(stream: bytes, rng: random.Random) -> None:
 
 def test_digest_streams_are_strongly_unique():
     # Criterion 8 sees only short single-block static streams; these
-    # have many blocks, skips and stored blocks.
+    # have many blocks, skips, and stored, static and dynamic blocks.
     rng = random.Random(50)
+    kinds = set()
     for data in digest_inputs().values():
         for params in DIGEST_PARAMS.values():
-            assert_strongly_unique(deflate(data, params), rng)
+            stream = deflate(data, params)
+            assert_strongly_unique(stream, rng)
+            kinds.update(kind for kind, _, _ in written_blocks(stream))
+    assert kinds == set(BlockType)
 
 
 @settings(max_examples=12, deadline=None)

@@ -767,25 +767,51 @@ def mutated_zlib_streams(draw) -> bytes:
     return bytes(stream) + draw(st.binary(max_size=8))
 
 
-@settings(max_examples=600, deadline=None)
-@given(mutated_zlib_streams())
-def test_what_zlib_accepts_decodes_to_the_same_bytes_and_length(stream):
-    # Where zlib rejects, this test only asks us to be total; the next
-    # one asks us to reject as well, outside the documented divergences.
+# The one stream zlib accepts and we refuse, by design: zlib reads length
+# codepoint 284 with extra value 31 as length 258 and reads on, where we
+# fail at the extra bits' end (see the 284/31 tests above).
+EARLY_284 = (FailReason.INVALID_LENGTH_EXTRA, "length codepoint 284 with extra value 31")
+
+
+def assert_zlib_acceptance_agrees(stream: bytes) -> str:
+    """Where zlib accepts, the same bytes and length, or exactly the 284/31
+    failure; where it rejects, only totality.  Returns what happened."""
     d = zlib.decompressobj(-15)
     try:
         expected = d.decompress(stream)
     except zlib.error:
         expected = None
     outcome = parse_deflate(BitCursor(stream))
-    accepted = expected is not None and d.eof
-    event("zlib accepts" if accepted else "zlib rejects")
-    if accepted:
-        assert isinstance(outcome, Parsed)
-        assert outcome.value == expected
-        assert (outcome.consumed_bits + 7) // 8 == len(stream) - len(d.unused_data)
-    else:
+    if expected is None or not d.eof:
         assert isinstance(outcome, (Parsed, NoParse))
+        return "zlib rejects"
+    if isinstance(outcome, NoParse) and (outcome.reason, outcome.detail) == EARLY_284:
+        return "zlib reads 284/31 as length 258"
+    assert isinstance(outcome, Parsed)
+    assert outcome.value == expected
+    assert (outcome.consumed_bits + 7) // 8 == len(stream) - len(d.unused_data)
+    return "zlib accepts"
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_zlib_streams())
+def test_what_zlib_accepts_decodes_to_the_same_bytes_and_length(stream):
+    # Where zlib rejects, this test only asks us to be total; the next
+    # one asks us to reject as well, outside the documented divergences.
+    event(assert_zlib_acceptance_agrees(stream))
+
+
+def test_zlib_takes_284_with_extra_31_as_258_where_we_fail_at_bit_24():
+    # 'a', then 284 + extra 31 at distance 1, then end of block.
+    sink = static_sink(97, 284)
+    sink.write_bits_lsb(31, 5)
+    write_code_msb(sink, FIXED_DIST[0])
+    write_code_msb(sink, FIXED_LIT[256])
+    stream = sink.to_bytes()
+    assert zlib.decompress(stream, -15) == b"a" * 259
+    reason, detail = EARLY_284
+    assert parse_deflate(BitCursor(stream)) == NoParse(reason, 24, detail)
+    assert assert_zlib_acceptance_agrees(stream) == "zlib reads 284/31 as length 258"
 
 
 # zlib's messages for the divergences documented above: HDIST 32 (HLIT

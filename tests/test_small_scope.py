@@ -16,7 +16,12 @@ Alloy):
 * every static block holding one backreference, for each match length
   and the first and last distance of each distance code, behind a stored
   block of history: it parses back to its token in exactly the bits
-  written, and zlib decodes it to the same bytes.
+  written, and zlib decodes it to the same bytes;
+* every count vector over 2-5 symbols with counts 0-4, under each length
+  limit from the smallest feasible one up to 4: the encoder's code
+  lengths give each used symbol a code (and pad to two codes), respect
+  the limit, form a complete code, and cost what the best lengths cost
+  whenever the unlimited Huffman tree fits the limit.
 """
 
 import itertools
@@ -27,7 +32,8 @@ from collections import Counter
 import pytest
 
 from deflatekit.bitio import BitCursor, BitSink
-from deflatekit.errors import KraftViolation
+from deflatekit.compress import huffman_lengths
+from deflatekit.errors import KraftViolation, ValueOutOfRange
 from deflatekit.inflate import FailReason, NoParse, Parsed, iter_blocks, parse_deflate
 from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding, kraft_sum
 from deflatekit.reference import (
@@ -146,3 +152,45 @@ def test_every_single_backref_static_block_behind_a_stored_history():
             assert d.eof and not d.unused_data
             streams += 1
     assert streams == 14336
+
+
+def best_cost(counts, limit: int) -> int:
+    """The least sum of count * length over the used symbols, by exhaustion.
+
+    A multiset of lengths 1..limit with Kraft sum at most 1 serves best
+    when its shortest lengths go to the largest counts, so every such
+    multiset of the right size is tried that way.  At least two symbols
+    get codes, as for the encoder.
+    """
+    ranked = sorted((c for c in counts if c), reverse=True)
+    ranked += [0] * (2 - len(ranked))
+    return min(
+        sum(map(int.__mul__, ranked, lengths))
+        for lengths in itertools.combinations_with_replacement(range(1, limit + 1), len(ranked))
+        if sum(1 << (limit - l) for l in lengths) <= 1 << limit
+    )
+
+
+def test_every_small_count_vector_gets_complete_limited_best_lengths():
+    with pytest.raises(ValueOutOfRange):
+        huffman_lengths([3], 4)
+    vectors = [v for n in range(2, 6) for v in itertools.product(range(5), repeat=n)]
+    assert len(vectors) == 3900
+    checked = Counter()
+    for counts in vectors:
+        used = [s for s, c in enumerate(counts) if c]
+        codes = max(2, len(used))
+        depth = max(huffman_lengths(counts, 15))  # five symbols never reach 15
+        for limit in range((codes - 1).bit_length(), 5):
+            lengths = huffman_lengths(counts, limit)
+            coded = [s for s, l in enumerate(lengths) if l]
+            assert set(used) <= set(coded) and len(coded) == codes, (counts, limit)
+            assert max(lengths) <= limit, (counts, limit)
+            assert kraft_sum(lengths) == 1, (counts, limit)
+            if depth <= limit:
+                cost = sum(map(int.__mul__, counts, lengths))
+                assert cost == best_cost(counts, limit), (counts, limit)
+                checked["optimal"] += 1
+            else:
+                checked["limited"] += 1
+    assert checked["limited"] > 0 and checked["optimal"] > checked["limited"]
