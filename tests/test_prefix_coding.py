@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deflatekit.bitio import BitSink
+from deflatekit.compress import huffman_lengths
 from deflatekit.errors import (
     BadCode,
     DeflateError,
@@ -143,6 +144,64 @@ def test_build_coding_outcomes_match_the_pinned_digest():
             line = f"ok {coding.max_len} {coding.codes}"
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == PINNED_BUILD_CODING_SHA256
+
+
+def huffman_lengths_vectors():
+    """Seeded (counts, max_len) pairs over 286, 30 and 19 symbols.
+
+    Dense, sparse, one-symbol, tied and Fibonacci-weighted counts, each
+    under limits 15 and 7 wherever the limit can code the used symbols.
+    Fibonacci weights make the unlimited tree as deep as it can be, so
+    both limits force the length repair.
+    """
+    rng = random.Random(1951)
+    fib = [1, 1]
+    while len(fib) < 40:
+        fib.append(fib[-1] + fib[-2])
+    vectors = []
+    for n in (286, 30, 19):
+        for _ in range(6):
+            counts = [rng.randrange(1000) for _ in range(n)]
+            vectors.append(counts)
+            vectors.append([rng.choice((0, 0, 0, rng.randrange(1, 50))) for _ in range(n)])
+            sparse = [0] * n
+            for s in rng.sample(range(n), rng.randrange(2, 6)):
+                sparse[s] = rng.randrange(1, 100)
+            vectors.append(sparse)
+            one = [0] * n
+            one[rng.randrange(n)] = rng.randrange(1, 100)
+            vectors.append(one)
+            tied = [0] * n
+            for s in rng.sample(range(n), rng.randrange(2, min(n, 40))):
+                tied[s] = 7
+            vectors.append(tied)
+            weighted = [0] * n
+            for k, s in enumerate(rng.sample(range(n), min(n, 30))):
+                weighted[s] = fib[k]
+            vectors.append(weighted)
+        vectors.append([0] * n)
+        vectors.append([1] * n)
+    return [
+        (counts, max_len)
+        for counts in vectors
+        for max_len in (15, 7)
+        if sum(1 for c in counts if c) <= 1 << max_len
+    ]
+
+
+# sha256 over huffman_lengths of huffman_lengths_vectors(), recorded
+# from the three-array (weight, parent, depth) construction.  The
+# small-scope test checks optimality, which ties leave open; this holds
+# every tie to the same lengths.
+PINNED_HUFFMAN_LENGTHS_SHA256 = "d5a6a3508b38a06c5886aec980c2742ef227a0215467bc1d881c56543ab99d79"
+
+
+def test_huffman_lengths_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for counts, max_len in huffman_lengths_vectors():
+        lengths = huffman_lengths(counts, max_len)
+        digest.update(f"{max_len} {counts} {lengths}\n".encode())
+    assert digest.hexdigest() == PINNED_HUFFMAN_LENGTHS_SHA256
 
 
 # -- Kraft accounting ---------------------------------------------------
