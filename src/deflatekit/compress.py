@@ -19,13 +19,15 @@ built for the block, RFC 1951 section 3.2.7), each to the exact bit, and
 writes the smallest; incompressible input stays stored.  A dynamic
 block's code lengths are length-limited Huffman lengths
 (``huffman_lengths``), and its codes are the canonical ones the decoder
-rebuilds from them (``DeflateCoding``).  Both token writers OR codes and
-extra bits into a local int and hand it to ``write_bits_lsb``, which
-emits whole bytes at once; headers and stored blocks use the same call.
+rebuilds from them (``DeflateCoding``).  One rule prices a static or
+dynamic block's body (``_body_bits``), and one token writer writes it:
+it ORs codes and extra bits into local ints for ``write_bits_lsb``,
+which emits whole bytes at once.  Stored blocks use the same call.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import compress, groupby
 from operator import mul
 
@@ -50,6 +52,7 @@ from .symbol_tables import (
     LITERALS,
     MAX_MATCH_LENGTH,
     MIN_MATCH_LENGTH,
+    REPEAT_CODES,
     WINDOW_SIZE,
     BackRef,
     EndOfBlock,
@@ -256,27 +259,22 @@ def _code_tables(lit_codes, dist_codes):
 
 
 _STATIC_TABLES = _code_tables(FIXED_LIT.stream_codes, FIXED_DIST.stream_codes)
-# Extra bits per literal/length symbol and per distance symbol, and each
-# symbol's static size with them.
-_LIT_EXTRA = [0] * 257 + [ebits for ebits, _ in LENGTH_CODES]
+# Extra bits of length symbols 257..285 and of distance symbols 0..29.
+_LENGTH_EXTRA = [ebits for ebits, _ in LENGTH_CODES]
 _DIST_EXTRA = [ebits for ebits, _ in DISTANCE_CODES]
-_LIT_BITS = [nb + ebits for (_, nb), ebits in zip(FIXED_LIT.stream_codes, _LIT_EXTRA)]
-_DIST_BITS = [5 + ebits for ebits in _DIST_EXTRA]
 _WRITE_RUN = 64  # tokens per accumulator, so it stays a small int
 
 
-def _block_body(tokens) -> list:
-    """The tokens before the block's one EndOfBlock, which must come last."""
+def _write_block(tokens, final: bool, sink: BitSink, block_type, tables, header=(0, 0)) -> BitSink:
+    """Write the 3-bit block header with the (bits, width) ``header`` field,
+    then ``tokens`` (as for write_static_block) and the end-of-block code
+    under ``_code_tables``; returns the sink."""
     body = list(tokens)
     if not body or type(body.pop()) is not EndOfBlock:
         raise ValueOutOfRange("block tokens must end with EndOfBlock")
-    return body
-
-
-def _token_fields(body, tables) -> list[tuple[int, int]]:
-    """The block's tokens and end-of-block code as (bits, width) fields."""
     lits, lens, dists = tables
-    fields = []
+    acc, fill = header
+    fields = [((1 if final else 0) | block_type << 1 | acc << 3, 3 + fill)]
     for start in range(0, len(body), _WRITE_RUN):
         acc = fill = 0
         for t in body[start : start + _WRITE_RUN]:
@@ -293,18 +291,10 @@ def _token_fields(body, tables) -> list[tuple[int, int]]:
                 code, nb, dbits, base = dists[DISTANCE_CODEPOINT[d]]
                 acc |= (code | (d - base) << nb) << fill
                 fill += nb + dbits
-            elif tt is EndOfBlock:
-                raise ValueOutOfRange("EndOfBlock before the end of the block's tokens")
             else:
-                raise ValueOutOfRange(f"unknown token {t!r}")
+                raise ValueOutOfRange(f"{t!r} before the block's end is not a Literal or BackRef")
         fields.append((acc, fill))
     fields.append(lits[256])
-    return fields
-
-
-def _write_fields(sink: BitSink, final: bool, block_type: BlockType, fields) -> BitSink:
-    """The 3-bit block header, then the (bits, width) fields."""
-    sink.write_bits_lsb((1 if final else 0) | block_type << 1, 3)
     write = sink.write_bits_lsb
     for acc, fill in fields:
         write(acc, fill)
@@ -317,19 +307,16 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
     ``tokens`` must contain exactly one EndOfBlock, as its last element;
     the sink is touched only once the whole block has been coded.
     """
-    fields = _token_fields(_block_body(tokens), _STATIC_TABLES)
-    return _write_fields(sink, final, BlockType.STATIC, fields)
+    return _write_block(tokens, final, sink, BlockType.STATIC, _STATIC_TABLES)
 
 
 def write_stored_block(data: bytes, final: bool, sink: BitSink) -> BitSink:
     """Write one stored (uncompressed) block of at most 65535 bytes."""
     if len(data) > MAX_STORED_BLOCK:
         raise ValueOutOfRange(f"stored block of {len(data)} bytes exceeds {MAX_STORED_BLOCK}")
-    sink.write_bits_lsb(1 if final else 0, 1)
-    sink.write_bits_lsb(BlockType.STORED, 2)
+    sink.write_bits_lsb((1 if final else 0) | BlockType.STORED << 1, 3)
     sink.align_to_byte()
-    sink.write_bits_lsb(len(data), 16)
-    sink.write_bits_lsb(len(data) ^ 0xFFFF, 16)
+    sink.write_bits_lsb(len(data) | (len(data) ^ 0xFFFF) << 16, 32)
     sink.write_bytes_aligned(data)
     return sink
 
@@ -342,45 +329,37 @@ def huffman_lengths(counts, max_len: int) -> list[int]:
 
     As zlib's ``build_tree`` does, a coding gets at least two codes: when
     fewer than two symbols are used, the lowest unused ones join them.
-    Huffman's construction runs on two queues (van Leeuwen): the used
-    symbols by rising count, and the merged trees in the order they are
-    made, which is by rising weight too; a tie takes the symbol first,
-    which keeps the tree shallow.  Leaves deeper than max_len are lifted
-    to it; then, while the Kraft sum exceeds 1, a leaf above max_len
-    moves down one level and a leaf at max_len becomes its sibling,
-    which lowers the sum by 2**-max_len (zlib ``gen_bitlen``'s overflow
-    repair).  The lengths go to the symbols by falling count, ties to
-    the lower symbol, so the code is complete: its Kraft sum is exactly 1.
+    Raises ValueOutOfRange when max_len bits cannot code that many
+    symbols.  Huffman's construction runs on two queues (van Leeuwen):
+    the used symbols by rising count, and the merged trees in the order
+    they are made, which is by rising weight too; a tie takes the
+    symbol first, which keeps the tree shallow.  Each tree carries its
+    leaves' depths.  Leaves deeper than max_len are lifted to it; then,
+    while the Kraft sum exceeds 1, a leaf above max_len moves down one
+    level and a leaf at max_len becomes its sibling, which lowers the
+    sum by 2**-max_len (zlib ``gen_bitlen``'s overflow repair).  The
+    lengths go to the symbols by falling count, ties to the lower
+    symbol, so the code is complete: its Kraft sum is exactly 1.
     """
     if len(counts) < 2:
         raise ValueOutOfRange("a coding of at least two codes needs two symbols")
     used = list(compress(range(len(counts)), counts))
     if len(used) < 2:
         used += [s for s in (0, 1) if s not in used][: 2 - len(used)]
-    # Most frequent first; node i < k is the leaf order[k - 1 - i], and
-    # node k + m the m-th merged tree, so a parent outnumbers its children.
-    order = sorted(used, key=lambda s: (-counts[s], s))
-    k = len(order)
-    weight = [counts[s] for s in reversed(order)]
-    parent = [0] * (2 * k - 1)
-    leaf, tree = 0, k
-    for node in range(k, 2 * k - 1):
-        pair = 0
+    if max_len < 1 or len(used) > 1 << max_len:
+        raise ValueOutOfRange(f"max_len {max_len} cannot code {len(used)} symbols")
+    order = sorted(used, key=lambda s: (-counts[s], s))  # most frequent first
+    leaves = deque((counts[s], [0]) for s in reversed(order))
+    trees = deque()
+    for _ in range(len(order) - 1):
+        pair = []
         for _ in range(2):
-            if leaf < k and (tree == node or weight[leaf] <= weight[tree]):
-                parent[leaf] = node
-                pair += weight[leaf]
-                leaf += 1
-            else:
-                parent[tree] = node
-                pair += weight[tree]
-                tree += 1
-        weight.append(pair)
-    depth = [0] * (2 * k - 1)
-    for x in range(2 * k - 3, -1, -1):
-        depth[x] = depth[parent[x]] + 1
+            queue = leaves if leaves and (not trees or leaves[0][0] <= trees[0][0]) else trees
+            pair.append(queue.popleft())
+        (w1, d1), (w2, d2) = pair
+        trees.append((w1 + w2, [d + 1 for d in d1 + d2]))
     bl_count = [0] * (max_len + 1)
-    for d in depth[:k]:
+    for d in trees[0][1]:
         bl_count[min(d, max_len)] += 1
     excess = sum(c << (max_len - l) for l, c in enumerate(bl_count)) - (1 << max_len)
     while excess > 0:
@@ -392,41 +371,29 @@ def huffman_lengths(counts, max_len: int) -> list[int]:
         bl_count[max_len] -= 1
         excess -= 1
     lengths = [0] * len(counts)
-    symbols = iter(order)
-    for length, count in enumerate(bl_count):
-        for _ in range(count):
-            lengths[next(symbols)] = length
+    for s, length in zip(order, (l for l, c in enumerate(bl_count) for _ in range(c))):
+        lengths[s] = length
     return lengths
-
-
-# Extra bits of each code-length symbol: 16, 17 and 18 carry a run length.
-_RUN_EXTRA = (0,) * 16 + (2, 3, 7)
 
 
 def _rle_lengths(lengths) -> list[tuple[int, int]]:
     """The (symbol, extra) pairs that inflate's ``_rle_code_lengths`` expands to lengths.
 
-    A zero run of 11..138 is symbol 18, one of 3..10 symbol 17; a
-    nonzero length is written once, then repeated 3..6 at a time by 16.
-    Shorter remainders are written as they are.
+    A zero run takes symbol 18, then 17, as long as it fills their
+    ``REPEAT_CODES`` base count; a nonzero length is written once, then
+    repeated by 16 likewise.  Shorter remainders are written as they are.
     """
     out = []
     for length, group in groupby(lengths):
         run = len(list(group))
-        if length == 0:
-            while run >= 11:
-                k = min(run, 138)
-                out.append((18, k - 11))
-                run -= k
-            if run >= 3:
-                out.append((17, run - 3))
-                run = 0
-        else:
+        if length:
             out.append((length, 0))
             run -= 1
-            while run >= 3:
-                k = min(run, 6)
-                out.append((16, k - 3))
+        for sym in (16,) if length else (18, 17):
+            width, base = REPEAT_CODES[sym - 16]
+            while run >= base:
+                k = min(run, base + (1 << width) - 1)
+                out.append((sym, k - base))
                 run -= k
         out += [(length, 0)] * run
     return out
@@ -445,6 +412,16 @@ def _symbol_counts(tokens) -> tuple[list[int], list[int]]:
     return lit, dist
 
 
+def _body_bits(lit, dist, lit_lengths, dist_lengths) -> int:
+    """Bits of a block's codes and extra bits for its symbol counts under these lengths."""
+    return (
+        sum(map(mul, lit, lit_lengths))
+        + sum(map(mul, lit[257:], _LENGTH_EXTRA))
+        + sum(map(mul, dist, dist_lengths))
+        + sum(map(mul, dist, _DIST_EXTRA))
+    )
+
+
 def _dynamic_plan(lit, dist):
     """A dynamic block's codes for symbol counts, and its exact size.
 
@@ -454,9 +431,8 @@ def _dynamic_plan(lit, dist):
     runs)``: the bits write_dynamic_block writes after the 3-bit block
     header; the three codings' lengths; the header's HLIT, HDIST and
     HCLEN counts, the last being how many code-length lengths it
-    carries in CL_CODE_ORDER; and
-    the first HLIT literal/length lengths and first HDIST distance
-    lengths, run-length coded as one list.
+    carries in CL_CODE_ORDER; and the first HLIT literal/length lengths
+    and first HDIST distance lengths, run-length coded as one list.
     """
     lit_lengths = huffman_lengths(lit, MAX_CODE_LENGTH)
     dist_lengths = huffman_lengths(dist, MAX_CODE_LENGTH)
@@ -476,11 +452,8 @@ def _dynamic_plan(lit, dist):
         14
         + 3 * hclen
         + sum(map(mul, cl_counts, cl_lengths))
-        + sum(map(mul, cl_counts[16:], _RUN_EXTRA[16:]))
-        + sum(map(mul, lit, lit_lengths))
-        + sum(map(mul, lit[257:], _LIT_EXTRA[257:]))
-        + sum(map(mul, dist, dist_lengths))
-        + sum(map(mul, dist, _DIST_EXTRA))
+        + sum(count * width for count, (width, _) in zip(cl_counts[16:], REPEAT_CODES))
+        + _body_bits(lit, dist, lit_lengths, dist_lengths)
     )
     return bits, lit_lengths, dist_lengths, cl_lengths, (hlit, hdist, hclen), runs
 
@@ -494,12 +467,9 @@ def write_dynamic_block(tokens, final: bool, sink: BitSink, plan=None) -> BitSin
     canonical construction (``DeflateCoding``), so the decoder rebuilds
     the same ones from the header.
     """
-    body = _block_body(tokens)
     _, lit_lengths, dist_lengths, cl_lengths, (hlit, hdist, hclen), runs = (
-        plan or _dynamic_plan(*_symbol_counts(body))
+        plan or _dynamic_plan(*_symbol_counts(tokens))
     )
-    lit_codes = DeflateCoding(lit_lengths).stream_codes
-    dist_codes = DeflateCoding(dist_lengths).stream_codes
     cl_codes = DeflateCoding(cl_lengths, MAX_CL_CODE_LENGTH).stream_codes
     acc = (hlit - 257) | (hdist - 1) << 5 | (hclen - 4) << 10
     fill = 14
@@ -509,9 +479,10 @@ def write_dynamic_block(tokens, final: bool, sink: BitSink, plan=None) -> BitSin
     for sym, extra in runs:
         code, nb = cl_codes[sym]
         acc |= (code | extra << nb) << fill
-        fill += nb + _RUN_EXTRA[sym]
-    fields = _token_fields(body, _code_tables(lit_codes, dist_codes))
-    return _write_fields(sink, final, BlockType.DYNAMIC, [(acc, fill), *fields])
+        fill += nb + (REPEAT_CODES[sym - 16][0] if sym > 15 else 0)
+    tables = _code_tables(DeflateCoding(lit_lengths).stream_codes,
+                          DeflateCoding(dist_lengths).stream_codes)
+    return _write_block(tokens, final, sink, BlockType.DYNAMIC, tables, (acc, fill))
 
 
 # -- block choice --------------------------------------------------------
@@ -521,7 +492,7 @@ def _static_cost_bits(counts) -> int:
     """Exact payload size of write_static_block for one block of tokenize's
     counts, excluding the 3 header bits."""
     _, lit, dist, skipped, high = counts
-    return sum(map(mul, lit, _LIT_BITS)) + sum(map(mul, dist, _DIST_BITS)) + 8 * skipped + high
+    return _body_bits(lit, dist, FIXED_LIT.lengths, FIXED_DIST.lengths) + 8 * skipped + high
 
 
 def _stored_cost_bits(span: int, bit_pos: int) -> int:

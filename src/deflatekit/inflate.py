@@ -57,6 +57,7 @@ from .symbol_tables import (
     END_OF_BLOCK,
     LENGTH_CODES,
     LITERALS,
+    REPEAT_CODES,
     BackRef,
     Literal,
 )
@@ -219,19 +220,15 @@ def _cl_lengths(data: bytes, pos: int, hclen: int) -> tuple[list[int], int]:
     return lengths, pos
 
 
-# The repeat symbols of the code-length alphabet: (extra-bit width, base count).
-_REPEATS = {16: (2, 3), 17: (3, 3), 18: (7, 11)}
-
-
 def _rle_code_lengths(
     data: bytes, pos: int, bit_end: int, cl_coding: DeflateCoding, total: int
 ) -> tuple[list[int], int]:
     """Expand the run-length-encoded length list to exactly ``total`` entries.
 
     Symbols 0..15 are literal lengths; 16 repeats the previous length
-    3..6 times (2 extra bits), 17 writes 3..10 zeros (3 extra bits),
-    18 writes 11..138 zeros (7 extra bits).  Runs may cross the
-    literal/distance boundary of the combined list.
+    and 17 and 18 write zeros, each as many times as ``REPEAT_CODES``
+    gives.  Runs may cross the literal/distance boundary of the
+    combined list.
     """
     lengths: list[int] = []
     while len(lengths) < total:
@@ -241,7 +238,7 @@ def _rle_code_lengths(
             continue
         if sym == 16 and not lengths:
             raise _Fail(FailReason.REPEAT_WITHOUT_PREVIOUS, pos)
-        width, count = _REPEATS[sym]
+        width, count = REPEAT_CODES[sym - 16]
         extra, pos = read_bits(data, pos, width, bit_end)
         count += extra
         if len(lengths) + count > total:

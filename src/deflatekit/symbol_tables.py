@@ -57,6 +57,10 @@ DISTANCE_CODES = (
 # Order in which the code-length coding's own code lengths are stored
 # in a dynamic block header.
 CL_CODE_ORDER = (16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15)
+# (extra_bits, base_count) of code-length symbols 16..18, indexed from 0:
+# 16 repeats the previous length 3..6 times, 17 writes 3..10 zeros and
+# 18 writes 11..138 zeros.
+REPEAT_CODES = ((2, 3), (3, 3), (7, 11))
 
 
 def length_extra_bits(codepoint: int) -> int:

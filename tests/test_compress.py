@@ -19,6 +19,7 @@ from deflatekit.compress import (
     CompressParams,
     MAX_STORED_BLOCK,
     _dynamic_plan,
+    _rle_lengths,
     _static_cost_bits,
     _stored_cost_bits,
     deflate,
@@ -33,13 +34,14 @@ from deflatekit.inflate import (
     BlockType,
     NoParse,
     Parsed,
+    _rle_code_lengths,
     inflate,
     iter_blocks,
     parse_deflate,
     parse_dynamic_header,
     parse_stored_block,
 )
-from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT
+from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, MAX_CL_CODE_LENGTH, DeflateCoding
 from deflatekit.reference import (
     DISTANCE_TABLE,
     MAX_DISTANCE,
@@ -54,6 +56,7 @@ from deflatekit.symbol_tables import (
     LENGTH_ENCODING,
     MAX_MATCH_LENGTH,
     MIN_MATCH_LENGTH,
+    REPEAT_CODES,
     BackRef,
     EndOfBlock,
     Literal,
@@ -638,6 +641,53 @@ def test_a_fibonacci_weighted_block_repairs_both_length_limits():
     assert max(dist_coding.lengths) == 15
     assert max(cl_coding.lengths) == 7
     assert inflate(stream) == zlib.decompress(stream, -15)
+
+
+def test_huffman_lengths_refuses_a_limit_too_short_for_the_used_symbols():
+    for counts, max_len in (([1] * 5, 2), ([1] * 20, 4), ([1, 1], 0), ([1, 1], -1),
+                            ([1] * 286, 8), ([0, 3], 0)):
+        with pytest.raises(ValueOutOfRange):
+            huffman_lengths(counts, max_len)
+    assert huffman_lengths([1] * 4, 2) == [2] * 4
+    assert huffman_lengths([0, 3], 1) == [1, 1]
+    assert max(huffman_lengths([1] * 286, 9)) == 9
+
+
+# Zero runs and runs of 8 at the repeat codes' boundaries: 17 covers 3..10
+# zeros, 18 covers 11..138, and 16 repeats the previous length 3..6 times.
+RLE_BOUNDARIES = {
+    (0, 2): [(0, 0), (0, 0)],
+    (0, 3): [(17, 0)],
+    (0, 10): [(17, 7)],
+    (0, 11): [(18, 0)],
+    (0, 138): [(18, 127)],
+    (0, 139): [(18, 127), (0, 0)],
+    (0, 141): [(18, 127), (17, 0)],
+    (0, 149): [(18, 127), (18, 0)],
+    (8, 3): [(8, 0), (8, 0), (8, 0)],
+    (8, 4): [(8, 0), (16, 0)],
+    (8, 7): [(8, 0), (16, 3)],
+    (8, 8): [(8, 0), (16, 3), (8, 0)],
+    (8, 10): [(8, 0), (16, 3), (16, 0)],
+}
+
+
+def test_rle_lengths_expand_back_by_the_decoders_rule_on_every_run():
+    for (length, run), pairs in RLE_BOUNDARIES.items():
+        assert _rle_lengths([length] * run) == pairs, (length, run)
+    flat = DeflateCoding([5] * 19, MAX_CL_CODE_LENGTH)
+    for length, left, right in ((0, 3, 4), (8, 0, 5)):
+        for run in range(1, 301):
+            lengths = [left] + [length] * run + [right]
+            sink = BitSink()
+            for sym, extra in _rle_lengths(lengths):
+                width = REPEAT_CODES[sym - 16][0] if sym > 15 else 0
+                assert 0 <= extra < 1 << width, (length, run, sym, extra)
+                sink.write_bits_lsb(*flat.stream_codes[sym])
+                sink.write_bits_lsb(extra, width)
+            data = sink.to_bytes()
+            got, pos = _rle_code_lengths(data, 0, 8 * len(data), flat, len(lengths))
+            assert (got, pos) == (lengths, sink.bit_length), (length, run)
 
 
 def test_write_stored_block_round_trips():

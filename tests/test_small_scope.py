@@ -21,7 +21,8 @@ Alloy):
   limit from the smallest feasible one up to 4: the encoder's code
   lengths give each used symbol a code (and pad to two codes), respect
   the limit, form a complete code, and cost what the best lengths cost
-  whenever the unlimited Huffman tree fits the limit.
+  whenever the unlimited Huffman tree fits the limit; every limit below
+  the smallest feasible one, down to -1, raises.
 """
 
 import itertools
@@ -181,6 +182,10 @@ def test_every_small_count_vector_gets_complete_limited_best_lengths():
         used = [s for s, c in enumerate(counts) if c]
         codes = max(2, len(used))
         depth = max(huffman_lengths(counts, 15))  # five symbols never reach 15
+        for limit in range(-1, (codes - 1).bit_length()):
+            with pytest.raises(ValueOutOfRange):
+                huffman_lengths(counts, limit)
+            checked["infeasible"] += 1
         for limit in range((codes - 1).bit_length(), 5):
             lengths = huffman_lengths(counts, limit)
             coded = [s for s, l in enumerate(lengths) if l]
@@ -194,3 +199,4 @@ def test_every_small_count_vector_gets_complete_limited_best_lengths():
             else:
                 checked["limited"] += 1
     assert checked["limited"] > 0 and checked["optimal"] > checked["limited"]
+    assert checked["infeasible"] > len(vectors)
