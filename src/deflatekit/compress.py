@@ -19,10 +19,12 @@ built for the block, RFC 1951 section 3.2.7), each to the exact bit, and
 writes the smallest; incompressible input stays stored.  A dynamic
 block's code lengths are length-limited Huffman lengths
 (``huffman_lengths``), and its codes are the canonical ones the decoder
-rebuilds from them (``DeflateCoding``).  One rule prices a static or
-dynamic block's body (``_body_bits``), and one token writer writes it:
-it ORs codes and extra bits into local ints for ``write_bits_lsb``,
-which emits whole bytes at once.  Stored blocks use the same call.
+rebuilds from them (``DeflateCoding``).  Its plan (``_dynamic_plan``)
+builds and prices its header once; the writer writes that header and
+refuses a token the plan leaves uncoded.  One rule prices a static or
+dynamic body (``_body_bits``), and one token writer ORs its codes and
+extra bits into local ints for ``write_bits_lsb``, which emits whole
+bytes at once; the stored writer calls it too.
 """
 
 from __future__ import annotations
@@ -131,11 +133,11 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
     # head[key]: newest position whose three-byte group hashes to key;
     # prev[pos & WINDOW_MASK]: the next older position with pos's key.
     head = [NO_POS] * (1 << HASH_BITS)
-    prev = [NO_POS] * WINDOW_SIZE
+    n = len(data)
+    prev = [NO_POS] * min(n, WINDOW_SIZE)  # every pos < n, so n slots hold a short input
     max_chain = params.max_chain
     good_cap = max(1, max_chain >> 2)
     block_limit = params.block_payload_limit
-    n = len(data)
     last_hash = n - 3  # last position with a full three-byte group
     # Rolled: the key of i is ((key of i - 1) << 5 ^ data[i + 2]) & mask.
     key = (data[0] << 5) ^ data[1] if n >= 3 else 0
@@ -246,19 +248,21 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
 # -- block writers ------------------------------------------------------
 
 
-def _code_tables(lit_codes, dist_codes):
-    """What the token loop ORs in: per literal/length symbol its stream code,
-    per match length its code with the extra bits above it, and per
-    distance symbol (code, width, extra bits, base distance)."""
+def _code_tables(lit, dist):
+    """What the token loop ORs in under the codings ``lit`` and ``dist``: per
+    literal/length symbol its stream code, per match length its code with
+    the extra bits above it, and per distance symbol (code, width, extra
+    bits, base distance); None for a symbol its coding leaves uncoded."""
+    lits = tuple(code if code[1] else None for code in lit.stream_codes)
     lens = (None,) * MIN_MATCH_LENGTH + tuple(
-        (lit_codes[cp][0] | extra << lit_codes[cp][1], lit_codes[cp][1] + ebits)
+        lits[cp] and (lits[cp][0] | extra << lits[cp][1], lits[cp][1] + ebits)
         for cp, extra, ebits in LENGTH_ENCODING[MIN_MATCH_LENGTH:]
     )
-    dists = tuple(code + spec for code, spec in zip(dist_codes, DISTANCE_CODES))
-    return lit_codes, lens, dists
+    dists = tuple(c + spec if c[1] else None for c, spec in zip(dist.stream_codes, DISTANCE_CODES))
+    return lits, lens, dists
 
 
-_STATIC_TABLES = _code_tables(FIXED_LIT.stream_codes, FIXED_DIST.stream_codes)
+_STATIC_TABLES = _code_tables(FIXED_LIT, FIXED_DIST)
 # Extra bits of length symbols 257..285 and of distance symbols 0..29.
 _LENGTH_EXTRA = [ebits for ebits, _ in LENGTH_CODES]
 _DIST_EXTRA = [ebits for ebits, _ in DISTANCE_CODES]
@@ -268,33 +272,38 @@ _WRITE_RUN = 64  # tokens per accumulator, so it stays a small int
 def _write_block(tokens, final: bool, sink: BitSink, block_type, tables, header=(0, 0)) -> BitSink:
     """Write the 3-bit block header with the (bits, width) ``header`` field,
     then ``tokens`` (as for write_static_block) and the end-of-block code
-    under ``_code_tables``; returns the sink."""
+    under ``_code_tables``, refusing a symbol they map to None; returns the sink."""
     body = list(tokens)
     if not body or type(body.pop()) is not EndOfBlock:
         raise ValueOutOfRange("block tokens must end with EndOfBlock")
     lits, lens, dists = tables
     acc, fill = header
     fields = [((1 if final else 0) | block_type << 1 | acc << 3, 3 + fill)]
-    for start in range(0, len(body), _WRITE_RUN):
-        acc = fill = 0
-        for t in body[start : start + _WRITE_RUN]:
-            tt = type(t)
-            if tt is Literal:
-                code, nb = lits[t.value]
-                acc |= code << fill
-                fill += nb
-            elif tt is BackRef:
-                code, nb = lens[t.length]
-                acc |= code << fill
-                fill += nb
-                d = t.distance
-                code, nb, dbits, base = dists[DISTANCE_CODEPOINT[d]]
-                acc |= (code | (d - base) << nb) << fill
-                fill += nb + dbits
-            else:
-                raise ValueOutOfRange(f"{t!r} before the block's end is not a Literal or BackRef")
-        fields.append((acc, fill))
-    fields.append(lits[256])
+    try:
+        for start in range(0, len(body), _WRITE_RUN):
+            acc = fill = 0
+            for t in body[start : start + _WRITE_RUN]:
+                tt = type(t)
+                if tt is Literal:
+                    code, nb = lits[t.value]
+                    acc |= code << fill
+                    fill += nb
+                elif tt is BackRef:
+                    code, nb = lens[t.length]
+                    acc |= code << fill
+                    fill += nb
+                    d = t.distance
+                    code, nb, dbits, base = dists[DISTANCE_CODEPOINT[d]]
+                    acc |= (code | (d - base) << nb) << fill
+                    fill += nb + dbits
+                else:
+                    raise ValueOutOfRange(
+                        f"{t!r} before the block's end is not a Literal or BackRef")
+            fields.append((acc, fill))
+        code, nb = lits[256]
+    except TypeError:  # from unpacking a table's None
+        raise ValueOutOfRange("a symbol of the block has no code in its codings") from None
+    fields.append((code, nb))
     write = sink.write_bits_lsb
     for acc, fill in fields:
         write(acc, fill)
@@ -423,16 +432,16 @@ def _body_bits(lit, dist, lit_lengths, dist_lengths) -> int:
 
 
 def _dynamic_plan(lit, dist):
-    """A dynamic block's codes for symbol counts, and its exact size.
+    """A dynamic block's header and code lengths for symbol counts, and its exact size.
 
     ``lit`` holds the counts of literal/length symbols 0..285 and
     ``dist`` those of distance symbols 0..29, each over the whole block.
-    Returns ``(bits, lit_lengths, dist_lengths, cl_lengths, counts,
-    runs)``: the bits write_dynamic_block writes after the 3-bit block
-    header; the three codings' lengths; the header's HLIT, HDIST and
-    HCLEN counts, the last being how many code-length lengths it
-    carries in CL_CODE_ORDER; and the first HLIT literal/length lengths
-    and first HDIST distance lengths, run-length coded as one list.
+    Returns ``(bits, header, lit_lengths, dist_lengths)``: the bits
+    write_dynamic_block writes after the 3-bit block header; the
+    (bits, width) field that follows it: HLIT, HDIST, HCLEN, the first
+    HCLEN code-length lengths in CL_CODE_ORDER, and the first HLIT and
+    HDIST lengths run-length coded under the code-length coding; and
+    the literal/length and distance codings' lengths.
     """
     lit_lengths = huffman_lengths(lit, MAX_CODE_LENGTH)
     dist_lengths = huffman_lengths(dist, MAX_CODE_LENGTH)
@@ -443,46 +452,34 @@ def _dynamic_plan(lit, dist):
     for sym, _ in runs:
         cl_counts[sym] += 1
     cl_lengths = huffman_lengths(cl_counts, MAX_CL_CODE_LENGTH)
-    # Trailing zeros trimmed; a length 1..15 is always coded (the end of
-    # block has one), and each sits past the first four, so HCLEN >= 5.
-    hclen = 19
-    while not cl_lengths[CL_CODE_ORDER[hclen - 1]]:
-        hclen -= 1
-    bits = (
-        14
-        + 3 * hclen
-        + sum(map(mul, cl_counts, cl_lengths))
-        + sum(count * width for count, (width, _) in zip(cl_counts[16:], REPEAT_CODES))
-        + _body_bits(lit, dist, lit_lengths, dist_lengths)
-    )
-    return bits, lit_lengths, dist_lengths, cl_lengths, (hlit, hdist, hclen), runs
+    cl_codes = DeflateCoding(cl_lengths, MAX_CL_CODE_LENGTH).stream_codes
+    # The code-length lengths as 3-bit fields in CL_CODE_ORDER, trailing
+    # zeros trimmed; a length 1..15 is always coded (the end of block has
+    # one), and each sits past the first four, so HCLEN >= 5.
+    cl_field = sum(cl_lengths[sym] << 3 * i for i, sym in enumerate(CL_CODE_ORDER))
+    hclen = -(-cl_field.bit_length() // 3)
+    acc = (hlit - 257) | (hdist - 1) << 5 | (hclen - 4) << 10 | cl_field << 14
+    fill = 14 + 3 * hclen
+    for sym, extra in runs:
+        code, nb = cl_codes[sym]
+        acc |= (code | extra << nb) << fill
+        fill += nb + (REPEAT_CODES[sym - 16][0] if sym > 15 else 0)
+    bits = fill + _body_bits(lit, dist, lit_lengths, dist_lengths)
+    return bits, (acc, fill), lit_lengths, dist_lengths
 
 
 def write_dynamic_block(tokens, final: bool, sink: BitSink, plan=None) -> BitSink:
     """Write one block under codings built for its own symbol counts; returns the sink.
 
     ``tokens`` are as for write_static_block.  ``plan`` is
-    ``_dynamic_plan`` of exactly these tokens' symbol counts; without
-    it they are counted here.  The codes come from the lengths by the
-    canonical construction (``DeflateCoding``), so the decoder rebuilds
-    the same ones from the header.
+    ``_dynamic_plan`` of their symbol counts, counted here without it.
+    It writes the plan's header field, and codes from the plan's lengths
+    (``DeflateCoding``, as the decoder rebuilds them from that header);
+    a token they leave uncoded raises ValueOutOfRange, sink untouched.
     """
-    _, lit_lengths, dist_lengths, cl_lengths, (hlit, hdist, hclen), runs = (
-        plan or _dynamic_plan(*_symbol_counts(tokens))
-    )
-    cl_codes = DeflateCoding(cl_lengths, MAX_CL_CODE_LENGTH).stream_codes
-    acc = (hlit - 257) | (hdist - 1) << 5 | (hclen - 4) << 10
-    fill = 14
-    for sym in CL_CODE_ORDER[:hclen]:
-        acc |= cl_lengths[sym] << fill
-        fill += 3
-    for sym, extra in runs:
-        code, nb = cl_codes[sym]
-        acc |= (code | extra << nb) << fill
-        fill += nb + (REPEAT_CODES[sym - 16][0] if sym > 15 else 0)
-    tables = _code_tables(DeflateCoding(lit_lengths).stream_codes,
-                          DeflateCoding(dist_lengths).stream_codes)
-    return _write_block(tokens, final, sink, BlockType.DYNAMIC, tables, (acc, fill))
+    _, header, lit_lengths, dist_lengths = plan or _dynamic_plan(*_symbol_counts(tokens))
+    tables = _code_tables(DeflateCoding(lit_lengths), DeflateCoding(dist_lengths))
+    return _write_block(tokens, final, sink, BlockType.DYNAMIC, tables, header)
 
 
 # -- block choice --------------------------------------------------------

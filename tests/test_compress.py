@@ -194,9 +194,11 @@ def test_hash_chains_order_and_window_edge_after_slot_reuse():
     table = table_with_positions(far, 65538)
     assert chain_of(table, key, 65538) == []
     assert find_match(far, 65538, table) is None
-    # tokenize keeps the same chains inline.
-    assert tokenize(edge) == reference_tokenize(edge)
-    assert tokenize(far) == reference_tokenize(far)
+    # tokenize keeps the same chains inline, also in inputs that just
+    # fit, fill and overflow the window its prev table is sized by.
+    text = english_text(32769, seed=15)
+    for data in (edge, far, text[:32767], text[:32768], text):
+        assert tokenize(data) == reference_tokenize(data)
 
 
 # -- tokenize ---------------------------------------------------------------
@@ -417,17 +419,24 @@ def test_each_block_is_written_at_its_price_as_the_cheapest_type(block_limit):
             assert sum(lit[:256]) - sum(counts[1][:256]) == counts[3]
             kind, first, end = next(written)
             span = min(block_limit, len(data) - offset)
+            plan = _dynamic_plan(lit, dist)
             price = {
                 BlockType.STORED: _stored_cost_bits(span, first),
                 BlockType.STATIC: _static_cost_bits(counts),
-                BlockType.DYNAMIC: _dynamic_plan(lit, dist)[0],
+                BlockType.DYNAMIC: plan[0],
             }
-            for block_type, write in ((BlockType.STATIC, write_static_block),
-                                      (BlockType.DYNAMIC, write_dynamic_block)):
+            for block_type, write, args in ((BlockType.STATIC, write_static_block, ()),
+                                            (BlockType.DYNAMIC, write_dynamic_block, (plan,))):
                 sink = BitSink()
                 sink.write_bits_lsb(0, first % 8)
-                write(block, False, sink)
+                write(block, False, sink, *args)
                 assert sink.bit_length == first % 8 + price[block_type] + 3
+            # The decoder reads the plan's header field as the codings it prices.
+            parsed = parse_dynamic_header(BitCursor(sink.to_bytes(), first % 8 + 3))
+            header = parsed.value
+            assert parsed.consumed_bits == plan[1][1]
+            assert header.lit_coding.lengths == tuple(plan[2][: header.hlit])
+            assert header.dist_coding.lengths == tuple(plan[3][: header.hdist])
             if kind is BlockType.STORED:
                 for _ in range(1, -(-span // MAX_STORED_BLOCK)):
                     kind, _, end = next(written)
@@ -481,6 +490,22 @@ def test_write_static_block_validates_before_writing():
 
 def test_write_dynamic_block_validates_before_writing():
     assert_writer_validates_before_writing(write_dynamic_block)
+
+
+def test_write_dynamic_block_refuses_a_token_its_plan_leaves_uncoded():
+    # Literal 98, length symbol 257 and distance symbol 4 have no code
+    # under these plans: each raises before the sink is touched, where
+    # writing them as zero bits would decode to other bytes.
+    literals = _dynamic_plan(*symbol_counts([Literal(97)] * 5))
+    one_ref = _dynamic_plan(*symbol_counts([Literal(97), BackRef(3, 1)]))
+    assert (literals[2][98], literals[2][257], one_ref[3][4]) == (0, 0, 0)
+    for plan, token in ((literals, Literal(98)), (literals, BackRef(3, 1)),
+                        (one_ref, BackRef(3, 5))):
+        sink = BitSink()
+        sink.write_bits_lsb(1, 1)
+        with pytest.raises(ValueOutOfRange):
+            write_dynamic_block([Literal(97), token, END_OF_BLOCK], False, sink, plan)
+        assert (sink.bit_length, sink.to_bytes()) == (1, b"\x01")
 
 
 def write_static_fields(tokens, final: bool, sink: BitSink) -> BitSink:
@@ -631,12 +656,14 @@ def test_a_fibonacci_weighted_block_repairs_both_length_limits():
     block = [Literal(s) for s in range(256) for _ in range(fib(bin(s).count("1")))]
     block += [BackRef(3, DISTANCE_CODES[k][1]) for k in range(17) for _ in range(fib(k))]
     lit, dist = symbol_counts(block)
-    runs = _dynamic_plan(lit, dist)[5]
+    _, _, lit_lengths, dist_lengths = _dynamic_plan(lit, dist)
+    stream = assert_block_parses_back(block + [END_OF_BLOCK], write_dynamic_block,
+                                      BlockType.DYNAMIC)
+    header = parse_dynamic_header(BitCursor(stream, 3)).value
+    runs = _rle_lengths(lit_lengths[: header.hlit] + dist_lengths[: header.hdist])
     cl_counts = [sum(sym == c for sym, _ in runs) for c in range(19)]
     assert max(huffman_lengths(dist, 64)) > 15
     assert max(huffman_lengths(cl_counts, 64)) > 7
-    stream = assert_block_parses_back(block + [END_OF_BLOCK], write_dynamic_block,
-                                      BlockType.DYNAMIC)
     cl_coding, lit_coding, dist_coding = assert_dynamic_codings_are_canonical(stream)
     assert max(dist_coding.lengths) == 15
     assert max(cl_coding.lengths) == 7
