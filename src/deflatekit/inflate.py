@@ -23,8 +23,8 @@ parsers through ``_parsed``, which raises a NoParse as ``_Fail``, so
 every failure leaves the walk through one exit: a last item pairing the
 NoParse with its block's header, or with None when a block header
 itself failed.  ``parse_deflate``
-folds it into one output buffer, a ``RingWindow`` that persists across
-blocks (the format never resets the history) and that
+folds it into one output buffer, a ``RingWindow`` (a bytearray) that
+persists across blocks (the format never resets the history) and that
 ``resolve_tokens_ring`` copies backreferences from by slices;
 ``dump-tokens`` prints the same items.  The tests hold that resolver to
 the paper's window model, ``history_window.resolve_tokens``.
@@ -431,61 +431,57 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
         yield header, failure, failure.bit_pos
 
 
-class RingWindow:
-    """Every byte of output so far, oldest first, in one buffer.
+class RingWindow(bytearray):
+    """Every byte of output so far, oldest first: the window is the buffer.
 
     The output is its own history: a backreference reaches at most
-    32768 bytes back, into ``buf``.  The class keeps its ring-era name
-    because ``bench/traced.py`` wraps its push_bytes.
+    32768 bytes back, into the window itself.  The class keeps its
+    ring-era name because ``bench/traced.py`` wraps its push_bytes.
     """
 
-    __slots__ = ("buf",)
-
-    def __init__(self):
-        self.buf = bytearray()
+    __slots__ = ()
 
     def push_bytes(self, data) -> None:
         """Append data to the output."""
-        self.buf += data
+        self += data
 
 
 def resolve_tokens_ring(tokens, window: RingWindow) -> tuple[bytes, RingWindow]:
     """Resolve tokens against a RingWindow, as ``history_window.resolve_tokens`` does.
 
-    The batch is resolved in place at the end of ``window.buf``, and
-    every backreference is a slice copy: one slice when the length is at
-    most the distance, else the last ``distance`` bytes repeated, which
-    is what a byte-at-a-time copy writes.  A distance past the output
+    The batch is resolved in place at the end of ``window``, and every
+    backreference is a slice copy: one slice when the length is at most
+    the distance, else the last ``distance`` bytes repeated, which is
+    what a byte-at-a-time copy writes.  A distance past the output
     raises DistanceTooFar and leaves the window as it was.  The window
     object is updated in place and returned with the batch's bytes.
     """
-    out = window.buf
-    start = len(out)
-    append = out.append
+    start = len(window)
+    append = window.append
     for t in tokens:
         if type(t) is Literal:
             append(t.value)
         elif type(t) is BackRef:
             d = t.distance
-            if d > len(out):
-                message = f"distance {d} exceeds the {len(out)} bytes of available history"
-                del out[start:]
+            if d > len(window):
+                message = f"distance {d} exceeds the {len(window)} bytes of available history"
+                del window[start:]
                 raise DistanceTooFar(message)
             n = t.length
             if n <= d:
-                src = len(out) - d
-                out += out[src : src + n]
+                src = len(window) - d
+                window += window[src : src + n]
             else:
-                out += (out[-d:] * (n // d + 1))[:n]
-    return bytes(out[start:]), window
+                window += (window[-d:] * (n // d + 1))[:n]
+    return bytes(window[start:]), window
 
 
 def parse_deflate(cursor: BitCursor) -> ParseOutcome:
     """Parse a whole deflate stream into its decompressed bytes.
 
-    The window's buffer is the one output buffer; backreferences copy
-    from it.  Consumption stops at the final block's last bit; trailing
-    bits are ignored and left unconsumed.
+    The window is the one output buffer; backreferences copy from it.
+    Consumption stops at the final block's last bit; trailing bits are
+    ignored and left unconsumed.
     """
     window = RingWindow()
     end = cursor.bit_pos
@@ -496,7 +492,7 @@ def parse_deflate(cursor: BitCursor) -> ParseOutcome:
             window.push_bytes(item)
         else:
             resolve_tokens_ring(item, window)
-    return Parsed(bytes(window.buf), end - cursor.bit_pos, BitCursor(cursor.data, end))
+    return Parsed(bytes(window), end - cursor.bit_pos, BitCursor(cursor.data, end))
 
 
 def inflate(data: bytes) -> bytes:

@@ -59,14 +59,6 @@ Bits = tuple[int, ...]
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def kraft_sum(lengths: Sequence[int]) -> Fraction:  # noqa: F821 (imported when called)
-    """Exact sum of 2**-l over the nonzero entries of the vector, as a Fraction."""
-    from fractions import Fraction  # only error messages and tests need it
-
-    shift = max(lengths, default=0)
-    return Fraction(sum(1 << (shift - l) for l in lengths if l > 0), 1 << shift)
-
-
 def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> list[int]:
     """Characters per length 0..max_len; raises at the first bad length, then if infeasible."""
     if not 1 <= max_len <= MAX_CODE_LENGTH:
@@ -80,10 +72,12 @@ def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> lis
             raise LengthOverflow(f"length {l} of character {ch} exceeds the maximum {max_len}")
         counts[l] += 1
     # The Kraft sum scaled by 2**max_len, on integers: at most 1 means at most 2**max_len.
-    if sum(n << (max_len - l) for l, n in enumerate(counts) if l) > 1 << max_len:
-        raise KraftViolation(
-            f"code-length vector is over-subscribed: sum of 2**-l is {kraft_sum(lengths)} > 1"
-        )
+    scaled = sum(n << (max_len - l) for l, n in enumerate(counts) if l)
+    if scaled > 1 << max_len:
+        from fractions import Fraction  # only this error message needs it
+
+        kraft = Fraction(scaled, 1 << max_len)
+        raise KraftViolation(f"code-length vector is over-subscribed: sum of 2**-l is {kraft} > 1")
     return counts
 
 

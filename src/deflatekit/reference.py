@@ -4,8 +4,8 @@
 by length, then character): its code values must equal
 ``build_coding``'s, which come from per-length counts, on every vector,
 since canonical codings are unique.
-``has_all_ones_code`` is the other side of the extended Kraft property,
-and ``check_axioms`` checks the four canonicity rules that
+``kraft_sum`` and ``has_all_ones_code`` state the extended Kraft
+property, and ``check_axioms`` checks the four canonicity rules that
 ``prefix_coding`` lists on a raw code table (the paper's map from
 characters to bit sequences), with a witness for each rule that fails.
 ``LENGTH_TABLE``, ``DISTANCE_TABLE`` and their encode/decode functions
@@ -16,6 +16,7 @@ transcribe RFC 1951 §3.2.5, the spec of ``symbol_tables``' flat tables;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import DeflateError, InvalidCodepoint, ValueOutOfRange
@@ -56,6 +57,12 @@ def build_coding_sorted(
             prev_len = length
             values[ch] = code
     return tuple(values)
+
+
+def kraft_sum(lengths: Sequence[int]) -> Fraction:
+    """Exact sum of 2**-l over the nonzero entries of the vector, as a Fraction."""
+    shift = max(lengths, default=0)
+    return Fraction(sum(1 << (shift - l) for l in lengths if l > 0), 1 << shift)
 
 
 def has_all_ones_code(coding: DeflateCoding) -> bool:

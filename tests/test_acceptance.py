@@ -28,12 +28,13 @@ from deflatekit.inflate import (
     parse_dynamic_header,
     resolve_tokens_ring,
 )
-from deflatekit.prefix_coding import build_coding, kraft_sum
+from deflatekit.prefix_coding import build_coding
 from deflatekit.reference import (
     build_coding_sorted,
     check_axioms,
     explist_iter,
     has_all_ones_code,
+    kraft_sum,
 )
 from deflatekit.symbol_tables import WINDOW_SIZE, BackRef, Literal
 

@@ -944,6 +944,17 @@ def test_incompressible_input_falls_back_to_stored():
     assert zlib.decompress(out, -15) == data
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND: deflate never prices a block dynamic when it has skipped literals and its "
+    "static price loses to storing, so 20,000 bytes of 128..255 are stored (20,005 bytes) "
+    "where a dynamic block takes about 17,537",
+)
+def test_high_half_random_bytes_compress_below_their_size():
+    data = bytes(random.Random(3).choices(range(128, 256), k=20000))
+    assert len(deflate(data)) < len(data)
+
+
 def test_default_block_limit_is_whole_stored_chunks():
     # A block boundary then falls on a stored chunk boundary, so the
     # stored fallback frames the input as if it were one block.

@@ -176,10 +176,10 @@ def test_ring_lookback_against_pushed_history():
         b = rng.randrange(256)
         ring.push_bytes(bytes([b]))
         pushed.append(b)
-        assert ring.buf == pushed
+        assert ring == pushed
     far = rng.randbytes(WINDOW_SIZE + 1)
     ring.push_bytes(far)
-    assert ring.buf == pushed + far
+    assert ring == pushed + far
 
 
 def test_ring_push_bytes_paths():
@@ -189,7 +189,7 @@ def test_ring_push_bytes_paths():
         ring = RingWindow()
         ring.push_bytes(b"seed")
         ring.push_bytes(data)
-        assert ring.buf == b"seed" + data
+        assert ring == b"seed" + data
 
 
 # -- resolution ---------------------------------------------------------
@@ -359,7 +359,7 @@ def test_slice_copies_match_the_queue_across_batches():
         queue_bytes, queue = resolve_tokens(tokens, queue)
         assert ring_bytes == queue_bytes
         produced = total
-        history, kept = min(len(ring.buf), cap), bytes(ring.buf)
+        history, kept = min(len(ring), cap), bytes(ring)
         assert history == min(produced, cap)
         if history + 2 > WINDOW_SIZE:
             continue
@@ -375,4 +375,4 @@ def test_slice_copies_match_the_queue_across_batches():
         with pytest.raises(DistanceTooFar) as err:
             resolve_tokens_ring([Literal(0), BackRef(3, reach + 1)], ring)
         assert str(err.value) == history_message(reach + 1, reach)
-        assert ring.buf == kept  # a failed batch leaves the window as it was
+        assert ring == kept  # a failed batch leaves the window as it was

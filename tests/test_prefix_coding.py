@@ -33,13 +33,13 @@ from deflatekit.prefix_coding import (
     MAX_CL_CODE_LENGTH,
     MAX_CODE_LENGTH,
     build_coding,
-    kraft_sum,
 )
 from deflatekit.reference import (
     AxiomReport,
     build_coding_sorted,
     check_axioms,
     has_all_ones_code,
+    kraft_sum,
 )
 from conftest import random_code_lengths, write_code_msb
 

@@ -36,13 +36,14 @@ from deflatekit.bitio import BitCursor, BitSink
 from deflatekit.compress import huffman_lengths
 from deflatekit.errors import KraftViolation, ValueOutOfRange
 from deflatekit.inflate import FailReason, NoParse, Parsed, iter_blocks, parse_deflate
-from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding, kraft_sum
+from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding
 from deflatekit.reference import (
     DISTANCE_TABLE,
     build_coding_sorted,
     check_axioms,
     distance_encode,
     has_all_ones_code,
+    kraft_sum,
     length_encode,
 )
 from deflatekit.symbol_tables import (
