@@ -11,20 +11,20 @@ literals that are neither searched nor hashed, so incompressible input
 costs a few thousand searches per 96 KiB instead of one per byte.
 
 No match runs past its block's end, so every block but the last covers
-exactly ``block_payload_limit`` input bytes, and ``deflate`` computes
-each block's byte range.  ``tokenize`` counts each block's symbols as
-it emits them (zlib's ``_tr_tally``).  From those counts ``deflate``
-prices the block stored, static (the fixed codings) and dynamic (codes
-built for the block, RFC 1951 section 3.2.7), each to the exact bit, and
-writes the smallest; incompressible input stays stored.  A dynamic
-block's code lengths are length-limited Huffman lengths
-(``huffman_lengths``), and its codes are the canonical ones the decoder
-rebuilds from them (``DeflateCoding``).  Its plan (``_dynamic_plan``)
-builds and prices its header once; the writer writes that header and
-refuses a token the plan leaves uncoded.  One rule prices a static or
-dynamic body (``_body_bits``), and one token writer ORs its codes and
-extra bits into local ints for ``write_bits_lsb``, which emits whole
-bytes at once; the stored writer calls it too.
+exactly ``block_payload_limit`` input bytes.  ``tokenize`` records each
+block's end and symbol counts (zlib's ``_tr_tally``), skipped literals
+only in total.  ``deflate`` prices each block stored, static (the fixed
+codings) and dynamic (codes built for the block, RFC 1951 section
+3.2.7), each to the exact bit, and writes the smallest, but stores
+uncounted a block whose static floor, 8 bits per skipped literal,
+exceeds storing it.  A dynamic block's code lengths are length-limited
+Huffman lengths (``huffman_lengths``), and its codes are the canonical
+ones the decoder rebuilds from them (``DeflateCoding``).  Its plan
+(``_dynamic_plan``) builds and prices its header once; the writer writes
+that header and refuses a token the plan leaves uncoded.  One rule
+prices a static or dynamic body (``_body_bits``), and one token writer
+ORs its codes and extra bits into local ints for ``write_bits_lsb``,
+which emits whole bytes at once; the stored writer calls it too.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ _NICE_MATCH = 128
 # bytes_between_hash_lookups and LZ4's skip trigger.
 _SKIP_TRIGGER = 32
 _SKIP_SHIFT = 5
-_LOW_BYTES = bytes(range(144))  # the literals with 8-bit fixed codes
 
 
 def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=None):
@@ -122,10 +121,10 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
     skip stops where the block's last search would be, the count
     carries across blocks, and any match resets it.
 
-    Each block appends ``(end, lit, dist, skipped, high)`` to ``blocks``,
+    Each block appends ``(stop, lit, dist, skipped, end)`` to ``blocks``,
     if given: the index past its EndOfBlock, its counts of symbols 0..285
-    and distance symbols 0..29 over all but its skipped literals, and
-    how many literals it skipped, ``high`` of them bytes 144..255.
+    and distance symbols 0..29 over all but its skipped literals, how
+    many literals it skipped, and the index in ``data`` past its end.
     """
     tokens = []
     append = tokens.append
@@ -146,7 +145,7 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
     while True:
         lit_counts = [0] * 256 + [1] + [0] * 29
         dist_counts = [0] * 30
-        skipped = skipped_high = 0
+        skipped = 0
         block_end = min(i + block_limit, n)
         # Search only where a match of MIN_MATCH_LENGTH fits the block.
         last_search = block_end - MIN_MATCH_LENGTH
@@ -219,10 +218,8 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
                     stop = i + (misses >> _SKIP_SHIFT)
                     if stop > last_search + 1:
                         stop = last_search + 1
-                    run = data[i:stop]
-                    tokens.extend(map(literals.__getitem__, run))
+                    tokens.extend(map(literals.__getitem__, data[i:stop]))
                     skipped += stop - i
-                    skipped_high += len(bytes(run).translate(None, _LOW_BYTES))
                     i = stop
                     # The rolled key skipped these bytes too: start over at i.
                     if i <= last_hash:
@@ -240,7 +237,7 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
             i += 1
         append(END_OF_BLOCK)
         if blocks is not None:
-            blocks.append((len(tokens), lit_counts, dist_counts, skipped, skipped_high))
+            blocks.append((len(tokens), lit_counts, dist_counts, skipped, i))
         if i == n:
             return tokens
 
@@ -468,16 +465,16 @@ def _dynamic_plan(lit, dist):
     return bits, (acc, fill), lit_lengths, dist_lengths
 
 
-def write_dynamic_block(tokens, final: bool, sink: BitSink, plan=None) -> BitSink:
+def write_dynamic_block(tokens, final: bool, sink: BitSink, plan) -> BitSink:
     """Write one block under codings built for its own symbol counts; returns the sink.
 
-    ``tokens`` are as for write_static_block.  ``plan`` is
-    ``_dynamic_plan`` of their symbol counts, counted here without it.
-    It writes the plan's header field, and codes from the plan's lengths
-    (``DeflateCoding``, as the decoder rebuilds them from that header);
-    a token they leave uncoded raises ValueOutOfRange, sink untouched.
+    ``tokens`` are as for write_static_block, and ``plan`` is
+    ``_dynamic_plan`` of their symbol counts.  It writes the plan's
+    header field, and codes from the plan's lengths (``DeflateCoding``,
+    as the decoder rebuilds them from that header); a token they leave
+    uncoded raises ValueOutOfRange, sink untouched.
     """
-    _, header, lit_lengths, dist_lengths = plan or _dynamic_plan(*_symbol_counts(tokens))
+    _, header, lit_lengths, dist_lengths = plan
     tables = _code_tables(DeflateCoding(lit_lengths), DeflateCoding(dist_lengths))
     return _write_block(tokens, final, sink, BlockType.DYNAMIC, tables, header)
 
@@ -485,11 +482,10 @@ def write_dynamic_block(tokens, final: bool, sink: BitSink, plan=None) -> BitSin
 # -- block choice --------------------------------------------------------
 
 
-def _static_cost_bits(counts) -> int:
-    """Exact payload size of write_static_block for one block of tokenize's
-    counts, excluding the 3 header bits."""
-    _, lit, dist, skipped, high = counts
-    return _body_bits(lit, dist, FIXED_LIT.lengths, FIXED_DIST.lengths) + 8 * skipped + high
+def _static_cost_bits(lit, dist) -> int:
+    """Exact payload size of write_static_block for a block of these
+    symbol counts (as for _dynamic_plan), excluding the 3 header bits."""
+    return _body_bits(lit, dist, FIXED_LIT.lengths, FIXED_DIST.lengths)
 
 
 def _stored_cost_bits(span: int, bit_pos: int) -> int:
@@ -504,28 +500,27 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     """Compress data into a raw deflate stream, each block stored, static or
     dynamic, whichever is smallest by exact size.
 
-    Each block is priced from tokenize's counts.  A tie goes to static,
-    then to stored.  A block with skipped literals gets a dynamic price
-    only when static already beats stored; only then are its literals
-    counted from its tokens, so an incompressible block is stored with
-    no per-byte work and no code built.
+    Each block spans the bytes its tokenize record gives and is priced
+    from its counts; a tie goes to static, then to stored.  A block with
+    skipped literals is stored unpriced when its static floor, 8 bits per
+    skipped literal, exceeds storing it; otherwise they are counted from
+    its tokens.  So an incompressible block costs no per-byte work.
     """
     blocks = []
     tokens = tokenize(data, params, blocks=blocks)
     sink = BitSink()
     n = len(data)
-    start = 0
-    # tokenize's blocks tile the input at params.block_payload_limit.
-    for offset, counts in zip(range(0, n or 1, params.block_payload_limit), blocks):
-        end = min(offset + params.block_payload_limit, n)
+    start = offset = 0
+    for stop, lit, dist, skipped, end in blocks:
         final = end == n
-        stop, lit, dist, skipped, _ = counts
-        static = _static_cost_bits(counts)
+        # A floor until the skipped literals are counted: each costs 8 or 9 bits.
+        static = _static_cost_bits(lit, dist) + 8 * skipped
         stored = _stored_cost_bits(end - offset, sink.bit_length)
         plan = None
         if static <= stored or not skipped:
             if skipped:
                 lit, dist = _symbol_counts(tokens[start:stop])
+                static = _static_cost_bits(lit, dist)
             plan = _dynamic_plan(lit, dist)
         if plan is not None and plan[0] < min(static, stored):
             write_dynamic_block(tokens[start:stop], final, sink, plan)
@@ -535,5 +530,5 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
             for chunk in range(offset, end, MAX_STORED_BLOCK):
                 chunk_end = min(chunk + MAX_STORED_BLOCK, end)
                 write_stored_block(data[chunk:chunk_end], final and chunk_end == end, sink)
-        start = stop
+        start, offset = stop, end
     return sink.to_bytes()

@@ -22,7 +22,14 @@ Alloy):
   lengths give each used symbol a code (and pad to two codes), respect
   the limit, form a complete code, and cost what the best lengths cost
   whenever the unlimited Huffman tree fits the limit; every limit below
-  the smallest feasible one, down to -1, raises.
+  the smallest feasible one, down to -1, raises;
+* every string over ``ab`` of length 0-9 and over the bytes 00, 01 and
+  ff of length 0-6, under block limits 1, 3 and the default: tokenize
+  equals the reference matcher, each block is written at its exact price
+  as the cheapest type, the stream keeps the stored bound, decodes back
+  in our decoder and in zlib, and consumes exactly the bits written
+  whatever follows it; the block of each one-block stream also parses
+  back when written by each of the three writers.
 """
 
 import itertools
@@ -33,9 +40,21 @@ from collections import Counter
 import pytest
 
 from deflatekit.bitio import BitCursor, BitSink
-from deflatekit.compress import huffman_lengths
+from deflatekit.compress import (
+    DEFAULT_PARAMS,
+    CompressParams,
+    _dynamic_plan,
+    _static_cost_bits,
+    _stored_cost_bits,
+    deflate,
+    huffman_lengths,
+    tokenize,
+    write_dynamic_block,
+    write_static_block,
+    write_stored_block,
+)
 from deflatekit.errors import KraftViolation, ValueOutOfRange
-from deflatekit.inflate import FailReason, NoParse, Parsed, iter_blocks, parse_deflate
+from deflatekit.inflate import BlockType, FailReason, NoParse, Parsed, iter_blocks, parse_deflate
 from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding
 from deflatekit.reference import (
     DISTANCE_TABLE,
@@ -54,7 +73,8 @@ from deflatekit.symbol_tables import (
     BackRef,
 )
 
-from conftest import write_code_msb
+from conftest import reference_tokenize, write_code_msb
+from test_compress import written_blocks
 
 
 def test_every_length_vector_over_five_characters_up_to_length_five():
@@ -201,3 +221,73 @@ def test_every_small_count_vector_gets_complete_limited_best_lengths():
                 checked["limited"] += 1
     assert checked["limited"] > 0 and checked["optimal"] > checked["limited"]
     assert checked["infeasible"] > len(vectors)
+
+
+SHORT_INPUTS = sorted(
+    {bytes(v) for n in range(10) for v in itertools.product(b"ab", repeat=n)}
+    | {bytes(v) for n in range(7) for v in itertools.product(b"\x00\x01\xff", repeat=n)}
+)
+# The order deflate breaks a tie in: static, then stored, then dynamic.
+TIE_ORDER = (BlockType.STATIC, BlockType.STORED, BlockType.DYNAMIC)
+
+
+@pytest.mark.parametrize("block_limit", [1, 3, DEFAULT_PARAMS.block_payload_limit])
+def test_every_short_input_compresses_to_its_cheapest_blocks(block_limit):
+    assert len(SHORT_INPUTS) == 2115
+    params = CompressParams(block_payload_limit=block_limit)
+    kinds = set()
+    plans = {}  # short blocks repeat their counts, and a plan takes about 0.1 ms
+    for data in SHORT_INPUTS:
+        blocks = []
+        tokens = tokenize(data, params, blocks=blocks)
+        assert tokens == reference_tokenize(data, params), data
+        out = deflate(data, params)
+        expected, bit, offset = [], 0, 0
+        for _, lit, dist, skipped, end in blocks:
+            assert not skipped  # too short to reach the skip rule
+            key = (tuple(lit), tuple(dist))
+            if key not in plans:
+                plans[key] = _dynamic_plan(lit, dist)
+            plan = plans[key]
+            price = {
+                BlockType.STATIC: _static_cost_bits(lit, dist),
+                BlockType.STORED: _stored_cost_bits(end - offset, bit),
+                BlockType.DYNAMIC: plan[0],
+            }
+            kind = min(TIE_ORDER, key=price.__getitem__)
+            expected.append([kind, bit, bit + price[kind] + 3])
+            bit += price[kind] + 3
+            kinds.add(kind)
+            if len(blocks) == 1:  # no history before it, so it parses back alone
+                assert_each_writer_parses_back(tokens, data, plan)
+            offset = end
+        # Blocks end where priced, within the stored bound of 5 bytes per
+        # block; junk changes neither the output nor the bits consumed,
+        # in our decoder or in zlib.
+        assert written_blocks(out) == expected, data
+        assert len(out) == -(-bit // 8) <= len(data) + 5 * len(blocks), data
+        junk = bytes([len(data) * 37 & 255, 0xA5])
+        parsed = parse_deflate(BitCursor(out + junk))
+        assert (parsed.value, parsed.consumed_bits) == (data, bit), data
+        d = zlib.decompressobj(-15)
+        assert (d.decompress(out + junk), d.eof, d.unused_data) == (data, True, junk), data
+    # Blocks this short are never worth a stored block's framing or a
+    # dynamic block's header.
+    assert kinds == {BlockType.STATIC}
+
+
+def assert_each_writer_parses_back(block, data, plan) -> None:
+    """The one block of data, written by each writer as a final block,
+    parses back to its tokens or bytes in exactly the bits written."""
+    for kind, write, item in (
+        (BlockType.STATIC, lambda sink: write_static_block(block, True, sink), block),
+        (BlockType.DYNAMIC, lambda sink: write_dynamic_block(block, True, sink, plan), block),
+        (BlockType.STORED, lambda sink: write_stored_block(data, True, sink), data),
+    ):
+        sink = write(BitSink())
+        parsed, end = [], None
+        for header, batch, end in iter_blocks(sink.to_bytes()):
+            assert header.block_type is kind and not isinstance(batch, NoParse), (data, kind)
+            parsed += batch
+        assert (bytes(parsed) if kind is BlockType.STORED else parsed) == item, (data, kind)
+        assert end == sink.bit_length, (data, kind)
