@@ -13,18 +13,21 @@ costs a few thousand searches per 96 KiB instead of one per byte.
 No match runs past its block's end, so every block but the last covers
 exactly ``block_payload_limit`` input bytes.  ``tokenize`` records each
 block's end and symbol counts (zlib's ``_tr_tally``), skipped literals
-only in total.  ``deflate`` prices each block stored, static (the fixed
-codings) and dynamic (codes built for the block, RFC 1951 section
-3.2.7), each to the exact bit, and writes the smallest, but stores
-uncounted a block whose static floor, 8 bits per skipped literal,
-exceeds storing it.  A dynamic block's code lengths are length-limited
-Huffman lengths (``huffman_lengths``), and its codes are the canonical
-ones the decoder rebuilds from them (``DeflateCoding``).  Its plan
-(``_dynamic_plan``) builds and prices its header once; the writer writes
-that header and refuses a token the plan leaves uncoded.  One rule
-prices a static or dynamic body (``_body_bits``), and one token writer
-ORs its codes and extra bits into local ints for ``write_bits_lsb``,
-which emits whole bytes at once; the stored writer calls it too.
+only in total.  ``deflate`` prices each block from those counts stored,
+static (the fixed codings) and dynamic (codes built for the block, RFC
+1951 section 3.2.7), each to the exact bit, and writes the smallest.  A
+block whose static floor, 8 bits per skipped literal, exceeds storing it
+is stored uncounted; otherwise only its literals are recounted from its
+tokens.  It plans a dynamic block only where static costs more than the
+least any dynamic block can: 29 header bits plus one bit per symbol.  A
+dynamic block's code lengths are length-limited Huffman lengths
+(``huffman_lengths``), and its codes are the canonical ones the decoder
+rebuilds from them (``DeflateCoding``).  Its plan (``_dynamic_plan``)
+builds and prices its header once; the writer writes that header and
+refuses a token the plan leaves uncoded.  One rule prices a static or
+dynamic body (``_body_bits``), and one token writer ORs its codes and
+extra bits into local ints for ``write_bits_lsb``, which emits whole
+bytes at once; the stored writer calls it too.
 """
 
 from __future__ import annotations
@@ -405,19 +408,6 @@ def _rle_lengths(lengths) -> list[tuple[int, int]]:
     return out
 
 
-def _symbol_counts(tokens) -> tuple[list[int], list[int]]:
-    """Counts of literal/length symbols 0..285, the end of block once, and
-    of distance symbols 0..29 over a block's tokens."""
-    lit, dist = [0] * 256 + [1] + [0] * 29, [0] * 30
-    for t in tokens:
-        if type(t) is Literal:
-            lit[t.value] += 1
-        elif type(t) is BackRef:
-            lit[LENGTH_ENCODING[t.length][0]] += 1
-            dist[DISTANCE_CODEPOINT[t.distance]] += 1
-    return lit, dist
-
-
 def _body_bits(lit, dist, lit_lengths, dist_lengths) -> int:
     """Bits of a block's codes and extra bits for its symbol counts under these lengths."""
     return (
@@ -503,8 +493,12 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     Each block spans the bytes its tokenize record gives and is priced
     from its counts; a tie goes to static, then to stored.  A block with
     skipped literals is stored unpriced when its static floor, 8 bits per
-    skipped literal, exceeds storing it; otherwise they are counted from
-    its tokens.  So an incompressible block costs no per-byte work.
+    skipped literal, exceeds storing it; otherwise its literals are
+    counted from its tokens beside the record's exact length and distance
+    counts.  So an incompressible block costs no per-byte work.  Any
+    dynamic block pays at least 29 header bits (HLIT, HDIST, HCLEN, five
+    code-length lengths), a bit per symbol, and static's extra bits, so
+    it is planned only when static costs more than 29 + sum(lit) + sum(dist).
     """
     blocks = []
     tokens = tokenize(data, params, blocks=blocks)
@@ -517,15 +511,20 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
         static = _static_cost_bits(lit, dist) + 8 * skipped
         stored = _stored_cost_bits(end - offset, sink.bit_length)
         plan = None
-        if static <= stored or not skipped:
+        if static <= stored or not skipped:  # else stored, its tokens unsliced
+            block = tokens[start:stop]
             if skipped:
-                lit, dist = _symbol_counts(tokens[start:stop])
+                lit = [0] * 256 + lit[256:]
+                for t in block:
+                    if type(t) is Literal:
+                        lit[t.value] += 1
                 static = _static_cost_bits(lit, dist)
-            plan = _dynamic_plan(lit, dist)
+            if static > 29 + sum(lit) + sum(dist):
+                plan = _dynamic_plan(lit, dist)
         if plan is not None and plan[0] < min(static, stored):
-            write_dynamic_block(tokens[start:stop], final, sink, plan)
+            write_dynamic_block(block, final, sink, plan)
         elif static <= stored:
-            write_static_block(tokens[start:stop], final, sink)
+            write_static_block(block, final, sink)
         else:
             for chunk in range(offset, end, MAX_STORED_BLOCK):
                 chunk_end = min(chunk + MAX_STORED_BLOCK, end)

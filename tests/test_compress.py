@@ -427,6 +427,7 @@ def test_each_block_is_written_at_its_price_as_the_cheapest_type(block_limit):
             assert sum(lit[:256]) - sum(record_lit[:256]) == skipped
             kind, first, end_bit = next(written)
             plan = _dynamic_plan(lit, dist)
+            assert plan[0] >= 29 + sum(lit) + sum(dist)
             price = {
                 BlockType.STORED: _stored_cost_bits(span, first),
                 BlockType.STATIC: _static_cost_bits(lit, dist),

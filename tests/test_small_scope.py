@@ -26,10 +26,17 @@ Alloy):
 * every string over ``ab`` of length 0-9 and over the bytes 00, 01 and
   ff of length 0-6, under block limits 1, 3 and the default: tokenize
   equals the reference matcher, each block is written at its exact price
-  as the cheapest type, the stream keeps the stored bound, decodes back
-  in our decoder and in zlib, and consumes exactly the bits written
-  whatever follows it; the block of each one-block stream also parses
-  back when written by each of the three writers.
+  as the cheapest type, no dynamic block costs less than 29 bits plus
+  one per symbol, the stream keeps the stored bound, decodes back in our
+  decoder and in zlib, and consumes exactly the bits written whatever
+  follows it; the block of each one-block stream also parses back when
+  written by each of the three writers;
+* the bytes a0..cf followed by every string over ``ab`` of length 0-8,
+  under block limits 24, 40 and the default, which reach the matcher's
+  skip rule: the same checks, except that a block whose static floor
+  loses to storing is stored unpriced; between them the limits store
+  blocks unpriced, recount the literals of others, price blocks with no
+  skipped literal, and write every block type.
 """
 
 import itertools
@@ -74,7 +81,7 @@ from deflatekit.symbol_tables import (
 )
 
 from conftest import reference_tokenize, write_code_msb
-from test_compress import written_blocks
+from test_compress import symbol_counts, written_blocks
 
 
 def test_every_length_vector_over_five_characters_up_to_length_five():
@@ -227,53 +234,101 @@ SHORT_INPUTS = sorted(
     {bytes(v) for n in range(10) for v in itertools.product(b"ab", repeat=n)}
     | {bytes(v) for n in range(7) for v in itertools.product(b"\x00\x01\xff", repeat=n)}
 )
+# 48 distinct bytes run the matcher into its skip rule; the ``ab`` tail
+# then matches, or is skipped too.
+SKIPPING_INPUTS = [
+    bytes(range(160, 208)) + bytes(v) for n in range(9) for v in itertools.product(b"ab", repeat=n)
+]
+STORED, STATIC, DYNAMIC = BlockType.STORED, BlockType.STATIC, BlockType.DYNAMIC
 # The order deflate breaks a tie in: static, then stored, then dynamic.
-TIE_ORDER = (BlockType.STATIC, BlockType.STORED, BlockType.DYNAMIC)
+TIE_ORDER = (STATIC, STORED, DYNAMIC)
+
+
+def assert_cheapest_blocks(data, params, plans):
+    """Check deflate's stream of data block by block; returns its tokens
+    and each block's (type, pricing path, dynamic plan).
+
+    tokenize equals the reference matcher; a block whose static floor loses
+    to storing is stored unpriced, and any other is written at its exact
+    price as the cheapest type (path "recounted" if it has skipped literals,
+    else "unskipped") and no dynamic block of its counts costs less than 29
+    bits plus one per symbol; the stream keeps the stored bound, and decodes
+    in our decoder and in zlib to data in exactly the bits written, whatever
+    follows it.  ``plans`` caches plans by counts: short blocks repeat
+    theirs, and a plan takes about 0.1 ms.
+    """
+    blocks = []
+    tokens = tokenize(data, params, blocks=blocks)
+    assert tokens == reference_tokenize(data, params), data
+    out = deflate(data, params)
+    priced, expected, bit, start, offset = [], [], 0, 0, 0
+    for stop, lit, dist, skipped, end in blocks:
+        stored = _stored_cost_bits(end - offset, bit)
+        if skipped and _static_cost_bits(lit, dist) + 8 * skipped > stored:
+            kind, path, plan, cost = STORED, "stored unpriced", None, stored
+        else:
+            if skipped:
+                lit, dist = symbol_counts(tokens[start:stop])
+            key = (tuple(lit), tuple(dist))
+            if key not in plans:
+                plans[key] = _dynamic_plan(lit, dist)
+                assert plans[key][0] >= 29 + sum(lit) + sum(dist), data
+            plan = plans[key]
+            price = {STATIC: _static_cost_bits(lit, dist), STORED: stored, DYNAMIC: plan[0]}
+            kind = min(TIE_ORDER, key=price.__getitem__)
+            path, cost = "recounted" if skipped else "unskipped", price[kind]
+        expected.append([kind, bit, bit + cost + 3])
+        priced.append((kind, path, plan))
+        bit += cost + 3
+        start, offset = stop, end
+    # Blocks end where priced, within the stored bound of 5 bytes per
+    # block; junk changes neither the output nor the bits consumed, in
+    # our decoder or in zlib.
+    assert written_blocks(out) == expected, data
+    assert len(out) == -(-bit // 8) <= len(data) + 5 * len(blocks), data
+    junk = bytes([len(data) * 37 & 255, 0xA5])
+    parsed = parse_deflate(BitCursor(out + junk))
+    assert (parsed.value, parsed.consumed_bits) == (data, bit), data
+    d = zlib.decompressobj(-15)
+    assert (d.decompress(out + junk), d.eof, d.unused_data) == (data, True, junk), data
+    return tokens, priced
 
 
 @pytest.mark.parametrize("block_limit", [1, 3, DEFAULT_PARAMS.block_payload_limit])
 def test_every_short_input_compresses_to_its_cheapest_blocks(block_limit):
     assert len(SHORT_INPUTS) == 2115
     params = CompressParams(block_payload_limit=block_limit)
-    kinds = set()
-    plans = {}  # short blocks repeat their counts, and a plan takes about 0.1 ms
+    reached, plans = set(), {}
     for data in SHORT_INPUTS:
-        blocks = []
-        tokens = tokenize(data, params, blocks=blocks)
-        assert tokens == reference_tokenize(data, params), data
-        out = deflate(data, params)
-        expected, bit, offset = [], 0, 0
-        for _, lit, dist, skipped, end in blocks:
-            assert not skipped  # too short to reach the skip rule
-            key = (tuple(lit), tuple(dist))
-            if key not in plans:
-                plans[key] = _dynamic_plan(lit, dist)
-            plan = plans[key]
-            price = {
-                BlockType.STATIC: _static_cost_bits(lit, dist),
-                BlockType.STORED: _stored_cost_bits(end - offset, bit),
-                BlockType.DYNAMIC: plan[0],
-            }
-            kind = min(TIE_ORDER, key=price.__getitem__)
-            expected.append([kind, bit, bit + price[kind] + 3])
-            bit += price[kind] + 3
-            kinds.add(kind)
-            if len(blocks) == 1:  # no history before it, so it parses back alone
-                assert_each_writer_parses_back(tokens, data, plan)
-            offset = end
-        # Blocks end where priced, within the stored bound of 5 bytes per
-        # block; junk changes neither the output nor the bits consumed,
-        # in our decoder or in zlib.
-        assert written_blocks(out) == expected, data
-        assert len(out) == -(-bit // 8) <= len(data) + 5 * len(blocks), data
-        junk = bytes([len(data) * 37 & 255, 0xA5])
-        parsed = parse_deflate(BitCursor(out + junk))
-        assert (parsed.value, parsed.consumed_bits) == (data, bit), data
-        d = zlib.decompressobj(-15)
-        assert (d.decompress(out + junk), d.eof, d.unused_data) == (data, True, junk), data
-    # Blocks this short are never worth a stored block's framing or a
-    # dynamic block's header.
-    assert kinds == {BlockType.STATIC}
+        tokens, priced = assert_cheapest_blocks(data, params, plans)
+        reached.update((kind, path) for kind, path, _ in priced)
+        if len(priced) == 1:  # no history before it, so it parses back alone
+            assert_each_writer_parses_back(tokens, data, priced[0][2])
+    # Too short to reach the skip rule, and blocks this short are never
+    # worth a stored block's framing or a dynamic block's header.
+    assert reached == {(STATIC, "unskipped")}
+
+
+# The blocks of each type and pricing path under each block limit: between
+# them the limits reach every path and write every type.
+SKIPPING_REACHED = {
+    24: {(STATIC, "recounted"): 1007, (STATIC, "unskipped"): 525},
+    40: {(STORED, "stored unpriced"): 511, (STATIC, "recounted"): 511},
+    DEFAULT_PARAMS.block_payload_limit: {
+        (STORED, "stored unpriced"): 407, (DYNAMIC, "recounted"): 104},
+}
+
+
+@pytest.mark.parametrize("block_limit", list(SKIPPING_REACHED))
+def test_every_skipping_input_compresses_to_its_cheapest_blocks(block_limit):
+    assert len(SKIPPING_INPUTS) == 511
+    params = CompressParams(block_payload_limit=block_limit)
+    plans = {}
+    assert Counter(
+        (kind, path)
+        for data in SKIPPING_INPUTS
+        for kind, path, _ in assert_cheapest_blocks(data, params, plans)[1]
+    ) == SKIPPING_REACHED[block_limit]
 
 
 def assert_each_writer_parses_back(block, data, plan) -> None:
