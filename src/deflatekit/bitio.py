@@ -13,7 +13,7 @@ Fields are read straight off the buffer by ``read_bits``, which takes an
 absolute bit position and returns the value with the advanced position,
 so two positions can be subtracted to learn exactly how many bits a
 parse consumed.  ``BitCursor`` is the bounds-checked (buffer, position)
-pair that the public parsers take and return.
+pair that the public parsers take.
 """
 
 from __future__ import annotations

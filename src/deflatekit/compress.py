@@ -19,10 +19,11 @@ static (the fixed codings) and dynamic (codes built for the block, RFC
 block whose static floor, 8 bits per skipped literal, exceeds storing it
 is stored uncounted; otherwise only its literals are recounted from its
 tokens.  It plans a dynamic block only where static costs more than the
-least any dynamic block can: 29 header bits plus one bit per symbol.  A
-dynamic block's code lengths are length-limited Huffman lengths
-(``huffman_lengths``), and its codes are the canonical ones the decoder
-rebuilds from them (``DeflateCoding``).  Its plan (``_dynamic_plan``)
+least any dynamic block can: 44 header bits (HLIT, HDIST and HCLEN, five
+code-length lengths, 15 bits for 258 or more coded lengths) plus a bit
+per symbol.  A dynamic block's code lengths are length-limited Huffman
+lengths (``huffman_lengths``), its codes the canonical ones the decoder
+rebuilds from them (``DeflateCoding``), and its plan (``_dynamic_plan``)
 builds and prices its header once; the writer writes that header and
 refuses a token the plan leaves uncoded.  One rule prices a static or
 dynamic body (``_body_bits``), and one token writer ORs its codes and
@@ -488,17 +489,16 @@ def _stored_cost_bits(span: int, bit_pos: int) -> int:
 
 def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     """Compress data into a raw deflate stream, each block stored, static or
-    dynamic, whichever is smallest by exact size.
+    dynamic, whichever is smallest by exact size; a tie goes to static,
+    then to stored.
 
     Each block spans the bytes its tokenize record gives and is priced
-    from its counts; a tie goes to static, then to stored.  A block with
-    skipped literals is stored unpriced when its static floor, 8 bits per
-    skipped literal, exceeds storing it; otherwise its literals are
-    counted from its tokens beside the record's exact length and distance
-    counts.  So an incompressible block costs no per-byte work.  Any
-    dynamic block pays at least 29 header bits (HLIT, HDIST, HCLEN, five
-    code-length lengths), a bit per symbol, and static's extra bits, so
-    it is planned only when static costs more than 29 + sum(lit) + sum(dist).
+    from its counts.  One with skipped literals is stored unpriced when its
+    static floor, 8 bits per skipped literal, exceeds storing it; otherwise
+    its literals are counted from its tokens.  A dynamic block pays at least
+    44 header bits (HLIT/HDIST/HCLEN, five code-length lengths, 258 or more
+    coded lengths), a bit per symbol and static's extra bits, so it is
+    planned only when static exceeds 44 + sum(lit) + sum(dist).
     """
     blocks = []
     tokens = tokenize(data, params, blocks=blocks)
@@ -519,7 +519,11 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
                     if type(t) is Literal:
                         lit[t.value] += 1
                 static = _static_cost_bits(lit, dist)
-            if static > 29 + sum(lit) + sum(dist):
+            # Dynamic pays 14 bits of HLIT/HDIST/HCLEN, 5 * 3 of code-length lengths (the end
+            # of block's sits past CL_CODE_ORDER's first four), 258 * 8/138 > 14 for its lengths
+            # (symbol 18, the cheapest per length: 1+ code bits and 7 extra for at most 138),
+            # then 1+ per symbol.
+            if static > 44 + sum(lit) + sum(dist):
                 plan = _dynamic_plan(lit, dist)
         if plan is not None and plan[0] < min(static, stored):
             write_dynamic_block(block, final, sink, plan)

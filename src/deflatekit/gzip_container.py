@@ -188,7 +188,7 @@ def gzip_decompress(data: bytes) -> bytes:
     if isinstance(outcome, NoParse):
         raise outcome.error()
     plaintext = outcome.value
-    trailer_at = (outcome.rest.bit_pos + 7) // 8
+    trailer_at = start + (outcome.consumed_bits + 7) // 8
     if trailer_at + 8 > len(data):
         raise TrailerMismatch("gzip member has no room for its eight-byte trailer")
     crc, size = struct.unpack_from("<II", data, trailer_at)

@@ -6,11 +6,12 @@ a malformed stream they raise: a grammar violation raises ``_Fail``
 with its reason, the prefix decoder and the bit reader raise ``BadCode``
 and ``EndOfInput``.  ``_no_parse`` is the one place that turns any of
 these into ``NoParse(reason, bit_pos, detail)``.  The public parsers
-(``parse_block_header``, ``parse_stored_block``,
-``parse_dynamic_header``, ``parse_deflate``) take a BitCursor and
-return a ParseOutcome: ``Parsed(value, consumed_bits, rest)`` or that
-NoParse.  Parsers read strictly left to right and never look past the
-bits they consume, which gives the layer two global properties:
+(``parse_block_header``, ``parse_stored_block``, ``parse_dynamic_header``,
+``parse_deflate``) take a BitCursor and return a ParseOutcome:
+``Parsed(value, consumed_bits)`` or that NoParse; a caller who parses
+on starts at ``cursor.bit_pos + consumed_bits``.  Parsers read strictly
+left to right and never look past the bits they consume, which gives
+the layer two global properties:
 
 * strong uniqueness: appending arbitrary bits to a parseable input
   changes neither the value nor the number of bits consumed;
@@ -21,13 +22,13 @@ bits they consume, which gives the layer two global properties:
 batch by batch, up to the final block's last bit.  It calls the public
 parsers through ``_parsed``, which raises a NoParse as ``_Fail``, so
 every failure leaves the walk through one exit: a last item pairing the
-NoParse with its block's header, or with None when a block header
-itself failed.  ``parse_deflate``
-folds it into one output buffer, a ``RingWindow`` (a bytearray) that
-persists across blocks (the format never resets the history) and that
-``resolve_tokens_ring`` copies backreferences from by slices;
-``dump-tokens`` prints the same items.  The tests hold that resolver to
-the paper's window model, ``history_window.resolve_tokens``.
+NoParse with its block's header, or with None when a block header itself
+failed.  ``parse_deflate`` folds it into one output buffer, a
+``RingWindow`` (a bytearray) that persists across blocks (the format
+never resets the history) and that ``resolve_tokens_ring`` copies
+backreferences from by slices; ``dump-tokens`` prints the same items.
+The tests hold that resolver to the paper's window model,
+``history_window.resolve_tokens``.
 """
 
 from __future__ import annotations
@@ -83,14 +84,13 @@ class FailReason(enum.Enum):
 
 
 class Parsed(Record):
-    """Successful parse: the value, exact bit consumption, and the rest."""
+    """Parsed(value, consumed_bits); parsing on starts at cursor.bit_pos + consumed_bits."""
 
-    __slots__ = ("value", "consumed_bits", "rest")
+    __slots__ = ("value", "consumed_bits")
 
-    def __init__(self, value: object, consumed_bits: int, rest: BitCursor):
+    def __init__(self, value: object, consumed_bits: int):
         set_field(self, "value", value)
         set_field(self, "consumed_bits", consumed_bits)
-        set_field(self, "rest", rest)
 
 
 class NoParse(Record):
@@ -168,7 +168,7 @@ def _outcome(raw, cursor: BitCursor) -> ParseOutcome:
         value, pos = raw(cursor.data, cursor.bit_pos)
     except _PARSE_ERRORS as e:
         return _no_parse(e)
-    return Parsed(value, pos - cursor.bit_pos, BitCursor(cursor.data, pos))
+    return Parsed(value, pos - cursor.bit_pos)
 
 
 def parse_block_header(cursor: BitCursor) -> ParseOutcome:
@@ -209,15 +209,6 @@ def _stored_block(data: bytes, pos: int) -> tuple[bytes, int]:
     if start + length > len(data):
         raise EndOfInput(pos, f"{length} stored bytes")
     return bytes(data[start : start + length]), pos + 8 * length
-
-
-def _cl_lengths(data: bytes, pos: int, hclen: int) -> tuple[list[int], int]:
-    """hclen three-bit lengths for the code-length coding, in its wire order."""
-    bit_end = 8 * len(data)
-    lengths = [0] * 19
-    for i in range(hclen):
-        lengths[CL_CODE_ORDER[i]], pos = read_bits(data, pos, 3, bit_end)
-    return lengths, pos
 
 
 def _rle_code_lengths(
@@ -270,7 +261,10 @@ def _dynamic_header(data: bytes, pos: int) -> tuple[DynamicHeader, int]:
     hdist = 1 + hdist_raw
     hclen = 4 + hclen_raw
 
-    cl_lengths, pos = _cl_lengths(data, pos, hclen)
+    # hclen three-bit lengths for the code-length coding, in its wire order.
+    cl_lengths = [0] * 19
+    for sym in CL_CODE_ORDER[:hclen]:
+        cl_lengths[sym], pos = read_bits(data, pos, 3, bit_end)
     cl_coding = _coding(cl_lengths, MAX_CL_CODE_LENGTH, pos)
     combined, pos = _rle_code_lengths(data, pos, bit_end, cl_coding, hlit + hdist)
     lit_coding = _coding(combined[:hlit], MAX_CODE_LENGTH, pos)
@@ -383,7 +377,7 @@ def _parsed(parse, data: bytes, pos: int):
     outcome = parse(BitCursor(data, pos))
     if isinstance(outcome, NoParse):
         raise _Fail(outcome.reason, outcome.bit_pos, outcome.detail)
-    return outcome.value, outcome.rest.bit_pos
+    return outcome.value, pos + outcome.consumed_bits
 
 
 def iter_blocks(data: bytes, bit_pos: int = 0):
@@ -395,11 +389,9 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
     of at most _TOKEN_CHUNK tokens, the block's last batch ending with
     END_OF_BLOCK.  Each header is a new object, so a change of header
     marks a new block.  Every distance is checked against all the output
-    produced so far.  A malformed stream ends the walk with one item
-    that is a NoParse, paired with the header of the block it broke in.
-    Every failure leaves the walk through the one ``except`` below; the
-    header is reset before each block header is parsed, so a failed
-    block header, the first or a later one, pairs with None.
+    produced so far.  A malformed stream ends the walk with one item, a
+    NoParse from the one ``except`` below, paired with the header of the
+    block it broke in, or with None if a block header failed.
     """
     bit_end = 8 * len(data)
     pos = bit_pos
@@ -484,7 +476,6 @@ def parse_deflate(cursor: BitCursor) -> ParseOutcome:
     ignored and left unconsumed.
     """
     window = RingWindow()
-    end = cursor.bit_pos
     for header, item, end in iter_blocks(cursor.data, cursor.bit_pos):
         if isinstance(item, NoParse):
             return item
@@ -492,7 +483,7 @@ def parse_deflate(cursor: BitCursor) -> ParseOutcome:
             window.push_bytes(item)
         else:
             resolve_tokens_ring(item, window)
-    return Parsed(bytes(window), end - cursor.bit_pos, BitCursor(cursor.data, end))
+    return Parsed(bytes(window), end - cursor.bit_pos)
 
 
 def inflate(data: bytes) -> bytes:

@@ -118,7 +118,7 @@ def parse_deflate_queue(cursor: BitCursor):
         else:
             resolved, window = resolve_tokens(item, window)
             out += resolved
-    return Parsed(bytes(out), end - cursor.bit_pos, BitCursor(cursor.data, end))
+    return Parsed(bytes(out), end - cursor.bit_pos)
 
 
 # -- reference greedy matcher ----------------------------------------------

@@ -100,8 +100,7 @@ def test_align_to_byte_cursor():
         data = bytes(aligned // 8) + stored_block(payload)
         outcome = parse_stored_block(BitCursor(data, start))
         assert outcome.value == payload
-        assert outcome.rest.bit_pos == 8 * len(data)
-        assert outcome.consumed_bits == 8 * len(data) - start
+        assert start + outcome.consumed_bits == 8 * len(data)
 
 
 def test_read_bytes_aligned():
@@ -110,8 +109,9 @@ def test_read_bytes_aligned():
     data = b"a" + stored_block(b"bcd") + b"ef"
     outcome = parse_stored_block(BitCursor(data, 8))
     assert outcome.value == b"bcd"
-    assert outcome.rest.bit_pos == 8 * (1 + 4 + 3)
-    assert outcome.rest.data[outcome.rest.bit_pos // 8 :] == b"ef"
+    end = 8 + outcome.consumed_bits
+    assert end == 8 * (1 + 4 + 3)
+    assert data[end // 8 :] == b"ef"
     # A payload that runs past the end fails at the payload's first bit.
     for start, aligned in ((0, 0), (1, 8), (8, 8), (15, 16)):
         short = bytes(aligned // 8) + stored_block(b"bcd")[:-1]

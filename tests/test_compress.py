@@ -427,7 +427,7 @@ def test_each_block_is_written_at_its_price_as_the_cheapest_type(block_limit):
             assert sum(lit[:256]) - sum(record_lit[:256]) == skipped
             kind, first, end_bit = next(written)
             plan = _dynamic_plan(lit, dist)
-            assert plan[0] >= 29 + sum(lit) + sum(dist)
+            assert plan[0] >= 44 + sum(lit) + sum(dist)
             price = {
                 BlockType.STORED: _stored_cost_bits(span, first),
                 BlockType.STATIC: _static_cost_bits(lit, dist),
@@ -908,8 +908,7 @@ def assert_strongly_unique(stream: bytes, rng: random.Random) -> None:
     for junk in (rng.randbytes(1), rng.randbytes(2), rng.randbytes(rng.randrange(3, 64)),
                  rng.randbytes(64), b"\xff" * 64):
         extended = parse_deflate(BitCursor(stream + junk))
-        assert isinstance(extended, Parsed)
-        assert (extended.value, extended.consumed_bits) == (base.value, base.consumed_bits)
+        assert extended == base
 
 
 def test_digest_streams_are_strongly_unique():

@@ -88,7 +88,7 @@ def test_golden_static_stream(impl):
     assert isinstance(outcome, Parsed)
     assert outcome.value == GOLDEN_PLAINTEXT
     assert outcome.consumed_bits == GOLDEN_STATIC_CONSUMED
-    assert outcome.rest.bit_pos == GOLDEN_STATIC_CONSUMED
+    assert outcome == Parsed(GOLDEN_PLAINTEXT, GOLDEN_STATIC_CONSUMED)
 
 
 @pytest.mark.parametrize("impl", ["ring", "queue"])
@@ -134,7 +134,9 @@ def test_golden_dynamic_header_contents():
     }
     dist_codes = {ch: code for ch, code in enumerate(header.dist_coding.codes) if code}
     assert dist_codes == {1: (0,), 5: (1,)}
-    assert outcome.consumed_bits == outcome.rest.bit_pos - 3
+    # 14 bits of counts, 18 three-bit code-length lengths, 82 bits of lengths;
+    # the tokens start at bit 3 + 150.
+    assert outcome.consumed_bits == 150
 
 
 def test_inflate_convenience_and_errors():
@@ -163,12 +165,19 @@ def test_block_header_fields():
     assert header == BlockHeader(False, BlockType.STORED) != BlockHeader(True, BlockType.STORED)
     assert hash(header) == hash((False, BlockType.STORED))
     assert repr(header) == "BlockHeader(is_final=False, block_type=<BlockType.STORED: 0>)"
-    assert outcome == Parsed(header, 3, BitCursor(b"\x00", 3))
-    assert hash(outcome) == hash((header, 3, BitCursor(b"\x00", 3)))
-    rest = outcome.rest
-    assert Parsed(1, 2, rest) != NoParse(1, 2, rest)
-    assert NoParse(1, 2, rest) != Parsed(1, 2, rest)
-    assert Parsed(1, 2, rest) != (1, 2, rest)
+    assert outcome == Parsed(header, 3)
+    assert hash(outcome) == hash((header, 3))
+    assert Parsed(1, 2) != NoParse(1, 2)
+    assert NoParse(1, 2) != Parsed(1, 2)
+    assert Parsed(1, 2) != (1, 2)
+    # An outcome is what the parse did, whatever buffer it read: equal and
+    # hashable over any buffer type, and as short to show over 4 KB as over 1 byte.
+    for parse, data in ((parse_block_header, b"\x00"), (parse_deflate, GOLDEN_STATIC_BYTES)):
+        base = parse(BitCursor(data))
+        for buffer in (bytearray(data), memoryview(bytearray(data))):
+            assert parse(BitCursor(buffer)) == base
+            assert hash(parse(BitCursor(buffer))) == hash(base)
+    assert len(repr(parse_block_header(BitCursor(bytes(4096))))) < 200
     failure = NoParse(FailReason.BAD_CODE, 5)
     assert failure == NoParse(FailReason.BAD_CODE, 5, "") != NoParse(FailReason.BAD_CODE, 5, "x")
     assert repr(failure) == (
@@ -184,7 +193,7 @@ def test_block_header_fields():
     assert dynamic == DynamicHeader(*fields)
     assert hash(dynamic) == hash(fields)
     assert repr(dynamic).startswith(f"DynamicHeader(hlit={dynamic.hlit}, hdist={dynamic.hdist},")
-    for record, name in ((header, "is_final"), (outcome, "rest"), (failure, "detail"),
+    for record, name in ((header, "is_final"), (outcome, "consumed_bits"), (failure, "detail"),
                          (dynamic, "hlit"), (header, "other")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -221,7 +230,7 @@ def test_stored_block_round_trip():
     data = stored_stream(b"hello stored world")
     outcome = parse_stored_block(BitCursor(data, 3))
     assert outcome.value == b"hello stored world"
-    assert outcome.rest.bit_pos == 8 * len(data)
+    assert outcome.consumed_bits == 8 * len(data) - 3
     assert parse_deflate(BitCursor(data)).value == b"hello stored world"
     # Over any buffer type the payload is bytes of its own, not a view
     # into the caller's buffer: overwriting that buffer leaves it as it was.
@@ -1004,9 +1013,7 @@ def test_long_codes_decode_between_short_ones():
     stream = sink.to_bytes()
     assert [t for _, item, _ in iter_blocks(stream) for t in item] == tokens
     expected, _ = resolve_tokens(tokens, QueueOfDoom())
-    assert parse_deflate(BitCursor(stream)) == Parsed(
-        expected, sink.bit_length, BitCursor(stream, sink.bit_length)
-    )
+    assert parse_deflate(BitCursor(stream)) == Parsed(expected, sink.bit_length)
 
 
 def pinned_corpus():
@@ -1040,7 +1047,8 @@ def outcome_line(outcome) -> bytes:
     if isinstance(outcome, Parsed):
         line = (
             f"ok {hashlib.sha256(outcome.value).hexdigest()}"
-            f" {outcome.consumed_bits} {outcome.rest.bit_pos}"
+            # Every digest parse starts at bit 0, so its end bit is consumed_bits.
+            f" {outcome.consumed_bits} {outcome.consumed_bits}"
         )
     else:
         line = f"no {outcome.reason.name} {outcome.bit_pos} {outcome.detail}"

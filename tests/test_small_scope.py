@@ -26,7 +26,7 @@ Alloy):
 * every string over ``ab`` of length 0-9 and over the bytes 00, 01 and
   ff of length 0-6, under block limits 1, 3 and the default: tokenize
   equals the reference matcher, each block is written at its exact price
-  as the cheapest type, no dynamic block costs less than 29 bits plus
+  as the cheapest type, no dynamic block costs less than 44 bits plus
   one per symbol, the stream keeps the stored bound, decodes back in our
   decoder and in zlib, and consumes exactly the bits written whatever
   follows it; the block of each one-block stream also parses back when
@@ -251,7 +251,7 @@ def assert_cheapest_blocks(data, params, plans):
     tokenize equals the reference matcher; a block whose static floor loses
     to storing is stored unpriced, and any other is written at its exact
     price as the cheapest type (path "recounted" if it has skipped literals,
-    else "unskipped") and no dynamic block of its counts costs less than 29
+    else "unskipped") and no dynamic block of its counts costs less than 44
     bits plus one per symbol; the stream keeps the stored bound, and decodes
     in our decoder and in zlib to data in exactly the bits written, whatever
     follows it.  ``plans`` caches plans by counts: short blocks repeat
@@ -272,7 +272,7 @@ def assert_cheapest_blocks(data, params, plans):
             key = (tuple(lit), tuple(dist))
             if key not in plans:
                 plans[key] = _dynamic_plan(lit, dist)
-                assert plans[key][0] >= 29 + sum(lit) + sum(dist), data
+                assert plans[key][0] >= 44 + sum(lit) + sum(dist), data
             plan = plans[key]
             price = {STATIC: _static_cost_bits(lit, dist), STORED: stored, DYNAMIC: plan[0]}
             kind = min(TIE_ORDER, key=price.__getitem__)
@@ -288,7 +288,7 @@ def assert_cheapest_blocks(data, params, plans):
     assert len(out) == -(-bit // 8) <= len(data) + 5 * len(blocks), data
     junk = bytes([len(data) * 37 & 255, 0xA5])
     parsed = parse_deflate(BitCursor(out + junk))
-    assert (parsed.value, parsed.consumed_bits) == (data, bit), data
+    assert parsed == Parsed(data, bit), data
     d = zlib.decompressobj(-15)
     assert (d.decompress(out + junk), d.eof, d.unused_data) == (data, True, junk), data
     return tokens, priced
