@@ -12,9 +12,9 @@ import sys
 from .compress import DEFAULT_PARAMS, CompressParams, deflate
 from .errors import DeflateError
 from .gzip_container import _parse_header, gzip_compress, gzip_decompress
-from .inflate import BlockType, NoParse, inflate, iter_blocks
+from .inflate import NoParse, inflate, iter_blocks
 from .prefix_coding import DeflateCoding, build_coding
-from .symbol_tables import BackRef, Literal
+from .symbol_tables import BackRef, BlockType, Literal
 
 
 def _add_input_and_format(parser: argparse.ArgumentParser, default: str, fmt_help: str) -> None:
@@ -93,9 +93,8 @@ def _write_output(path: str | None, data: bytes) -> None:
 
 
 def _dump_coding(coding: DeflateCoding) -> None:
-    for ch, code in enumerate(coding.codes):
-        shown = "".join(map(str, code)) if code else "(absent)"
-        print(f"{ch}: {shown}")
+    for ch, (value, length) in enumerate(zip(coding.values, coding.lengths)):
+        print(f"{ch}: {value:0{length}b}" if length else f"{ch}: (absent)")
 
 
 def _token_line(token) -> str:

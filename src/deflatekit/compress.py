@@ -39,7 +39,6 @@ from operator import mul
 
 from .bitio import BitSink
 from .errors import ValueOutOfRange
-from .inflate import BlockType
 from .prefix_coding import (
     FIXED_DIST,
     FIXED_LIT,
@@ -61,6 +60,7 @@ from .symbol_tables import (
     REPEAT_CODES,
     WINDOW_SIZE,
     BackRef,
+    BlockType,
     EndOfBlock,
     Literal,
 )

@@ -60,6 +60,7 @@ from .symbol_tables import (
     LITERALS,
     REPEAT_CODES,
     BackRef,
+    BlockType,
     Literal,
 )
 
@@ -109,12 +110,6 @@ class NoParse(Record):
 
 
 ParseOutcome = Parsed | NoParse
-
-
-class BlockType(enum.IntEnum):
-    STORED = 0
-    STATIC = 1
-    DYNAMIC = 2
 
 
 class BlockHeader(Record):
@@ -438,15 +433,14 @@ class RingWindow(bytearray):
         self += data
 
 
-def resolve_tokens_ring(tokens, window: RingWindow) -> tuple[bytes, RingWindow]:
-    """Resolve tokens against a RingWindow, as ``history_window.resolve_tokens`` does.
+def resolve_tokens_ring(tokens, window: RingWindow) -> None:
+    """Resolve tokens onto the end of ``window``, as ``history_window.resolve_tokens`` does.
 
-    The batch is resolved in place at the end of ``window``, and every
-    backreference is a slice copy: one slice when the length is at most
-    the distance, else the last ``distance`` bytes repeated, which is
-    what a byte-at-a-time copy writes.  A distance past the output
-    raises DistanceTooFar and leaves the window as it was.  The window
-    object is updated in place and returned with the batch's bytes.
+    The window grows in place, and every backreference is a slice copy:
+    one slice when the length is at most the distance, else the last
+    ``distance`` bytes repeated, which is what a byte-at-a-time copy
+    writes.  A distance past the output raises DistanceTooFar and
+    leaves the window as it was.
     """
     start = len(window)
     append = window.append
@@ -465,7 +459,6 @@ def resolve_tokens_ring(tokens, window: RingWindow) -> tuple[bytes, RingWindow]:
                 window += window[src : src + n]
             else:
                 window += (window[-d:] * (n // d + 1))[:n]
-    return bytes(window[start:]), window
 
 
 def parse_deflate(cursor: BitCursor) -> ParseOutcome:

@@ -54,7 +54,6 @@ MAX_CL_CODE_LENGTH = 7
 # Stream bits a coding's primary lookup table indexes (zlib's root table).
 _TABLE_BITS = 9
 
-Bits = tuple[int, ...]
 # Each byte with its bit order reversed.
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
@@ -97,8 +96,7 @@ class DeflateCoding:
     ``stream_codes[ch]`` is ``(reversed value, length)``, the code in
     stream order: written as an LSB-first field it puts the leftmost
     code bit first.  The block writers and the decoder use it.
-    ``codes`` and ``coding[ch]`` give each code as a tuple of bits,
-    derived once on first use.
+    ``reference.bit_codes`` gives the codes as tuples of bits.
 
     ``table`` (zlib ``inftrees.c``) maps each ``table_bits`` = min(9,
     longest code) stream bits, least significant first, to
@@ -113,13 +111,12 @@ class DeflateCoding:
     ``reference.check_axioms``.
     """
 
-    __slots__ = ("lengths", "values", "max_len", "stream_codes", "table_bits", "table",
-                 "_long_codes", "_longest", "_codes")
+    __slots__ = ("lengths", "values", "stream_codes", "table_bits", "table",
+                 "_long_codes", "_longest")
 
     def __init__(self, lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH):
         self.lengths = lengths = tuple(lengths)
         counts = check_lengths(lengths, max_len)
-        self.max_len = max_len
         next_code = [0] * (max_len + 1)
         for length in range(2, max_len + 1):
             next_code[length] = (next_code[length - 1] + counts[length - 1]) << 1
@@ -146,22 +143,6 @@ class DeflateCoding:
                 table[rev :: 1 << length] = [ch << 4 | length] * (len(table) >> length)
         self.values = tuple(values)
         self.stream_codes = tuple(stream_codes)
-        self._codes: tuple[Bits, ...] | None = None
-
-    @property
-    def codes(self) -> tuple[Bits, ...]:
-        if self._codes is None:
-            self._codes = tuple(
-                tuple([(v >> s) & 1 for s in range(l - 1, -1, -1)])
-                for v, l in zip(self.values, self.lengths)
-            )
-        return self._codes
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    def __getitem__(self, ch: int) -> Bits:
-        return self.codes[ch]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DeflateCoding):

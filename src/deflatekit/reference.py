@@ -4,10 +4,11 @@
 by length, then character): its code values must equal
 ``build_coding``'s, which come from per-length counts, on every vector,
 since canonical codings are unique.
-``kraft_sum`` and ``has_all_ones_code`` state the extended Kraft
-property, and ``check_axioms`` checks the four canonicity rules that
-``prefix_coding`` lists on a raw code table (the paper's map from
-characters to bit sequences), with a witness for each rule that fails.
+``bit_codes`` gives a coding as the paper's map from characters to bit
+sequences.  ``kraft_sum`` and ``has_all_ones_code`` state the extended
+Kraft property, and ``check_axioms`` checks the four canonicity rules
+that ``prefix_coding`` lists on such a code table, with a witness for
+each rule that fails.
 ``LENGTH_TABLE``, ``DISTANCE_TABLE`` and their encode/decode functions
 transcribe RFC 1951 §3.2.5, the spec of ``symbol_tables``' flat tables;
 ``explist_len`` and ``explist_iter`` view a whole ExpList.
@@ -21,12 +22,19 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import DeflateError, InvalidCodepoint, ValueOutOfRange
 from .history_window import ENIL, Econs1, ExpList
-from .prefix_coding import MAX_CODE_LENGTH, Bits, DeflateCoding, check_lengths
+from .prefix_coding import MAX_CODE_LENGTH, DeflateCoding, check_lengths
 from .symbol_tables import MAX_MATCH_LENGTH, MIN_MATCH_LENGTH
+
+Bits = tuple[int, ...]
 
 
 def _bits_of_int(value: int, width: int) -> Bits:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def bit_codes(coding: DeflateCoding) -> tuple[Bits, ...]:
+    """Each character's code as a tuple of bits, leftmost first; () for no code."""
+    return tuple(map(_bits_of_int, coding.values, coding.lengths))
 
 
 def _int_of_bits(bits: Sequence[int]) -> int:
@@ -71,7 +79,7 @@ def has_all_ones_code(coding: DeflateCoding) -> bool:
     For codings built from a length vector this happens exactly when
     the Kraft sum saturates at 1.
     """
-    return any(code and all(b == 1 for b in code) for code in coding.codes)
+    return any(code and all(b == 1 for b in code) for code in bit_codes(coding))
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,8 @@ class AxiomReport:
 def check_axioms(codes: Sequence[Sequence[int]]) -> AxiomReport:
     """Check the four canonicity rules on a code table, with witnesses for failures.
 
-    ``codes[ch]`` is the bit sequence of character ch, () for none; a
-    coding's ``codes`` view is such a table.
+    ``codes[ch]`` is the bit sequence of character ch, () for none;
+    ``bit_codes`` of a coding is such a table.
     """
     nonempty = [(ch, tuple(code)) for ch, code in enumerate(codes) if code]
 

@@ -32,6 +32,8 @@ periodic runs are spelled.  Distances never exceed ``WINDOW_SIZE``.
 
 from __future__ import annotations
 
+import enum
+
 from .errors import InvalidCodepoint, ValueOutOfRange
 
 MIN_MATCH_LENGTH = 3
@@ -53,6 +55,14 @@ DISTANCE_CODES = (
     (10, 2049), (10, 3073), (11, 4097), (11, 6145),
     (12, 8193), (12, 12289), (13, 16385), (13, 24577),
 )
+
+
+# The two-bit BTYPE field of a block header; 3 is reserved.
+class BlockType(enum.IntEnum):
+    STORED = 0
+    STATIC = 1
+    DYNAMIC = 2
+
 
 # Order in which the code-length coding's own code lengths are stored
 # in a dynamic block header.

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import english_text
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -31,6 +33,8 @@ def test_every_traced_attribute_resolves(traced):
 
 
 # (input, spans its round trip must open, the block count it must give).
+# Only decoder-side counts are asserted: the writer hooks trace the static
+# and stored writers, so a dynamic block adds to no compress-side count.
 ROUND_TRIPS = {
     "static": (
         b"hello hello hello " * 100,
@@ -43,6 +47,12 @@ ROUND_TRIPS = {
         {"compress.write_stored_block", "inflate.parse_stored_block",
          "history_window.ring_push_bytes"},
         "inflate.blocks_stored",
+    ),
+    "dynamic": (
+        english_text(2000),
+        {"inflate.parse_dynamic_header", "prefix_coding.build_coding",
+         "inflate.decode_tokens", "history_window.resolve_tokens_ring"},
+        "inflate.blocks_dynamic",
     ),
 }
 

@@ -11,7 +11,8 @@ from deflatekit.compress import deflate, tokenize
 from deflatekit.gzip_container import gzip_compress
 from deflatekit.symbol_tables import BackRef, Literal
 
-from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT
+from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding
+from deflatekit.reference import bit_codes
 
 from conftest import GOLDEN_PLAINTEXT, GOLDEN_STATIC_BYTES, english_text, write_code_msb
 
@@ -61,6 +62,15 @@ def test_dump_coding(capsys):
     assert main(["dump-coding", "2,1,3,3,0"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["0: 10", "1: 0", "2: 110", "3: 111", "4: (absent)"]
+    # Values below the top of their length keep their leading zeros.
+    assert main(["dump-coding", "2,2,2,2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0: 00", "1: 01", "2: 10", "3: 11"]
+    # Every length 1..15: each line is the reference model's bit tuple.
+    lengths = list(range(1, 16)) + [15]
+    assert main(["dump-coding", ",".join(map(str, lengths))]) == 0
+    expected = [f"{ch}: {''.join(map(str, code))}"
+                for ch, code in enumerate(bit_codes(build_coding(lengths)))]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_dump_coding_rejects_garbage():
@@ -196,10 +206,11 @@ def test_dump_tokens_stored_then_static_exact_lines(tmp_path, capsys):
     sink.write_bytes_aligned(b"hi")
     sink.write_bits_lsb(1, 1)
     sink.write_bits_lsb(1, 2)
-    write_code_msb(sink, FIXED_LIT[ord("!")])
-    write_code_msb(sink, FIXED_LIT[257])  # length 3
-    write_code_msb(sink, FIXED_DIST[1])  # distance 2
-    write_code_msb(sink, FIXED_LIT[256])
+    lit, dist = bit_codes(FIXED_LIT), bit_codes(FIXED_DIST)
+    write_code_msb(sink, lit[ord("!")])
+    write_code_msb(sink, lit[257])  # length 3
+    write_code_msb(sink, dist[1])  # distance 2
+    write_code_msb(sink, lit[256])
     stream = tmp_path / "two.raw"
     stream.write_bytes(sink.to_bytes())
     assert main(["dump-tokens", str(stream)]) == 0

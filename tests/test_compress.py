@@ -45,6 +45,7 @@ from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, MAX_CL_CODE_LENGTH, 
 from deflatekit.reference import (
     DISTANCE_TABLE,
     MAX_DISTANCE,
+    bit_codes,
     check_axioms,
     distance_encode,
     length_encode,
@@ -638,7 +639,7 @@ def assert_dynamic_codings_are_canonical(stream: bytes) -> tuple:
     header = parse_dynamic_header(BitCursor(stream, 3)).value
     codings = (header.cl_coding, header.lit_coding, header.dist_coding)
     for coding in codings:
-        assert check_axioms(coding.codes).all_pass
+        assert check_axioms(bit_codes(coding)).all_pass
     return codings
 
 

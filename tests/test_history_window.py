@@ -213,8 +213,9 @@ def tokens_of(text: str):
 
 def both_resolvers(tokens):
     queue_bytes, _ = resolve_tokens(tokens, QueueOfDoom())
-    ring_bytes, _ = resolve_tokens_ring(tokens, RingWindow())
-    assert queue_bytes == ring_bytes
+    ring = RingWindow()
+    resolve_tokens_ring(tokens, ring)
+    assert queue_bytes == ring
     return queue_bytes
 
 
@@ -233,8 +234,9 @@ def test_overlapping_copies_lengthen_runs():
 def test_end_of_block_produces_nothing():
     out, _ = resolve_tokens([Literal(65), END_OF_BLOCK, Literal(66)], QueueOfDoom())
     assert out == b"AB"
-    out, _ = resolve_tokens_ring([END_OF_BLOCK], RingWindow())
-    assert out == b""
+    ring = RingWindow()
+    assert resolve_tokens_ring([END_OF_BLOCK], ring) is None  # it grows ring in place
+    assert ring == b""
 
 
 def test_distance_beyond_history_raises():
@@ -259,8 +261,8 @@ def test_queue_rotation_can_cut_off_a_long_reach_mid_copy():
 
 
 def test_resolution_is_splittable():
-    # Resolving a stream in two calls through the returned window equals
-    # one call: the window carries the whole state.
+    # Resolving a stream in two calls through the window equals one
+    # call: the window carries the whole state.
     tokens = tokens_of("ananas_b<5,8><3,7>tata<20,20><3,1>")
     whole, _ = resolve_tokens(tokens, QueueOfDoom())
     for cut in range(len(tokens) + 1):
@@ -268,9 +270,10 @@ def test_resolution_is_splittable():
         second, _ = resolve_tokens(tokens[cut:], q)
         assert first + second == whole
         ring = RingWindow()
-        first, ring = resolve_tokens_ring(tokens[:cut], ring)
-        second, _ = resolve_tokens_ring(tokens[cut:], ring)
-        assert first + second == whole
+        resolve_tokens_ring(tokens[:cut], ring)
+        assert ring == first
+        resolve_tokens_ring(tokens[cut:], ring)
+        assert ring == whole
 
 
 def random_token_stream(rng: random.Random, count: int, max_length: int = 30):
@@ -296,8 +299,9 @@ def test_window_shapes_agree_on_random_streams():
     for _ in range(30):
         tokens = random_token_stream(rng, 400)
         queue_bytes, queue = resolve_tokens(tokens, queue)
-        ring_bytes, ring = resolve_tokens_ring(tokens, ring)
-        assert queue_bytes == ring_bytes
+        start = len(ring)
+        resolve_tokens_ring(tokens, ring)
+        assert queue_bytes == ring[start:]
 
 
 def test_window_shapes_agree_past_the_window_boundary():
@@ -355,9 +359,10 @@ def test_slice_copies_match_the_queue_across_batches():
             total += length
         if batch % 3 == 2:
             tokens.append(END_OF_BLOCK)
-        ring_bytes, ring = resolve_tokens_ring(tokens, ring)
+        start = len(ring)
+        resolve_tokens_ring(tokens, ring)
         queue_bytes, queue = resolve_tokens(tokens, queue)
-        assert ring_bytes == queue_bytes
+        assert ring[start:] == queue_bytes
         produced = total
         history, kept = min(len(ring), cap), bytes(ring)
         assert history == min(produced, cap)

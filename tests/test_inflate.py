@@ -33,7 +33,12 @@ from deflatekit.inflate import (
     parse_stored_block,
 )
 from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding
-from deflatekit.reference import InvalidLengthExtra, distance_decode, length_decode
+from deflatekit.reference import (
+    InvalidLengthExtra,
+    bit_codes,
+    distance_decode,
+    length_decode,
+)
 from deflatekit.symbol_tables import (
     CL_CODE_ORDER,
     DISTANCE_CODES,
@@ -57,6 +62,9 @@ from conftest import (
     reference_deflate,
     write_code_msb,
 )
+
+FIXED_LIT_CODES = bit_codes(FIXED_LIT)
+FIXED_DIST_CODES = bit_codes(FIXED_DIST)
 
 GOLDEN_TOKENS = [
     Literal(97),
@@ -110,7 +118,7 @@ def test_golden_dynamic_header_contents():
     assert isinstance(outcome, Parsed)
     header = outcome.value
     assert (header.hlit, header.hdist, header.hclen) == (260, 6, 18)
-    cl_codes = {ch: code for ch, code in enumerate(header.cl_coding.codes) if code}
+    cl_codes = {ch: code for ch, code in enumerate(bit_codes(header.cl_coding)) if code}
     assert cl_codes == {
         0: (1, 0, 0),
         1: (1, 1, 1, 0),
@@ -120,7 +128,7 @@ def test_golden_dynamic_header_contents():
         17: (1, 0, 1),
         18: (1, 1, 0),
     }
-    lit_codes = {ch: code for ch, code in enumerate(header.lit_coding.codes) if code}
+    lit_codes = {ch: code for ch, code in enumerate(bit_codes(header.lit_coding)) if code}
     assert lit_codes == {
         95: (1, 1, 0, 0),
         97: (0, 1, 0),
@@ -132,7 +140,7 @@ def test_golden_dynamic_header_contents():
         257: (0, 0),
         259: (1, 1, 1, 1),
     }
-    dist_codes = {ch: code for ch, code in enumerate(header.dist_coding.codes) if code}
+    dist_codes = {ch: code for ch, code in enumerate(bit_codes(header.dist_coding)) if code}
     assert dist_codes == {1: (0,), 5: (1,)}
     # 14 bits of counts, 18 three-bit code-length lengths, 82 bits of lengths;
     # the tokens start at bit 3 + 150.
@@ -282,7 +290,7 @@ def test_stored_then_static_multiblock():
     sink.write_bytes_aligned(b"ok")
     sink.write_bits_lsb(1, 1)  # final static block holding only EOB
     sink.write_bits_lsb(1, 2)
-    write_code_msb(sink, FIXED_LIT[256])
+    write_code_msb(sink, FIXED_LIT_CODES[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome.value == b"ok"
     assert outcome.consumed_bits == sink.bit_length
@@ -312,8 +320,9 @@ RLE_EXTRA_BITS = {16: 2, 17: 3, 18: 7}
 
 
 def write_rle(sink: BitSink, coding, ops):
+    codes = bit_codes(coding)
     for sym, extra in ops:
-        write_code_msb(sink, coding[sym])
+        write_code_msb(sink, codes[sym])
         if sym in RLE_EXTRA_BITS:
             sink.write_bits_lsb(extra, RLE_EXTRA_BITS[sym])
 
@@ -367,7 +376,7 @@ def test_empty_distance_coding_fails_only_when_used():
     )
     header = parse_dynamic_header(BitCursor(sink.to_bytes(), 3))
     assert isinstance(header, Parsed)
-    assert all(code == () for code in header.value.dist_coding.codes)
+    assert all(code == () for code in bit_codes(header.value.dist_coding))
 
     write_code_msb(sink, (0,))  # 'a'
     write_code_msb(sink, (1, 1))  # codepoint 257: now a distance must follow
@@ -459,7 +468,7 @@ def test_incomplete_codings_are_accepted_unlike_zlib():
 
 def test_repeat_without_previous_length():
     sink, cl = start_dynamic({16: 1, 0: 2, 1: 2}, 0, 0)
-    fail_after = sink.bit_length + len(cl[16])
+    fail_after = sink.bit_length + cl.lengths[16]
     write_rle(sink, cl, [(16, 0)])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome == NoParse(FailReason.REPEAT_WITHOUT_PREVIOUS, fail_after)
@@ -538,10 +547,9 @@ def test_parse_cl_lengths_wire_order_and_domain():
     assert header.hclen == 4
     expected = [0] * 19
     expected[16], expected[18], expected[0] = 3, 5, 2
-    assert [len(code) for code in header.cl_coding.codes] == expected
-    assert header.cl_coding.max_len == 7
-    assert len(header.lit_coding) == 257 and not any(header.lit_coding.codes)
-    assert len(header.dist_coding) == 1 and not any(header.dist_coding.codes)
+    assert [len(code) for code in bit_codes(header.cl_coding)] == expected
+    assert len(header.lit_coding.lengths) == 257 and not any(bit_codes(header.lit_coding))
+    assert len(header.dist_coding.lengths) == 1 and not any(bit_codes(header.dist_coding))
 
 
 # -- token-level failures in static blocks --------------------------------
@@ -552,7 +560,7 @@ def static_sink(*codepoints: int) -> BitSink:
     sink.write_bits_lsb(1, 1)
     sink.write_bits_lsb(1, 2)
     for cp in codepoints:
-        write_code_msb(sink, FIXED_LIT[cp])
+        write_code_msb(sink, FIXED_LIT_CODES[cp])
     return sink
 
 
@@ -601,8 +609,8 @@ def test_length_codepoint_284_with_extra_30_is_length_257():
     # 'a', then 256 more copies via <257, 1>, then end of block.
     sink = static_sink(97, 284)
     sink.write_bits_lsb(30, 5)
-    write_code_msb(sink, FIXED_DIST[0])
-    write_code_msb(sink, FIXED_LIT[256])
+    write_code_msb(sink, FIXED_DIST_CODES[0])
+    write_code_msb(sink, FIXED_LIT_CODES[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome.value == b"a" * 258
     assert zlib.decompress(sink.to_bytes(), -15) == b"a" * 258
@@ -612,7 +620,7 @@ def test_distance_codepoints_30_and_31_are_invalid_in_data():
     for dcp in (30, 31):
         sink = static_sink(97, 257)
         fail_at = sink.bit_length
-        write_code_msb(sink, FIXED_DIST[dcp])
+        write_code_msb(sink, FIXED_DIST_CODES[dcp])
         outcome = parse_deflate(BitCursor(sink.to_bytes()))
         assert outcome == NoParse(
             FailReason.INVALID_DISTANCE_CODEPOINT, fail_at, f"codepoint {dcp}"
@@ -621,9 +629,9 @@ def test_distance_codepoints_30_and_31_are_invalid_in_data():
 
 def test_distance_reaching_past_produced_output():
     sink = static_sink(97, 257)  # one byte produced, then length 3
-    write_code_msb(sink, FIXED_DIST[1])  # distance 2
+    write_code_msb(sink, FIXED_DIST_CODES[1])  # distance 2
     fail_at = sink.bit_length
-    write_code_msb(sink, FIXED_LIT[256])
+    write_code_msb(sink, FIXED_LIT_CODES[256])
     outcome = parse_deflate(BitCursor(sink.to_bytes()))
     assert outcome == NoParse(
         FailReason.DISTANCE_TOO_FAR, fail_at, "distance 2 with only 1 bytes produced"
@@ -814,8 +822,8 @@ def test_zlib_takes_284_with_extra_31_as_258_where_we_fail_at_bit_24():
     # 'a', then 284 + extra 31 at distance 1, then end of block.
     sink = static_sink(97, 284)
     sink.write_bits_lsb(31, 5)
-    write_code_msb(sink, FIXED_DIST[0])
-    write_code_msb(sink, FIXED_LIT[256])
+    write_code_msb(sink, FIXED_DIST_CODES[0])
+    write_code_msb(sink, FIXED_LIT_CODES[256])
     stream = sink.to_bytes()
     assert zlib.decompress(stream, -15) == b"a" * 259
     reason, detail = EARLY_284
@@ -909,8 +917,9 @@ def write_random_tokens(sink: BitSink, rng: random.Random, lit, dist) -> None:
     distance code follows each of them; codepoints 286/287 and distance
     codes 30/31 are drawn whenever the codings have them.
     """
-    lit_syms = [s for s, code in enumerate(lit.codes) if code]
-    dist_syms = [s for s, code in enumerate(dist.codes) if code]
+    lit_codes, dist_codes = bit_codes(lit), bit_codes(dist)
+    lit_syms = [s for s, code in enumerate(lit_codes) if code]
+    dist_syms = [s for s, code in enumerate(dist_codes) if code]
     for _ in range(rng.randrange(41)):
         if not lit_syms:
             return
@@ -921,11 +930,11 @@ def write_random_tokens(sink: BitSink, rng: random.Random, lit, dist) -> None:
             sym = rng.randrange(257, 288)
         else:
             sym = rng.choice(lit_syms)
-        if sym >= len(lit.codes):
+        if sym >= len(lit_codes):
             continue
-        if not lit.codes[sym]:
+        if not lit_codes[sym]:
             continue
-        write_code_msb(sink, lit.codes[sym])
+        write_code_msb(sink, lit_codes[sym])
         if sym == 256:
             return
         if sym <= 256:
@@ -938,11 +947,11 @@ def write_random_tokens(sink: BitSink, rng: random.Random, lit, dist) -> None:
             sink.write_bits_lsb(rng.randrange(8), 3)
             continue
         dsym = rng.choice(dist_syms) if rng.random() < 0.5 else dist_syms[0]
-        write_code_msb(sink, dist.codes[dsym])
+        write_code_msb(sink, dist_codes[dsym])
         width = distance_extra_bits(dsym) if dsym < 30 else 0
         sink.write_bits_lsb(rng.randrange(1 << width), width)
-    if 256 < len(lit.codes) and lit.codes[256]:
-        write_code_msb(sink, lit.codes[256])
+    if 256 < len(lit_codes) and lit_codes[256]:
+        write_code_msb(sink, lit_codes[256])
 
 
 def random_static_block(rng: random.Random) -> bytes:
@@ -968,7 +977,7 @@ def dynamic_block(lit_lengths: list, dist_lengths: list):
     sink.write_bits_lsb(19 - 4, 4)
     for sym in CL_CODE_ORDER:
         sink.write_bits_lsb(4 if sym < 16 else 0, 3)
-    cl = build_coding([4] * 16 + [0] * 3, 7)
+    cl = bit_codes(build_coding([4] * 16 + [0] * 3, 7))
     for length in lit_lengths + dist_lengths:
         write_code_msb(sink, cl[length])
     return sink, build_coding(lit_lengths), build_coding(dist_lengths)
@@ -994,15 +1003,16 @@ def long_codes_stream():
     lit_lengths = [0] * 259
     lit_lengths[97], lit_lengths[257], lit_lengths[98], lit_lengths[256] = 1, 2, 15, 15
     sink, lit, dist = dynamic_block(lit_lengths, [15, 1])  # distance 1: 15 bits, 2: 1 bit
+    lit_codes, dist_codes = bit_codes(lit), bit_codes(dist)
     tokens = [Literal(97), Literal(98), BackRef(3, 1), BackRef(3, 2)] * 40 + [END_OF_BLOCK]
     for t in tokens:
         if type(t) is Literal:
-            write_code_msb(sink, lit[t.value])
+            write_code_msb(sink, lit_codes[t.value])
         elif type(t) is BackRef:
-            write_code_msb(sink, lit[257])
-            write_code_msb(sink, dist[t.distance - 1])
+            write_code_msb(sink, lit_codes[257])
+            write_code_msb(sink, dist_codes[t.distance - 1])
         else:
-            write_code_msb(sink, lit[256])
+            write_code_msb(sink, lit_codes[256])
     return sink, tokens
 
 
@@ -1100,32 +1110,33 @@ def write_coded_tokens(sink: BitSink, rng: random.Random, lit, dist, count: int)
     literal.
     """
     lit_syms = [s for s in range(256) if lit.lengths[s]]
-    len_syms = [s for s in range(257, min(len(lit), 286)) if lit.lengths[s]]
-    dist_syms = [s for s in range(min(len(dist), 30)) if dist.lengths[s]]
+    len_syms = [s for s in range(257, min(len(lit.lengths), 286)) if lit.lengths[s]]
+    dist_syms = [s for s in range(min(len(dist.lengths), 30)) if dist.lengths[s]]
+    lit_codes, dist_codes = bit_codes(lit), bit_codes(dist)
     tokens = []
     produced = 0
     for _ in range(count):
         reachable = [d for d in dist_syms if DISTANCE_CODES[d][1] <= produced]
         if not (len_syms and reachable and rng.random() < 0.4):
             sym = rng.choice(lit_syms)
-            write_code_msb(sink, lit[sym])
+            write_code_msb(sink, lit_codes[sym])
             tokens.append(Literal(sym))
             produced += 1
             continue
         sym = rng.choice(len_syms)
         width, length = LENGTH_CODES[sym - 257]
         extra = rng.randrange((1 << width) - (sym == 284))  # 284 + 31 is invalid
-        write_code_msb(sink, lit[sym])
+        write_code_msb(sink, lit_codes[sym])
         sink.write_bits_lsb(extra, width)
         length += extra
         dsym = rng.choice(reachable)
         width, distance = DISTANCE_CODES[dsym]
         extra = rng.randrange(min(1 << width, produced - distance + 1))
-        write_code_msb(sink, dist[dsym])
+        write_code_msb(sink, dist_codes[dsym])
         sink.write_bits_lsb(extra, width)
         tokens.append(BackRef(length, distance + extra))
         produced += length
-    write_code_msb(sink, lit[256])
+    write_code_msb(sink, lit_codes[256])
     return tokens + [END_OF_BLOCK]
 
 

@@ -36,6 +36,7 @@ from deflatekit.prefix_coding import (
 )
 from deflatekit.reference import (
     AxiomReport,
+    bit_codes,
     build_coding_sorted,
     check_axioms,
     has_all_ones_code,
@@ -49,8 +50,8 @@ def fraction_sum(lengths) -> Fraction:
     return sum((Fraction(1, 2 ** l) for l in lengths if l > 0), Fraction(0))
 
 
-def slow_decode(coding: DeflateCoding, data: bytes, pos: int, bit_end=None):
-    """Read one code by scanning the table; (char, new pos) or exception.
+def slow_decode(codes, data: bytes, pos: int, bit_end=None):
+    """Read one code by scanning a ``bit_codes`` table; (char, new pos) or exception.
 
     Compares the accumulated bits against every code at each step, with
     neither the lookup table nor the stream-code dict the real decoder
@@ -61,7 +62,7 @@ def slow_decode(coding: DeflateCoding, data: bytes, pos: int, bit_end=None):
     """
     if bit_end is None:
         bit_end = 8 * len(data)
-    longest = max(map(len, coding.codes), default=0)
+    longest = max(map(len, codes), default=0)
     got = []
     while len(got) < longest:
         if pos >= bit_end:
@@ -69,7 +70,7 @@ def slow_decode(coding: DeflateCoding, data: bytes, pos: int, bit_end=None):
         got.append((data[pos >> 3] >> (pos & 7)) & 1)
         pos += 1
         prefix = tuple(got)
-        exact = [ch for ch, code in enumerate(coding.codes) if code == prefix]
+        exact = [ch for ch, code in enumerate(codes) if code == prefix]
         if exact:
             return exact[0], pos
     raise BadCode(pos - len(got))
@@ -80,9 +81,22 @@ def slow_decode(coding: DeflateCoding, data: bytes, pos: int, bit_end=None):
 
 def test_worked_example_codes():
     coding = build_coding([2, 1, 3, 3, 0])
-    assert coding.codes == ((1, 0), (0,), (1, 1, 0), (1, 1, 1), ())
+    assert bit_codes(coding) == ((1, 0), (0,), (1, 1, 0), (1, 1, 1), ())
     assert coding.lengths == (2, 1, 3, 3, 0)
     assert coding.values == (0b10, 0b0, 0b110, 0b111, 0)
+
+
+def test_a_coding_holds_only_what_the_codec_reads():
+    # The bit-tuple view is reference.bit_codes; a coding is its integers.
+    assert DeflateCoding.__slots__ == (
+        "lengths", "values", "stream_codes", "table_bits", "table", "_long_codes", "_longest"
+    )
+    for name in ("codes", "max_len", "__getitem__", "__len__"):
+        assert not hasattr(FIXED_LIT, name), name
+    with pytest.raises(TypeError):
+        FIXED_LIT[0]
+    with pytest.raises(TypeError):
+        len(FIXED_LIT)
 
 
 def test_worked_example_via_counting():
@@ -103,7 +117,7 @@ def test_constructions_agree_on_random_vectors():
         coding = DeflateCoding(lengths)
         assert coding == build_coding(lengths)
         assert coding.values == build_coding_sorted(lengths)
-        assert [len(code) for code in coding.codes] == lengths
+        assert [len(code) for code in bit_codes(coding)] == lengths
 
 
 def build_coding_vectors():
@@ -141,7 +155,7 @@ def test_build_coding_outcomes_match_the_pinned_digest():
         except DeflateError as e:
             line = f"error {type(e).__name__} {e}"
         else:
-            line = f"ok {coding.max_len} {coding.codes}"
+            line = f"ok {max_len} {bit_codes(coding)}"
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == PINNED_BUILD_CODING_SHA256
 
@@ -295,7 +309,7 @@ def test_code_lengths_validation():
 def test_constructed_codings_satisfy_all_axioms():
     rng = random.Random(12)
     for _ in range(200):
-        report = check_axioms(build_coding(random_code_lengths(rng)).codes)
+        report = check_axioms(bit_codes(build_coding(random_code_lengths(rng))))
         assert isinstance(report, AxiomReport)
         assert report.all_pass
         assert report.failing_axioms() == ()
@@ -347,7 +361,7 @@ def test_encode_decode_round_trip_every_character():
     for _ in range(60):
         lengths = random_code_lengths(rng, max_alphabet=80)
         coding = build_coding(lengths)
-        for ch, code in enumerate(coding.codes):
+        for ch, code in enumerate(bit_codes(coding)):
             assert len(code) == lengths[ch]
             if not code:
                 continue
@@ -363,10 +377,11 @@ def test_decode_against_slow_reference():
     checked = failures = 0
     for _ in range(150):
         coding = build_coding(random_code_lengths(rng, max_alphabet=60))
+        codes = bit_codes(coding)
         data = rng.randbytes(6)
         for start in range(8):
             try:
-                expected = slow_decode(coding, data, start)
+                expected = slow_decode(codes, data, start)
             except (BadCode, EndOfInput) as e:
                 failures += 1
                 with pytest.raises(type(e)) as err:
@@ -380,14 +395,15 @@ def test_decode_against_slow_reference():
 
 def symbol_stream(coding: DeflateCoding, rng: random.Random, count: int) -> bytes:
     """Codes of random characters, every code length equally likely."""
+    codes = bit_codes(coding)
     by_length: dict[int, list[int]] = {}
-    for ch, code in enumerate(coding.codes):
+    for ch, code in enumerate(codes):
         if code:
             by_length.setdefault(len(code), []).append(ch)
     sink = BitSink()
     for _ in range(count if by_length else 0):
         chars = by_length[rng.choice(sorted(by_length))]
-        write_code_msb(sink, coding[rng.choice(chars)])
+        write_code_msb(sink, codes[rng.choice(chars)])
     return sink.to_bytes()
 
 
@@ -408,12 +424,13 @@ def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths):
     # after a -1 entry, and the walk with fewer than the table's bits left.
     rng = random.Random(len(lengths))
     coding = build_coding(lengths)
+    codes = bit_codes(coding)
     samples = [symbol_stream(coding, rng, 4) + rng.randbytes(1), rng.randbytes(4)]
     for data in samples:
         for start in range(8 * len(data) + 1):
             for end in range(start, 8 * len(data) + 1):
                 try:
-                    expected = slow_decode(coding, data, start, end)
+                    expected = slow_decode(codes, data, start, end)
                 except (BadCode, EndOfInput) as e:
                     with pytest.raises(type(e)) as err:
                         coding.read_symbol(data, start, end)
@@ -424,7 +441,7 @@ def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths):
 
 def test_decoding_with_no_codes_at_all_fails_at_the_read_position():
     coding = build_coding([0, 0, 0])
-    assert coding.codes == ((), (), ())
+    assert bit_codes(coding) == ((), (), ())
     with pytest.raises(BadCode) as err:
         coding.read_symbol(b"\xff\xff", 5, 16)
     assert err.value.bit_pos == 5
@@ -455,9 +472,10 @@ def test_random_vectors_round_trip_random_symbol_streams(seed):
     coding = build_coding(lengths)
     chars = [ch for ch, l in enumerate(lengths) if l]
     msg = rng.choices(chars, k=30)
+    codes = bit_codes(coding)
     sink = BitSink()
     for ch in msg:
-        write_code_msb(sink, coding.codes[ch])
+        write_code_msb(sink, codes[ch])
     data = sink.to_bytes()
     pos = 0
     seen = []
@@ -477,14 +495,15 @@ def test_stream_codes_put_the_leftmost_code_bit_first():
     rng = random.Random(16)
     codings = [build_coding(random_code_lengths(rng)) for _ in range(200)]
     for coding in codings + [FIXED_LIT, FIXED_DIST]:
-        assert len(coding.stream_codes) == len(coding)
+        codes = bit_codes(coding)
+        assert len(coding.stream_codes) == len(coding.lengths)
         for ch, (rev, length) in enumerate(coding.stream_codes):
-            assert length == coding.lengths[ch] == len(coding[ch])
+            assert length == coding.lengths[ch] == len(codes[ch])
             if not length:
                 continue
             as_field, as_code = BitSink(), BitSink()
             as_field.write_bits_lsb(rev, length)
-            write_code_msb(as_code, coding[ch])
+            write_code_msb(as_code, codes[ch])
             data = as_field.to_bytes()
             assert as_field.bit_length == as_code.bit_length
             assert data == as_code.to_bytes()
@@ -495,25 +514,25 @@ def test_stream_codes_put_the_leftmost_code_bit_first():
 
 
 def test_fixed_lit_coding_lengths_and_spot_codes():
-    coding = FIXED_LIT
-    lengths = [len(c) for c in coding.codes]
+    codes = bit_codes(FIXED_LIT)
+    lengths = [len(c) for c in codes]
     assert lengths == [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8
-    assert coding[0] == (0, 0, 1, 1, 0, 0, 0, 0)
-    assert coding[143] == (1, 0, 1, 1, 1, 1, 1, 1)
-    assert coding[144] == (1, 1, 0, 0, 1, 0, 0, 0, 0)
-    assert coding[255] == (1, 1, 1, 1, 1, 1, 1, 1, 1)
-    assert coding[256] == (0, 0, 0, 0, 0, 0, 0)
-    assert coding[279] == (0, 0, 1, 0, 1, 1, 1)
-    assert coding[280] == (1, 1, 0, 0, 0, 0, 0, 0)
-    assert coding[287] == (1, 1, 0, 0, 0, 1, 1, 1)
+    assert codes[0] == (0, 0, 1, 1, 0, 0, 0, 0)
+    assert codes[143] == (1, 0, 1, 1, 1, 1, 1, 1)
+    assert codes[144] == (1, 1, 0, 0, 1, 0, 0, 0, 0)
+    assert codes[255] == (1, 1, 1, 1, 1, 1, 1, 1, 1)
+    assert codes[256] == (0, 0, 0, 0, 0, 0, 0)
+    assert codes[279] == (0, 0, 1, 0, 1, 1, 1)
+    assert codes[280] == (1, 1, 0, 0, 0, 0, 0, 0)
+    assert codes[287] == (1, 1, 0, 0, 0, 1, 1, 1)
     assert kraft_sum(lengths) == 1
-    assert check_axioms(coding.codes).all_pass
+    assert check_axioms(codes).all_pass
 
 
 def test_fixed_dist_coding_is_five_bit_counting():
-    coding = FIXED_DIST
-    assert len(coding) == 32
-    for ch, code in enumerate(coding.codes):
+    codes = bit_codes(FIXED_DIST)
+    assert len(codes) == 32
+    for ch, code in enumerate(codes):
         assert len(code) == 5
         assert sum(b << (4 - i) for i, b in enumerate(code)) == ch
-    assert check_axioms(coding.codes).all_pass
+    assert check_axioms(codes).all_pass

@@ -10,7 +10,7 @@ imports either, in any spelling of the import statement or through
 fresh interpreter that importing the codec loads neither.  The same
 scan keeps the package pure Python: no module of it may import ``zlib``
 or ``binascii``, whose C checksums and codecs would be a shortcut past
-the code under test.
+the code under test, and the encoder may not import the decoder.
 """
 
 import ast
@@ -81,6 +81,12 @@ def test_no_production_module_imports_reference():
         "gzip_decompress",
         "inflate",
     ]
+
+
+def test_the_encoder_imports_nothing_from_the_decoder():
+    # Both take the RFC 1951 tables, BlockType among them, from symbol_tables.
+    names = imported_modules(ast.parse((PACKAGE / "compress.py").read_text()))
+    assert sorted(n for n in names if n.split(".")[:2] == ["deflatekit", "inflate"]) == []
 
 
 def top_level_names(tree: ast.Module) -> set[str]:

@@ -65,6 +65,7 @@ from deflatekit.inflate import BlockType, FailReason, NoParse, Parsed, iter_bloc
 from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding
 from deflatekit.reference import (
     DISTANCE_TABLE,
+    bit_codes,
     build_coding_sorted,
     check_axioms,
     distance_encode,
@@ -96,11 +97,12 @@ def test_every_length_vector_over_five_characters_up_to_length_five():
             kinds["over-subscribed"] += 1
             continue
         coding = build_coding(lengths)
+        codes = bit_codes(coding)
         assert coding.values == build_coding_sorted(lengths), lengths
-        assert check_axioms(coding.codes).all_pass, lengths
+        assert check_axioms(codes).all_pass, lengths
         assert has_all_ones_code(coding) == (ks == 1), lengths
         kinds["saturated" if ks == 1 else "unsaturated"] += 1
-        for ch, code in enumerate(coding.codes):
+        for ch, code in enumerate(codes):
             if code:
                 sink = BitSink()
                 write_code_msb(sink, code)
@@ -159,18 +161,19 @@ def test_every_single_backref_static_block_behind_a_stored_history():
         {d for extra, base in DISTANCE_TABLE.values() for d in (base, base + (1 << extra) - 1)}
     )
     assert len(distances) == 56
+    lit, dist = bit_codes(FIXED_LIT), bit_codes(FIXED_DIST)
     streams = 0
     for length in range(MIN_MATCH_LENGTH, MAX_MATCH_LENGTH + 1):
         for distance in distances:
             sink = BitSink()
             sink.write_bits_lsb(0b011, 3)  # final, static
             codepoint, extra, width = length_encode(length)
-            write_code_msb(sink, FIXED_LIT[codepoint])
+            write_code_msb(sink, lit[codepoint])
             sink.write_bits_lsb(extra, width)
             codepoint, extra, width = distance_encode(distance)
-            write_code_msb(sink, FIXED_DIST[codepoint])
+            write_code_msb(sink, dist[codepoint])
             sink.write_bits_lsb(extra, width)
-            write_code_msb(sink, FIXED_LIT[256])
+            write_code_msb(sink, lit[256])
             stream = prefix + sink.to_bytes()
             (_, payload, stored_end), (_, tokens, end) = iter_blocks(stream)
             assert (payload, stored_end) == (history, 8 * len(prefix))
