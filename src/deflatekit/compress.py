@@ -21,7 +21,8 @@ is stored uncounted; otherwise only its literals are recounted from its
 tokens.  It plans a dynamic block only where static costs more than the
 least any dynamic block can: 44 header bits (HLIT, HDIST and HCLEN, five
 code-length lengths, 15 bits for 258 or more coded lengths) plus a bit
-per symbol.  A dynamic block's code lengths are length-limited Huffman
+per symbol and the length and distance extra bits, which both coded
+types pay.  A dynamic block's code lengths are length-limited Huffman
 lengths (``huffman_lengths``), its codes the canonical ones the decoder
 rebuilds from them (``DeflateCoding``), and its plan (``_dynamic_plan``)
 builds and prices its header once; the writer writes that header and
@@ -497,8 +498,9 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     static floor, 8 bits per skipped literal, exceeds storing it; otherwise
     its literals are counted from its tokens.  A dynamic block pays at least
     44 header bits (HLIT/HDIST/HCLEN, five code-length lengths, 258 or more
-    coded lengths), a bit per symbol and static's extra bits, so it is
-    planned only when static exceeds 44 + sum(lit) + sum(dist).
+    coded lengths), a bit per symbol and the extra bits static pays too, so
+    it is planned only when static exceeds 44 + sum(lit) + sum(dist) + the
+    length and distance extra bits: its body priced at one bit per code.
     """
     blocks = []
     tokens = tokenize(data, params, blocks=blocks)
@@ -522,8 +524,8 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
             # Dynamic pays 14 bits of HLIT/HDIST/HCLEN, 5 * 3 of code-length lengths (the end
             # of block's sits past CL_CODE_ORDER's first four), 258 * 8/138 > 14 for its lengths
             # (symbol 18, the cheapest per length: 1+ code bits and 7 extra for at most 138),
-            # then 1+ per symbol.
-            if static > 44 + sum(lit) + sum(dist):
+            # then its body: 1+ code bits per symbol and the extra bits, which static pays too.
+            if static > 44 + _body_bits(lit, dist, (1,) * 286, (1,) * 30):
                 plan = _dynamic_plan(lit, dist)
         if plan is not None and plan[0] < min(static, stored):
             write_dynamic_block(block, final, sink, plan)

@@ -6,8 +6,11 @@ independent decoder.
 """
 
 import hashlib
+import importlib
 import pickle
 import random
+import tracemalloc
+import weakref
 import zlib
 
 import pytest
@@ -15,7 +18,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from deflatekit.bitio import BitCursor, BitSink
-from deflatekit.compress import CompressParams, deflate
+from deflatekit.compress import (
+    CompressParams,
+    _dynamic_plan,
+    deflate,
+    write_dynamic_block,
+    write_static_block,
+)
 from deflatekit.errors import InflateError, ValueOutOfRange
 from deflatekit.history_window import QueueOfDoom, resolve_tokens
 from deflatekit.inflate import (
@@ -56,12 +65,18 @@ from conftest import (
     GOLDEN_PLAINTEXT,
     GOLDEN_STATIC_BYTES,
     GOLDEN_STATIC_CONSUMED,
+    english_text,
+    log_text,
     mixed_corpus_item,
     parse_deflate_queue,
     random_code_lengths,
     reference_deflate,
     write_code_msb,
 )
+from test_compress import symbol_counts
+
+# The package re-exports the function inflate under the module's name.
+inflate_module = importlib.import_module("deflatekit.inflate")
 
 FIXED_LIT_CODES = bit_codes(FIXED_LIT)
 FIXED_DIST_CODES = bit_codes(FIXED_DIST)
@@ -691,6 +706,160 @@ def test_every_byte_truncation_of_the_goldens_runs_out_of_input():
             assert isinstance(outcome, NoParse)
             assert outcome.reason is FailReason.END_OF_INPUT
             assert outcome.bit_pos <= 8 * cut
+
+
+# -- batches, flushes and memory -------------------------------------------
+
+
+def boundary_tokens(n: int) -> list:
+    """n tokens before an end of block: seeded literals and backrefs, the
+    last an overlapping BackRef(12, 5), which is the first token of the
+    second batch, reaching into the first, when n is _TOKEN_CHUNK + 1."""
+    rng = random.Random(n)
+    tokens, produced = [], 0
+    while len(tokens) < n - 1:
+        if produced >= 8 and rng.random() < 0.3:
+            ref = BackRef(rng.randint(3, 40), rng.randint(1, min(produced, 300)))
+            tokens.append(ref)
+            produced += ref.length
+        else:
+            tokens.append(Literal(rng.randrange(256)))
+            produced += 1
+    return tokens + [BackRef(12, 5)]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_blocks_at_a_batch_boundary_split_into_whole_batches(offset):
+    # A static and then a dynamic block, each of _TOKEN_CHUNK + offset
+    # tokens before its end of block: every batch is full but the block's
+    # last, which ends with END_OF_BLOCK, alone when the tokens fill
+    # whole batches.
+    chunk = inflate_module._TOKEN_CHUNK
+    n = chunk + offset
+    block = boundary_tokens(n) + [END_OF_BLOCK]
+    sink = write_static_block(block, False, BitSink())
+    write_dynamic_block(block, True, sink, _dynamic_plan(*symbol_counts(block)))
+    stream = sink.to_bytes()
+    batches = {BlockType.STATIC: [], BlockType.DYNAMIC: []}
+    for header, item, _ in iter_blocks(stream):
+        assert not isinstance(item, NoParse), item
+        batches[header.block_type].append(item)
+    for kind, items in batches.items():
+        assert [len(b) for b in items] == [chunk] * (n // chunk) + [n % chunk + 1], kind
+        assert [t for b in items for t in b] == block, kind
+        assert items[-1][-1] is END_OF_BLOCK, kind
+    plain = resolve_tokens(block, QueueOfDoom())[0] * 2
+    assert inflate(stream) == plain
+    assert inflate(stream + b"\xff junk") == plain
+    outcome = parse_deflate(BitCursor(stream + b"\xff junk"))
+    assert outcome == parse_deflate(BitCursor(stream)) == Parsed(plain, sink.bit_length)
+
+
+def flushed_zlib_stream(data: bytes, every: int, mode: int) -> tuple[bytes, int]:
+    """A raw zlib -6 stream of data flushed with ``mode`` after every
+    ``every`` bytes but the last, and how many flushes it took."""
+    c = zlib.compressobj(6, zlib.DEFLATED, -15)
+    parts, flushes = [], 0
+    for i in range(0, len(data), every):
+        parts.append(c.compress(data[i : i + every]))
+        if i + every < len(data):
+            parts.append(c.flush(mode))
+            flushes += 1
+    return b"".join(parts) + c.flush(), flushes
+
+
+FLUSH_TEXT = english_text(24000, seed=58) + log_text(24000, seed=59)
+
+
+@pytest.mark.parametrize(
+    "every, mode",
+    [(256, zlib.Z_SYNC_FLUSH), (1024, zlib.Z_SYNC_FLUSH), (4096, zlib.Z_SYNC_FLUSH),
+     (len(FLUSH_TEXT) // 2, zlib.Z_FULL_FLUSH)],
+    ids=["sync-256", "sync-1024", "sync-4096", "full-once"],
+)
+def test_flushed_zlib_streams_decode_through_their_empty_stored_blocks(every, mode):
+    # zlib marks each sync or full flush with an empty stored block, which
+    # byte-aligns the stream; the walk sees each one and decodes on.
+    stream, flushes = flushed_zlib_stream(FLUSH_TEXT, every, mode)
+    kinds = [(header.block_type, item) for header, item, _ in iter_blocks(stream)]
+    assert kinds.count((BlockType.STORED, b"")) == flushes
+    assert inflate(stream) == FLUSH_TEXT
+    junk = b"\x00\xff trailing junk"
+    d = zlib.decompressobj(-15)
+    assert d.decompress(stream + junk) == FLUSH_TEXT
+    outcome = parse_deflate(BitCursor(stream + junk))
+    assert outcome == parse_deflate(BitCursor(stream))
+    assert outcome.value == FLUSH_TEXT
+    assert d.unused_data == junk
+    assert (outcome.consumed_bits + 7) // 8 == len(stream)
+
+
+def raw_zlib(data: bytes, level: int, strategy: int = zlib.Z_DEFAULT_STRATEGY) -> bytes:
+    """A raw Deflate stream of data made by stdlib zlib."""
+    c = zlib.compressobj(level, zlib.DEFLATED, -15, 8, strategy)
+    return c.compress(data) + c.flush()
+
+
+def lines_and_runs(size: int, line_share: float) -> bytes:
+    """32-byte lines drawn from a pool of 200, else runs of 8-32 of one
+    letter: few tokens per KiB, most of them backrefs, which a batch
+    holds as objects of their own."""
+    rng = random.Random(60)
+    pool = [english_text(31, seed=s) + b"\n" for s in range(200)]
+    out = bytearray()
+    while len(out) < size:
+        if rng.random() < line_share:
+            out += rng.choice(pool)
+        else:
+            out += bytes([rng.randrange(97, 123)]) * rng.randint(8, 32)
+    return bytes(out[:size])
+
+
+class WatchedBatch(list):
+    """A batch of tokens that a weak reference can watch."""
+
+
+def test_no_batch_is_alive_while_the_next_is_decoded(monkeypatch):
+    # The walk and parse_deflate each drop a batch once it is in the
+    # output, so the next batch is decoded with the last one freed.
+    decode = inflate_module._decode_some
+    batches = []
+
+    def watched(*args):
+        assert [ref() for ref in batches if ref() is not None] == []
+        tokens, *rest = decode(*args)
+        batch = WatchedBatch(tokens)
+        batches.append(weakref.ref(batch))
+        return (batch, *rest)
+
+    monkeypatch.setattr(inflate_module, "_decode_some", watched)
+    data = lines_and_runs(16 * 1024, 0.7)
+    assert inflate(deflate(data)) == data
+    assert len(batches) > 2
+
+
+@pytest.mark.parametrize("producer", ["deflate", "zlib -9", "zlib rle"])
+def test_decoding_holds_its_output_and_one_batch(producer):
+    # The decode's peak is the output buffer with up to an eighth over-
+    # allocated, the bytes copy returned, and 32 KiB for one batch of
+    # backrefs (up to about 90 bytes each) and the decoder's tables.  Two
+    # batches of 4,096 tokens alive at once exceed it on each stream.
+    # Z_RLE codes only distance-1 runs, so its input is all runs.
+    data = lines_and_runs(128 * 1024, 0.0 if producer == "zlib rle" else 0.7)
+    if producer == "deflate":
+        stream = deflate(data)
+    elif producer == "zlib -9":
+        stream = raw_zlib(data, 9)
+    else:
+        stream = raw_zlib(data, 6, zlib.Z_RLE)
+    tracemalloc.start()
+    try:
+        out = inflate(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == data
+    assert peak <= 2.125 * len(data) + 32 * 1024, peak
 
 
 # -- global properties ----------------------------------------------------

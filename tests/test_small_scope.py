@@ -27,10 +27,10 @@ Alloy):
   ff of length 0-6, under block limits 1, 3 and the default: tokenize
   equals the reference matcher, each block is written at its exact price
   as the cheapest type, no dynamic block costs less than 44 bits plus
-  one per symbol, the stream keeps the stored bound, decodes back in our
-  decoder and in zlib, and consumes exactly the bits written whatever
-  follows it; the block of each one-block stream also parses back when
-  written by each of the three writers;
+  one per symbol and its extra bits, the stream keeps the stored bound,
+  decodes back in our decoder and in zlib, and consumes exactly the bits
+  written whatever follows it; the block of each one-block stream also
+  parses back when written by each of the three writers;
 * the bytes a0..cf followed by every string over ``ab`` of length 0-8,
   under block limits 24, 40 and the default, which reach the matcher's
   skip rule: the same checks, except that a block whose static floor
@@ -82,7 +82,7 @@ from deflatekit.symbol_tables import (
 )
 
 from conftest import reference_tokenize, write_code_msb
-from test_compress import symbol_counts, written_blocks
+from test_compress import dynamic_floor, symbol_counts, written_blocks
 
 
 def test_every_length_vector_over_five_characters_up_to_length_five():
@@ -255,10 +255,10 @@ def assert_cheapest_blocks(data, params, plans):
     to storing is stored unpriced, and any other is written at its exact
     price as the cheapest type (path "recounted" if it has skipped literals,
     else "unskipped") and no dynamic block of its counts costs less than 44
-    bits plus one per symbol; the stream keeps the stored bound, and decodes
-    in our decoder and in zlib to data in exactly the bits written, whatever
-    follows it.  ``plans`` caches plans by counts: short blocks repeat
-    theirs, and a plan takes about 0.1 ms.
+    bits plus one per symbol and its extra bits; the stream keeps the stored
+    bound, and decodes in our decoder and in zlib to data in exactly the
+    bits written, whatever follows it.  ``plans`` caches plans by counts:
+    short blocks repeat theirs, and a plan takes about 0.1 ms.
     """
     blocks = []
     tokens = tokenize(data, params, blocks=blocks)
@@ -275,7 +275,7 @@ def assert_cheapest_blocks(data, params, plans):
             key = (tuple(lit), tuple(dist))
             if key not in plans:
                 plans[key] = _dynamic_plan(lit, dist)
-                assert plans[key][0] >= 44 + sum(lit) + sum(dist), data
+                assert plans[key][0] >= dynamic_floor(lit, dist), data
             plan = plans[key]
             price = {STATIC: _static_cost_bits(lit, dist), STORED: stored, DYNAMIC: plan[0]}
             kind = min(TIE_ORDER, key=price.__getitem__)
