@@ -8,7 +8,10 @@ ties to the smallest distance, else a shared ``Literal``.  After 32
 searched positions in a row without a match it skips ahead, as Snappy
 and LZ4 do: each further miss passes the next ``misses >> 5`` bytes as
 literals that are neither searched nor hashed, so incompressible input
-costs a few thousand searches per 96 KiB instead of one per byte.
+costs a few thousand searches per 96 KiB instead of one per byte.  A
+skipped run still costs one token-list slot per byte: one ``map`` pass
+in C appends the shared ``LITERALS`` objects, through a list's bound
+``__getitem__`` (a tuple's is a slot wrapper, nearly twice as slow).
 
 No match runs past its block's end, so every block but the last covers
 exactly ``block_payload_limit`` input bytes.  ``tokenize`` records each
@@ -106,6 +109,8 @@ _NICE_MATCH = 128
 # bytes_between_hash_lookups and LZ4's skip trigger.
 _SKIP_TRIGGER = 32
 _SKIP_SHIFT = 5
+# LITERALS[b] for a skipped byte b, at C speed.
+_LITERAL_AT = list(LITERALS).__getitem__
 
 
 def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=None):
@@ -124,7 +129,9 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
     literals without searching them, then searches the position after
     them.  Skipped positions are not inserted into the hash chains.  A
     skip stops where the block's last search would be, the count
-    carries across blocks, and any match resets it.
+    carries across blocks, and any match resets it.  Each skipped byte b
+    still takes one slot of the returned list, holding ``LITERALS[b]``
+    itself, as every literal does.
 
     Each block appends ``(stop, lit, dist, skipped, end)`` to ``blocks``,
     if given: the index past its EndOfBlock, its counts of symbols 0..285
@@ -223,7 +230,7 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
                     stop = i + (misses >> _SKIP_SHIFT)
                     if stop > last_search + 1:
                         stop = last_search + 1
-                    tokens.extend(map(literals.__getitem__, data[i:stop]))
+                    tokens.extend(map(_LITERAL_AT, data[i:stop]))
                     skipped += stop - i
                     i = stop
                     # The rolled key skipped these bytes too: start over at i.

@@ -56,6 +56,7 @@ from deflatekit.symbol_tables import (
     END_OF_BLOCK,
     LENGTH_CODES,
     LENGTH_ENCODING,
+    LITERALS,
     MAX_MATCH_LENGTH,
     MIN_MATCH_LENGTH,
     REPEAT_CODES,
@@ -878,6 +879,37 @@ def test_skipping_still_finds_the_copy_at_the_window_edge():
     # long enough that the matcher is skipping when the repeat begins.
     tokens = tokenize(digest_inputs()["wrap"])
     assert any(type(t) is BackRef and t.distance == MAX_DISTANCE for t in tokens)
+
+
+def assert_shared_tokens(tokens) -> None:
+    """Every Literal is LITERALS[value] itself and every end of block END_OF_BLOCK."""
+    for k, t in enumerate(tokens):
+        if type(t) is Literal:
+            assert t is LITERALS[t.value], k
+        elif type(t) is EndOfBlock:
+            assert t is END_OF_BLOCK, k
+
+
+def test_tokens_are_the_shared_literal_and_end_of_block_objects():
+    # The equality checks (reference_tokenize, the golden digests) cannot
+    # tell a shared token from an equal new one, which costs about 40
+    # bytes of peak per literal held.  Random bytes are nearly all skipped
+    # runs.
+    for data in digest_inputs().values():
+        for params in DIGEST_PARAMS.values():
+            assert_shared_tokens(tokenize(data, params))
+    skippy = random.Random(50).randbytes(20000)
+    for limit in (7, 200, DEFAULT_PARAMS.block_payload_limit):
+        blocks = []
+        params = CompressParams(block_payload_limit=limit)
+        assert_shared_tokens(tokenize(skippy, params, blocks=blocks))
+        assert sum(skipped for _, _, _, skipped, _ in blocks) > 0, limit
+    data = digest_inputs()["wrap"]
+    level6 = zlib.compressobj(6, zlib.DEFLATED, -15)
+    for stream in (deflate(data), level6.compress(data) + level6.flush()):
+        for _, item, _ in iter_blocks(stream):
+            if not isinstance(item, bytes):
+                assert_shared_tokens(item)
 
 
 def far_copies(stream: bytes) -> int:

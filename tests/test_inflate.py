@@ -862,6 +862,24 @@ def test_decoding_holds_its_output_and_one_batch(producer):
     assert peak <= 2.125 * len(data) + 32 * 1024, peak
 
 
+def test_compressing_holds_its_token_list_and_chains():
+    # Random bytes are nearly all skipped literals, one shared object per
+    # byte in the token list.  The peak is that list's 8-byte slots, up
+    # to a quarter over-allocated, the two 32,768-slot chain lists, and
+    # 64 KiB for the stored output and the rest.  A list of all the
+    # input's literals built beside it, or a new Literal per byte,
+    # exceeds it.
+    data = random.Random(61).randbytes(96 * 1024)
+    tracemalloc.start()
+    try:
+        stream = deflate(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert zlib.decompress(stream, -15) == data
+    assert peak <= 8 * 1.25 * (len(data) + 1) + 16 * 32768 + 64 * 1024, peak
+
+
 # -- global properties ----------------------------------------------------
 
 
