@@ -109,8 +109,8 @@ _NICE_MATCH = 128
 # bytes_between_hash_lookups and LZ4's skip trigger.
 _SKIP_TRIGGER = 32
 _SKIP_SHIFT = 5
-# LITERALS[b] for a skipped byte b, at C speed.
-_LITERAL_AT = list(LITERALS).__getitem__
+# LITERALS as a list: its bound __getitem__ maps a skipped run at C speed.
+_LITERAL_LIST = list(LITERALS)
 
 
 def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=None):
@@ -140,7 +140,7 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
     """
     tokens = []
     append = tokens.append
-    literals = LITERALS
+    literals = _LITERAL_LIST
     # head[key]: newest position whose three-byte group hashes to key;
     # prev[pos & WINDOW_MASK]: the next older position with pos's key.
     head = [NO_POS] * (1 << HASH_BITS)
@@ -230,7 +230,7 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
                     stop = i + (misses >> _SKIP_SHIFT)
                     if stop > last_search + 1:
                         stop = last_search + 1
-                    tokens.extend(map(_LITERAL_AT, data[i:stop]))
+                    tokens.extend(map(literals.__getitem__, data[i:stop]))
                     skipped += stop - i
                     i = stop
                     # The rolled key skipped these bytes too: start over at i.

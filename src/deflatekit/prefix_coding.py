@@ -63,12 +63,8 @@ def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> lis
     if not 1 <= max_len <= MAX_CODE_LENGTH:
         bound = "at least 1" if max_len < 1 else f"at most {MAX_CODE_LENGTH}"
         raise ValueOutOfRange(f"max_len {max_len} must be {bound}")
-    try:  # iter: bytes() of a buffer such as array("H") would take its raw bytes
-        counts = list(map(bytes(iter(lengths)).count, range(max_len + 1)))
-    except (TypeError, ValueError):  # a length outside 0..255, or not an int
-        counts = [0] * (max_len + 1)
-    # The counts fall short of len(lengths) only if some length is bad: walk to raise at the first.
-    for ch, l in enumerate(lengths) if sum(counts) < len(lengths) else ():
+    counts = [0] * (max_len + 1)
+    for ch, l in enumerate(lengths):
         if not 0 <= l <= max_len:
             if l < 0:
                 raise ValueOutOfRange(f"length {l} of character {ch} is negative")
