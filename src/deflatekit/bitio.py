@@ -12,34 +12,17 @@ here:
 Fields are read straight off the buffer by ``read_bits``, which takes an
 absolute bit position and returns the value with the advanced position,
 so two positions can be subtracted to learn exactly how many bits a
-parse consumed.  ``BitCursor`` is the bounds-checked (buffer, position)
-pair that the public parsers take.
+parse consumed.  Bit 0 is the least significant bit of the first byte,
+and a position may sit exactly at the end, where any further read
+raises ``EndOfInput``.
 """
 
 from __future__ import annotations
 
 from .errors import EndOfInput, ValueOutOfRange
-from .record import Record, set_field
 
 # Widest fixed-width field in the format (stored-block LEN/NLEN).
 MAX_FIELD_BITS = 16
-
-
-class BitCursor(Record):
-    """An immutable read position inside a byte buffer.
-
-    ``bit_pos`` is the absolute bit index; 0 addresses the least
-    significant bit of the first byte.  A cursor may sit exactly at the
-    end of the buffer, where any further ``read_bits`` raises ``EndOfInput``.
-    """
-
-    __slots__ = ("data", "bit_pos")
-
-    def __init__(self, data: bytes, bit_pos: int = 0):
-        if not 0 <= bit_pos <= 8 * len(data):
-            raise ValueOutOfRange(f"bit_pos {bit_pos} outside a {len(data)}-byte buffer")
-        set_field(self, "data", data)
-        set_field(self, "bit_pos", bit_pos)
 
 
 def read_bits(data: bytes, pos: int, n: int, bit_end: int) -> tuple[int, int]:

@@ -83,17 +83,18 @@ class CompressParams(Record):
     ``block_payload_limit`` is the source bytes in every block but the
     last; the default is a multiple of MAX_STORED_BLOCK, so that a
     stored fallback's chunks tile the input as if it were one block.
+    Each must be an int of at least 1, or ValueOutOfRange is raised.
     """
 
     __slots__ = ("max_chain", "block_payload_limit")
 
     def __init__(self, max_chain: int = 128, block_payload_limit: int = 16 * MAX_STORED_BLOCK):
-        if max_chain < 1:
-            raise ValueOutOfRange("max_chain must be at least 1")
-        if block_payload_limit < 1:
-            raise ValueOutOfRange("block_payload_limit must be at least 1")
-        set_field(self, "max_chain", max_chain)
-        set_field(self, "block_payload_limit", block_payload_limit)
+        for name, value in zip(self.__slots__, (max_chain, block_payload_limit)):
+            if not isinstance(value, int):
+                raise ValueOutOfRange(f"{name} must be an int, not {type(value).__name__}")
+            if value < 1:
+                raise ValueOutOfRange(f"{name} must be at least 1")
+            set_field(self, name, value)
 
 
 DEFAULT_PARAMS = CompressParams()

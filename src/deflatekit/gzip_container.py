@@ -22,7 +22,6 @@ from __future__ import annotations
 import struct
 import warnings
 
-from .bitio import BitCursor
 from .compress import CompressParams, DEFAULT_PARAMS, deflate
 from .errors import BadMagic, TrailerMismatch, UnsupportedMethod
 from .inflate import NoParse, parse_deflate
@@ -184,7 +183,7 @@ def gzip_compress(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes
 def gzip_decompress(data: bytes) -> bytes:
     """Decompress the first member of a gzip file, verifying its trailer."""
     start = _parse_header(data)
-    outcome = parse_deflate(BitCursor(data, 8 * start))
+    outcome = parse_deflate(data, 8 * start)
     if isinstance(outcome, NoParse):
         raise outcome.error()
     plaintext = outcome.value

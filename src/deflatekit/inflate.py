@@ -7,9 +7,10 @@ with its reason, the prefix decoder and the bit reader raise ``BadCode``
 and ``EndOfInput``.  ``_no_parse`` is the one place that turns any of
 these into ``NoParse(reason, bit_pos, detail)``.  The public parsers
 (``parse_block_header``, ``parse_stored_block``, ``parse_dynamic_header``,
-``parse_deflate``) take a BitCursor and return a ParseOutcome:
+``parse_deflate``) take ``(data, bit_pos=0)``, a buffer and an absolute
+bit offset in ``0..8 * len(data)``, and return a ParseOutcome:
 ``Parsed(value, consumed_bits)`` or that NoParse; a caller who parses
-on starts at ``cursor.bit_pos + consumed_bits``.  Parsers read strictly
+on starts at ``bit_pos + consumed_bits``.  Parsers read strictly
 left to right and never look past the bits they consume, which gives
 the layer two global properties:
 
@@ -41,13 +42,14 @@ from __future__ import annotations
 
 import enum
 
-from .bitio import BitCursor, read_bits
+from .bitio import read_bits
 from .errors import (
     BadCode,
     DistanceTooFar,
     EndOfInput,
     InflateError,
     KraftViolation,
+    ValueOutOfRange,
 )
 from .prefix_coding import (
     DeflateCoding,
@@ -95,7 +97,7 @@ class FailReason(enum.Enum):
 
 
 class Parsed(Record):
-    """Parsed(value, consumed_bits); parsing on starts at cursor.bit_pos + consumed_bits."""
+    """Parsed(value, consumed_bits); parsing on starts at bit_pos + consumed_bits."""
 
     __slots__ = ("value", "consumed_bits")
 
@@ -167,28 +169,30 @@ def _no_parse(exc: Exception) -> NoParse:
     return NoParse(exc.reason, exc.bit_pos, exc.detail)
 
 
-def _outcome(raw, cursor: BitCursor) -> ParseOutcome:
-    """Run raw(data, pos) -> (value, pos) from a cursor, as a ParseOutcome."""
+def _outcome(raw, data: bytes, bit_pos: int) -> ParseOutcome:
+    """Run raw(data, pos) -> (value, pos) from ``bit_pos``, as a ParseOutcome."""
+    if not 0 <= bit_pos <= 8 * len(data):
+        raise ValueOutOfRange(f"bit_pos {bit_pos} outside a {len(data)}-byte buffer")
     try:
-        value, pos = raw(cursor.data, cursor.bit_pos)
+        value, pos = raw(data, bit_pos)
     except _PARSE_ERRORS as e:
         return _no_parse(e)
-    return Parsed(value, pos - cursor.bit_pos)
+    return Parsed(value, pos - bit_pos)
 
 
-def parse_block_header(cursor: BitCursor) -> ParseOutcome:
+def parse_block_header(data: bytes, bit_pos: int = 0) -> ParseOutcome:
     """One bit of is-final, two bits of block type (reserved value fails)."""
-    return _outcome(_block_header, cursor)
+    return _outcome(_block_header, data, bit_pos)
 
 
-def parse_stored_block(cursor: BitCursor) -> ParseOutcome:
+def parse_stored_block(data: bytes, bit_pos: int = 0) -> ParseOutcome:
     """Byte-align, LEN, one's-complement NLEN, then LEN raw bytes."""
-    return _outcome(_stored_block, cursor)
+    return _outcome(_stored_block, data, bit_pos)
 
 
-def parse_dynamic_header(cursor: BitCursor) -> ParseOutcome:
+def parse_dynamic_header(data: bytes, bit_pos: int = 0) -> ParseOutcome:
     """HLIT/HDIST/HCLEN counts, the code-length coding, both codings."""
-    return _outcome(_dynamic_header, cursor)
+    return _outcome(_dynamic_header, data, bit_pos)
 
 
 def _block_header(data: bytes, pos: int) -> tuple[BlockHeader, int]:
@@ -382,7 +386,7 @@ def _decode_some(
 
 def _parsed(parse, data: bytes, pos: int):
     """Run a public parser at ``pos``: (value, end bit), or its NoParse raised as _Fail."""
-    outcome = parse(BitCursor(data, pos))
+    outcome = parse(data, pos)
     if isinstance(outcome, NoParse):
         raise _Fail(outcome.reason, outcome.bit_pos, outcome.detail)
     return outcome.value, pos + outcome.consumed_bits
@@ -402,7 +406,8 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
     Every distance is checked against all the output produced so far.
     A malformed stream ends the walk with one item, a NoParse from the
     one ``except`` below, paired with the header of the block it broke
-    in, or with None if a block header failed.
+    in, or with None if a block header failed.  A ``bit_pos`` outside
+    the buffer raises ValueOutOfRange at the first step.
     """
     bit_end = 8 * len(data)
     pos = bit_pos
@@ -478,7 +483,7 @@ def resolve_tokens_ring(tokens, window: RingWindow) -> None:
                 window += (window[-d:] * (n // d + 1))[:n]
 
 
-def parse_deflate(cursor: BitCursor) -> ParseOutcome:
+def parse_deflate(data: bytes, bit_pos: int = 0) -> ParseOutcome:
     """Parse a whole deflate stream into its decompressed bytes.
 
     The window is the one output buffer; backreferences copy from it.
@@ -487,7 +492,7 @@ def parse_deflate(cursor: BitCursor) -> ParseOutcome:
     final block's last bit; trailing bits are ignored and left unconsumed.
     """
     window = RingWindow()
-    for header, item, end in iter_blocks(cursor.data, cursor.bit_pos):
+    for header, item, end in iter_blocks(data, bit_pos):
         if isinstance(item, NoParse):
             return item
         if header.block_type is BlockType.STORED:
@@ -495,12 +500,12 @@ def parse_deflate(cursor: BitCursor) -> ParseOutcome:
         else:
             resolve_tokens_ring(item, window)
         del item  # not alive while the next batch is decoded, nor at the copy
-    return Parsed(bytes(window), end - cursor.bit_pos)
+    return Parsed(bytes(window), end - bit_pos)
 
 
 def inflate(data: bytes) -> bytes:
     """Decompress a raw deflate stream; raises InflateError on bad input."""
-    outcome = parse_deflate(BitCursor(data, 0))
+    outcome = parse_deflate(data)
     if isinstance(outcome, NoParse):
         raise outcome.error()
     return outcome.value

@@ -1,7 +1,7 @@
 """``Record``, the value semantics of a frozen dataclass on ``__slots__``.
 
-The codec's small record types (``BitCursor``, ``CompressParams`` and
-inflate's parse outcomes and headers) subclass it instead of using
+The codec's small record types (``CompressParams`` and inflate's parse
+outcomes and headers) subclass it instead of using
 ``@dataclass(frozen=True)``: ``dataclasses`` imports ``inspect``, with
 ``ast``, ``dis`` and ``tokenize``, and generates each class's methods
 at import, which would make ``import deflatekit`` several times slower,

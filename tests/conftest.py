@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from deflatekit.bitio import BitCursor, BitSink
+from deflatekit.bitio import BitSink
 from deflatekit.compress import (
     DEFAULT_PARAMS,
     MAX_STORED_BLOCK,
@@ -99,7 +99,7 @@ def write_code_msb(sink: BitSink, code) -> None:
     sink.write_bits_lsb(rev, len(code))
 
 
-def parse_deflate_queue(cursor: BitCursor):
+def parse_deflate_queue(data: bytes, bit_pos: int = 0):
     """``parse_deflate`` on the paper's reference model.
 
     Folds the items of ``iter_blocks`` through the QueueOfDoom window
@@ -108,8 +108,8 @@ def parse_deflate_queue(cursor: BitCursor):
     """
     window = QueueOfDoom()
     out = bytearray()
-    end = cursor.bit_pos
-    for header, item, end in iter_blocks(cursor.data, cursor.bit_pos):
+    end = bit_pos
+    for header, item, end in iter_blocks(data, bit_pos):
         if isinstance(item, NoParse):
             return item
         if header.block_type is BlockType.STORED:
@@ -118,7 +118,7 @@ def parse_deflate_queue(cursor: BitCursor):
         else:
             resolved, window = resolve_tokens(item, window)
             out += resolved
-    return Parsed(bytes(out), end - cursor.bit_pos)
+    return Parsed(bytes(out), end - bit_pos)
 
 
 # -- reference greedy matcher ----------------------------------------------

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from deflatekit.bitio import BitCursor
 from deflatekit.compress import deflate
 from deflatekit.gzip_container import gzip_compress, gzip_decompress
 from deflatekit.history_window import QueueOfDoom, resolve_tokens
@@ -76,7 +75,7 @@ def criterion(n: int, title: str):
 
 def test_criterion_01_static_golden_vector():
     with criterion(1, "static golden vector inflates bit-exactly under 1 ms") as notes:
-        outcome = parse_deflate(BitCursor(GOLDEN_STATIC_BYTES))
+        outcome = parse_deflate(GOLDEN_STATIC_BYTES)
         assert isinstance(outcome, Parsed)
         assert outcome.value == GOLDEN_PLAINTEXT
         assert outcome.consumed_bits == GOLDEN_STATIC_CONSUMED
@@ -95,11 +94,11 @@ def test_criterion_02_dynamic_golden_vector():
     with criterion(
         2, "dynamic golden vector inflates with the expected header values"
     ) as notes:
-        outcome = parse_deflate(BitCursor(GOLDEN_DYNAMIC_BYTES))
+        outcome = parse_deflate(GOLDEN_DYNAMIC_BYTES)
         assert isinstance(outcome, Parsed)
         assert outcome.value == GOLDEN_PLAINTEXT
         assert outcome.consumed_bits == GOLDEN_DYNAMIC_CONSUMED
-        header = parse_dynamic_header(BitCursor(GOLDEN_DYNAMIC_BYTES, 3)).value
+        header = parse_dynamic_header(GOLDEN_DYNAMIC_BYTES, 3).value
         assert (header.hlit, header.hdist, header.hclen) == (260, 6, 18)
         expected_cl = {
             1: (1, 1, 1, 0),
@@ -275,10 +274,10 @@ def test_criterion_08_strong_uniqueness():
             streams.append(co.compress(data) + co.flush())
         mismatches = 0
         for stream in streams:
-            base = parse_deflate(BitCursor(stream))
+            base = parse_deflate(stream)
             assert isinstance(base, Parsed)
             for junk_len in range(1, 65):
-                if parse_deflate(BitCursor(stream + rng.randbytes(junk_len))) != base:
+                if parse_deflate(stream + rng.randbytes(junk_len)) != base:
                     mismatches += 1
         assert mismatches == 0
         notes.append(f"{len(streams)} streams x 64 suffixes")

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deflatekit.bitio import MAX_FIELD_BITS, BitCursor, BitSink, read_bits
+from deflatekit.bitio import MAX_FIELD_BITS, BitSink, read_bits
 from deflatekit.errors import EndOfInput, ValueOutOfRange
-from deflatekit.inflate import FailReason, NoParse, parse_stored_block
+from deflatekit.inflate import (
+    FailReason,
+    NoParse,
+    iter_blocks,
+    parse_block_header,
+    parse_deflate,
+    parse_dynamic_header,
+    parse_stored_block,
+)
 
 from conftest import write_code_msb
 
@@ -66,26 +74,18 @@ def test_reads_past_the_end_report_the_read_position():
 
 
 def test_cursor_positions_are_bounded():
-    BitCursor(b"ab", 16)  # exactly at the end is fine
-    with pytest.raises(ValueOutOfRange, match="^bit_pos 17 outside a 2-byte buffer$"):
-        BitCursor(b"ab", 17)
-    with pytest.raises(ValueOutOfRange, match="^bit_pos -1 outside a 2-byte buffer$"):
-        BitCursor(b"ab", -1)
-    with pytest.raises(ValueOutOfRange):
-        BitCursor(b"", 1)
-    # A cursor is a frozen value: equal and hashed by its fields.
-    cursor = BitCursor(b"ab", 3)
-    assert cursor == BitCursor(data=b"ab", bit_pos=3) != BitCursor(b"ab", 4)
-    assert BitCursor(b"ab") == BitCursor(b"ab", 0)
-    assert cursor != (b"ab", 3)
-    assert hash(cursor) == hash((b"ab", 3))
-    assert repr(cursor) == "BitCursor(data=b'ab', bit_pos=3)"
-    for name in ("bit_pos", "data", "other"):
-        with pytest.raises(AttributeError):
-            setattr(cursor, name, 0)
-    with pytest.raises(AttributeError):
-        del cursor.bit_pos
-    assert cursor == BitCursor(b"ab", 3)
+    # A parse position is a buffer and a bit offset in 0..8 * len(data);
+    # every parser, and the block walk on its first step, checks it.
+    walk = lambda data, bit_pos: next(iter_blocks(data, bit_pos))
+    parsers = (parse_block_header, parse_stored_block, parse_dynamic_header, parse_deflate, walk)
+    for parse in parsers:
+        parse(b"ab", 16)  # exactly at the end is fine
+        with pytest.raises(ValueOutOfRange, match="^bit_pos 17 outside a 2-byte buffer$"):
+            parse(b"ab", 17)
+        with pytest.raises(ValueOutOfRange, match="^bit_pos -1 outside a 2-byte buffer$"):
+            parse(b"ab", -1)
+        with pytest.raises(ValueOutOfRange, match="^bit_pos 1 outside a 0-byte buffer$"):
+            parse(b"", 1)
 
 
 def stored_block(payload: bytes) -> bytes:
@@ -98,7 +98,7 @@ def test_align_to_byte_cursor():
     payload = b"bcd"
     for start, aligned in ((0, 0), (1, 8), (8, 8), (15, 16)):
         data = bytes(aligned // 8) + stored_block(payload)
-        outcome = parse_stored_block(BitCursor(data, start))
+        outcome = parse_stored_block(data, start)
         assert outcome.value == payload
         assert start + outcome.consumed_bits == 8 * len(data)
 
@@ -107,7 +107,7 @@ def test_read_bytes_aligned():
     # The payload is a whole-byte slice read from the aligned position;
     # bytes after it are left for the next parse.
     data = b"a" + stored_block(b"bcd") + b"ef"
-    outcome = parse_stored_block(BitCursor(data, 8))
+    outcome = parse_stored_block(data, 8)
     assert outcome.value == b"bcd"
     end = 8 + outcome.consumed_bits
     assert end == 8 * (1 + 4 + 3)
@@ -115,7 +115,7 @@ def test_read_bytes_aligned():
     # A payload that runs past the end fails at the payload's first bit.
     for start, aligned in ((0, 0), (1, 8), (8, 8), (15, 16)):
         short = bytes(aligned // 8) + stored_block(b"bcd")[:-1]
-        outcome = parse_stored_block(BitCursor(short, start))
+        outcome = parse_stored_block(short, start)
         assert outcome == NoParse(FailReason.END_OF_INPUT, aligned + 32)
 
 

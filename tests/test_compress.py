@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deflatekit.bitio import BitCursor, BitSink
+from deflatekit.bitio import BitSink
 from deflatekit.compress import (
     DEFAULT_PARAMS,
     CompressParams,
@@ -451,7 +451,7 @@ def test_each_block_is_written_at_its_price_as_the_cheapest_type(block_limit):
                 write(block, False, sink, *args)
                 assert sink.bit_length == first % 8 + price[block_type] + 3
             # The decoder reads the plan's header field as the codings it prices.
-            parsed = parse_dynamic_header(BitCursor(sink.to_bytes(), first % 8 + 3))
+            parsed = parse_dynamic_header(sink.to_bytes(), first % 8 + 3)
             header = parsed.value
             assert parsed.consumed_bits == plan[1][1]
             assert header.lit_coding.lengths == tuple(plan[2][: header.hlit])
@@ -646,7 +646,7 @@ def assert_block_parses_back(block: list, write, block_type: BlockType) -> bytes
 
 def assert_dynamic_codings_are_canonical(stream: bytes) -> tuple:
     """The three codings of a dynamic block's header, each passing the four rules."""
-    header = parse_dynamic_header(BitCursor(stream, 3)).value
+    header = parse_dynamic_header(stream, 3).value
     codings = (header.cl_coding, header.lit_coding, header.dist_coding)
     for coding in codings:
         assert check_axioms(bit_codes(coding)).all_pass
@@ -684,7 +684,7 @@ def test_a_fibonacci_weighted_block_repairs_both_length_limits():
     _, _, lit_lengths, dist_lengths = _dynamic_plan(lit, dist)
     stream = assert_block_parses_back(block + [END_OF_BLOCK], write_planned_dynamic_block,
                                       BlockType.DYNAMIC)
-    header = parse_dynamic_header(BitCursor(stream, 3)).value
+    header = parse_dynamic_header(stream, 3).value
     runs = _rle_lengths(lit_lengths[: header.hlit] + dist_lengths[: header.hdist])
     cl_counts = [sum(sym == c for sym, _ in runs) for c in range(19)]
     assert max(huffman_lengths(dist, 64)) > 15
@@ -744,7 +744,7 @@ def test_rle_lengths_expand_back_by_the_decoders_rule_on_every_run():
 def test_write_stored_block_round_trips():
     for payload in (b"", b"x", b"stored bytes", bytes(1000)):
         sink = write_stored_block(payload, True, BitSink())
-        outcome = parse_stored_block(BitCursor(sink.to_bytes(), 3))
+        outcome = parse_stored_block(sink.to_bytes(), 3)
         assert outcome.value == payload
 
 
@@ -752,7 +752,7 @@ def test_write_stored_block_from_an_odd_bit_position():
     sink = BitSink()
     sink.write_bits_lsb(0, 5)  # leave the sink unaligned
     write_stored_block(b"pad me", False, sink)
-    outcome = parse_stored_block(BitCursor(sink.to_bytes(), 5 + 3))
+    outcome = parse_stored_block(sink.to_bytes(), 5 + 3)
     assert outcome.value == b"pad me"
 
 
@@ -944,12 +944,12 @@ def test_digest_streams_round_trip_through_both_decoders():
 def assert_strongly_unique(stream: bytes, rng: random.Random) -> None:
     """The parse consumes all but the last byte's padding, and junk after
     the stream changes neither the output nor the bits consumed."""
-    base = parse_deflate(BitCursor(stream))
+    base = parse_deflate(stream)
     assert isinstance(base, Parsed)
     assert 0 <= 8 * len(stream) - base.consumed_bits < 8
     for junk in (rng.randbytes(1), rng.randbytes(2), rng.randbytes(rng.randrange(3, 64)),
                  rng.randbytes(64), b"\xff" * 64):
-        extended = parse_deflate(BitCursor(stream + junk))
+        extended = parse_deflate(stream + junk)
         assert extended == base
 
 
@@ -1078,7 +1078,7 @@ def test_matches_may_cross_block_boundaries():
     params = CompressParams(block_payload_limit=50)
     out = deflate(data, params)
     assert inflate(out) == data
-    assert parse_deflate_queue(BitCursor(out)).value == data
+    assert parse_deflate_queue(out).value == data
     assert zlib.decompress(out, -15) == data
     assert len(out) < len(data) // 4
 
@@ -1145,3 +1145,13 @@ def test_compress_params_validation():
         with pytest.raises(AttributeError):
             setattr(params, name, 1)
     assert params.max_chain == 4
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "8", None])
+@pytest.mark.parametrize("field", ["max_chain", "block_payload_limit"])
+def test_compress_params_reject_settings_that_are_not_ints(field, value):
+    # Each would otherwise fail later, or with a bare TypeError, which is
+    # not a DeflateError: a float max_chain only inside tokenize.
+    kind = type(value).__name__
+    with pytest.raises(ValueOutOfRange, match=f"^{field} must be an int, not {kind}$"):
+        CompressParams(**{field: value})

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from deflatekit.bitio import BitCursor, BitSink
+from deflatekit.bitio import BitSink
 from deflatekit.compress import (
     CompressParams,
     _dynamic_plan,
@@ -107,7 +107,7 @@ def test_golden_streams_decode_under_zlib():
 
 @pytest.mark.parametrize("impl", ["ring", "queue"])
 def test_golden_static_stream(impl):
-    outcome = DECODERS[impl](BitCursor(GOLDEN_STATIC_BYTES))
+    outcome = DECODERS[impl](GOLDEN_STATIC_BYTES)
     assert isinstance(outcome, Parsed)
     assert outcome.value == GOLDEN_PLAINTEXT
     assert outcome.consumed_bits == GOLDEN_STATIC_CONSUMED
@@ -116,7 +116,7 @@ def test_golden_static_stream(impl):
 
 @pytest.mark.parametrize("impl", ["ring", "queue"])
 def test_golden_dynamic_stream(impl):
-    outcome = DECODERS[impl](BitCursor(GOLDEN_DYNAMIC_BYTES))
+    outcome = DECODERS[impl](GOLDEN_DYNAMIC_BYTES)
     assert isinstance(outcome, Parsed)
     assert outcome.value == GOLDEN_PLAINTEXT
     assert outcome.consumed_bits == GOLDEN_DYNAMIC_CONSUMED
@@ -129,7 +129,7 @@ def test_golden_static_token_stream():
 
 
 def test_golden_dynamic_header_contents():
-    outcome = parse_dynamic_header(BitCursor(GOLDEN_DYNAMIC_BYTES, 3))
+    outcome = parse_dynamic_header(GOLDEN_DYNAMIC_BYTES, 3)
     assert isinstance(outcome, Parsed)
     header = outcome.value
     assert (header.hlit, header.hdist, header.hclen) == (260, 6, 18)
@@ -173,13 +173,13 @@ def test_inflate_convenience_and_errors():
 
 
 def test_block_header_fields():
-    outcome = parse_block_header(BitCursor(GOLDEN_STATIC_BYTES))
+    outcome = parse_block_header(GOLDEN_STATIC_BYTES)
     assert outcome.value.is_final and outcome.value.block_type is BlockType.STATIC
     assert outcome.consumed_bits == 3
-    outcome = parse_block_header(BitCursor(GOLDEN_DYNAMIC_BYTES))
+    outcome = parse_block_header(GOLDEN_DYNAMIC_BYTES)
     assert outcome.value.is_final and outcome.value.block_type is BlockType.DYNAMIC
     # A non-final stored header: bits 0, 0, 0.
-    outcome = parse_block_header(BitCursor(b"\x00"))
+    outcome = parse_block_header(b"\x00")
     assert not outcome.value.is_final
     assert outcome.value.block_type is BlockType.STORED
     # Headers and outcomes are frozen values: equal by class and fields,
@@ -196,11 +196,11 @@ def test_block_header_fields():
     # An outcome is what the parse did, whatever buffer it read: equal and
     # hashable over any buffer type, and as short to show over 4 KB as over 1 byte.
     for parse, data in ((parse_block_header, b"\x00"), (parse_deflate, GOLDEN_STATIC_BYTES)):
-        base = parse(BitCursor(data))
+        base = parse(data)
         for buffer in (bytearray(data), memoryview(bytearray(data))):
-            assert parse(BitCursor(buffer)) == base
-            assert hash(parse(BitCursor(buffer))) == hash(base)
-    assert len(repr(parse_block_header(BitCursor(bytes(4096))))) < 200
+            assert parse(buffer) == base
+            assert hash(parse(buffer)) == hash(base)
+    assert len(repr(parse_block_header(bytes(4096)))) < 200
     failure = NoParse(FailReason.BAD_CODE, 5)
     assert failure == NoParse(FailReason.BAD_CODE, 5, "") != NoParse(FailReason.BAD_CODE, 5, "x")
     assert repr(failure) == (
@@ -210,7 +210,7 @@ def test_block_header_fields():
     assert str(NoParse(FailReason.BAD_CODE, 5, "x").error()) == (
         "cannot parse deflate stream at bit 5: bits match no code of the coding (x)"
     )
-    dynamic = parse_dynamic_header(BitCursor(GOLDEN_DYNAMIC_BYTES, 3)).value
+    dynamic = parse_dynamic_header(GOLDEN_DYNAMIC_BYTES, 3).value
     fields = (dynamic.hlit, dynamic.hdist, dynamic.hclen,
               dynamic.cl_coding, dynamic.lit_coding, dynamic.dist_coding)
     assert dynamic == DynamicHeader(*fields)
@@ -227,12 +227,12 @@ def test_reserved_block_type():
     sink = BitSink()
     sink.write_bits_lsb(1, 1)
     sink.write_bits_lsb(3, 2)
-    outcome = parse_block_header(BitCursor(sink.to_bytes()))
+    outcome = parse_block_header(sink.to_bytes())
     assert outcome == NoParse(FailReason.RESERVED_BLOCK_TYPE, 1)
 
 
 def test_block_header_end_of_input():
-    assert parse_block_header(BitCursor(b"")) == NoParse(FailReason.END_OF_INPUT, 0)
+    assert parse_block_header(b"") == NoParse(FailReason.END_OF_INPUT, 0)
 
 
 # -- stored blocks ------------------------------------------------------
@@ -251,15 +251,15 @@ def stored_stream(payload: bytes, final=True) -> bytes:
 
 def test_stored_block_round_trip():
     data = stored_stream(b"hello stored world")
-    outcome = parse_stored_block(BitCursor(data, 3))
+    outcome = parse_stored_block(data, 3)
     assert outcome.value == b"hello stored world"
     assert outcome.consumed_bits == 8 * len(data) - 3
-    assert parse_deflate(BitCursor(data)).value == b"hello stored world"
+    assert parse_deflate(data).value == b"hello stored world"
     # Over any buffer type the payload is bytes of its own, not a view
     # into the caller's buffer: overwriting that buffer leaves it as it was.
     backing = bytearray(data)
     for buffer in (data, bytearray(data), memoryview(backing)):
-        parsed = parse_stored_block(BitCursor(buffer, 3)).value
+        parsed = parse_stored_block(buffer, 3).value
         ((_, walked, _),) = iter_blocks(buffer)
         backing[:] = bytes(len(backing))
         for payload in (parsed, walked):
@@ -269,13 +269,13 @@ def test_stored_block_round_trip():
 
 
 def test_stored_block_empty_payload():
-    assert parse_deflate(BitCursor(stored_stream(b""))).value == b""
+    assert parse_deflate(stored_stream(b"")).value == b""
 
 
 def test_len_nlen_mismatch():
     data = bytearray(stored_stream(b"abc"))
     data[3] ^= 0x01  # corrupt NLEN's low byte
-    outcome = parse_stored_block(BitCursor(bytes(data), 3))
+    outcome = parse_stored_block(bytes(data), 3)
     assert outcome.reason is FailReason.LEN_NLEN_MISMATCH
     assert outcome.bit_pos == 24  # NLEN starts after alignment and LEN
 
@@ -283,14 +283,14 @@ def test_len_nlen_mismatch():
 def test_stored_block_truncations():
     data = stored_stream(b"abcdefgh")
     for cut in range(len(data) - 1):
-        outcome = parse_deflate(BitCursor(data[:cut]))
+        outcome = parse_deflate(data[:cut])
         assert outcome.reason is FailReason.END_OF_INPUT
 
 
 def test_non_final_stored_block_needs_a_successor():
     # A valid non-final block parses, then the next header hits the end.
     data = stored_stream(b"abc", final=False)
-    outcome = parse_deflate(BitCursor(data))
+    outcome = parse_deflate(data)
     assert outcome.reason is FailReason.END_OF_INPUT
     assert outcome.bit_pos == 8 * len(data)
 
@@ -306,7 +306,7 @@ def test_stored_then_static_multiblock():
     sink.write_bits_lsb(1, 1)  # final static block holding only EOB
     sink.write_bits_lsb(1, 2)
     write_code_msb(sink, FIXED_LIT_CODES[256])
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome.value == b"ok"
     assert outcome.consumed_bits == sink.bit_length
 
@@ -389,7 +389,7 @@ def test_empty_distance_coding_fails_only_when_used():
         cl,
         [(18, 86), (1, None), (18, 127), (18, 9), (2, None), (2, None), (0, None)],
     )
-    header = parse_dynamic_header(BitCursor(sink.to_bytes(), 3))
+    header = parse_dynamic_header(sink.to_bytes(), 3)
     assert isinstance(header, Parsed)
     assert all(code == () for code in bit_codes(header.value.dist_coding))
 
@@ -397,7 +397,7 @@ def test_empty_distance_coding_fails_only_when_used():
     write_code_msb(sink, (1, 1))  # codepoint 257: now a distance must follow
     fail_at = sink.bit_length
     sink.write_bits_lsb(0b101, 3)  # whatever bits: nothing can match
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome == NoParse(FailReason.BAD_CODE, fail_at)
 
 
@@ -433,7 +433,7 @@ def test_thirty_two_distance_codes_are_accepted_unlike_zlib():
     with pytest.raises(zlib.error, match="too many length or distance symbols"):
         zlib.decompressobj(-15).decompress(stream)
     stream, dist_at = thirty_two_distance_codes_stream(1)
-    assert parse_deflate(BitCursor(stream)) == NoParse(
+    assert parse_deflate(stream) == NoParse(
         FailReason.INVALID_DISTANCE_CODEPOINT, dist_at, "codepoint 31"
     )
     with pytest.raises(zlib.error, match="too many length or distance symbols"):
@@ -467,7 +467,7 @@ def test_incomplete_codings_are_accepted_unlike_zlib():
     with pytest.raises(zlib.error, match="invalid literal/lengths set"):
         zlib.decompressobj(-15).decompress(stream)
     stream, after_a = incomplete_codings_stream(2, (1, 1), (0, 1))
-    assert parse_deflate(BitCursor(stream)) == NoParse(FailReason.BAD_CODE, after_a)
+    assert parse_deflate(stream) == NoParse(FailReason.BAD_CODE, after_a)
     with pytest.raises(zlib.error, match="invalid literal/lengths set"):
         zlib.decompressobj(-15).decompress(stream)
 
@@ -476,7 +476,7 @@ def test_incomplete_codings_are_accepted_unlike_zlib():
     with pytest.raises(zlib.error, match="invalid distances set"):
         zlib.decompressobj(-15).decompress(stream)
     stream, after_a = incomplete_codings_stream(1, (1, 1), (1, 1), (1, 0))
-    assert parse_deflate(BitCursor(stream)) == NoParse(FailReason.BAD_CODE, after_a + 2)
+    assert parse_deflate(stream) == NoParse(FailReason.BAD_CODE, after_a + 2)
     with pytest.raises(zlib.error, match="invalid distances set"):
         zlib.decompressobj(-15).decompress(stream)
 
@@ -485,14 +485,14 @@ def test_repeat_without_previous_length():
     sink, cl = start_dynamic({16: 1, 0: 2, 1: 2}, 0, 0)
     fail_after = sink.bit_length + cl.lengths[16]
     write_rle(sink, cl, [(16, 0)])
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome == NoParse(FailReason.REPEAT_WITHOUT_PREVIOUS, fail_after)
 
 
 def test_repeat_overrun():
     sink, cl = start_dynamic({18: 1, 0: 2, 1: 2}, 0, 0)
     write_rle(sink, cl, [(18, 127), (18, 127)])  # 138 + 138 > 258
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome.reason is FailReason.REPEAT_OVERRUN
     assert outcome.bit_pos == sink.bit_length
 
@@ -504,7 +504,7 @@ def test_oversubscribed_literal_lengths_are_a_bad_coding():
         cl,
         [(1, None), (1, None), (1, None), (18, 127), (18, 105), (0, None)],
     )
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome.reason is FailReason.BAD_CODING
     assert outcome.bit_pos == sink.bit_length
 
@@ -518,7 +518,7 @@ def test_oversubscribed_cl_lengths_are_a_bad_coding():
     sink.write_bits_lsb(1, 4)  # hclen 5
     for _ in range(5):
         sink.write_bits_lsb(1, 3)  # five length-1 codes
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome.reason is FailReason.BAD_CODING
     assert outcome.bit_pos == sink.bit_length
 
@@ -529,7 +529,7 @@ def test_forbidden_hlit():
     sink.write_bits_lsb(2, 2)
     sink.write_bits_lsb(30, 5)  # hlit 287
     sink.write_bits_lsb(0, 11)
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome == NoParse(FailReason.FORBIDDEN_HLIT, 3, "hlit 287")
 
 
@@ -538,7 +538,7 @@ def test_dynamic_header_truncated_at_a_byte_boundary():
     sink.write_bits_lsb(1, 1)
     sink.write_bits_lsb(2, 2)
     sink.write_bits_lsb(0, 5)  # exactly one byte: hdist is missing
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome == NoParse(FailReason.END_OF_INPUT, 8)
 
 
@@ -555,7 +555,7 @@ def test_parse_cl_lengths_wire_order_and_domain():
     for extra in (127, 109):
         write_code_msb(sink, (0, 1, 1, 0, 0))  # symbol 18 under that cl coding
         sink.write_bits_lsb(extra, 7)
-    outcome = parse_dynamic_header(BitCursor(sink.to_bytes()))
+    outcome = parse_dynamic_header(sink.to_bytes())
     assert isinstance(outcome, Parsed)
     assert outcome.consumed_bits == sink.bit_length
     header = outcome.value
@@ -582,7 +582,7 @@ def static_sink(*codepoints: int) -> BitSink:
 def test_length_codepoint_286_and_287_are_invalid_in_data():
     for cp in (286, 287):
         sink = static_sink(cp)
-        outcome = parse_deflate(BitCursor(sink.to_bytes()))
+        outcome = parse_deflate(sink.to_bytes())
         assert outcome == NoParse(
             FailReason.INVALID_LENGTH_CODEPOINT, 3, f"codepoint {cp}"
         )
@@ -592,7 +592,7 @@ def test_length_codepoint_284_with_extra_31_is_invalid():
     sink = static_sink(284)
     sink.write_bits_lsb(31, 5)
     fail_at = sink.bit_length
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome.reason is FailReason.INVALID_LENGTH_EXTRA
     assert outcome.bit_pos == fail_at
     with pytest.raises(InvalidLengthExtra) as spec:
@@ -626,7 +626,7 @@ def test_length_codepoint_284_with_extra_30_is_length_257():
     sink.write_bits_lsb(30, 5)
     write_code_msb(sink, FIXED_DIST_CODES[0])
     write_code_msb(sink, FIXED_LIT_CODES[256])
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome.value == b"a" * 258
     assert zlib.decompress(sink.to_bytes(), -15) == b"a" * 258
 
@@ -636,7 +636,7 @@ def test_distance_codepoints_30_and_31_are_invalid_in_data():
         sink = static_sink(97, 257)
         fail_at = sink.bit_length
         write_code_msb(sink, FIXED_DIST_CODES[dcp])
-        outcome = parse_deflate(BitCursor(sink.to_bytes()))
+        outcome = parse_deflate(sink.to_bytes())
         assert outcome == NoParse(
             FailReason.INVALID_DISTANCE_CODEPOINT, fail_at, f"codepoint {dcp}"
         )
@@ -647,7 +647,7 @@ def test_distance_reaching_past_produced_output():
     write_code_msb(sink, FIXED_DIST_CODES[1])  # distance 2
     fail_at = sink.bit_length
     write_code_msb(sink, FIXED_LIT_CODES[256])
-    outcome = parse_deflate(BitCursor(sink.to_bytes()))
+    outcome = parse_deflate(sink.to_bytes())
     assert outcome == NoParse(
         FailReason.DISTANCE_TOO_FAR, fail_at, "distance 2 with only 1 bytes produced"
     )
@@ -691,7 +691,7 @@ def reserved_second_header():
 )
 def test_a_walk_failure_is_the_last_item_with_its_blocks_header(build):
     data, header, reason, bit = build()
-    outcome = parse_deflate(BitCursor(data))
+    outcome = parse_deflate(data)
     assert isinstance(outcome, NoParse)
     assert (outcome.reason, outcome.bit_pos) == (reason, bit)
     items = list(iter_blocks(data))
@@ -702,7 +702,7 @@ def test_a_walk_failure_is_the_last_item_with_its_blocks_header(build):
 def test_every_byte_truncation_of_the_goldens_runs_out_of_input():
     for stream in (GOLDEN_STATIC_BYTES, GOLDEN_DYNAMIC_BYTES):
         for cut in range(len(stream) - 1):
-            outcome = parse_deflate(BitCursor(stream[:cut]))
+            outcome = parse_deflate(stream[:cut])
             assert isinstance(outcome, NoParse)
             assert outcome.reason is FailReason.END_OF_INPUT
             assert outcome.bit_pos <= 8 * cut
@@ -751,8 +751,8 @@ def test_blocks_at_a_batch_boundary_split_into_whole_batches(offset):
     plain = resolve_tokens(block, QueueOfDoom())[0] * 2
     assert inflate(stream) == plain
     assert inflate(stream + b"\xff junk") == plain
-    outcome = parse_deflate(BitCursor(stream + b"\xff junk"))
-    assert outcome == parse_deflate(BitCursor(stream)) == Parsed(plain, sink.bit_length)
+    outcome = parse_deflate(stream + b"\xff junk")
+    assert outcome == parse_deflate(stream) == Parsed(plain, sink.bit_length)
 
 
 def flushed_zlib_stream(data: bytes, every: int, mode: int) -> tuple[bytes, int]:
@@ -787,8 +787,8 @@ def test_flushed_zlib_streams_decode_through_their_empty_stored_blocks(every, mo
     junk = b"\x00\xff trailing junk"
     d = zlib.decompressobj(-15)
     assert d.decompress(stream + junk) == FLUSH_TEXT
-    outcome = parse_deflate(BitCursor(stream + junk))
-    assert outcome == parse_deflate(BitCursor(stream))
+    outcome = parse_deflate(stream + junk)
+    assert outcome == parse_deflate(stream)
     assert outcome.value == FLUSH_TEXT
     assert d.unused_data == junk
     assert (outcome.consumed_bits + 7) // 8 == len(stream)
@@ -887,7 +887,7 @@ def test_parsing_is_total_on_garbage():
     rng = random.Random(31)
     for _ in range(400):
         data = rng.randbytes(rng.randrange(0, 120))
-        outcome = parse_deflate(BitCursor(data))
+        outcome = parse_deflate(data)
         assert isinstance(outcome, (Parsed, NoParse))
         if isinstance(outcome, NoParse):
             assert 0 <= outcome.bit_pos <= 8 * len(data)
@@ -902,19 +902,99 @@ def test_parsing_is_total_on_corrupted_goldens():
         for _ in range(200):
             data = bytearray(stream)
             data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
-            outcome = parse_deflate(BitCursor(bytes(data)))
+            outcome = parse_deflate(bytes(data))
             assert isinstance(outcome, (Parsed, NoParse))
 
 
 def test_appending_junk_changes_nothing():
     rng = random.Random(33)
     for stream in (GOLDEN_STATIC_BYTES, GOLDEN_DYNAMIC_BYTES, backref_stream()):
-        base = parse_deflate(BitCursor(stream))
+        base = parse_deflate(stream)
         for junk_len in (1, 2, 7, 64):
             junk = rng.randbytes(junk_len)
-            outcome = parse_deflate(BitCursor(stream + junk))
+            outcome = parse_deflate(stream + junk)
             assert outcome.value == base.value
             assert outcome.consumed_bits == base.consumed_bits
+
+
+def shifted(stream: bytes, k: int, junk: int) -> bytes:
+    """k junk bits, then the stream's bits, zero-padded to a whole byte."""
+    return ((int.from_bytes(stream, "little") << k) | junk).to_bytes(
+        (k + 8 * len(stream) + 7) // 8, "little"
+    )
+
+
+def moved(outcome, k: int):
+    """The outcome of the same parse started k bits later."""
+    if isinstance(outcome, NoParse):
+        return NoParse(outcome.reason, outcome.bit_pos + k, outcome.detail)
+    return outcome
+
+
+def parse_starts(stream: bytes) -> list:
+    """(parser, bit_pos) for the whole stream and each block's header and
+    payload, as far as the walk gets."""
+    starts, begin, last = [(parse_deflate, 0)], 0, False
+    for header, _, end in iter_blocks(stream):
+        if header is not last:  # a new block, or None for a failed header
+            starts.append((parse_block_header, begin))
+            if header is not None and header.block_type is BlockType.STORED:
+                starts.append((parse_stored_block, begin + 3))
+            elif header is not None and header.block_type is BlockType.DYNAMIC:
+                starts.append((parse_dynamic_header, begin + 3))
+            last = header
+        begin = end
+    return starts
+
+
+def test_a_shifted_start_moves_every_outcome_by_the_shift():
+    # Our streams, zlib's, truncations and one-bit corruptions, each after
+    # k = 1..15 junk bits.  A stored block aligns to the buffer's bytes and
+    # a buffer ends on a byte, so a start moved by whole bytes moves every
+    # outcome by exactly that, and any other shift moves every outcome
+    # that touches no stored block and does not run out of input.
+    rng = random.Random(35)
+    text = english_text(600, seed=35)
+    streams = [
+        deflate(text),
+        deflate(log_text(500), CompressParams(block_payload_limit=150)),
+        deflate(b"abc" * 30 + rng.randbytes(100), CompressParams(block_payload_limit=90)),
+        raw_zlib(text, 1),
+        raw_zlib(text, 9),
+        raw_zlib(text, 6, zlib.Z_FIXED),
+        raw_zlib(rng.randbytes(300), 0),
+    ]
+    for stream in streams[:]:
+        streams += [stream[:cut] for cut in rng.sample(range(1, len(stream)), 4)]
+        for _ in range(3):
+            flipped = bytearray(stream)
+            flipped[rng.randrange(len(stream))] ^= 1 << rng.randrange(8)
+            streams.append(bytes(flipped))
+    checked = set()
+    for stream in streams:
+        starts = parse_starts(stream)
+        stored = any(parse is parse_stored_block for parse, _ in starts)
+        for parse, start in starts:
+            base = parse(stream, start)
+            on_grid = (
+                parse is parse_stored_block
+                or (parse is parse_deflate and stored)
+                or (isinstance(base, NoParse) and base.reason is FailReason.END_OF_INPUT)
+            )
+            outcomes = [base]
+            for k in range(1, 16):
+                outcomes.append(parse(shifted(stream, k, rng.getrandbits(k)), start + k))
+                if k >= 8:
+                    assert outcomes[k] == moved(outcomes[k - 8], 8), (parse.__name__, start, k)
+                if not on_grid:
+                    assert outcomes[k] == moved(base, k), (parse.__name__, start, k)
+            reason = base.reason.name if isinstance(base, NoParse) else "parsed"
+            checked.add((parse.__name__, reason, on_grid))
+    # Every parser was shifted on a value, and on failures off the grid.
+    names = {"parse_deflate", "parse_block_header", "parse_stored_block", "parse_dynamic_header"}
+    assert {name for name, reason, _ in checked if reason == "parsed"} == names
+    failures = {name for name, reason, on_grid in checked if reason != "parsed" and not on_grid}
+    assert failures == {"parse_deflate", "parse_dynamic_header"}, checked
 
 
 def test_zlib_streams_inflate_correctly():
@@ -925,7 +1005,7 @@ def test_zlib_streams_inflate_correctly():
             co = zlib.compressobj(level, zlib.DEFLATED, -15)
             stream = co.compress(data) + co.flush()
             assert inflate(stream) == data
-            assert parse_deflate_queue(BitCursor(stream)).value == data
+            assert parse_deflate_queue(stream).value == data
             # The decoder mints BackRefs past their constructor's checks.
             refs = [t for _, item, _ in iter_blocks(stream) if type(item) is list
                     for t in item if type(t) is BackRef]
@@ -985,7 +1065,7 @@ def assert_zlib_acceptance_agrees(stream: bytes) -> str:
         expected = d.decompress(stream)
     except zlib.error:
         expected = None
-    outcome = parse_deflate(BitCursor(stream))
+    outcome = parse_deflate(stream)
     if expected is None or not d.eof:
         assert isinstance(outcome, (Parsed, NoParse))
         return "zlib rejects"
@@ -1014,7 +1094,7 @@ def test_zlib_takes_284_with_extra_31_as_258_where_we_fail_at_bit_24():
     stream = sink.to_bytes()
     assert zlib.decompress(stream, -15) == b"a" * 259
     reason, detail = EARLY_284
-    assert parse_deflate(BitCursor(stream)) == NoParse(reason, 24, detail)
+    assert parse_deflate(stream) == NoParse(reason, 24, detail)
     assert assert_zlib_acceptance_agrees(stream) == "zlib reads 284/31 as length 258"
 
 
@@ -1080,7 +1160,7 @@ def test_what_zlib_rejects_we_reject_too(stream):
         rejected = not d.eof
     event("zlib rejects" if rejected else "zlib accepts")
     if rejected:
-        assert isinstance(parse_deflate(BitCursor(stream)), NoParse)
+        assert isinstance(parse_deflate(stream), NoParse)
 
 
 def test_ring_and_queue_windows_agree_on_valid_and_invalid_input():
@@ -1091,7 +1171,7 @@ def test_ring_and_queue_windows_agree_on_valid_and_invalid_input():
     streams += [backref_stream(), stored_stream(b"stored", final=False) + backref_stream()]
     streams += [rng.randbytes(rng.randrange(0, 60)) for _ in range(60)]
     for stream in streams:
-        assert parse_deflate(BitCursor(stream)) == parse_deflate_queue(BitCursor(stream))
+        assert parse_deflate(stream) == parse_deflate_queue(stream)
 
 
 # -- pinned outcomes ------------------------------------------------------
@@ -1210,7 +1290,7 @@ def test_long_codes_decode_between_short_ones():
     stream = sink.to_bytes()
     assert [t for _, item, _ in iter_blocks(stream) for t in item] == tokens
     expected, _ = resolve_tokens(tokens, QueueOfDoom())
-    assert parse_deflate(BitCursor(stream)) == Parsed(expected, sink.bit_length)
+    assert parse_deflate(stream) == Parsed(expected, sink.bit_length)
 
 
 def pinned_corpus():
@@ -1256,7 +1336,7 @@ def test_parse_outcomes_match_the_pinned_digest():
     digest = hashlib.sha256()
     reasons = set()
     for stream in pinned_corpus():
-        outcome = parse_deflate(BitCursor(stream))
+        outcome = parse_deflate(stream)
         if isinstance(outcome, NoParse):
             reasons.add(outcome.reason)
         digest.update(outcome_line(outcome))
@@ -1283,7 +1363,7 @@ def test_every_prefix_of_long_code_streams_matches_the_pinned_digest():
     digest = hashlib.sha256()
     for stream in long_code_streams():
         for k in range(len(stream) + 1):
-            digest.update(outcome_line(parse_deflate(BitCursor(stream[:k]))))
+            digest.update(outcome_line(parse_deflate(stream[:k])))
     assert digest.hexdigest() == PINNED_TAIL_OUTCOMES_SHA256
 
 
@@ -1356,5 +1436,5 @@ def test_every_prefix_of_token_carrying_dynamic_blocks_matches_the_pinned_digest
         stream, tokens = token_carrying_dynamic_block(rng)
         assert [t for _, item, _ in iter_blocks(stream) for t in item] == tokens
         for k in range(len(stream) + 1):
-            digest.update(outcome_line(parse_deflate(BitCursor(stream[:k]))))
+            digest.update(outcome_line(parse_deflate(stream[:k])))
     assert digest.hexdigest() == PINNED_TOKEN_OUTCOMES_SHA256

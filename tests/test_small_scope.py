@@ -46,7 +46,7 @@ from collections import Counter
 
 import pytest
 
-from deflatekit.bitio import BitCursor, BitSink
+from deflatekit.bitio import BitSink
 from deflatekit.compress import (
     DEFAULT_PARAMS,
     CompressParams,
@@ -134,7 +134,7 @@ def test_every_input_of_at_most_two_bytes():
     assert len(inputs) == 65793
     early = Counter()
     for i, data in enumerate(inputs):
-        outcome = parse_deflate(BitCursor(data))
+        outcome = parse_deflate(data)
         theirs = zlib_outcome(data)
         if isinstance(outcome, Parsed):
             assert theirs == (outcome.value, (outcome.consumed_bits + 7) >> 3), data
@@ -148,7 +148,7 @@ def test_every_input_of_at_most_two_bytes():
         else:
             assert theirs == "error", data
         # One extension byte per input, cycling through every byte value.
-        assert parse_deflate(BitCursor(data + bytes([i & 255]))) == outcome, data
+        assert parse_deflate(data + bytes([i & 255])) == outcome, data
     assert early == EARLY_FAILURES
 
 
@@ -180,7 +180,7 @@ def test_every_single_backref_static_block_behind_a_stored_history():
             assert tokens == [BackRef(length, distance), END_OF_BLOCK], (length, distance)
             assert end == 8 * len(prefix) + sink.bit_length, (length, distance)
             d = zlib.decompressobj(-15)
-            assert d.decompress(stream) == parse_deflate(BitCursor(stream)).value
+            assert d.decompress(stream) == parse_deflate(stream).value
             assert d.eof and not d.unused_data
             streams += 1
     assert streams == 14336
@@ -290,7 +290,7 @@ def assert_cheapest_blocks(data, params, plans):
     assert written_blocks(out) == expected, data
     assert len(out) == -(-bit // 8) <= len(data) + 5 * len(blocks), data
     junk = bytes([len(data) * 37 & 255, 0xA5])
-    parsed = parse_deflate(BitCursor(out + junk))
+    parsed = parse_deflate(out + junk)
     assert parsed == Parsed(data, bit), data
     d = zlib.decompressobj(-15)
     assert (d.decompress(out + junk), d.eof, d.unused_data) == (data, True, junk), data
