@@ -3,13 +3,13 @@
 ``tokenize`` runs zlib's hash-chain search (``deflate.c``) inline: each
 candidate is first rejected on the one byte at ``best_len``, then on its
 first ``best_len + 1`` bytes, which it shares exactly when it beats the
-best match so far; only those are extended.  The longest match wins,
-ties to the smallest distance, else a shared ``Literal``.  After 32
-searched positions in a row without a match it skips ahead, as Snappy
-and LZ4 do: each further miss passes the next ``misses >> 5`` bytes as
-literals that are neither searched nor hashed, so incompressible input
-costs a few thousand searches per 96 KiB instead of one per byte.  A
-skipped run still costs one token-list slot per byte: one ``map`` pass
+best match so far.  Only those are extended: by one compare of the whole
+possible match, else by a byte loop to the first difference.  The
+longest match wins, ties to the smallest distance, else a shared
+``Literal``.  After 32 searched positions in a row without a match it
+skips ahead, as Snappy and LZ4 do (see ``tokenize``), so incompressible
+input costs a few thousand searches per 96 KiB instead of one per byte.
+A skipped run still costs one token-list slot per byte: one ``map`` pass
 in C appends the shared ``LITERALS`` objects, through a list's bound
 ``__getitem__`` (a tuple's is a slot wrapper, nearly twice as slow).
 
@@ -21,18 +21,16 @@ static (the fixed codings) and dynamic (codes built for the block, RFC
 1951 section 3.2.7), each to the exact bit, and writes the smallest.  A
 block whose static floor, 8 bits per skipped literal, exceeds storing it
 is stored uncounted; otherwise only its literals are recounted from its
-tokens.  It plans a dynamic block only where static costs more than the
-least any dynamic block can: 44 header bits (HLIT, HDIST and HCLEN, five
-code-length lengths, 15 bits for 258 or more coded lengths) plus a bit
-per symbol and the length and distance extra bits, which both coded
-types pay.  A dynamic block's code lengths are length-limited Huffman
-lengths (``huffman_lengths``), its codes the canonical ones the decoder
-rebuilds from them (``DeflateCoding``), and its plan (``_dynamic_plan``)
-builds and prices its header once; the writer writes that header and
-refuses a token the plan leaves uncoded.  One rule prices a static or
-dynamic body (``_body_bits``), and one token writer ORs its codes and
-extra bits into local ints for ``write_bits_lsb``, which emits whole
-bytes at once; the stored writer calls it too.
+tokens.  A dynamic block is planned only where static costs more than
+the least any dynamic block can (see ``deflate``).  Its code lengths are
+length-limited Huffman lengths (``huffman_lengths``), its codes the
+canonical ones the decoder rebuilds from them (``DeflateCoding``), and
+its plan (``_dynamic_plan``) builds and prices its header once; the
+writer writes that header and refuses a token the plan leaves uncoded.
+One rule prices a static or dynamic body (``_body_bits``), and one token
+writer ORs its codes and extra bits into local ints for
+``write_bits_lsb``, which emits whole bytes at once; the stored writer
+calls it too.
 """
 
 from __future__ import annotations
@@ -83,14 +81,14 @@ class CompressParams(Record):
     ``block_payload_limit`` is the source bytes in every block but the
     last; the default is a multiple of MAX_STORED_BLOCK, so that a
     stored fallback's chunks tile the input as if it were one block.
-    Each must be an int of at least 1, or ValueOutOfRange is raised.
+    Each must be an int, not a bool, of at least 1, else ValueOutOfRange.
     """
 
     __slots__ = ("max_chain", "block_payload_limit")
 
     def __init__(self, max_chain: int = 128, block_payload_limit: int = 16 * MAX_STORED_BLOCK):
         for name, value in zip(self.__slots__, (max_chain, block_payload_limit)):
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueOutOfRange(f"{name} must be an int, not {type(value).__name__}")
             if value < 1:
                 raise ValueOutOfRange(f"{name} must be at least 1")
@@ -182,13 +180,10 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
                         k = best_len + 1
                         # Equal first best_len + 1 bytes: it beats best_len.
                         if data[cand : cand + k] == data[i : i + k]:
+                            # One compare takes a whole match: runs are 1.48x slower without it.
                             if data[cand : cand + limit] == data[i : i + limit]:
                                 k = limit
-                            else:
-                                while limit - k >= 16 and (
-                                    data[cand + k : cand + k + 16] == data[i + k : i + k + 16]
-                                ):
-                                    k += 16
+                            else:  # it stops short of limit, so this loop is bounded
                                 while data[cand + k] == data[i + k]:
                                     k += 1
                             best_len = k
@@ -504,11 +499,9 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     Each block spans the bytes its tokenize record gives and is priced
     from its counts.  One with skipped literals is stored unpriced when its
     static floor, 8 bits per skipped literal, exceeds storing it; otherwise
-    its literals are counted from its tokens.  A dynamic block pays at least
-    44 header bits (HLIT/HDIST/HCLEN, five code-length lengths, 258 or more
-    coded lengths), a bit per symbol and the extra bits static pays too, so
-    it is planned only when static exceeds 44 + sum(lit) + sum(dist) + the
-    length and distance extra bits: its body priced at one bit per code.
+    its literals are counted from its tokens.  A dynamic block is planned
+    only when static exceeds the least it can cost, 44 header bits and its
+    body at one bit per code, as the comment at that test derives.
     """
     blocks = []
     tokens = tokenize(data, params, blocks=blocks)

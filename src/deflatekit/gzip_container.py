@@ -29,7 +29,6 @@ from .inflate import NoParse, parse_deflate
 _MAGIC = b"\x1f\x8b"
 _METHOD_DEFLATE = 8
 
-_FTEXT = 1
 _FHCRC = 2
 _FEXTRA = 4
 _FNAME = 8
@@ -145,8 +144,10 @@ def gzip_wrap(deflate_bytes: bytes, crc: int, size: int) -> bytes:
 
 def _parse_header(data: bytes) -> int:
     """Validate the member header; returns the offset where deflate data starts."""
-    if len(data) < 10 or data[:2] != _MAGIC:
+    if data[:2] != _MAGIC:
         raise BadMagic("input does not start with the gzip magic bytes 1f 8b")
+    if len(data) < 10:
+        raise BadMagic("gzip header is truncated")
     if data[2] != _METHOD_DEFLATE:
         raise UnsupportedMethod(f"compression method {data[2]} is not deflate (8)")
     flags = data[3]

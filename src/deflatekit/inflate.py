@@ -8,7 +8,7 @@ and ``EndOfInput``.  ``_no_parse`` is the one place that turns any of
 these into ``NoParse(reason, bit_pos, detail)``.  The public parsers
 (``parse_block_header``, ``parse_stored_block``, ``parse_dynamic_header``,
 ``parse_deflate``) take ``(data, bit_pos=0)``, a buffer and an absolute
-bit offset in ``0..8 * len(data)``, and return a ParseOutcome:
+bit offset, an int in ``0..8 * len(data)``, and return a ParseOutcome:
 ``Parsed(value, consumed_bits)`` or that NoParse; a caller who parses
 on starts at ``bit_pos + consumed_bits``.  Parsers read strictly
 left to right and never look past the bits they consume, which gives
@@ -171,6 +171,8 @@ def _no_parse(exc: Exception) -> NoParse:
 
 def _outcome(raw, data: bytes, bit_pos: int) -> ParseOutcome:
     """Run raw(data, pos) -> (value, pos) from ``bit_pos``, as a ParseOutcome."""
+    if isinstance(bit_pos, bool) or not isinstance(bit_pos, int):
+        raise ValueOutOfRange(f"bit_pos must be an int, not {type(bit_pos).__name__}")
     if not 0 <= bit_pos <= 8 * len(data):
         raise ValueOutOfRange(f"bit_pos {bit_pos} outside a {len(data)}-byte buffer")
     try:
@@ -406,8 +408,8 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
     Every distance is checked against all the output produced so far.
     A malformed stream ends the walk with one item, a NoParse from the
     one ``except`` below, paired with the header of the block it broke
-    in, or with None if a block header failed.  A ``bit_pos`` outside
-    the buffer raises ValueOutOfRange at the first step.
+    in, or with None if a block header failed.  A ``bit_pos`` that is no
+    int in the buffer raises ValueOutOfRange at the first step.
     """
     bit_end = 8 * len(data)
     pos = bit_pos

@@ -86,6 +86,12 @@ def test_cursor_positions_are_bounded():
             parse(b"ab", -1)
         with pytest.raises(ValueOutOfRange, match="^bit_pos 1 outside a 0-byte buffer$"):
             parse(b"", 1)
+        # Only an int is a position: a float or None would fail inside
+        # read_bits with a bare TypeError, and True would be read as bit 1.
+        for bad in (0.0, None, "8", True):
+            kind = type(bad).__name__
+            with pytest.raises(ValueOutOfRange, match=f"^bit_pos must be an int, not {kind}$"):
+                parse(b"ab", bad)
 
 
 def stored_block(payload: bytes) -> bytes:

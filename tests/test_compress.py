@@ -268,17 +268,19 @@ def matcher_inputs(draw):
     """Inputs that exercise every branch of the chain walk and block split.
 
     Random bytes, runs of period 1 to 8 (long ones cross the 258 cap),
-    pieces repeated at distances 32767, 32768 and 32769, and inputs of
-    fewer than three bytes; whatever comes last ends the input, so
-    matches there stop at len(data).  Random stretches of 1.5 to 6 KiB,
-    built from a drawn seed, run long enough without a match to make
-    the matcher skip.
+    pieces repeated at distances 32767, 32768 and 32769, records of 17
+    to 250 bytes repeated with one byte changed in each copy (matches
+    of tens to hundreds of bytes at short distances that end before the
+    cap), and inputs of fewer than three bytes; whatever comes last ends
+    the input, so matches there stop at len(data).  Random stretches of
+    1.5 to 6 KiB, built from a drawn seed, run long enough without a
+    match to make the matcher skip.
     """
     if draw(st.integers(0, 9)) == 0:
         return draw(st.binary(max_size=2))
     out = bytearray()
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["random", "long-random", "period", "far"]))
+        kind = draw(st.sampled_from(["random", "long-random", "period", "records", "far"]))
         if kind == "random":
             out += draw(st.binary(min_size=1, max_size=300))
         elif kind == "long-random":
@@ -287,6 +289,12 @@ def matcher_inputs(draw):
         elif kind == "period":
             unit = draw(st.binary(min_size=1, max_size=8))
             out += unit * draw(st.integers(1, 700 // len(unit)))
+        elif kind == "records":
+            record = draw(st.binary(min_size=17, max_size=250))
+            for _ in range(draw(st.integers(2, 6))):
+                copy = bytearray(record)
+                copy[draw(st.integers(0, len(record) - 1))] ^= draw(st.integers(1, 255))
+                out += copy
         else:
             piece = draw(st.binary(min_size=1, max_size=300))
             distance = draw(st.sampled_from([32767, 32768, 32769]))
@@ -1147,11 +1155,13 @@ def test_compress_params_validation():
     assert params.max_chain == 4
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, "8", None])
+@pytest.mark.parametrize("value", [2.5, 2.0, "8", None, True, False])
 @pytest.mark.parametrize("field", ["max_chain", "block_payload_limit"])
 def test_compress_params_reject_settings_that_are_not_ints(field, value):
     # Each would otherwise fail later, or with a bare TypeError, which is
-    # not a DeflateError: a float max_chain only inside tokenize.
+    # not a DeflateError: a float max_chain only inside tokenize.  A bool
+    # is an int to Python, but max_chain=True would quietly search one
+    # candidate per position.
     kind = type(value).__name__
     with pytest.raises(ValueOutOfRange, match=f"^{field} must be an int, not {kind}$"):
         CompressParams(**{field: value})

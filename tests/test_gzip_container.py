@@ -256,6 +256,15 @@ def test_bad_magic():
         gzip_decompress(b"\x1f\x8c" + bytes(20))
     with pytest.raises(BadMagic):
         gzip_decompress(b"\x1f\x8b\x08\x00")  # shorter than a header
+    # A prefix with both magic bytes is a truncated header, not bad magic.
+    header = gzip_compress(b"x")[:10]
+    for n in range(10):
+        if n < 2:
+            message = "input does not start with the gzip magic bytes 1f 8b"
+        else:
+            message = "gzip header is truncated"
+        with pytest.raises(BadMagic, match=f"^{message}$"):
+            gzip_decompress(header[:n])
 
 
 def test_unsupported_method():
