@@ -40,6 +40,12 @@ def read_bits(data: bytes, pos: int, n: int, bit_end: int) -> tuple[int, int]:
     return (chunk >> (pos & 7)) & ((1 << n) - 1), pos + n
 
 
+def byte_view(data):
+    """``data`` as zlib reads a buffer: itself if flat bytes, else a flat view of its bytes."""
+    view = memoryview(data)
+    return data if view.format == "B" and view.ndim == 1 else view.cast("B")
+
+
 class BitSink:
     """Accumulates bits into a growing byte buffer, LSB of each byte first.
 

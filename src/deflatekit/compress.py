@@ -39,7 +39,7 @@ from collections import deque
 from itertools import compress, groupby
 from operator import mul
 
-from .bitio import BitSink
+from .bitio import BitSink, byte_view
 from .errors import ValueOutOfRange
 from .prefix_coding import (
     FIXED_DIST,
@@ -137,6 +137,7 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
     and distance symbols 0..29 over all but its skipped literals, how
     many literals it skipped, and the index in ``data`` past its end.
     """
+    data = byte_view(data)
     tokens = []
     append = tokens.append
     literals = _LITERAL_LIST
@@ -503,6 +504,7 @@ def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     only when static exceeds the least it can cost, 44 header bits and its
     body at one bit per code, as the comment at that test derives.
     """
+    data = byte_view(data)
     blocks = []
     tokens = tokenize(data, params, blocks=blocks)
     sink = BitSink()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import struct
 import warnings
 
+from .bitio import byte_view
 from .compress import CompressParams, DEFAULT_PARAMS, deflate
 from .errors import BadMagic, TrailerMismatch, UnsupportedMethod
 from .inflate import NoParse, parse_deflate
@@ -96,7 +97,7 @@ def crc32(data: bytes, value: int = 0) -> int:
 
     crc32(a + b) == crc32(b, crc32(a)) for any split, so arbitrarily
     chunked input gives the same checksum as one shot.  ``data`` is any
-    bytes-like object (bytes, bytearray, a memoryview of bytes); of
+    bytes-like object, read as its bytes (an ``array('I')`` too); of
     ``value`` only the low 32 bits count, as in zlib.
 
     CRC-32 is linear, so a 64-byte block's effect on a zero register is
@@ -111,6 +112,7 @@ def crc32(data: bytes, value: int = 0) -> int:
     copied whole: each lane is one slice of a 64th of it, and the words
     take 4 bytes per block.
     """
+    data = byte_view(data)
     crc = (value ^ 0xFFFFFFFF) & 0xFFFFFFFF
     blocks = len(data) // _BLOCK
     stop = blocks * _BLOCK
@@ -178,11 +180,12 @@ def _parse_header(data: bytes) -> int:
 
 def gzip_compress(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     """Compress plaintext straight into a gzip file."""
-    return gzip_wrap(deflate(data, params), crc32(data), len(data))
+    return gzip_wrap(deflate(data, params), crc32(data), memoryview(data).nbytes)
 
 
 def gzip_decompress(data: bytes) -> bytes:
     """Decompress the first member of a gzip file, verifying its trailer."""
+    data = byte_view(data)
     start = _parse_header(data)
     outcome = parse_deflate(data, 8 * start)
     if isinstance(outcome, NoParse):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 
-from .bitio import read_bits
+from .bitio import byte_view, read_bits
 from .errors import (
     BadCode,
     DistanceTooFar,
@@ -77,6 +77,9 @@ from .symbol_tables import (
 # 96 KiB output: its decode peaked at 0.71 MiB, against 0.20 MiB at 256.
 # 256 decodes no slower than 512, 1,024 or 4,096.
 _TOKEN_CHUNK = 256
+
+_LENGTH_FIELDS = (None,) * 257 + tuple((w, b, (1 << w) - 1) for w, b in LENGTH_CODES)
+_DISTANCE_FIELDS = tuple((w, b, (1 << w) - 1) for w, b in DISTANCE_CODES)
 
 
 class FailReason(enum.Enum):
@@ -173,6 +176,7 @@ def _outcome(raw, data: bytes, bit_pos: int) -> ParseOutcome:
     """Run raw(data, pos) -> (value, pos) from ``bit_pos``, as a ParseOutcome."""
     if isinstance(bit_pos, bool) or not isinstance(bit_pos, int):
         raise ValueOutOfRange(f"bit_pos must be an int, not {type(bit_pos).__name__}")
+    data = byte_view(data)
     if not 0 <= bit_pos <= 8 * len(data):
         raise ValueOutOfRange(f"bit_pos {bit_pos} outside a {len(data)}-byte buffer")
     try:
@@ -301,16 +305,17 @@ def _decode_some(
     distance must reach no further back than the ``produced`` bytes.
     Malformed content raises one of ``_PARSE_ERRORS`` at an exact offset.
 
-    ``hold`` caches ``have`` stream bits from ``pos`` on, reloaded 16
-    bytes at a time, or up to ``bit_end`` (a byte boundary) near it, so
-    it serves every field.  Symbols are looked up inline in the codings'
-    primary ``table`` (zlib ``inffast.c``); a -1 entry, or fewer than 15
-    bits in hand, sends the same bits to the coding's ``entry``.  Extra
-    bits past ``bit_end`` raise EndOfInput at their first bit.
+    ``hold`` caches the ``have`` bits before bit ``top``, reloaded 32 bytes
+    at a time (fewer at ``bit_end``): the position is ``top - have``, and
+    the output ``base + len(tokens)``, ``base`` adding ``length - 1`` per
+    backref.  Symbols are looked up inline in the codings' primary
+    ``table`` (zlib ``inffast.c``); a -1 entry, or fewer than 15 bits in
+    hand, sends the same bits to the coding's ``entry``.  Extra bits past
+    ``bit_end`` raise EndOfInput at their first bit.
     """
     tokens: list = []
     append = tokens.append
-    literals = LITERALS
+    literals, length_fields, distance_fields = LITERALS, _LENGTH_FIELDS, _DISTANCE_FIELDS
     # The codepoint checks below already keep every length in 3..258 and
     # every distance in 1..32768, so a BackRef is minted with two slot
     # stores instead of its constructor, which would check them again.
@@ -318,72 +323,65 @@ def _decode_some(
     lit_table, dist_table = lit_coding.table, dist_coding.table
     lit_mask, dist_mask = len(lit_table) - 1, len(dist_table) - 1
     hold = have = 0
-    reload_end = bit_end - 128
+    top, base = pos, produced
     for _ in range(_TOKEN_CHUNK):
         # 48 bits hold any token: 15 + 5 extra + 15 + 13 extra.
         if have < 48:
+            pos = top - have
             i = pos >> 3
-            hold = int.from_bytes(data[i : i + 16], "little") >> (pos & 7)
-            have = 128 - (pos & 7) if pos <= reload_end else bit_end - pos
+            hold = int.from_bytes(data[i : i + 32], "little") >> (pos & 7)
+            top = min((i + 32) << 3, bit_end)
+            have = top - pos
         entry = lit_table[hold & lit_mask]
         if entry < 0 or have < 15:
-            entry = lit_coding.entry(hold, have, pos)
+            entry = lit_coding.entry(hold, have, top - have)
         n = entry & 15
         hold >>= n
         have -= n
-        pos += n
-        sym = entry >> 4
-        if sym < 256:
-            append(literals[sym])
-            produced += 1
+        if entry < 256 << 4:
+            append(literals[entry >> 4])
             continue
+        sym = entry >> 4
         if sym == 256:
             append(END_OF_BLOCK)
-            return tokens, pos, produced, True
+            return tokens, top - have, base + len(tokens) - 1, True
         if sym > 285:
-            raise _Fail(FailReason.INVALID_LENGTH_CODEPOINT, pos - n, f"codepoint {sym}")
-        width, length = LENGTH_CODES[sym - 257]
+            raise _Fail(FailReason.INVALID_LENGTH_CODEPOINT, top - have - n, f"codepoint {sym}")
+        width, length, mask = length_fields[sym]
         if width > have:
-            raise EndOfInput(pos, f"a {width}-bit field")
-        extra = hold & ((1 << width) - 1)
+            raise EndOfInput(top - have, f"a {width}-bit field")
+        extra = hold & mask
         hold >>= width
         have -= width
-        pos += width
         if extra == 31 and sym == 284:
             # 227 + 31 would be 258, which codepoint 285 owns.
             detail = "length codepoint 284 with extra value 31"
-            raise _Fail(FailReason.INVALID_LENGTH_EXTRA, pos, detail)
+            raise _Fail(FailReason.INVALID_LENGTH_EXTRA, top - have, detail)
         length += extra
         entry = dist_table[hold & dist_mask]
         if entry < 0 or have < 15:
-            entry = dist_coding.entry(hold, have, pos)
+            entry = dist_coding.entry(hold, have, top - have)
         n = entry & 15
         hold >>= n
         have -= n
-        pos += n
         dsym = entry >> 4
         if dsym >= 30:
-            raise _Fail(FailReason.INVALID_DISTANCE_CODEPOINT, pos - n, f"codepoint {dsym}")
-        width, distance = DISTANCE_CODES[dsym]
+            raise _Fail(FailReason.INVALID_DISTANCE_CODEPOINT, top - have - n, f"codepoint {dsym}")
+        width, distance, mask = distance_fields[dsym]
         if width > have:
-            raise EndOfInput(pos, f"a {width}-bit field")
-        extra = hold & ((1 << width) - 1)
+            raise EndOfInput(top - have, f"a {width}-bit field")
+        distance += hold & mask
         hold >>= width
         have -= width
-        pos += width
-        distance += extra
-        if distance > produced:
-            raise _Fail(
-                FailReason.DISTANCE_TOO_FAR,
-                pos,
-                f"distance {distance} with only {produced} bytes produced",
-            )
+        if distance > base + len(tokens):
+            detail = f"distance {distance} with only {base + len(tokens)} bytes produced"
+            raise _Fail(FailReason.DISTANCE_TOO_FAR, top - have, detail)
         ref = new(BackRef)
         ref.length = length
         ref.distance = distance
         append(ref)
-        produced += length
-    return tokens, pos, produced, False
+        base += length - 1
+    return tokens, top - have, base + len(tokens), False
 
 
 def _parsed(parse, data: bytes, pos: int):
@@ -411,6 +409,7 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
     in, or with None if a block header failed.  A ``bit_pos`` that is no
     int in the buffer raises ValueOutOfRange at the first step.
     """
+    data = byte_view(data)
     bit_end = 8 * len(data)
     pos = bit_pos
     produced = 0

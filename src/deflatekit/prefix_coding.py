@@ -51,8 +51,8 @@ from .errors import (
 MAX_CODE_LENGTH = 15
 # The coding that encodes the dynamic header's code lengths is shallower.
 MAX_CL_CODE_LENGTH = 7
-# Stream bits a coding's primary lookup table indexes (zlib's root table).
-_TABLE_BITS = 9
+# Stream bits a coding's primary table indexes (libdeflate's LITLEN_TABLEBITS).
+_TABLE_BITS = 11
 
 # Each byte with its bit order reversed.
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -98,7 +98,7 @@ class DeflateCoding:
     code bit first.  The block writers and the decoder use it.
     ``reference.bit_codes`` gives the codes as tuples of bits.
 
-    ``table`` (zlib ``inftrees.c``) maps each ``table_bits`` = min(9,
+    ``table`` (zlib ``inftrees.c``) maps each ``table_bits`` = min(11,
     longest code) stream bits, least significant first, to
     ``(symbol << 4) | length`` for the code of at most ``table_bits``
     bits they begin with, else -1.  A dict maps each longer code, as

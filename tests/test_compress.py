@@ -8,6 +8,7 @@ import hashlib
 import math
 import random
 import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -1126,6 +1127,20 @@ def test_deflate_takes_bytes_bytearray_and_memoryview_alike():
     assert deflate(bytearray(data)) == out
     assert deflate(memoryview(data)) == out
     assert inflate(out) == data
+
+
+def test_deflate_and_tokenize_read_wide_items_as_their_bytes():
+    # A buffer of items wider than a byte, or of more than one dimension,
+    # is read as its bytes, as zlib reads it, not item by item: an item
+    # past 255 would not even be one.
+    wide = array("I", [1, 2, 3, 4] * 10 + [70000, 2**32 - 1] * 50)
+    data = bytes(wide)
+    assert tokenize(wide) == tokenize(memoryview(wide)) == tokenize(data)
+    grid = memoryview(data).cast("B", (8, len(data) // 8))
+    for buffer in (wide, memoryview(wide), memoryview(array("H", [300, 7, 65535] * 30)), grid):
+        out = deflate(buffer)
+        assert out == deflate(bytes(buffer))
+        assert zlib.decompress(out, -15) == bytes(buffer) == zlib.decompress(zlib.compress(buffer))
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,6 +14,7 @@ import random
 import struct
 import tracemalloc
 import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,23 @@ def test_lane_planes_match_their_definition():
             if k >= 60:
                 assert steps[63 - k][i] == register, (k, i)
             register = register_bitwise(b"\x00", register)
+
+
+def test_wide_item_buffers_are_read_as_their_bytes_as_zlib_reads_them():
+    # gzip_compress once wrote an array('I') of 40 items as a 40-byte
+    # member, crc32 summed its items as bytes, and a two-dimensional view
+    # was indexed by rows.
+    grid = memoryview(bytes(range(240))).cast("B", (12, 20))  # two-dimensional
+    for wide in (array("I", [1, 2, 3, 4] * 10), memoryview(array("H", [300, 7] * 70)), grid):
+        data = bytes(wide)
+        assert crc32(wide) == zlib.crc32(wide) == crc32(data)
+        assert crc32(wide, 12345) == zlib.crc32(wide, 12345)
+        assert zlib.decompress(gzip_compress(wide), 31) == data
+        c = zlib.compressobj(9, zlib.DEFLATED, 31)
+        member = c.compress(data) + c.flush()
+        pad = 4 + -len(member) % 4  # junk after the member, filling whole 4-byte items
+        with pytest.warns(UserWarning, match=f"^{pad} bytes after the first gzip member"):
+            assert gzip_decompress(array("I", member + bytes(pad))) == data
 
 
 def test_crc32_takes_bytes_bytearray_and_memoryview_alike():

@@ -12,6 +12,7 @@ import random
 import tracemalloc
 import weakref
 import zlib
+from array import array
 
 import pytest
 from hypothesis import event, given, settings
@@ -24,6 +25,7 @@ from deflatekit.compress import (
     deflate,
     write_dynamic_block,
     write_static_block,
+    write_stored_block,
 )
 from deflatekit.errors import InflateError, ValueOutOfRange
 from deflatekit.history_window import QueueOfDoom, resolve_tokens
@@ -41,7 +43,7 @@ from deflatekit.inflate import (
     parse_dynamic_header,
     parse_stored_block,
 )
-from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, build_coding
+from deflatekit.prefix_coding import _TABLE_BITS, FIXED_DIST, FIXED_LIT, build_coding
 from deflatekit.reference import (
     InvalidLengthExtra,
     bit_codes,
@@ -50,9 +52,11 @@ from deflatekit.reference import (
 )
 from deflatekit.symbol_tables import (
     CL_CODE_ORDER,
+    DISTANCE_CODEPOINT,
     DISTANCE_CODES,
     END_OF_BLOCK,
     LENGTH_CODES,
+    LENGTH_ENCODING,
     BackRef,
     Literal,
     distance_extra_bits,
@@ -755,6 +759,82 @@ def test_blocks_at_a_batch_boundary_split_into_whole_batches(offset):
     assert outcome == parse_deflate(stream) == Parsed(plain, sink.bit_length)
 
 
+def static_token_stream(tokens: list, history: bytes) -> tuple[bytes, list]:
+    """A stored block of ``history``, then static blocks of ``tokens``, a
+    new one after each END_OF_BLOCK but the last; returns the stream and
+    the bit count written after each token."""
+    sink = write_stored_block(history, False, BitSink())
+    blocks = tokens.count(END_OF_BLOCK)
+    ends = []
+    for i, t in enumerate(tokens):
+        if i == 0 or tokens[i - 1] is END_OF_BLOCK:
+            blocks -= 1
+            sink.write_bits_lsb(blocks == 0, 1)
+            sink.write_bits_lsb(1, 2)
+        if type(t) is BackRef:
+            cp, extra, width = LENGTH_ENCODING[t.length]
+            write_code_msb(sink, FIXED_LIT_CODES[cp])
+            sink.write_bits_lsb(extra, width)
+            dcp = DISTANCE_CODEPOINT[t.distance]
+            width, base = DISTANCE_CODES[dcp]
+            write_code_msb(sink, FIXED_DIST_CODES[dcp])
+            sink.write_bits_lsb(t.distance - base, width)
+        else:
+            write_code_msb(sink, FIXED_LIT_CODES[256 if t is END_OF_BLOCK else t.value])
+        ends.append(sink.bit_length)
+    return sink.to_bytes(), ends
+
+
+@pytest.mark.parametrize("kind", ["literals", "backrefs"])
+def test_every_batch_ends_at_the_bit_its_last_token_ends(kind):
+    # Two full batches and k more tokens: the last batch starts inside
+    # the stream's final 32 bytes, where the decoder's refill stops at
+    # the end of the stream.  The walk reports each batch's end, and the
+    # output count it carries on, from its own bookkeeping.
+    chunk = inflate_module._TOKEN_CHUNK
+    history = b"0123"
+    for k in range(20):
+        rng = random.Random(k)
+        if kind == "literals":
+            tokens = [Literal(rng.randrange(256)) for _ in range(2 * chunk + k)]
+        else:
+            tokens = [BackRef(rng.randint(3, 10), rng.randint(1, 4)) for _ in range(2 * chunk + k)]
+        tokens.append(END_OF_BLOCK)
+        stream, ends = static_token_stream(tokens, history)
+        assert 8 * len(stream) - ends[2 * chunk - 1] < 256
+        items = list(iter_blocks(stream))[1:]
+        assert [end for _, _, end in items] == [ends[chunk - 1], ends[2 * chunk - 1], ends[-1]]
+        assert [t for _, item, _ in items for t in item] == tokens
+        expected = resolve_tokens([Literal(b) for b in history] + tokens, QueueOfDoom())[0]
+        assert parse_deflate(stream) == Parsed(expected, ends[-1])
+
+
+@pytest.mark.parametrize("kind", ["literals", "backrefs", "block"])
+def test_a_backref_opening_a_batch_reaches_exactly_the_output_so_far(kind):
+    # The output count a batch hands on, a full one or a block's last, is
+    # all the output: a backref opening the next batch may reach all of
+    # it, and not one byte more.
+    chunk = inflate_module._TOKEN_CHUNK
+    history = b"history"
+    if kind == "literals":
+        first = [Literal(97 + i % 26) for i in range(chunk)]
+    else:
+        first = [BackRef(100, 1 + i % 7) for i in range(chunk)]
+    if kind == "block":
+        first[-1] = END_OF_BLOCK
+    produced = len(history) + sum(
+        1 if type(t) is Literal else t.length for t in first if t is not END_OF_BLOCK
+    )
+    tokens = first + [BackRef(3, produced), END_OF_BLOCK]
+    stream, ends = static_token_stream(tokens, history)
+    expected = resolve_tokens([Literal(b) for b in history] + tokens, QueueOfDoom())[0]
+    assert parse_deflate(stream) == Parsed(expected, ends[-1])
+    tokens[chunk] = BackRef(3, produced + 1)
+    stream, ends = static_token_stream(tokens, history)
+    detail = f"distance {produced + 1} with only {produced} bytes produced"
+    assert parse_deflate(stream) == NoParse(FailReason.DISTANCE_TOO_FAR, ends[chunk], detail)
+
+
 def flushed_zlib_stream(data: bytes, every: int, mode: int) -> tuple[bytes, int]:
     """A raw zlib -6 stream of data flushed with ``mode`` after every
     ``every`` bytes but the last, and how many flushes it took."""
@@ -798,6 +878,20 @@ def raw_zlib(data: bytes, level: int, strategy: int = zlib.Z_DEFAULT_STRATEGY) -
     """A raw Deflate stream of data made by stdlib zlib."""
     c = zlib.compressobj(level, zlib.DEFLATED, -15, 8, strategy)
     return c.compress(data) + c.flush()
+
+
+def test_wide_item_buffers_decode_as_their_bytes_as_zlib_reads_them():
+    # A buffer of items wider than a byte is the stream of its bytes; read
+    # item by item it once ran out of input or misread every field.
+    data = english_text(3000, seed=34)
+    raw = raw_zlib(data, 9)
+    raw += bytes(-len(raw) % 8)  # junk past the final block fills the last item
+    walk = list(iter_blocks(raw))
+    for wide in (array("I", raw), memoryview(array("Q", raw)), array("H", raw)):
+        assert inflate(wide) == data == zlib.decompress(wide, -15)
+        assert parse_deflate(wide) == parse_deflate(raw)
+        assert parse_block_header(wide, 1) == parse_block_header(raw, 1)
+        assert [(h, end) for h, _, end in iter_blocks(wide)] == [(h, end) for h, _, end in walk]
 
 
 def lines_and_runs(size: int, line_share: float) -> bytes:
@@ -1284,7 +1378,7 @@ def long_codes_stream():
 
 
 def test_long_codes_decode_between_short_ones():
-    # 15-bit codes go past the 9-bit primary tables; the tokens after
+    # 15-bit codes go past the 11-bit primary tables; the tokens after
     # them must still line up.
     sink, tokens = long_codes_stream()
     stream = sink.to_bytes()
@@ -1365,6 +1459,57 @@ def test_every_prefix_of_long_code_streams_matches_the_pinned_digest():
         for k in range(len(stream) + 1):
             digest.update(outcome_line(parse_deflate(stream[:k])))
     assert digest.hexdigest() == PINNED_TAIL_OUTCOMES_SHA256
+
+
+def deep_code_streams():
+    """20 final dynamic blocks over random codings that code end of block,
+    built without zlib, each opening with a literal whose code is longer
+    than the primary table, then random tokens and end of block."""
+    rng = random.Random(34)
+    for _ in range(20):
+        while True:
+            lit_lengths = list(random_code_lengths(rng, max_alphabet=286))
+            lit_lengths += [0] * (257 - len(lit_lengths))
+            deep = [ch for ch in range(256) if lit_lengths[ch] > _TABLE_BITS]
+            if deep and lit_lengths[256]:
+                break
+        sink, lit, dist = dynamic_block(lit_lengths, list(random_code_lengths(rng, max_alphabet=32)))
+        write_code_msb(sink, bit_codes(lit)[rng.choice(deep)])
+        write_random_tokens(sink, rng, lit, dist)
+        yield sink.to_bytes()
+
+
+# sha256 over the parse_deflate outcomes of every byte prefix of
+# deep_code_streams(), recorded under 11-bit primary tables; 9-bit ones
+# give the same outcomes.
+PINNED_DEEP_TAIL_OUTCOMES_SHA256 = "8d50f2f60ee18acb67712bd430eed0678f7b662eb9ad0ba477db0112c9eab9f4"
+
+
+class LookupCounter(dict):
+    """A coding's dict of long codes that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        LookupCounter.lookups += 1
+        return super().get(key, default)
+
+
+def test_every_prefix_of_deep_code_streams_matches_the_pinned_digest(monkeypatch):
+    def counted(lengths, max_len):
+        coding = build_coding(lengths, max_len)
+        coding._long_codes = LookupCounter(coding._long_codes)
+        return coding
+
+    monkeypatch.setattr(inflate_module, "build_coding", counted)
+    digest = hashlib.sha256()
+    for stream in deep_code_streams():
+        LookupCounter.lookups = 0
+        parse_deflate(stream)
+        assert LookupCounter.lookups, "the opening literal's code is past the table"
+        for k in range(len(stream) + 1):
+            digest.update(outcome_line(parse_deflate(stream[:k])))
+    assert digest.hexdigest() == PINNED_DEEP_TAIL_OUTCOMES_SHA256
 
 
 def write_coded_tokens(sink: BitSink, rng: random.Random, lit, dist, count: int) -> list:

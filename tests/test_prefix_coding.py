@@ -411,8 +411,8 @@ def symbol_stream(coding: DeflateCoding, rng: random.Random, count: int) -> byte
     "lengths",
     [
         list(range(1, 16)) + [15],  # complete, down to 15-bit codes
-        [3, 10, 15, 0, 12, 9, 9],  # incomplete, with codes past 9 bits
-        [2, 2, 2],  # incomplete, all shorter than 9 bits
+        [3, 10, 15, 0, 12, 9, 9],  # incomplete, with codes past the 11-bit table
+        [2, 2, 2],  # incomplete, all shorter than the table
         [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8,  # fixed literal/length
         [0, 1],  # a single code
         [0, 0, 0],  # no codes at all
@@ -484,6 +484,20 @@ def test_random_vectors_round_trip_random_symbol_streams(seed):
         seen.append(ch)
     assert seen == msg
     assert pos == sink.bit_length
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0))
+def test_entry_finds_every_code_under_any_higher_bits_at_every_avail(seed):
+    # Codes up to 15 bits, so past the primary table too: whatever stream
+    # bits follow a code, it resolves once its own bits are in hand.
+    rng = random.Random(seed)
+    coding = build_coding(random_code_lengths(rng))
+    for ch, (rev, length) in enumerate(coding.stream_codes):
+        if length:
+            bits = rev | rng.getrandbits(32) << length
+            for avail in range(length, MAX_CODE_LENGTH + 1):
+                assert coding.entry(bits, avail, 0) == ch << 4 | length
 
 
 # -- stream order -------------------------------------------------------
