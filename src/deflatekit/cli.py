@@ -7,6 +7,7 @@ offset when the deflate stream itself is at fault), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .compress import DEFAULT_PARAMS, CompressParams, deflate
@@ -72,8 +73,16 @@ def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> No
             if value < 1:
                 parser.error(f"{flag} must be at least 1, got {value}")
     output = getattr(args, "output", None)
-    if output and output != "-" and output == args.input:
+    if output and "-" not in (args.input, output) and _same_file(args.input, output):
         parser.error("input and output must be different paths")
+
+
+def _same_file(input_path: str, output: str) -> bool:
+    """Whether both name one file: by identity where both exist, else by spelling."""
+    try:
+        return os.path.samefile(input_path, output)
+    except OSError:
+        return input_path == output
 
 
 def _read_input(path: str) -> bytes:

@@ -35,7 +35,7 @@ calls it too.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from itertools import compress, groupby
 from operator import mul
 
@@ -48,7 +48,7 @@ from .prefix_coding import (
     MAX_CODE_LENGTH,
     DeflateCoding,
 )
-from .record import Record, set_field
+from .record import Record
 from .symbol_tables import (
     CL_CODE_ORDER,
     DISTANCE_CODEPOINT,
@@ -74,7 +74,7 @@ WINDOW_MASK = WINDOW_SIZE - 1
 NO_POS = -WINDOW_SIZE - 1  # below pos - WINDOW_SIZE for every pos >= 0
 
 
-class CompressParams(Record):
+class CompressParams(Record, namedtuple("CompressParams", ("max_chain", "block_payload_limit"))):
     """Tuning knobs; defaults favour speed over the last few percent.
 
     ``max_chain`` is the number of candidates examined per position.
@@ -84,15 +84,20 @@ class CompressParams(Record):
     Each must be an int, not a bool, of at least 1, else ValueOutOfRange.
     """
 
-    __slots__ = ("max_chain", "block_payload_limit")
+    __slots__ = ()
 
-    def __init__(self, max_chain: int = 128, block_payload_limit: int = 16 * MAX_STORED_BLOCK):
-        for name, value in zip(self.__slots__, (max_chain, block_payload_limit)):
+    def __new__(cls, max_chain: int = 128, block_payload_limit: int = 16 * MAX_STORED_BLOCK):
+        for name, value in zip(cls._fields, (max_chain, block_payload_limit)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueOutOfRange(f"{name} must be an int, not {type(value).__name__}")
             if value < 1:
                 raise ValueOutOfRange(f"{name} must be at least 1")
-            set_field(self, name, value)
+        return super().__new__(cls, max_chain, block_payload_limit)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__ and its checks.
+        return cls(*iterable)
 
 
 DEFAULT_PARAMS = CompressParams()
@@ -327,6 +332,7 @@ def write_static_block(tokens, final: bool, sink: BitSink) -> BitSink:
 
 def write_stored_block(data: bytes, final: bool, sink: BitSink) -> BitSink:
     """Write one stored (uncompressed) block of at most 65535 bytes."""
+    data = byte_view(data)
     if len(data) > MAX_STORED_BLOCK:
         raise ValueOutOfRange(f"stored block of {len(data)} bytes exceeds {MAX_STORED_BLOCK}")
     sink.write_bits_lsb((1 if final else 0) | BlockType.STORED << 1, 3)

@@ -41,6 +41,7 @@ returns, about twice the output, and one batch.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 
 from .bitio import byte_view, read_bits
 from .errors import (
@@ -59,7 +60,7 @@ from .prefix_coding import (
     MAX_CODE_LENGTH,
     build_coding,
 )
-from .record import Record, set_field
+from .record import Record
 from .symbol_tables import (
     CL_CODE_ORDER,
     DISTANCE_CODES,
@@ -99,25 +100,16 @@ class FailReason(enum.Enum):
     DISTANCE_TOO_FAR = "backreference reaches beyond the produced output"
 
 
-class Parsed(Record):
+class Parsed(Record, namedtuple("Parsed", ("value", "consumed_bits"))):
     """Parsed(value, consumed_bits); parsing on starts at bit_pos + consumed_bits."""
 
-    __slots__ = ("value", "consumed_bits")
-
-    def __init__(self, value: object, consumed_bits: int):
-        set_field(self, "value", value)
-        set_field(self, "consumed_bits", consumed_bits)
+    __slots__ = ()
 
 
-class NoParse(Record):
+class NoParse(Record, namedtuple("NoParse", ("reason", "bit_pos", "detail"), defaults=("",))):
     """Failed parse: the reason and the absolute bit offset of failure."""
 
-    __slots__ = ("reason", "bit_pos", "detail")
-
-    def __init__(self, reason: FailReason, bit_pos: int, detail: str = ""):
-        set_field(self, "reason", reason)
-        set_field(self, "bit_pos", bit_pos)
-        set_field(self, "detail", detail)
+    __slots__ = ()
 
     def error(self) -> InflateError:
         """The exception the raising entry points report this failure with."""
@@ -127,27 +119,15 @@ class NoParse(Record):
 ParseOutcome = Parsed | NoParse
 
 
-class BlockHeader(Record):
-    __slots__ = ("is_final", "block_type")
-
-    def __init__(self, is_final: bool, block_type: BlockType):
-        set_field(self, "is_final", is_final)
-        set_field(self, "block_type", block_type)
+class BlockHeader(Record, namedtuple("BlockHeader", ("is_final", "block_type"))):
+    __slots__ = ()
 
 
-class DynamicHeader(Record):
+class DynamicHeader(Record, namedtuple(
+        "DynamicHeader", ("hlit", "hdist", "hclen", "cl_coding", "lit_coding", "dist_coding"))):
     """Everything a dynamic block declares before its token payload."""
 
-    __slots__ = ("hlit", "hdist", "hclen", "cl_coding", "lit_coding", "dist_coding")
-
-    def __init__(self, hlit: int, hdist: int, hclen: int, cl_coding: DeflateCoding,
-                 lit_coding: DeflateCoding, dist_coding: DeflateCoding):
-        set_field(self, "hlit", hlit)
-        set_field(self, "hdist", hdist)
-        set_field(self, "hclen", hclen)
-        set_field(self, "cl_coding", cl_coding)
-        set_field(self, "lit_coding", lit_coding)
-        set_field(self, "dist_coding", dist_coding)
+    __slots__ = ()
 
 
 class _Fail(Exception):

@@ -102,11 +102,9 @@ DISTANCE_CODEPOINT = bytes(1) + b"".join(
 
 # -- token vocabulary ---------------------------------------------------
 #
-# Plain __slots__ classes rather than dataclasses: tokens are minted in
-# the innermost codec loops, where construction cost is visible.  Treat
-# instances as immutable values.  The codec's records (``record.Record``)
-# follow them for import cost: ``dataclasses`` alone would take longer
-# to import than the whole package.
+# Plain __slots__ classes, not named tuples as the codec's records
+# (``record.Record``) are: tokens are minted in the innermost codec
+# loops, where construction cost is visible.  Treat them as immutable.
 
 
 class Literal:

@@ -171,6 +171,26 @@ def test_same_input_and_output_is_a_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("spelling", ["dot", "absolute", "hard link"])
+@pytest.mark.parametrize("mode", ["compress", "decompress"])
+def test_output_naming_the_input_file_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                         mode, spelling):
+    # The guard compares files, not spellings: each of these would
+    # otherwise overwrite the input with its own output.
+    monkeypatch.chdir(tmp_path)
+    data = gzip_compress(b"data " * 20)
+    (tmp_path / "same.gz").write_bytes(data)
+    if spelling == "hard link":
+        (tmp_path / "link.gz").hardlink_to(tmp_path / "same.gz")
+    output = {"dot": "./same.gz", "absolute": str(tmp_path / "same.gz"),
+              "hard link": "link.gz"}[spelling]
+    with pytest.raises(SystemExit) as err:
+        main([mode, "same.gz", "-o", output])
+    assert err.value.code == 2
+    assert "input and output must be different paths" in capsys.readouterr().err
+    assert (tmp_path / "same.gz").read_bytes() == data
+
+
 def test_unknown_mode_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["explode"])

@@ -6,6 +6,7 @@ of the codec can quietly agree with its twin on a wrong answer.
 
 import hashlib
 import math
+import pickle
 import random
 import zlib
 from array import array
@@ -755,6 +756,11 @@ def test_write_stored_block_round_trips():
         sink = write_stored_block(payload, True, BitSink())
         outcome = parse_stored_block(sink.to_bytes(), 3)
         assert outcome.value == payload
+    # A buffer of wider items is stored as its bytes, as zlib reads it.
+    items = array("I", [1, 2, 3])
+    for payload in (items, memoryview(items)):
+        sink = write_stored_block(payload, True, BitSink())
+        assert zlib.decompress(sink.to_bytes(), -15) == items.tobytes()
 
 
 def test_write_stored_block_from_an_odd_bit_position():
@@ -769,6 +775,10 @@ def test_write_stored_block_size_limit():
     write_stored_block(bytes(MAX_STORED_BLOCK), True, BitSink())
     with pytest.raises(ValueOutOfRange):
         write_stored_block(bytes(MAX_STORED_BLOCK + 1), True, BitSink())
+    # The limit counts bytes, not a buffer's wider items.
+    wide = array("I", bytes(MAX_STORED_BLOCK + 1))
+    with pytest.raises(ValueOutOfRange, match="^stored block of 65536 bytes exceeds 65535$"):
+        write_stored_block(wide, True, BitSink())
 
 
 def test_distance_table_matches_distance_encode():
@@ -1168,6 +1178,12 @@ def test_compress_params_validation():
         with pytest.raises(AttributeError):
             setattr(params, name, 1)
     assert params.max_chain == 4
+    assert pickle.loads(pickle.dumps(params)) == params
+    # Every way to build one runs the constructor's checks.
+    with pytest.raises(ValueOutOfRange, match="^max_chain must be at least 1$"):
+        DEFAULT_PARAMS._replace(max_chain=0)
+    with pytest.raises(ValueOutOfRange, match="^max_chain must be an int, not bool$"):
+        CompressParams._make((True, 5))
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, "8", None, True, False])

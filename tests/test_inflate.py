@@ -197,6 +197,11 @@ def test_block_header_fields():
     assert Parsed(1, 2) != NoParse(1, 2)
     assert NoParse(1, 2) != Parsed(1, 2)
     assert Parsed(1, 2) != (1, 2)
+    # Reflected too: a plain tuple on the left does not compare the fields.
+    assert not (1, 2) == Parsed(1, 2)
+    assert (1, 2) != Parsed(1, 2)
+    assert BlockHeader(True, BlockType.STATIC) != Parsed(True, BlockType.STATIC)
+    assert not BlockHeader(True, BlockType.STATIC) == Parsed(True, BlockType.STATIC)
     # An outcome is what the parse did, whatever buffer it read: equal and
     # hashable over any buffer type, and as short to show over 4 KB as over 1 byte.
     for parse, data in ((parse_block_header, b"\x00"), (parse_deflate, GOLDEN_STATIC_BYTES)):
@@ -1344,14 +1349,26 @@ def dynamic_block(lit_lengths: list, dist_lengths: list):
     return sink, build_coding(lit_lengths), build_coding(dist_lengths)
 
 
-def random_dynamic_block(rng: random.Random, long_codes: bool = False) -> bytes:
+def random_dynamic_block(rng: random.Random, long_codes: bool = False,
+                         ends: bool = False) -> bytes:
     """A final dynamic block over random (often incomplete) codings, with
-    codes up to 15 bits; with long_codes, one of them longer than 9."""
+    codes up to 15 bits; with long_codes, one of them longer than 9; with
+    ends, a literal coding that codes end of block: its codes are shuffled
+    over 257 to 286 symbols, and unless 256 gets one, a random coded
+    symbol's length moves to it."""
     while True:
         lit_lengths = list(random_code_lengths(rng, max_alphabet=286))
         lit_lengths += [0] * (257 - len(lit_lengths))
         dist_lengths = list(random_code_lengths(rng, max_alphabet=32))
-        if not long_codes or max(lit_lengths + dist_lengths) > 9:
+        if ends:
+            lit_lengths += [0] * (rng.randrange(257, 287) - len(lit_lengths))
+            rng.shuffle(lit_lengths)
+            coded = [s for s, length in enumerate(lit_lengths) if length]
+            if coded and not lit_lengths[256]:
+                moved = rng.choice(coded)
+                lit_lengths[256], lit_lengths[moved] = lit_lengths[moved], 0
+        if (not long_codes or max(lit_lengths + dist_lengths) > 9) and (
+                not ends or lit_lengths[256]):
             break
     sink, lit, dist = dynamic_block(lit_lengths, dist_lengths)
     write_random_tokens(sink, rng, lit, dist)
@@ -1398,6 +1415,12 @@ def pinned_corpus():
         streams.append(reference_deflate(data, params))
     streams += [random_static_block(rng) for _ in range(150)]
     streams += [random_dynamic_block(rng) for _ in range(150)]
+    yield from damaged(streams, rng)
+
+
+def damaged(streams, rng: random.Random):
+    """Each stream plain, then, unless empty, bit-flipped and truncated,
+    then junk-suffixed."""
     for stream in streams:
         yield stream
         if stream:
@@ -1436,6 +1459,31 @@ def test_parse_outcomes_match_the_pinned_digest():
         digest.update(outcome_line(outcome))
     assert reasons == set(FailReason)
     assert digest.hexdigest() == PINNED_OUTCOMES_SHA256
+
+
+def ending_dynamic_blocks():
+    """150 random dynamic blocks whose literal coding codes end of block,
+    built without zlib."""
+    rng = random.Random(67)
+    return [random_dynamic_block(rng, ends=True) for _ in range(150)]
+
+
+# sha256 over the parse_deflate outcomes of damaged(ending_dynamic_blocks()),
+# recorded when the codec's records became named tuples; the hand-written
+# records before them gave the same digest.
+PINNED_ENDING_OUTCOMES_SHA256 = "a232dd262cc69493d832f53d37ecb29dcc24775f81d29090b022341e21722ffc"
+
+
+def test_ending_dynamic_block_outcomes_match_the_pinned_digest():
+    blocks = ending_dynamic_blocks()
+    # Most decode to their end of block or fail inside it, not at the end of input.
+    outcomes = [parse_deflate(block) for block in blocks]
+    assert sum(not (isinstance(outcome, NoParse) and outcome.reason is FailReason.END_OF_INPUT)
+               for outcome in outcomes) >= 75
+    digest = hashlib.sha256()
+    for stream in damaged(blocks, random.Random(68)):
+        digest.update(outcome_line(parse_deflate(stream)))
+    assert digest.hexdigest() == PINNED_ENDING_OUTCOMES_SHA256
 
 
 def long_code_streams():
