@@ -41,8 +41,11 @@ def read_bits(data: bytes, pos: int, n: int, bit_end: int) -> tuple[int, int]:
 
 
 def byte_view(data):
-    """``data`` as zlib reads a buffer: itself if flat bytes, else a flat view of its bytes."""
+    """``data`` as zlib reads a buffer: itself if flat bytes, else a flat view of its
+    bytes; a buffer that is not C-contiguous raises BufferError, as in zlib."""
     view = memoryview(data)
+    if not view.c_contiguous:
+        raise BufferError("buffer is not C-contiguous")
     return data if view.format == "B" and view.ndim == 1 else view.cast("B")
 
 

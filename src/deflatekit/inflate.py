@@ -2,10 +2,10 @@
 
 The parsers work on a raw buffer and absolute bit position, reading
 fields with ``bitio.read_bits``, and return (value, new position).  On
-a malformed stream they raise: a grammar violation raises ``_Fail``
-with its reason, the prefix decoder and the bit reader raise ``BadCode``
-and ``EndOfInput``.  ``_no_parse`` is the one place that turns any of
-these into ``NoParse(reason, bit_pos, detail)``.  The public parsers
+a malformed stream they raise ``InflateError``, or the ``EndOfInput``
+and ``BadCode`` of the bit reader and the prefix decoder, each carrying
+the ``FailReason``, ``bit_pos`` and ``detail`` of its
+``NoParse(reason, bit_pos, detail)``.  The public parsers
 (``parse_block_header``, ``parse_stored_block``, ``parse_dynamic_header``,
 ``parse_deflate``) take ``(data, bit_pos=0)``, a buffer and an absolute
 bit offset, an int in ``0..8 * len(data)``, and return a ParseOutcome:
@@ -21,7 +21,7 @@ the layer two global properties:
 
 ``iter_blocks`` is the one walk of the block grammar: block by block,
 batch by batch, up to the final block's last bit.  It calls the public
-parsers through ``_parsed``, which raises a NoParse as ``_Fail``, so
+parsers through ``_parsed``, which raises a NoParse as its error, so
 every failure leaves the walk through one exit: a last item pairing the
 NoParse with its block's header, or with None when a block header itself
 failed.  ``parse_deflate`` folds it into one output buffer, a
@@ -40,7 +40,6 @@ returns, about twice the output, and one batch.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 
 from .bitio import byte_view, read_bits
@@ -48,6 +47,7 @@ from .errors import (
     BadCode,
     DistanceTooFar,
     EndOfInput,
+    FailReason,
     InflateError,
     KraftViolation,
     ValueOutOfRange,
@@ -83,23 +83,6 @@ _LENGTH_FIELDS = (None,) * 257 + tuple((w, b, (1 << w) - 1) for w, b in LENGTH_C
 _DISTANCE_FIELDS = tuple((w, b, (1 << w) - 1) for w, b in DISTANCE_CODES)
 
 
-class FailReason(enum.Enum):
-    """Why a parse failed; the human meaning is the value."""
-
-    END_OF_INPUT = "ran out of input bits"
-    RESERVED_BLOCK_TYPE = "reserved block type 3"
-    LEN_NLEN_MISMATCH = "stored-block length complement check failed"
-    REPEAT_WITHOUT_PREVIOUS = "repeat code with no previous length"
-    REPEAT_OVERRUN = "repeat runs past the declared number of lengths"
-    BAD_CODE = "bits match no code of the coding"
-    FORBIDDEN_HLIT = "literal alphabet larger than 286"
-    BAD_CODING = "length vector admits no prefix-free coding"
-    INVALID_LENGTH_CODEPOINT = "length codepoint not allowed in data"
-    INVALID_LENGTH_EXTRA = "length extra bits name an impossible length"
-    INVALID_DISTANCE_CODEPOINT = "distance codepoint not allowed in data"
-    DISTANCE_TOO_FAR = "backreference reaches beyond the produced output"
-
-
 class Parsed(Record, namedtuple("Parsed", ("value", "consumed_bits"))):
     """Parsed(value, consumed_bits); parsing on starts at bit_pos + consumed_bits."""
 
@@ -113,7 +96,7 @@ class NoParse(Record, namedtuple("NoParse", ("reason", "bit_pos", "detail"), def
 
     def error(self) -> InflateError:
         """The exception the raising entry points report this failure with."""
-        return InflateError(self.reason.value, self.bit_pos, self.detail)
+        return InflateError(self.reason, self.bit_pos, self.detail)
 
 
 ParseOutcome = Parsed | NoParse
@@ -130,26 +113,9 @@ class DynamicHeader(Record, namedtuple(
     __slots__ = ()
 
 
-class _Fail(Exception):
-    """A grammar violation at an exact bit offset, raised by the raw parsers."""
-
-    def __init__(self, reason: FailReason, bit_pos: int, detail: str = ""):
-        self.reason = reason
-        self.bit_pos = bit_pos
-        self.detail = detail
-
-
-# Everything a raw parser raises for a malformed stream.
-_PARSE_ERRORS = (_Fail, EndOfInput, BadCode)
-
-
-def _no_parse(exc: Exception) -> NoParse:
-    """The NoParse for a failure the raw parsers raised."""
-    if isinstance(exc, EndOfInput):
-        return NoParse(FailReason.END_OF_INPUT, exc.bit_pos)
-    if isinstance(exc, BadCode):
-        return NoParse(FailReason.BAD_CODE, exc.bit_pos)
-    return NoParse(exc.reason, exc.bit_pos, exc.detail)
+# Everything a raw parser raises for a malformed stream; each carries
+# the reason, bit_pos and detail of its NoParse.
+_PARSE_ERRORS = (InflateError, EndOfInput, BadCode)
 
 
 def _outcome(raw, data: bytes, bit_pos: int) -> ParseOutcome:
@@ -162,7 +128,7 @@ def _outcome(raw, data: bytes, bit_pos: int) -> ParseOutcome:
     try:
         value, pos = raw(data, bit_pos)
     except _PARSE_ERRORS as e:
-        return _no_parse(e)
+        return NoParse(e.reason, e.bit_pos, e.detail)
     return Parsed(value, pos - bit_pos)
 
 
@@ -187,7 +153,7 @@ def _block_header(data: bytes, pos: int) -> tuple[BlockHeader, int]:
     final, pos = read_bits(data, pos, 1, bit_end)
     btype, pos = read_bits(data, pos, 2, bit_end)
     if btype == 3:
-        raise _Fail(FailReason.RESERVED_BLOCK_TYPE, pos - 2)
+        raise InflateError(FailReason.RESERVED_BLOCK_TYPE, pos - 2)
     return BlockHeader(bool(final), BlockType(btype)), pos
 
 
@@ -197,9 +163,8 @@ def _stored_block(data: bytes, pos: int) -> tuple[bytes, int]:
     length, pos = read_bits(data, pos, 16, bit_end)
     nlen, pos = read_bits(data, pos, 16, bit_end)
     if nlen != length ^ 0xFFFF:
-        raise _Fail(
-            FailReason.LEN_NLEN_MISMATCH, pos - 16, f"LEN {length:#06x} vs NLEN {nlen:#06x}"
-        )
+        detail = f"LEN {length:#06x} vs NLEN {nlen:#06x}"
+        raise InflateError(FailReason.LEN_NLEN_MISMATCH, pos - 16, detail)
     start = pos >> 3
     if start + length > len(data):
         raise EndOfInput(pos, f"{length} stored bytes")
@@ -223,16 +188,13 @@ def _rle_code_lengths(
             lengths.append(sym)
             continue
         if sym == 16 and not lengths:
-            raise _Fail(FailReason.REPEAT_WITHOUT_PREVIOUS, pos)
+            raise InflateError(FailReason.REPEAT_WITHOUT_PREVIOUS, pos)
         width, count = REPEAT_CODES[sym - 16]
         extra, pos = read_bits(data, pos, width, bit_end)
         count += extra
         if len(lengths) + count > total:
-            raise _Fail(
-                FailReason.REPEAT_OVERRUN,
-                pos,
-                f"{len(lengths)} + {count} lengths exceeds {total}",
-            )
+            detail = f"{len(lengths)} + {count} lengths exceeds {total}"
+            raise InflateError(FailReason.REPEAT_OVERRUN, pos, detail)
         lengths.extend([lengths[-1] if sym == 16 else 0] * count)
     return lengths, pos
 
@@ -242,14 +204,14 @@ def _coding(lengths: list[int], max_len: int, pos: int) -> DeflateCoding:
     try:
         return build_coding(lengths, max_len)
     except KraftViolation as e:
-        raise _Fail(FailReason.BAD_CODING, pos, str(e)) from None
+        raise InflateError(FailReason.BAD_CODING, pos, str(e)) from None
 
 
 def _dynamic_header(data: bytes, pos: int) -> tuple[DynamicHeader, int]:
     bit_end = 8 * len(data)
     hlit_raw, pos = read_bits(data, pos, 5, bit_end)
     if hlit_raw >= 30:
-        raise _Fail(FailReason.FORBIDDEN_HLIT, pos - 5, f"hlit {257 + hlit_raw}")
+        raise InflateError(FailReason.FORBIDDEN_HLIT, pos - 5, f"hlit {257 + hlit_raw}")
     hdist_raw, pos = read_bits(data, pos, 5, bit_end)
     hclen_raw, pos = read_bits(data, pos, 4, bit_end)
     hlit = 257 + hlit_raw
@@ -326,7 +288,8 @@ def _decode_some(
             append(END_OF_BLOCK)
             return tokens, top - have, base + len(tokens) - 1, True
         if sym > 285:
-            raise _Fail(FailReason.INVALID_LENGTH_CODEPOINT, top - have - n, f"codepoint {sym}")
+            detail = f"codepoint {sym}"
+            raise InflateError(FailReason.INVALID_LENGTH_CODEPOINT, top - have - n, detail)
         width, length, mask = length_fields[sym]
         if width > have:
             raise EndOfInput(top - have, f"a {width}-bit field")
@@ -336,7 +299,7 @@ def _decode_some(
         if extra == 31 and sym == 284:
             # 227 + 31 would be 258, which codepoint 285 owns.
             detail = "length codepoint 284 with extra value 31"
-            raise _Fail(FailReason.INVALID_LENGTH_EXTRA, top - have, detail)
+            raise InflateError(FailReason.INVALID_LENGTH_EXTRA, top - have, detail)
         length += extra
         entry = dist_table[hold & dist_mask]
         if entry < 0 or have < 15:
@@ -346,7 +309,8 @@ def _decode_some(
         have -= n
         dsym = entry >> 4
         if dsym >= 30:
-            raise _Fail(FailReason.INVALID_DISTANCE_CODEPOINT, top - have - n, f"codepoint {dsym}")
+            detail = f"codepoint {dsym}"
+            raise InflateError(FailReason.INVALID_DISTANCE_CODEPOINT, top - have - n, detail)
         width, distance, mask = distance_fields[dsym]
         if width > have:
             raise EndOfInput(top - have, f"a {width}-bit field")
@@ -355,7 +319,7 @@ def _decode_some(
         have -= width
         if distance > base + len(tokens):
             detail = f"distance {distance} with only {base + len(tokens)} bytes produced"
-            raise _Fail(FailReason.DISTANCE_TOO_FAR, top - have, detail)
+            raise InflateError(FailReason.DISTANCE_TOO_FAR, top - have, detail)
         ref = new(BackRef)
         ref.length = length
         ref.distance = distance
@@ -365,10 +329,10 @@ def _decode_some(
 
 
 def _parsed(parse, data: bytes, pos: int):
-    """Run a public parser at ``pos``: (value, end bit), or its NoParse raised as _Fail."""
+    """Run a public parser at ``pos``: (value, end bit), or its NoParse raised."""
     outcome = parse(data, pos)
     if isinstance(outcome, NoParse):
-        raise _Fail(outcome.reason, outcome.bit_pos, outcome.detail)
+        raise outcome.error()
     return outcome.value, pos + outcome.consumed_bits
 
 
@@ -417,8 +381,7 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
             if header.is_final:
                 return
     except _PARSE_ERRORS as e:
-        failure = _no_parse(e)
-        yield header, failure, failure.bit_pos
+        yield header, NoParse(e.reason, e.bit_pos, e.detail), e.bit_pos
 
 
 class RingWindow(bytearray):

@@ -2,12 +2,16 @@
 
 import random
 import struct
+import zlib
+from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from deflatekit.bitio import MAX_FIELD_BITS, BitSink, read_bits
+from deflatekit import crc32, deflate, gzip_compress, gzip_decompress, inflate
+from deflatekit.bitio import MAX_FIELD_BITS, BitSink, byte_view, read_bits
+from deflatekit.compress import tokenize, write_stored_block
 from deflatekit.errors import EndOfInput, ValueOutOfRange
 from deflatekit.inflate import (
     FailReason,
@@ -240,3 +244,36 @@ def test_code_then_bitwise_read_round_trip(codes):
         for expected in code:
             bit, pos = read_bits(data, pos, 1, 8 * len(data))
             assert bit == expected
+
+
+def test_non_contiguous_buffers_raise_buffer_error_as_zlib_does():
+    # A strided view was passed through as it was: whether it compressed
+    # or raised a bare TypeError from the stored writer depended on its
+    # bytes, crc32 and tokenize read the strided bytes, and an array's
+    # strided view failed in cast.
+    strided = (
+        memoryview(random.Random(1).randbytes(4000))[::2],
+        memoryview(b"hello hello hello " * 200)[::2],
+        memoryview(array("I", range(1000)))[::2],
+    )
+    entry_points = (
+        byte_view, deflate, tokenize, crc32, gzip_compress, gzip_decompress, inflate,
+        parse_deflate, parse_block_header, parse_stored_block, parse_dynamic_header,
+        lambda view: next(iter_blocks(view)),
+    )
+    for view in strided:
+        for zlib_call in (zlib.compress, zlib.crc32, zlib.decompress):
+            with pytest.raises(BufferError):
+                zlib_call(view)
+        for call in entry_points:
+            with pytest.raises(BufferError, match="^buffer is not C-contiguous$"):
+                call(view)
+        sink = BitSink()
+        with pytest.raises(BufferError):
+            write_stored_block(view, True, sink)
+        assert sink.bit_length == 0  # rejected before anything is written
+    # A C-contiguous buffer of two dimensions is still read as its bytes.
+    grid = memoryview(bytes(range(240)) * 4).cast("B", (24, 40))
+    data = bytes(grid)
+    assert inflate(deflate(grid)) == gzip_decompress(gzip_compress(grid)) == data
+    assert crc32(grid) == zlib.crc32(data)

@@ -28,6 +28,7 @@ from deflatekit.compress import (
     write_stored_block,
 )
 from deflatekit.errors import InflateError, ValueOutOfRange
+from deflatekit.gzip_container import gzip_decompress, gzip_wrap
 from deflatekit.history_window import QueueOfDoom, resolve_tokens
 from deflatekit.inflate import (
     BlockHeader,
@@ -171,6 +172,28 @@ def test_inflate_convenience_and_errors():
     with pytest.raises(InflateError) as err:
         inflate(b"")
     assert err.value.bit_pos == 0
+
+
+def assert_raises_what_it_returns(stream: bytes, outcome: NoParse) -> None:
+    """inflate(stream) raises the error of the NoParse parse_deflate returned."""
+    with pytest.raises(InflateError) as err:
+        inflate(stream)
+    assert (err.value.reason, err.value.bit_pos, err.value.detail) == tuple(outcome)
+    assert str(err.value) == str(outcome.error())
+
+
+def test_gzip_decompress_raises_the_failure_past_the_header():
+    # A stored block whose NLEN is not LEN's complement fails at bit 24 of
+    # the stream, which is bit 24 + 80 of the member.
+    stream = bytes([0x01, 0x05, 0x00, 0x00, 0x00])
+    outcome = parse_deflate(stream)
+    assert outcome == NoParse(FailReason.LEN_NLEN_MISMATCH, 24, "LEN 0x0005 vs NLEN 0x0000")
+    assert_raises_what_it_returns(stream, outcome)
+    with pytest.raises(InflateError) as err:
+        gzip_decompress(gzip_wrap(stream, 0, 0))
+    shifted = NoParse(outcome.reason, outcome.bit_pos + 80, outcome.detail)
+    assert (err.value.reason, err.value.bit_pos, err.value.detail) == tuple(shifted)
+    assert str(err.value) == str(shifted.error())
 
 
 # -- block headers ------------------------------------------------------
@@ -1456,6 +1479,7 @@ def test_parse_outcomes_match_the_pinned_digest():
         outcome = parse_deflate(stream)
         if isinstance(outcome, NoParse):
             reasons.add(outcome.reason)
+            assert_raises_what_it_returns(stream, outcome)
         digest.update(outcome_line(outcome))
     assert reasons == set(FailReason)
     assert digest.hexdigest() == PINNED_OUTCOMES_SHA256
@@ -1631,3 +1655,43 @@ def test_every_prefix_of_token_carrying_dynamic_blocks_matches_the_pinned_digest
         for k in range(len(stream) + 1):
             digest.update(outcome_line(parse_deflate(stream[:k])))
     assert digest.hexdigest() == PINNED_TOKEN_OUTCOMES_SHA256
+
+
+def backref_blocks():
+    """32 token_carrying_dynamic_block() streams with their tokens; every
+    one decodes backrefs the damage below can break."""
+    rng = random.Random(69)
+    return [token_carrying_dynamic_block(rng) for _ in range(32)]
+
+
+def flipped(stream: bytes, rng: random.Random):
+    """The stream plain, truncated, junk-suffixed, then with each of 16
+    single-bit flips."""
+    yield stream
+    yield stream[: rng.randrange(len(stream))]
+    yield stream + rng.randbytes(rng.randrange(1, 9))
+    for _ in range(16):
+        damaged_stream = bytearray(stream)
+        damaged_stream[rng.randrange(len(stream))] ^= 1 << rng.randrange(8)
+        yield bytes(damaged_stream)
+
+
+# sha256 over the parse_deflate outcomes of every stream flipped() makes
+# of backref_blocks(), recorded while the raw parsers still raised _Fail.
+PINNED_BACKREF_OUTCOMES_SHA256 = "60bc6852e9f8d809e15479706299ccc535a467de8076fce723065fb4caaf7b64"
+
+
+def test_damaged_backref_block_outcomes_match_the_pinned_digest():
+    rng = random.Random(70)
+    digest = hashlib.sha256()
+    reasons = set()
+    for block, tokens in backref_blocks():
+        assert [t for _, item, _ in iter_blocks(block) for t in item] == tokens
+        for stream in flipped(block, rng):
+            outcome = parse_deflate(stream)
+            if isinstance(outcome, NoParse):
+                reasons.add(outcome.reason)
+                assert_raises_what_it_returns(stream, outcome)
+            digest.update(outcome_line(outcome))
+    assert FailReason.DISTANCE_TOO_FAR in reasons
+    assert digest.hexdigest() == PINNED_BACKREF_OUTCOMES_SHA256
