@@ -1,25 +1,23 @@
 """Bit-granular reading and writing over byte buffers.
 
 A deflate stream is a bit sequence laid over bytes least-significant bit
-first: absolute bit k lives at bit (k mod 8) of byte (k div 8).  Two
-packing orders coexist on top of that sequence and both are provided
-here:
-
-* fixed-width integer fields (block lengths, extra bits, header counts)
-  are packed with their least significant bit first;
-* prefix codes are emitted with their leftmost code bit first.
+first: absolute bit k lives at bit (k mod 8) of byte (k div 8).  This
+module reads and writes fixed-width integer fields (block lengths, extra
+bits, header counts), packed with their least significant bit first.
+Prefix codes go leftmost code bit first; ``prefix_coding`` turns each
+into such a field, its ``stream_codes``.
 
 Fields are read straight off the buffer by ``read_bits``, which takes an
 absolute bit position and returns the value with the advanced position,
 so two positions can be subtracted to learn exactly how many bits a
 parse consumed.  Bit 0 is the least significant bit of the first byte,
 and a position may sit exactly at the end, where any further read
-raises ``EndOfInput``.
+raises an ``InflateError`` of ``FailReason.END_OF_INPUT``.
 """
 
 from __future__ import annotations
 
-from .errors import EndOfInput, ValueOutOfRange
+from .errors import FailReason, InflateError, ValueOutOfRange
 
 # Widest fixed-width field in the format (stored-block LEN/NLEN).
 MAX_FIELD_BITS = 16
@@ -29,11 +27,11 @@ def read_bits(data: bytes, pos: int, n: int, bit_end: int) -> tuple[int, int]:
     """Read an n-bit field packed least-significant bit first at bit ``pos``.
 
     Returns (value, pos + n).  n is 0 (yields 0 and the unchanged
-    position) up to ``MAX_FIELD_BITS``.  Raises ``EndOfInput`` at
-    ``pos`` when the field would run past ``bit_end``.
+    position) up to ``MAX_FIELD_BITS``.  Raises ``InflateError``
+    (END_OF_INPUT) at ``pos`` when the field would run past ``bit_end``.
     """
     if pos + n > bit_end:
-        raise EndOfInput(pos, f"a {n}-bit field")
+        raise InflateError(FailReason.END_OF_INPUT, pos)
     first = pos >> 3
     nbytes = ((pos & 7) + n + 7) >> 3
     chunk = int.from_bytes(data[first : first + nbytes], "little")

@@ -1,9 +1,8 @@
 """Exception types shared across the codec, and ``FailReason``.
 
-Each fault the inflate parsers raise for a malformed stream carries the
-``reason``, ``bit_pos`` and ``detail`` of its ``NoParse``: ``EndOfInput``
-and ``BadCode`` from the bit reader and the prefix decoder, ``InflateError``
-for every other grammar violation and from the raising entry points.
+Every fault of a malformed stream, from the bit reader, the prefix
+decoder or the block grammar, is one ``InflateError`` carrying the
+``reason``, ``bit_pos`` and ``detail`` of its ``NoParse``.
 """
 
 import enum
@@ -30,17 +29,6 @@ class DeflateError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class EndOfInput(DeflateError):
-    """A read ran past the end of the bit buffer."""
-
-    reason = FailReason.END_OF_INPUT
-    detail = ""
-
-    def __init__(self, bit_pos: int, what: str = "input"):
-        super().__init__(f"ran out of bits at bit {bit_pos} while reading {what}")
-        self.bit_pos = bit_pos
-
-
 class ValueOutOfRange(DeflateError, ValueError):
     """A value does not fit the field or parameter it was given to."""
 
@@ -51,17 +39,6 @@ class LengthOverflow(DeflateError, ValueError):
 
 class KraftViolation(DeflateError, ValueError):
     """A code-length vector is over-subscribed; no prefix-free coding exists."""
-
-
-class BadCode(DeflateError):
-    """Bits match no code of the coding and no code can extend them."""
-
-    reason = FailReason.BAD_CODE
-    detail = ""
-
-    def __init__(self, bit_pos: int, message: str = "bits match no code"):
-        super().__init__(f"{message} (starting at bit {bit_pos})")
-        self.bit_pos = bit_pos
 
 
 class InvalidCodepoint(DeflateError, ValueError):

@@ -7,9 +7,12 @@ header fields real producers emit (extra, name, comment), verifies the
 optional header CRC, and rejects the reserved flag bits.
 The trailer is not taken from the end of the file: it starts at the
 first byte boundary after the deflate stream's final block, which only
-parsing the stream can find, and is checked there.  Only the first
-member of a multi-member file is read; anything after its trailer is
-ignored with a warning.
+parsing the stream can find, and is checked there.  A file may hold
+several members back to back, as ``cat a.gz b.gz`` makes; they decode
+to the concatenation of their plaintexts, as in gzip(1).  After the last
+member, zero bytes (tape padding) are ignored silently and any other
+bytes with a warning.  Every offset is counted from the file's start, so
+a fault in a later member reports its bit within the file.
 
 The CRC-32 is pure Python and works on 64-byte blocks, after
 slicing-by-N (Kounavis & Berry) and zlib's braided crc32.c: byte j of
@@ -144,18 +147,18 @@ def gzip_wrap(deflate_bytes: bytes, crc: int, size: int) -> bytes:
     return header + deflate_bytes + trailer
 
 
-def _parse_header(data: bytes) -> int:
-    """Validate the member header; returns the offset where deflate data starts."""
-    if data[:2] != _MAGIC:
+def _parse_header(data: bytes, start: int = 0) -> int:
+    """Validate the member header at byte ``start``; returns where its deflate data starts."""
+    if data[start : start + 2] != _MAGIC:
         raise BadMagic("input does not start with the gzip magic bytes 1f 8b")
-    if len(data) < 10:
+    if len(data) < start + 10:
         raise BadMagic("gzip header is truncated")
-    if data[2] != _METHOD_DEFLATE:
-        raise UnsupportedMethod(f"compression method {data[2]} is not deflate (8)")
-    flags = data[3]
+    method, flags = data[start + 2], data[start + 3]
+    if method != _METHOD_DEFLATE:
+        raise UnsupportedMethod(f"compression method {method} is not deflate (8)")
     if flags & _FRESERVED:
         raise BadMagic(f"gzip header sets reserved flag bits {flags & _FRESERVED:#04x}")
-    pos = 10
+    pos = start + 10
     try:
         if flags & _FEXTRA:
             (xlen,) = struct.unpack_from("<H", data, pos)
@@ -168,7 +171,7 @@ def _parse_header(data: bytes) -> int:
             pos = data.index(b"\x00", pos) + 1
         if flags & _FHCRC:
             (stored,) = struct.unpack_from("<H", data, pos)
-            if stored != crc32(data[:pos]) & 0xFFFF:
+            if stored != crc32(data[start:pos]) & 0xFFFF:
                 raise BadMagic("gzip header CRC does not match the header")
             pos += 2
     except (struct.error, ValueError):
@@ -184,29 +187,33 @@ def gzip_compress(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes
 
 
 def gzip_decompress(data: bytes) -> bytes:
-    """Decompress the first member of a gzip file, verifying its trailer."""
+    """Decompress every member of a gzip file, verifying each trailer."""
     data = byte_view(data)
-    start = _parse_header(data)
-    outcome = parse_deflate(data, 8 * start)
-    if isinstance(outcome, NoParse):
-        raise outcome.error()
-    plaintext = outcome.value
-    trailer_at = start + (outcome.consumed_bits + 7) // 8
-    if trailer_at + 8 > len(data):
-        raise TrailerMismatch("gzip member has no room for its eight-byte trailer")
-    crc, size = struct.unpack_from("<II", data, trailer_at)
-    actual_crc = crc32(plaintext)
-    if actual_crc != crc:
-        raise TrailerMismatch(
-            f"plaintext CRC-32 {actual_crc:#010x} does not match the trailer {crc:#010x}"
-        )
-    if len(plaintext) & 0xFFFFFFFF != size:
-        raise TrailerMismatch(
-            f"plaintext size {len(plaintext)} does not match the trailer {size} (mod 2**32)"
-        )
-    if trailer_at + 8 < len(data):
+    parts = []
+    end = 0
+    while not parts or data[end : end + 2] == _MAGIC:
+        start = _parse_header(data, end)
+        outcome = parse_deflate(data, 8 * start)
+        if isinstance(outcome, NoParse):
+            raise outcome.error()
+        plaintext = outcome.value
+        trailer_at = start + (outcome.consumed_bits + 7) // 8
+        if trailer_at + 8 > len(data):
+            raise TrailerMismatch("gzip member has no room for its eight-byte trailer")
+        crc, size = struct.unpack_from("<II", data, trailer_at)
+        actual_crc = crc32(plaintext)
+        if actual_crc != crc:
+            raise TrailerMismatch(
+                f"plaintext CRC-32 {actual_crc:#010x} does not match the trailer {crc:#010x}"
+            )
+        if len(plaintext) & 0xFFFFFFFF != size:
+            raise TrailerMismatch(
+                f"plaintext size {len(plaintext)} does not match the trailer {size} (mod 2**32)"
+            )
+        parts.append(plaintext)
+        end = trailer_at + 8
+    if any(data[end:]):
         warnings.warn(
-            f"{len(data) - trailer_at - 8} bytes after the first gzip member were ignored",
-            stacklevel=2,
+            f"{len(data) - end} bytes after the last gzip member were ignored", stacklevel=2
         )
-    return plaintext
+    return parts[0] if len(parts) == 1 else b"".join(parts)

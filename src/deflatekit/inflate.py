@@ -2,10 +2,9 @@
 
 The parsers work on a raw buffer and absolute bit position, reading
 fields with ``bitio.read_bits``, and return (value, new position).  On
-a malformed stream they raise ``InflateError``, or the ``EndOfInput``
-and ``BadCode`` of the bit reader and the prefix decoder, each carrying
-the ``FailReason``, ``bit_pos`` and ``detail`` of its
-``NoParse(reason, bit_pos, detail)``.  The public parsers
+a malformed stream they, the bit reader and the prefix decoder all raise
+``InflateError``, carrying the ``FailReason``, ``bit_pos`` and ``detail``
+of its ``NoParse(reason, bit_pos, detail)``.  The public parsers
 (``parse_block_header``, ``parse_stored_block``, ``parse_dynamic_header``,
 ``parse_deflate``) take ``(data, bit_pos=0)``, a buffer and an absolute
 bit offset, an int in ``0..8 * len(data)``, and return a ParseOutcome:
@@ -44,9 +43,7 @@ from collections import namedtuple
 
 from .bitio import byte_view, read_bits
 from .errors import (
-    BadCode,
     DistanceTooFar,
-    EndOfInput,
     FailReason,
     InflateError,
     KraftViolation,
@@ -113,11 +110,6 @@ class DynamicHeader(Record, namedtuple(
     __slots__ = ()
 
 
-# Everything a raw parser raises for a malformed stream; each carries
-# the reason, bit_pos and detail of its NoParse.
-_PARSE_ERRORS = (InflateError, EndOfInput, BadCode)
-
-
 def _outcome(raw, data: bytes, bit_pos: int) -> ParseOutcome:
     """Run raw(data, pos) -> (value, pos) from ``bit_pos``, as a ParseOutcome."""
     if isinstance(bit_pos, bool) or not isinstance(bit_pos, int):
@@ -127,7 +119,7 @@ def _outcome(raw, data: bytes, bit_pos: int) -> ParseOutcome:
         raise ValueOutOfRange(f"bit_pos {bit_pos} outside a {len(data)}-byte buffer")
     try:
         value, pos = raw(data, bit_pos)
-    except _PARSE_ERRORS as e:
+    except InflateError as e:
         return NoParse(e.reason, e.bit_pos, e.detail)
     return Parsed(value, pos - bit_pos)
 
@@ -167,7 +159,7 @@ def _stored_block(data: bytes, pos: int) -> tuple[bytes, int]:
         raise InflateError(FailReason.LEN_NLEN_MISMATCH, pos - 16, detail)
     start = pos >> 3
     if start + length > len(data):
-        raise EndOfInput(pos, f"{length} stored bytes")
+        raise InflateError(FailReason.END_OF_INPUT, pos)
     return bytes(data[start : start + length]), pos + 8 * length
 
 
@@ -245,7 +237,7 @@ def _decode_some(
     _TOKEN_CHUNK tokens before it ends with the batch ``[END_OF_BLOCK]``.
     Each call decodes into a new list, which the caller owns.  A
     distance must reach no further back than the ``produced`` bytes.
-    Malformed content raises one of ``_PARSE_ERRORS`` at an exact offset.
+    Malformed content raises ``InflateError`` at an exact offset.
 
     ``hold`` caches the ``have`` bits before bit ``top``, reloaded 32 bytes
     at a time (fewer at ``bit_end``): the position is ``top - have``, and
@@ -253,7 +245,7 @@ def _decode_some(
     backref.  Symbols are looked up inline in the codings' primary
     ``table`` (zlib ``inffast.c``); a -1 entry, or fewer than 15 bits in
     hand, sends the same bits to the coding's ``entry``.  Extra bits past
-    ``bit_end`` raise EndOfInput at their first bit.
+    ``bit_end`` raise END_OF_INPUT at their first bit.
     """
     tokens: list = []
     append = tokens.append
@@ -292,7 +284,7 @@ def _decode_some(
             raise InflateError(FailReason.INVALID_LENGTH_CODEPOINT, top - have - n, detail)
         width, length, mask = length_fields[sym]
         if width > have:
-            raise EndOfInput(top - have, f"a {width}-bit field")
+            raise InflateError(FailReason.END_OF_INPUT, top - have)
         extra = hold & mask
         hold >>= width
         have -= width
@@ -313,7 +305,7 @@ def _decode_some(
             raise InflateError(FailReason.INVALID_DISTANCE_CODEPOINT, top - have - n, detail)
         width, distance, mask = distance_fields[dsym]
         if width > have:
-            raise EndOfInput(top - have, f"a {width}-bit field")
+            raise InflateError(FailReason.END_OF_INPUT, top - have)
         distance += hold & mask
         hold >>= width
         have -= width
@@ -380,7 +372,7 @@ def iter_blocks(data: bytes, bit_pos: int = 0):
                     del tokens  # not alive while the next batch is decoded
             if header.is_final:
                 return
-    except _PARSE_ERRORS as e:
+    except InflateError as e:
         yield header, NoParse(e.reason, e.bit_pos, e.detail), e.bit_pos
 
 

@@ -40,8 +40,8 @@ from itertools import compress
 
 from .bitio import read_bits
 from .errors import (
-    BadCode,
-    EndOfInput,
+    FailReason,
+    InflateError,
     KraftViolation,
     LengthOverflow,
     ValueOutOfRange,
@@ -166,8 +166,9 @@ class DeflateCoding:
         table is asked first (bits above ``avail`` may fill its index,
         but a hit counts only if no longer than ``avail``), then the dict
         for each longer prefix up to the longest code.  Raises
-        EndOfInput at ``bit_pos + avail`` when fewer bits than the
-        longest code begin no code, else BadCode at ``bit_pos``.
+        ``InflateError``: END_OF_INPUT at ``bit_pos + avail`` when fewer
+        bits than the longest code begin no code, else BAD_CODE at
+        ``bit_pos``.
         """
         length = self.table_bits
         entry = self.table[bits & ((1 << length) - 1)]
@@ -178,15 +179,15 @@ class DeflateCoding:
         if 0 <= entry and entry & 15 <= avail:
             return entry
         if avail < self._longest:
-            raise EndOfInput(bit_pos + avail, "a prefix code")
-        raise BadCode(bit_pos)
+            raise InflateError(FailReason.END_OF_INPUT, bit_pos + avail)
+        raise InflateError(FailReason.BAD_CODE, bit_pos)
 
     def read_symbol(self, data: bytes, bit_pos: int, bit_end: int) -> tuple[int, int]:
         """Decode one code starting at bit_pos; returns (character, next position).
 
         Reads up to the longest code's bits, never past bit_end, and
-        resolves them with ``entry``: BadCode when they begin no code,
-        EndOfInput when bit_end comes first.
+        resolves them with ``entry``, whose ``InflateError`` is BAD_CODE
+        when they begin no code, END_OF_INPUT when bit_end comes first.
         """
         avail = min(bit_end - bit_pos, self._longest)
         entry = self.entry(read_bits(data, bit_pos, avail, bit_end)[0], avail, bit_pos)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from deflatekit import crc32, deflate, gzip_compress, gzip_decompress, inflate
 from deflatekit.bitio import MAX_FIELD_BITS, BitSink, byte_view, read_bits
 from deflatekit.compress import tokenize, write_stored_block
-from deflatekit.errors import EndOfInput, ValueOutOfRange
+from deflatekit.errors import InflateError, ValueOutOfRange
 from deflatekit.inflate import (
     FailReason,
     NoParse,
@@ -51,8 +51,9 @@ def test_read_bit_against_naive_reader():
         bit, pos = read_bits(data, pos, 1, end)
         assert bit == naive_bit(data, k)
     assert pos == end
-    with pytest.raises(EndOfInput):
+    with pytest.raises(InflateError) as err:
         read_bits(data, pos, 1, end)
+    assert (err.value.reason, err.value.bit_pos) == (FailReason.END_OF_INPUT, end)
 
 
 def test_bit_fields_against_naive_reader():
@@ -72,9 +73,10 @@ def test_zero_width_field_reads_nothing():
 
 
 def test_reads_past_the_end_report_the_read_position():
-    with pytest.raises(EndOfInput) as err:
+    with pytest.raises(InflateError) as err:
         read_bits(b"\xab", 3, 6, 8)
-    assert err.value.bit_pos == 3
+    failure = (err.value.reason, err.value.bit_pos, err.value.detail)
+    assert failure == (FailReason.END_OF_INPUT, 3, "")
 
 
 def test_cursor_positions_are_bounded():

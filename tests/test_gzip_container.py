@@ -11,7 +11,9 @@ import gzip as stdlib_gzip
 import io
 import math
 import random
+import shutil
 import struct
+import subprocess
 import tracemalloc
 import zlib
 from array import array
@@ -24,6 +26,7 @@ from deflatekit import gzip_container
 from deflatekit.compress import deflate
 from deflatekit.errors import (
     BadMagic,
+    FailReason,
     InflateError,
     TrailerMismatch,
     UnsupportedMethod,
@@ -138,8 +141,8 @@ def test_wide_item_buffers_are_read_as_their_bytes_as_zlib_reads_them():
         c = zlib.compressobj(9, zlib.DEFLATED, 31)
         member = c.compress(data) + c.flush()
         pad = 4 + -len(member) % 4  # junk after the member, filling whole 4-byte items
-        with pytest.warns(UserWarning, match=f"^{pad} bytes after the first gzip member"):
-            assert gzip_decompress(array("I", member + bytes(pad))) == data
+        with pytest.warns(UserWarning, match=f"^{pad} bytes after the last gzip member"):
+            assert gzip_decompress(array("I", member + b"\xa5" * pad)) == data
 
 
 def test_crc32_takes_bytes_bytearray_and_memoryview_alike():
@@ -356,3 +359,73 @@ def test_trailing_data_warns_and_is_ignored():
     blob = gzip_compress(b"first member") + b"second member leftovers"
     with pytest.warns(UserWarning, match="ignored"):
         assert gzip_decompress(blob) == b"first member"
+
+
+# -- multi-member files -------------------------------------------------------
+
+
+def system_gzip(data: bytes) -> bytes:
+    """gzip(1)'s member for ``data``; skips the test when gzip is not on PATH."""
+    tool = shutil.which("gzip")
+    if not tool:
+        pytest.skip("system gzip not available")
+    return subprocess.run([tool, "-c"], input=data, capture_output=True, check=True).stdout
+
+
+@pytest.mark.parametrize("producer", ["ours", "gzip(1)", "stdlib"])
+def test_concatenated_members_decode_to_their_concatenation(producer):
+    make = {
+        "ours": gzip_compress,
+        "gzip(1)": system_gzip,
+        "stdlib": lambda d: stdlib_gzip.compress(d, mtime=0),
+    }[producer]
+    plains = [b"one\n", b"two\n", mixed_corpus_item(random.Random(37), 3000)]
+    for count in (2, 3):
+        blob = b"".join(make(p) for p in plains[:count])
+        expected = b"".join(plains[:count])
+        assert stdlib_gzip.decompress(blob) == expected
+        for data in (blob, bytearray(blob), memoryview(blob)):
+            assert gzip_decompress(data) == expected
+
+
+def test_members_mix_producers_and_header_fields():
+    # A later member's header CRC covers that member's header alone.
+    header = b"\x1f\x8b\x08" + bytes([2 | 8]) + b"\x00\x00\x00\x00\x00\xff" + b"two\x00"
+    header += struct.pack("<H", crc32(header) & 0xFFFF)
+    second = header + deflate(b"second") + struct.pack("<II", crc32(b"second"), 6)
+    blob = gzip_compress(b"first ") + second + stdlib_gzip.compress(b" third")
+    assert gzip_decompress(blob) == stdlib_gzip.decompress(blob) == b"first second third"
+
+
+def test_zero_padding_after_the_last_member_is_ignored_silently(recwarn):
+    blob = gzip_compress(b"one\n") + gzip_compress(b"two\n")
+    for pad in (1, 7, 512):
+        assert gzip_decompress(blob + bytes(pad)) == b"one\ntwo\n"
+    assert not recwarn.list
+
+
+def test_junk_after_the_last_member_warns_with_its_length():
+    blob = gzip_compress(b"one\n") + gzip_compress(b"two\n")
+    # Zeros before junk are junk too, as in gzip(1), and so is a lone magic byte.
+    for junk in (b"junk", bytes(3) + b"x", b"\x1f", bytes(2) + gzip_compress(b"three")):
+        match = f"^{len(junk)} bytes after the last gzip member were ignored$"
+        with pytest.warns(UserWarning, match=match):
+            assert gzip_decompress(blob + junk) == b"one\ntwo\n"
+
+
+def test_a_fault_in_a_later_member_reports_its_bit_in_the_file():
+    first = gzip_compress(b"first member")
+    bad = gzip_wrap(b"\x07", 0, 0)  # reserved block type 3, at bit 1 of the stream
+    with pytest.raises(InflateError) as err:
+        gzip_decompress(first + bad)
+    bit = 8 * (len(first) + 10) + 1
+    assert (err.value.reason, err.value.bit_pos) == (FailReason.RESERVED_BLOCK_TYPE, bit)
+    with pytest.raises(InflateError) as err:
+        gzip_decompress(bad)
+    assert err.value.bit_pos == 8 * 10 + 1  # the first member's bits are unchanged
+    second = bytearray(gzip_compress(b"second member"))
+    second[-1] ^= 1  # the size in its trailer
+    with pytest.raises(TrailerMismatch, match="size"):
+        gzip_decompress(first + bytes(second))
+    with pytest.raises(BadMagic, match="^gzip header is truncated$"):
+        gzip_decompress(first + b"\x1f\x8b\x08")

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from deflatekit.bitio import BitSink
 from deflatekit.compress import huffman_lengths
 from deflatekit.errors import (
-    BadCode,
     DeflateError,
-    EndOfInput,
+    FailReason,
+    InflateError,
     KraftViolation,
     LengthOverflow,
     ValueOutOfRange,
@@ -66,14 +66,14 @@ def slow_decode(codes, data: bytes, pos: int, bit_end=None):
     got = []
     while len(got) < longest:
         if pos >= bit_end:
-            raise EndOfInput(pos, "a prefix code")
+            raise InflateError(FailReason.END_OF_INPUT, pos)
         got.append((data[pos >> 3] >> (pos & 7)) & 1)
         pos += 1
         prefix = tuple(got)
         exact = [ch for ch, code in enumerate(codes) if code == prefix]
         if exact:
             return exact[0], pos
-    raise BadCode(pos - len(got))
+    raise InflateError(FailReason.BAD_CODE, pos - len(got))
 
 
 # -- the worked example -------------------------------------------------
@@ -382,11 +382,11 @@ def test_decode_against_slow_reference():
         for start in range(8):
             try:
                 expected = slow_decode(codes, data, start)
-            except (BadCode, EndOfInput) as e:
+            except InflateError as e:
                 failures += 1
-                with pytest.raises(type(e)) as err:
+                with pytest.raises(InflateError) as err:
                     coding.read_symbol(data, start, 8 * len(data))
-                assert err.value.bit_pos == e.bit_pos
+                assert (err.value.reason, err.value.bit_pos) == (e.reason, e.bit_pos)
             else:
                 assert coding.read_symbol(data, start, 8 * len(data)) == expected
                 checked += 1
@@ -431,10 +431,10 @@ def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths):
             for end in range(start, 8 * len(data) + 1):
                 try:
                     expected = slow_decode(codes, data, start, end)
-                except (BadCode, EndOfInput) as e:
-                    with pytest.raises(type(e)) as err:
+                except InflateError as e:
+                    with pytest.raises(InflateError) as err:
                         coding.read_symbol(data, start, end)
-                    assert err.value.bit_pos == e.bit_pos
+                    assert (err.value.reason, err.value.bit_pos) == (e.reason, e.bit_pos)
                 else:
                     assert coding.read_symbol(data, start, end) == expected
 
@@ -442,24 +442,27 @@ def test_table_reads_match_the_slow_reference_at_every_start_and_end(lengths):
 def test_decoding_with_no_codes_at_all_fails_at_the_read_position():
     coding = build_coding([0, 0, 0])
     assert bit_codes(coding) == ((), (), ())
-    with pytest.raises(BadCode) as err:
+    with pytest.raises(InflateError) as err:
         coding.read_symbol(b"\xff\xff", 5, 16)
-    assert err.value.bit_pos == 5
+    assert (err.value.reason, err.value.bit_pos) == (FailReason.BAD_CODE, 5)
 
 
 def test_unmatched_bits_report_the_symbol_start():
     # Codes 00 and 01 leave everything under 1x unmatched; the error
     # points at where the symbol began, not where matching gave up.
     coding = build_coding([2, 2])
-    with pytest.raises(BadCode) as err:
+    with pytest.raises(InflateError) as err:
         coding.read_symbol(b"\xff", 3, 8)
-    assert err.value.bit_pos == 3
+    assert (err.value.reason, err.value.bit_pos, err.value.detail) == (FailReason.BAD_CODE, 3, "")
 
 
 def test_truncated_code_reports_end_of_input():
     coding = build_coding([2, 2, 2, 2])
-    with pytest.raises(EndOfInput):
+    with pytest.raises(InflateError) as err:
         coding.read_symbol(b"\x01", 7, 8)
+    # One bit is left, shorter than every code: the read runs out at bit 8.
+    assert (err.value.reason, err.value.bit_pos, err.value.detail) == (
+        FailReason.END_OF_INPUT, 8, "")
 
 
 @settings(max_examples=60)
