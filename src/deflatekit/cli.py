@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from .compress import DEFAULT_PARAMS, CompressParams, deflate
 from .errors import DeflateError
-from .gzip_container import _parse_header, gzip_compress, gzip_decompress
+from .gzip_container import _MAGIC, _parse_header, gzip_compress, gzip_decompress
 from .inflate import NoParse, inflate, iter_blocks
 from .prefix_coding import DeflateCoding, build_coding
 from .symbol_tables import BackRef, BlockType, Literal
@@ -40,7 +41,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                       metavar="N", help="match candidates examined per position")
     comp.add_argument("--block-limit", type=int,
                       default=DEFAULT_PARAMS.block_payload_limit, metavar="N",
-                      help="source bytes per block")
+                      help="most source bytes one block may cover")
 
     deco = sub.add_parser("decompress", help="decompress a file or stdin")
     _add_input_and_format(deco, "gzip", gzip_help)
@@ -115,11 +116,12 @@ def _token_line(token) -> str:
     return "end-of-block"
 
 
-def _dump_tokens(args: argparse.Namespace, data: bytes) -> None:
-    start = 8 * _parse_header(data) if args.fmt == "gzip" else 0
+def _dump_blocks(data: bytes, bit_pos: int) -> int:
+    """Print each block of the raw stream at bit_pos; returns the bit past its final block."""
     block = -1
     shown = None
-    for header, item, _ in iter_blocks(data, start):
+    end = bit_pos
+    for header, item, end in iter_blocks(data, bit_pos):
         if header is not None and header is not shown:
             shown = header
             block += 1
@@ -132,6 +134,23 @@ def _dump_tokens(args: argparse.Namespace, data: bytes) -> None:
         else:
             for token in item:
                 print(f"  {_token_line(token)}")
+    return end
+
+
+def _dump_tokens(args: argparse.Namespace, data: bytes) -> None:
+    """Print the blocks of a raw stream, or of every member of a gzip file,
+    each member after the first under a ``member k`` line; as in
+    gzip_decompress, a member follows where the last one's trailer ends."""
+    if args.fmt == "raw":
+        _dump_blocks(data, 0)
+        return
+    member = start = 0
+    while not member or data[start : start + 2] == _MAGIC:
+        if member:
+            print(f"member {member}")
+        end = _dump_blocks(data, 8 * _parse_header(data, start))
+        start = (end + 7) // 8 + 8  # past the trailer
+        member += 1
 
 
 # The codec for each (mode, format) pair; compress also takes the params.
@@ -155,7 +174,12 @@ def run(args: argparse.Namespace) -> int:
         if args.mode == "compress":
             out = codec(data, CompressParams(args.max_chain, args.block_limit))
         else:
-            out = codec(data)
+            # Trailing bytes after the last gzip member warn; report them as ours.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = codec(data)
+            for warning in caught:
+                print(f"deflatekit: {warning.message}", file=sys.stderr)
         _write_output(args.output, out)
     except (DeflateError, OSError) as e:
         print(f"deflatekit: {e}", file=sys.stderr)

@@ -13,31 +13,36 @@ A skipped run still costs one token-list slot per byte: one ``map`` pass
 in C appends the shared ``LITERALS`` objects, through a list's bound
 ``__getitem__`` (a tuple's is a slot wrapper, nearly twice as slow).
 
-No match runs past its block's end, so every block but the last covers
-exactly ``block_payload_limit`` input bytes.  ``tokenize`` records each
-block's end and symbol counts (zlib's ``_tr_tally``), skipped literals
-only in total.  ``deflate`` prices each block from those counts stored,
+No match runs past its record's end, so every ``tokenize`` record but the
+last covers exactly ``block_payload_limit`` input bytes.  ``tokenize``
+records each one's end and symbol counts (zlib's ``_tr_tally``), skipped
+literals only in total.  ``deflate`` prices blocks from counts stored,
 static (the fixed codings) and dynamic (codes built for the block, RFC
 1951 section 3.2.7), each to the exact bit, and writes the smallest.  A
-block whose static floor, 8 bits per skipped literal, exceeds storing it
-is stored uncounted; otherwise only its literals are recounted from its
-tokens.  A dynamic block is planned only where static costs more than
-the least any dynamic block can (see ``deflate``).  Its code lengths are
-length-limited Huffman lengths (``huffman_lengths``), its codes the
-canonical ones the decoder rebuilds from them (``DeflateCoding``), and
-its plan (``_dynamic_plan``) builds and prices its header once; the
-writer writes that header and refuses a token the plan leaves uncoded.
-One rule prices a static or dynamic body (``_body_bits``), and one token
-writer ORs its codes and extra bits into local ints for
-``write_bits_lsb``, which emits whole bytes at once; the stored writer
-calls it too.
+record whose static floor, 8 bits per skipped literal, exceeds storing it
+is stored uncounted, unless a dynamic price of its sampled literals says
+otherwise; any other is counted from its tokens in soft chunks of about
+``CHUNK_BYTES``, which are merged by exact price (after zlib's
+``_tr_flush_block`` and zopfli's cost-based block splitting), so one
+record may be written as several blocks, and ``block_payload_limit`` is
+the most one block covers.  A dynamic block is planned only where static
+costs more than the least any dynamic block can (see ``_price``).  Its
+code lengths are length-limited Huffman lengths (``huffman_lengths``), its
+codes the canonical ones the decoder rebuilds from them
+(``DeflateCoding``), and its plan (``_dynamic_plan``) builds and prices
+its header once; the writer writes that header and refuses a token the
+plan leaves uncoded.  One rule prices a static or dynamic body
+(``_body_bits``), and one token writer ORs its codes and extra bits into
+local ints for ``write_bits_lsb``, which emits whole bytes at once; the
+stored writer calls it too.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from itertools import compress, groupby
-from operator import mul
+from math import inf, log2
+from operator import add, mul
 
 from .bitio import BitSink, byte_view
 from .errors import ValueOutOfRange
@@ -78,9 +83,11 @@ class CompressParams(Record, namedtuple("CompressParams", ("max_chain", "block_p
     """Tuning knobs; defaults favour speed over the last few percent.
 
     ``max_chain`` is the number of candidates examined per position.
-    ``block_payload_limit`` is the source bytes in every block but the
-    last; the default is a multiple of MAX_STORED_BLOCK, so that a
-    stored fallback's chunks tile the input as if it were one block.
+    ``block_payload_limit`` is the most source bytes one block may cover:
+    ``tokenize`` ends a record every that many bytes, and ``deflate``
+    writes a record as one block or as several shorter ones.  The default
+    is a multiple of MAX_STORED_BLOCK, so that a stored fallback's chunks
+    tile the input as if it were one block.
     Each must be an int, not a bool, of at least 1, else ValueOutOfRange.
     """
 
@@ -124,7 +131,8 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
     candidates wins, ties going to the smallest distance; a match of
     fewer than MIN_MATCH_LENGTH bytes leaves a literal.  A match stops
     at its block's end, so every block but the last covers exactly
-    params.block_payload_limit source bytes.  The hash chains persist
+    params.block_payload_limit source bytes; ``deflate`` may write one of
+    these blocks as several, none longer.  The hash chains persist
     across block boundaries, matching the decoder's window, which
     likewise never resets between blocks.
 
@@ -276,6 +284,8 @@ def _code_tables(lit, dist):
 _STATIC_TABLES = _code_tables(FIXED_LIT, FIXED_DIST)
 # Extra bits of length symbols 257..285 and of distance symbols 0..29.
 _LENGTH_EXTRA = [ebits for ebits, _ in LENGTH_CODES]
+# Length/literal symbol of each match length 3..258.
+_LENGTH_SYMBOL = [entry and entry[0] for entry in LENGTH_ENCODING]
 _DIST_EXTRA = [ebits for ebits, _ in DISTANCE_CODES]
 _WRITE_RUN = 64  # tokens per accumulator, so it stays a small int
 
@@ -354,8 +364,11 @@ def huffman_lengths(counts, max_len: int) -> list[int]:
     symbols.  Huffman's construction runs on two queues (van Leeuwen):
     the used symbols by rising count, and the merged trees in the order
     they are made, which is by rising weight too; a tie takes the
-    symbol first, which keeps the tree shallow.  Each tree carries its
-    leaves' depths.  Leaves deeper than max_len are lifted to it; then,
+    symbol first, which keeps the tree shallow.  It runs in place on one
+    list of weights (Moffat and Katajainen): a merged tree's slot takes
+    its weight, then its parent's index, then its depth, and a last pass
+    counts the leaves at each depth from the internal nodes per level.
+    Leaves deeper than max_len are lifted to it; then,
     while the Kraft sum exceeds 1, a leaf above max_len moves down one
     level and a leaf at max_len becomes its sibling, which lowers the
     sum by 2**-max_len (zlib ``gen_bitlen``'s overflow repair).  The
@@ -367,21 +380,40 @@ def huffman_lengths(counts, max_len: int) -> list[int]:
     used = list(compress(range(len(counts)), counts))
     if len(used) < 2:
         used += [s for s in (0, 1) if s not in used][: 2 - len(used)]
-    if max_len < 1 or len(used) > 1 << max_len:
-        raise ValueOutOfRange(f"max_len {max_len} cannot code {len(used)} symbols")
-    order = sorted(used, key=lambda s: (-counts[s], s))  # most frequent first
-    leaves = deque((counts[s], [0]) for s in reversed(order))
-    trees = deque()
-    for _ in range(len(order) - 1):
-        pair = []
+    n = len(used)
+    if max_len < 1 or n > 1 << max_len:
+        raise ValueOutOfRange(f"max_len {max_len} cannot code {n} symbols")
+    # Most frequent first; the sort is stable, so ties keep the lower symbol first.
+    order = sorted(used, key=counts.__getitem__, reverse=True)
+    a = [counts[s] for s in reversed(order)]
+    # Leaves are a[leaf:], trees a[root:merged]; tree `merged` goes to a[merged].
+    a[0] += a[1]
+    root, leaf = 0, 2
+    for merged in range(1, n - 1):
+        weight = 0
         for _ in range(2):
-            queue = leaves if leaves and (not trees or leaves[0][0] <= trees[0][0]) else trees
-            pair.append(queue.popleft())
-        (w1, d1), (w2, d2) = pair
-        trees.append((w1 + w2, [d + 1 for d in d1 + d2]))
+            # The lighter of the next leaf and the next tree made, the leaf on a tie.
+            if leaf < n and (root == merged or a[leaf] <= a[root]):
+                weight += a[leaf]
+                leaf += 1
+            else:
+                weight += a[root]
+                a[root] = merged
+                root += 1
+        a[merged] = weight
+    # Depth of each tree: its parent's plus one; the root, a[n - 2], is at 0.
+    a[n - 2] = 0
+    for k in range(n - 3, -1, -1):
+        a[k] = a[a[k]] + 1
     bl_count = [0] * (max_len + 1)
-    for d in trees[0][1]:
-        bl_count[min(d, max_len)] += 1
+    nodes, depth, k = 1, 0, n - 2  # nodes at depth, and the next tree by depth
+    while nodes:
+        trees = 0
+        while k >= 0 and a[k] == depth:
+            trees += 1
+            k -= 1
+        bl_count[min(depth, max_len)] += nodes - trees
+        nodes, depth = 2 * trees, depth + 1
     excess = sum(c << (max_len - l) for l, c in enumerate(bl_count)) - (1 << max_len)
     while excess > 0:
         bits = max_len - 1
@@ -407,6 +439,9 @@ def _rle_lengths(lengths) -> list[tuple[int, int]]:
     out = []
     for length, group in groupby(lengths):
         run = len(list(group))
+        if run < (4 if length else 3):  # too short to repeat
+            out += [(length, 0)] * run
+            continue
         if length:
             out.append((length, 0))
             run -= 1
@@ -498,51 +533,178 @@ def _stored_cost_bits(span: int, bit_pos: int) -> int:
     return -(bit_pos + 3) % 8 + 32 + (chunks - 1) * (8 + 32) + 8 * span
 
 
+# Soft chunk size: deflate weighs a block boundary after the first token
+# boundary at or past this many bytes from the last one (see _chunks).
+CHUNK_BYTES = 8192
+
+
+def _sampled_bits(lit, dist, skipped) -> int:
+    """_dynamic_plan's price of a block's counts with its searched
+    literals' counts scaled up to all its literals, the skipped ones too."""
+    searched = sum(lit[:256])  # at least one: a skip follows a searched miss
+    total = searched + skipped
+    return _dynamic_plan([c * total // searched for c in lit[:256]] + lit[256:], dist)[0]
+
+
+def _chunks(tokens, start: int, stop: int, offset: int, end: int) -> list:
+    """Cut the block tokens[start:stop], which covers data[offset:end], into soft chunks.
+
+    A chunk ends after the first token that reaches the next multiple of
+    CHUNK_BYTES past ``offset``, so no token is split; a block shorter
+    than twice CHUNK_BYTES is one chunk.  Each chunk is ``[stop, lit,
+    dist, end]``: the index past its last token (the block's EndOfBlock
+    excluded), its counts of every symbol, with one end of block, and the
+    index in data past its last byte.
+    """
+    chunks = []
+    lit, dist = [0] * 256 + [1] + [0] * 29, [0] * 30
+    pos = offset
+    cut = offset + CHUNK_BYTES if end - offset >= 2 * CHUNK_BYTES else end
+    length_symbol, distance_symbol = _LENGTH_SYMBOL, DISTANCE_CODEPOINT
+    for k in range(start, stop - 1):
+        t = tokens[k]
+        if type(t) is Literal:
+            lit[t.value] += 1
+            pos += 1
+        else:
+            lit[length_symbol[t.length]] += 1
+            dist[distance_symbol[t.distance]] += 1
+            pos += t.length
+        if pos >= cut and pos < end:
+            chunks.append([k + 1, lit, dist, pos])
+            lit, dist = [0] * 256 + [1] + [0] * 29, [0] * 30
+            cut += CHUNK_BYTES  # a token is shorter than a chunk: pos < cut again
+    chunks.append([stop - 1, lit, dist, end])
+    return chunks
+
+
+def _dynamic_floor(lit, dist) -> float:
+    """Bits no dynamic block of these counts can undercut, after its 3-bit header.
+
+    Its header pays 14 bits of HLIT/HDIST/HCLEN, 5 * 3 of code-length
+    lengths (the end of block's sits past CL_CODE_ORDER's first four) and
+    258 * 8/138 > 14 for its lengths (symbol 18, the cheapest per length:
+    1+ code bits and 7 extra for at most 138).  Each coding's codes then
+    take at least a bit per symbol, and at least the counts' entropy, which
+    no prefix code undercuts (Kraft-McMillan); the extra bits are as
+    static pays them.  One bit comes off for the float entropy's rounding.
+    """
+    bits = 43 + sum(map(mul, lit[257:], _LENGTH_EXTRA)) + sum(map(mul, dist, _DIST_EXTRA))
+    for counts in (lit, dist):
+        used = list(filter(None, counts))
+        n = sum(used)
+        if n:
+            bits += max(n, n * log2(n) - sum(map(mul, used, map(log2, used))))
+    return bits
+
+
+def _price(lit, dist, limit=inf):
+    """(bits, plan) of the cheaper of a static and a dynamic block of these
+    counts, after the 3-bit header; plan is None when static is no dearer.
+    A dynamic block is planned only when static exceeds the least it can
+    cost (``_dynamic_floor``), and that floor is at most ``limit``: above
+    it, the static price stands for a price known to exceed ``limit``."""
+    static = _static_cost_bits(lit, dist)
+    floor = _dynamic_floor(lit, dist)
+    if floor < static and floor <= limit:
+        plan = _dynamic_plan(lit, dist)
+        if plan[0] < static:
+            return plan[0], plan
+    return static, None
+
+
+def _merge(chunks) -> list:
+    """Merge chunks greedily into blocks: the next chunk joins the block
+    before it when their merged counts price no dearer than the two apart.
+    Each block is ``[stop, lit, dist, end, (bits, plan)]``."""
+    blocks = []
+    for stop, lit, dist, end in chunks:
+        priced = _price(lit, dist)
+        if blocks:
+            last = blocks[-1]
+            merged_lit = list(map(add, last[1], lit))
+            merged_lit[256] = 1
+            merged_dist = list(map(add, last[2], dist))
+            apart = last[4][0] + priced[0]
+            merged = _price(merged_lit, merged_dist, apart)
+            if merged[0] <= apart:
+                blocks[-1] = [stop, merged_lit, merged_dist, end, merged]
+                continue
+        blocks.append([stop, lit, dist, end, priced])
+    return blocks
+
+
+def _written_bits(blocks, offset: int, bit_pos: int) -> int:
+    """Exact bits of writing blocks from bit_pos on, each the cheaper of
+    its price and storing its bytes, which starts at ``offset``."""
+    pos = bit_pos
+    for _, _, _, end, (bits, _) in blocks:
+        pos += 3 + min(bits, _stored_cost_bits(end - offset, pos))
+        offset = end
+    return pos - bit_pos
+
+
+def _write_stored(data, offset: int, end: int, final: bool, sink: BitSink) -> None:
+    """Store data[offset:end] in as many blocks as MAX_STORED_BLOCK needs."""
+    for chunk in range(offset, end, MAX_STORED_BLOCK):
+        chunk_end = min(chunk + MAX_STORED_BLOCK, end)
+        write_stored_block(data[chunk:chunk_end], final and chunk_end == end, sink)
+
+
 def deflate(data: bytes, params: CompressParams = DEFAULT_PARAMS) -> bytes:
     """Compress data into a raw deflate stream, each block stored, static or
     dynamic, whichever is smallest by exact size; a tie goes to static,
     then to stored.
 
-    Each block spans the bytes its tokenize record gives and is priced
-    from its counts.  One with skipped literals is stored unpriced when its
-    static floor, 8 bits per skipped literal, exceeds storing it; otherwise
-    its literals are counted from its tokens.  A dynamic block is planned
-    only when static exceeds the least it can cost, 44 header bits and its
-    body at one bit per code, as the comment at that test derives.
+    Each tokenize record spans at most ``block_payload_limit`` bytes.  One
+    with skipped literals whose static floor, 8 bits per skipped literal,
+    exceeds storing it is stored uncounted, unless its sampled dynamic
+    price (``_sampled_bits``) is below 49/50 of storing it.  Any other is
+    counted from its tokens in soft chunks (``_chunks``), and the chunks
+    are merged by exact price (``_merge``).  When the merged blocks cost
+    fewer bits than the record written as one block, from the same bit,
+    they are written; otherwise the one block is, as a record shorter
+    than two chunks always is.  A dynamic block is planned only when
+    static exceeds the least it can cost (see ``_price``).
     """
     data = byte_view(data)
-    blocks = []
-    tokens = tokenize(data, params, blocks=blocks)
+    records = []
+    tokens = tokenize(data, params, blocks=records)
     sink = BitSink()
     n = len(data)
     start = offset = 0
-    for stop, lit, dist, skipped, end in blocks:
+    for stop, lit, dist, skipped, end in records:
         final = end == n
-        # A floor until the skipped literals are counted: each costs 8 or 9 bits.
-        static = _static_cost_bits(lit, dist) + 8 * skipped
         stored = _stored_cost_bits(end - offset, sink.bit_length)
-        plan = None
-        if static <= stored or not skipped:  # else stored, its tokens unsliced
-            block = tokens[start:stop]
-            if skipped:
-                lit = [0] * 256 + lit[256:]
-                for t in block:
-                    if type(t) is Literal:
-                        lit[t.value] += 1
-                static = _static_cost_bits(lit, dist)
-            # Dynamic pays 14 bits of HLIT/HDIST/HCLEN, 5 * 3 of code-length lengths (the end
-            # of block's sits past CL_CODE_ORDER's first four), 258 * 8/138 > 14 for its lengths
-            # (symbol 18, the cheapest per length: 1+ code bits and 7 extra for at most 138),
-            # then its body: 1+ code bits per symbol and the extra bits, which static pays too.
-            if static > 44 + _body_bits(lit, dist, (1,) * 286, (1,) * 30):
-                plan = _dynamic_plan(lit, dist)
-        if plan is not None and plan[0] < min(static, stored):
-            write_dynamic_block(block, final, sink, plan)
-        elif static <= stored:
-            write_static_block(block, final, sink)
-        else:
-            for chunk in range(offset, end, MAX_STORED_BLOCK):
-                chunk_end = min(chunk + MAX_STORED_BLOCK, end)
-                write_stored_block(data[chunk:chunk_end], final and chunk_end == end, sink)
-        start, offset = stop, end
+        # Counted only when the sample prices it 2 % below storing: uniform
+        # random bytes sample at 0.993 to 1.000 of their stored price.
+        if (skipped and _static_cost_bits(lit, dist) + 8 * skipped > stored
+                and 50 * _sampled_bits(lit, dist, skipped) >= 49 * stored):
+            _write_stored(data, offset, end, final, sink)
+            start, offset = stop, end
+            continue
+        chunks = _chunks(tokens, start, stop, offset, end)
+        blocks = _merge(chunks)
+        if len(blocks) > 1:
+            lit = list(map(sum, zip(*(chunk[1] for chunk in chunks))))
+            lit[256] = 1
+            dist = list(map(sum, zip(*(chunk[2] for chunk in chunks))))
+            whole = [stop - 1, lit, dist, end, _price(lit, dist)]
+            if _written_bits([whole], offset, sink.bit_length) <= _written_bits(
+                    blocks, offset, sink.bit_length):
+                blocks = [whole]
+        first = start
+        for last, _, _, block_end, (bits, plan) in blocks:
+            block = tokens[first:last]
+            block.append(END_OF_BLOCK)
+            block_final = final and block_end == end
+            stored = _stored_cost_bits(block_end - offset, sink.bit_length)
+            if plan is not None and bits < stored:
+                write_dynamic_block(block, block_final, sink, plan)
+            elif plan is None and bits <= stored:
+                write_static_block(block, block_final, sink)
+            else:
+                _write_stored(data, offset, block_end, block_final, sink)
+            first, offset = last, block_end
+        start = stop
     return sink.to_bytes()

@@ -171,24 +171,48 @@ def _rle_code_lengths(
     Symbols 0..15 are literal lengths; 16 repeats the previous length
     and 17 and 18 write zeros, each as many times as ``REPEAT_CODES``
     gives.  Runs may cross the literal/distance boundary of the
-    combined list.
+    combined list.  Symbols are read as ``_decode_some`` reads tokens:
+    looked up in ``cl_coding.table`` from held bits, refilled 32 bytes at
+    a time; a -1 entry, or fewer than MAX_CL_CODE_LENGTH bits in hand,
+    goes to ``cl_coding.entry``.
     """
+    table = cl_coding.table
+    mask = len(table) - 1
     lengths: list[int] = []
+    append = lengths.append
+    hold = have = 0
+    top = pos
     while len(lengths) < total:
-        sym, pos = cl_coding.read_symbol(data, pos, bit_end)
+        # 14 bits hold any symbol: a 7-bit code and 7 extra bits.
+        if have < 14:
+            pos = top - have
+            i = pos >> 3
+            hold = int.from_bytes(data[i : i + 32], "little") >> (pos & 7)
+            top = min((i + 32) << 3, bit_end)
+            have = top - pos
+        entry = table[hold & mask]
+        if entry < 0 or have < MAX_CL_CODE_LENGTH:
+            entry = cl_coding.entry(hold, have, top - have)
+        n = entry & 15
+        hold >>= n
+        have -= n
+        sym = entry >> 4
         if sym <= 15:
-            lengths.append(sym)
+            append(sym)
             continue
         if sym == 16 and not lengths:
-            raise InflateError(FailReason.REPEAT_WITHOUT_PREVIOUS, pos)
+            raise InflateError(FailReason.REPEAT_WITHOUT_PREVIOUS, top - have)
         width, count = REPEAT_CODES[sym - 16]
-        extra, pos = read_bits(data, pos, width, bit_end)
-        count += extra
+        if width > have:
+            raise InflateError(FailReason.END_OF_INPUT, top - have)
+        count += hold & ((1 << width) - 1)
+        hold >>= width
+        have -= width
         if len(lengths) + count > total:
             detail = f"{len(lengths)} + {count} lengths exceeds {total}"
-            raise InflateError(FailReason.REPEAT_OVERRUN, pos, detail)
+            raise InflateError(FailReason.REPEAT_OVERRUN, top - have, detail)
         lengths.extend([lengths[-1] if sym == 16 else 0] * count)
-    return lengths, pos
+    return lengths, top - have
 
 
 def _coding(lengths: list[int], max_len: int, pos: int) -> DeflateCoding:
@@ -210,10 +234,16 @@ def _dynamic_header(data: bytes, pos: int) -> tuple[DynamicHeader, int]:
     hdist = 1 + hdist_raw
     hclen = 4 + hclen_raw
 
-    # hclen three-bit lengths for the code-length coding, in its wire order.
+    # hclen three-bit lengths for the code-length coding, in its wire order,
+    # read at once; if they run past the end, the first field that does fails.
+    if pos + 3 * hclen > bit_end:
+        raise InflateError(FailReason.END_OF_INPUT, pos + (bit_end - pos) // 3 * 3)
+    fields = int.from_bytes(data[pos >> 3 : (pos >> 3) + 8], "little") >> (pos & 7)
+    pos += 3 * hclen
     cl_lengths = [0] * 19
     for sym in CL_CODE_ORDER[:hclen]:
-        cl_lengths[sym], pos = read_bits(data, pos, 3, bit_end)
+        cl_lengths[sym] = fields & 7
+        fields >>= 3
     cl_coding = _coding(cl_lengths, MAX_CL_CODE_LENGTH, pos)
     combined, pos = _rle_code_lengths(data, pos, bit_end, cl_coding, hlit + hdist)
     lit_coding = _coding(combined[:hlit], MAX_CODE_LENGTH, pos)

@@ -63,13 +63,19 @@ def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> lis
     if not 1 <= max_len <= MAX_CODE_LENGTH:
         bound = "at least 1" if max_len < 1 else f"at most {MAX_CODE_LENGTH}"
         raise ValueOutOfRange(f"max_len {max_len} must be {bound}")
-    counts = [0] * (max_len + 1)
-    for ch, l in enumerate(lengths):
-        if not 0 <= l <= max_len:
-            if l < 0:
-                raise ValueOutOfRange(f"length {l} of character {ch} is negative")
-            raise LengthOverflow(f"length {l} of character {ch} exceeds the maximum {max_len}")
-        counts[l] += 1
+    try:
+        packed = bytes(lengths)
+    except (TypeError, ValueError):  # a length outside 0..255, or no int
+        packed = b""
+    counts = [packed.count(l) for l in range(max_len + 1)]
+    if sum(counts) != len(lengths):  # some length is out of range: find it and raise
+        counts = [0] * (max_len + 1)
+        for ch, l in enumerate(lengths):
+            if not 0 <= l <= max_len:
+                if l < 0:
+                    raise ValueOutOfRange(f"length {l} of character {ch} is negative")
+                raise LengthOverflow(f"length {l} of character {ch} exceeds the maximum {max_len}")
+            counts[l] += 1
     # The Kraft sum scaled by 2**max_len, on integers: at most 1 means at most 2**max_len.
     scaled = sum(n << (max_len - l) for l, n in enumerate(counts) if l)
     if scaled > 1 << max_len:
@@ -84,12 +90,14 @@ class DeflateCoding:
     """The canonical prefix-free coding of characters 0..n-1 for a length vector.
 
     ``check_lengths`` raises for max_len outside 1..15, a length outside
-    0..max_len and an over-subscribed vector, and counts the characters
-    of each length.  The first code of length l is (the first of l-1 +
-    the count of l-1) << 1, RFC 1951 section 3.2.2's ``next_code``.  One
-    walk over the coded characters, in character order, gives each the
-    next code of its length, its stream code and its lookup entry;
-    feasibility (Kraft sum <= 1) keeps every code within its width.
+    0..max_len and an over-subscribed vector.  One walk over the coded
+    characters in canonical order, by length and then by character, gives
+    each the next code: one more than the last, shifted left as the length
+    grows, which is RFC 1951 section 3.2.2's ``next_code``; and with it its
+    stream code and its lookup entry.  Feasibility (Kraft sum <= 1) keeps
+    every code within its width.  The table doubles as the walk reaches
+    each longer length, up to ``table_bits``: an index's low bits still
+    pick a shorter code's entry, so each code then fills its one slot.
 
     ``lengths[ch]`` is the code length of ch (0: no code) and
     ``values[ch]`` its code as an integer read leftmost bit first.
@@ -117,30 +125,39 @@ class DeflateCoding:
     def __init__(self, lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH):
         self.lengths = lengths = tuple(lengths)
         counts = check_lengths(lengths, max_len)
-        next_code = [0] * (max_len + 1)
-        for length in range(2, max_len + 1):
-            next_code[length] = (next_code[length - 1] + counts[length - 1]) << 1
         # A coding with no codes is legitimate (a block that never uses
         # distances); reads then fail at the read position.
-        self._longest = max(lengths, default=0)
+        longest = max_len
+        while longest and not counts[longest]:
+            longest -= 1
+        self._longest = longest
         self.table_bits = bits = min(_TABLE_BITS, self._longest)
-        self.table = table = [-1] * (1 << bits)
+        table = [-1]  # over `level` index bits; doubled as the lengths rise
         self._long_codes = long_codes = {}
         values = [0] * len(lengths)
         stream_codes = [(0, 0)] * len(lengths)
         reverse = _REVERSED_BYTE
-        for ch in compress(range(len(lengths)), lengths):
+        value = width = level = 0
+        # Canonical order: by length, ties by character (the sort is stable).
+        for ch in sorted(compress(range(len(lengths)), lengths), key=lengths.__getitem__):
             length = lengths[ch]
-            values[ch] = value = next_code[length]
-            next_code[length] = value + 1
+            if length != width:
+                value <<= length - width
+                width = length
+                if level < bits:
+                    # Each index's low `level` bits still pick its entry.
+                    table *= 1 << (min(length, bits) - level)
+                    level = min(length, bits)
+            values[ch] = value
             # The value reversed over 16 bits, less the 16 - length padding.
             rev = (reverse[value & 255] << 8 | reverse[value >> 8]) >> (16 - length)
             stream_codes[ch] = (rev, length)
             if length > bits:
                 long_codes[rev << 4 | length] = ch << 4 | length
             else:
-                # The index ends in the code's stream bits; the rest is free.
-                table[rev :: 1 << length] = [ch << 4 | length] * (len(table) >> length)
+                table[rev] = ch << 4 | length
+            value += 1
+        self.table = table
         self.values = tuple(values)
         self.stream_codes = tuple(stream_codes)
 

@@ -124,6 +124,37 @@ def test_dump_tokens_of_prose_shows_one_dynamic_block_of_the_tokenized_stream(
     assert lines == ["block 0 (dynamic final)", *expected]
 
 
+def test_dump_tokens_walks_every_gzip_member(tmp_path, capsys):
+    # cat a.gz b.gz: each member after the first under a "member k" line,
+    # its blocks counted from 0; one member prints just as before.
+    one, two = gzip_compress(b"one\n"), gzip_compress(b"two\n")
+    blob = tmp_path / "ab.gz"
+    blob.write_bytes(one + two)
+    assert main(["dump-tokens", str(blob), "-f", "gzip"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    def member(text: bytes) -> list:
+        shown = [chr(b) if 32 <= b < 127 else "." for b in text]
+        return ["block 0 (static final)", *(f"  literal {b} {c!r}" for b, c in zip(text, shown)),
+                "  end-of-block"]
+
+    assert lines == member(b"one\n") + ["member 1"] + member(b"two\n")
+    blob.write_bytes(one)
+    assert main(["dump-tokens", str(blob), "-f", "gzip"]) == 0
+    assert capsys.readouterr().out.splitlines() == member(b"one\n")
+
+
+def test_decompress_reports_trailing_junk_as_its_own_message(tmp_path, capsysbinary):
+    # The gzip member decodes and the exit status stays 0, as README says;
+    # the warning is printed as the CLI's message, not as Python's.
+    blob = tmp_path / "junk.gz"
+    blob.write_bytes(gzip_compress(b"payload") + b"junk")
+    assert main(["decompress", str(blob)]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == b"payload"
+    assert captured.err == b"deflatekit: 4 bytes after the last gzip member were ignored\n"
+
+
 def test_dump_tokens_gzip_without_its_trailer(tmp_path, capsys):
     # The walk ends at the final block, so a missing trailer is no obstacle.
     blob = tmp_path / "cut.gz"

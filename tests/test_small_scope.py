@@ -34,9 +34,11 @@ Alloy):
 * the bytes a0..cf followed by every string over ``ab`` of length 0-8,
   under block limits 24, 40 and the default, which reach the matcher's
   skip rule: the same checks, except that a block whose static floor
-  loses to storing is stored unpriced; between them the limits store
-  blocks unpriced, recount the literals of others, price blocks with no
-  skipped literal, and write every block type.
+  loses to storing is stored unpriced, unless the dynamic price of its
+  searched literals scaled to all its literals is 2 % below storing it;
+  between them the limits store blocks unpriced, recount the literals of
+  others (some after that sampled price), price blocks with no skipped
+  literal, and write every block type.
 """
 
 import itertools
@@ -82,7 +84,7 @@ from deflatekit.symbol_tables import (
 )
 
 from conftest import reference_tokenize, write_code_msb
-from test_compress import dynamic_floor, symbol_counts, written_blocks
+from test_compress import dynamic_floor, record_was_sampled, symbol_counts, written_blocks
 
 
 def test_every_length_vector_over_five_characters_up_to_length_five():
@@ -252,9 +254,11 @@ def assert_cheapest_blocks(data, params, plans):
     and each block's (type, pricing path, dynamic plan).
 
     tokenize equals the reference matcher; a block whose static floor loses
-    to storing is stored unpriced, and any other is written at its exact
-    price as the cheapest type (path "recounted" if it has skipped literals,
-    else "unskipped") and no dynamic block of its counts costs less than 44
+    to storing is stored unpriced unless its sampled price, the dynamic price
+    of its searched literals' counts scaled to all its literals, is below
+    49/50 of storing it (path "sampled"), and any other is written at its
+    exact price as the cheapest type (path "recounted" if it has skipped
+    literals, else "unskipped") and no dynamic block of its counts costs less than 44
     bits plus one per symbol and its extra bits; the stream keeps the stored
     bound, and decodes in our decoder and in zlib to data in exactly the
     bits written, whatever follows it.  ``plans`` caches plans by counts:
@@ -267,7 +271,9 @@ def assert_cheapest_blocks(data, params, plans):
     priced, expected, bit, start, offset = [], [], 0, 0, 0
     for stop, lit, dist, skipped, end in blocks:
         stored = _stored_cost_bits(end - offset, bit)
-        if skipped and _static_cost_bits(lit, dist) + 8 * skipped > stored:
+        unpriced = skipped and _static_cost_bits(lit, dist) + 8 * skipped > stored
+        sampled = unpriced and record_was_sampled(lit, dist, skipped, stored)
+        if unpriced and not sampled:
             kind, path, plan, cost = STORED, "stored unpriced", None, stored
         else:
             if skipped:
@@ -279,7 +285,8 @@ def assert_cheapest_blocks(data, params, plans):
             plan = plans[key]
             price = {STATIC: _static_cost_bits(lit, dist), STORED: stored, DYNAMIC: plan[0]}
             kind = min(TIE_ORDER, key=price.__getitem__)
-            path, cost = "recounted" if skipped else "unskipped", price[kind]
+            path = "sampled" if sampled else "recounted" if skipped else "unskipped"
+            cost = price[kind]
         expected.append([kind, bit, bit + cost + 3])
         priced.append((kind, path, plan))
         bit += cost + 3
@@ -318,7 +325,7 @@ SKIPPING_REACHED = {
     24: {(STATIC, "recounted"): 1007, (STATIC, "unskipped"): 525},
     40: {(STORED, "stored unpriced"): 511, (STATIC, "recounted"): 511},
     DEFAULT_PARAMS.block_payload_limit: {
-        (STORED, "stored unpriced"): 407, (DYNAMIC, "recounted"): 104},
+        (DYNAMIC, "sampled"): 378, (STORED, "sampled"): 29, (DYNAMIC, "recounted"): 104},
 }
 
 
