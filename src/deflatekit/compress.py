@@ -29,7 +29,7 @@ the most one block covers.  A dynamic block is planned only where static
 costs more than the least any dynamic block can (see ``_price``).  Its
 code lengths are length-limited Huffman lengths (``huffman_lengths``), its
 codes the canonical ones the decoder rebuilds from them
-(``DeflateCoding``), and its plan (``_dynamic_plan``) builds and prices
+(``canonical_codes``), and its plan (``_dynamic_plan``) builds and prices
 its header once; the writer writes that header and refuses a token the
 plan leaves uncoded.  One rule prices a static or dynamic body
 (``_body_bits``), and one token writer ORs its codes and extra bits into
@@ -40,7 +40,7 @@ stored writer calls it too.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress, groupby
+from itertools import chain, compress, groupby, repeat
 from math import inf, log2
 from operator import add, mul
 
@@ -51,7 +51,7 @@ from .prefix_coding import (
     FIXED_LIT,
     MAX_CL_CODE_LENGTH,
     MAX_CODE_LENGTH,
-    DeflateCoding,
+    canonical_codes,
 )
 from .record import Record
 from .symbol_tables import (
@@ -267,26 +267,27 @@ def tokenize(data: bytes, params: CompressParams = DEFAULT_PARAMS, *, blocks=Non
 # -- block writers ------------------------------------------------------
 
 
-def _code_tables(lit, dist):
-    """What the token loop ORs in under the codings ``lit`` and ``dist``: per
-    literal/length symbol its stream code, per match length its code with
-    the extra bits above it, and per distance symbol (code, width, extra
-    bits, base distance); None for a symbol its coding leaves uncoded."""
-    lits = tuple(code if code[1] else None for code in lit.stream_codes)
-    lens = (None,) * MIN_MATCH_LENGTH + tuple(
-        lits[cp] and (lits[cp][0] | extra << lits[cp][1], lits[cp][1] + ebits)
-        for cp, extra, ebits in LENGTH_ENCODING[MIN_MATCH_LENGTH:]
-    )
-    dists = tuple(c + spec if c[1] else None for c, spec in zip(dist.stream_codes, DISTANCE_CODES))
+def _code_tables(lit_codes, dist_codes):
+    """What the token loop ORs in under codings of these ``stream_codes``: per
+    literal/length symbol its stream code, per match length its code with the
+    extra bits above it (a ``range`` per length symbol), and per distance symbol
+    (code, width, extra bits, base distance); None for a symbol left uncoded."""
+    lits = [code if code[1] else None for code in lit_codes]
+    lens = (None,) * MIN_MATCH_LENGTH + tuple(chain.from_iterable(
+        zip(range(code, code + (run << nb), 1 << nb), repeat(nb + ebits)) if nb
+        else repeat(None, run)
+        for (code, nb), ebits, run in zip(lit_codes[257:], _LENGTH_EXTRA, _LENGTH_RUNS)))
+    dists = [c + spec if c[1] else None for c, spec in zip(dist_codes, DISTANCE_CODES)]
     return lits, lens, dists
 
 
-_STATIC_TABLES = _code_tables(FIXED_LIT, FIXED_DIST)
 # Extra bits of length symbols 257..285 and of distance symbols 0..29.
 _LENGTH_EXTRA = [ebits for ebits, _ in LENGTH_CODES]
-# Length/literal symbol of each match length 3..258.
-_LENGTH_SYMBOL = [entry and entry[0] for entry in LENGTH_ENCODING]
 _DIST_EXTRA = [ebits for ebits, _ in DISTANCE_CODES]
+# Length/literal symbol of each match length 3..258, and how many each codes.
+_LENGTH_SYMBOL = [entry and entry[0] for entry in LENGTH_ENCODING]
+_LENGTH_RUNS = [len(list(run)) for _, run in groupby(_LENGTH_SYMBOL[MIN_MATCH_LENGTH:])]
+_STATIC_TABLES = _code_tables(FIXED_LIT.stream_codes, FIXED_DIST.stream_codes)
 _WRITE_RUN = 64  # tokens per accumulator, so it stays a small int
 
 
@@ -486,7 +487,7 @@ def _dynamic_plan(lit, dist):
     for sym, _ in runs:
         cl_counts[sym] += 1
     cl_lengths = huffman_lengths(cl_counts, MAX_CL_CODE_LENGTH)
-    cl_codes = DeflateCoding(cl_lengths, MAX_CL_CODE_LENGTH).stream_codes
+    cl_codes = canonical_codes(cl_lengths, MAX_CL_CODE_LENGTH)[1]
     # The code-length lengths as 3-bit fields in CL_CODE_ORDER, trailing
     # zeros trimmed; a length 1..15 is always coded (the end of block has
     # one), and each sits past the first four, so HCLEN >= 5.
@@ -507,12 +508,12 @@ def write_dynamic_block(tokens, final: bool, sink: BitSink, plan) -> BitSink:
 
     ``tokens`` are as for write_static_block, and ``plan`` is
     ``_dynamic_plan`` of their symbol counts.  It writes the plan's
-    header field, and codes from the plan's lengths (``DeflateCoding``,
-    as the decoder rebuilds them from that header); a token they leave
+    header field, and codes from the plan's lengths (``canonical_codes``,
+    the codes the decoder rebuilds from that header); a token they leave
     uncoded raises ValueOutOfRange, sink untouched.
     """
     _, header, lit_lengths, dist_lengths = plan
-    tables = _code_tables(DeflateCoding(lit_lengths), DeflateCoding(dist_lengths))
+    tables = _code_tables(canonical_codes(lit_lengths)[1], canonical_codes(dist_lengths)[1])
     return _write_block(tokens, final, sink, BlockType.DYNAMIC, tables, header)
 
 

@@ -30,6 +30,8 @@ backreferences from by slices; ``dump-tokens`` prints the same items.
 The tests hold that resolver to the paper's window model,
 ``history_window.resolve_tokens``.
 
+A dynamic block's fixed cost is its header: its code lengths and the
+decoder's half of three codings, none of which outlives ``parse_deflate``.
 A decode holds its output and one batch of at most ``_TOKEN_CHUNK``
 tokens: neither the walk nor ``parse_deflate`` keeps a batch once it is
 resolved, so the next batch is decoded with the last one already freed.
@@ -42,13 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bitio import byte_view, read_bits
-from .errors import (
-    DistanceTooFar,
-    FailReason,
-    InflateError,
-    KraftViolation,
-    ValueOutOfRange,
-)
+from .errors import DistanceTooFar, FailReason, InflateError, KraftViolation, ValueOutOfRange
 from .prefix_coding import (
     DeflateCoding,
     FIXED_DIST,
@@ -112,9 +108,10 @@ class DynamicHeader(Record, namedtuple(
 
 def _outcome(raw, data: bytes, bit_pos: int) -> ParseOutcome:
     """Run raw(data, pos) -> (value, pos) from ``bit_pos``, as a ParseOutcome."""
-    if isinstance(bit_pos, bool) or not isinstance(bit_pos, int):
-        raise ValueOutOfRange(f"bit_pos must be an int, not {type(bit_pos).__name__}")
-    data = byte_view(data)
+    if type(data) is not bytes or type(bit_pos) is not int:  # iter_blocks passes both
+        if isinstance(bit_pos, bool) or not isinstance(bit_pos, int):
+            raise ValueOutOfRange(f"bit_pos must be an int, not {type(bit_pos).__name__}")
+        data = byte_view(data)
     if not 0 <= bit_pos <= 8 * len(data):
         raise ValueOutOfRange(f"bit_pos {bit_pos} outside a {len(data)}-byte buffer")
     try:
@@ -165,7 +162,7 @@ def _stored_block(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def _rle_code_lengths(
     data: bytes, pos: int, bit_end: int, cl_coding: DeflateCoding, total: int
-) -> tuple[list[int], int]:
+) -> tuple[bytearray, int]:
     """Expand the run-length-encoded length list to exactly ``total`` entries.
 
     Symbols 0..15 are literal lengths; 16 repeats the previous length
@@ -178,7 +175,7 @@ def _rle_code_lengths(
     """
     table = cl_coding.table
     mask = len(table) - 1
-    lengths: list[int] = []
+    lengths = bytearray()
     append = lengths.append
     hold = have = 0
     top = pos
@@ -196,10 +193,10 @@ def _rle_code_lengths(
         n = entry & 15
         hold >>= n
         have -= n
-        sym = entry >> 4
-        if sym <= 15:
-            append(sym)
+        if entry < 16 << 4:
+            append(entry >> 4)
             continue
+        sym = entry >> 4
         if sym == 16 and not lengths:
             raise InflateError(FailReason.REPEAT_WITHOUT_PREVIOUS, top - have)
         width, count = REPEAT_CODES[sym - 16]
@@ -211,11 +208,11 @@ def _rle_code_lengths(
         if len(lengths) + count > total:
             detail = f"{len(lengths)} + {count} lengths exceeds {total}"
             raise InflateError(FailReason.REPEAT_OVERRUN, top - have, detail)
-        lengths.extend([lengths[-1] if sym == 16 else 0] * count)
+        lengths += lengths[-1:] * count if sym == 16 else bytes(count)
     return lengths, top - have
 
 
-def _coding(lengths: list[int], max_len: int, pos: int) -> DeflateCoding:
+def _coding(lengths: bytearray, max_len: int, pos: int) -> DeflateCoding:
     """build_coding, with an over-subscribed vector failing at ``pos``."""
     try:
         return build_coding(lengths, max_len)
@@ -240,7 +237,7 @@ def _dynamic_header(data: bytes, pos: int) -> tuple[DynamicHeader, int]:
         raise InflateError(FailReason.END_OF_INPUT, pos + (bit_end - pos) // 3 * 3)
     fields = int.from_bytes(data[pos >> 3 : (pos >> 3) + 8], "little") >> (pos & 7)
     pos += 3 * hclen
-    cl_lengths = [0] * 19
+    cl_lengths = bytearray(19)
     for sym in CL_CODE_ORDER[:hclen]:
         cl_lengths[sym] = fields & 7
         fields >>= 3
@@ -248,8 +245,7 @@ def _dynamic_header(data: bytes, pos: int) -> tuple[DynamicHeader, int]:
     combined, pos = _rle_code_lengths(data, pos, bit_end, cl_coding, hlit + hdist)
     lit_coding = _coding(combined[:hlit], MAX_CODE_LENGTH, pos)
     dist_coding = _coding(combined[hlit:], MAX_CODE_LENGTH, pos)
-    header = DynamicHeader(hlit, hdist, hclen, cl_coding, lit_coding, dist_coding)
-    return header, pos
+    return DynamicHeader(hlit, hdist, hclen, cl_coding, lit_coding, dist_coding), pos
 
 
 def _decode_some(
@@ -339,7 +335,8 @@ def _decode_some(
         distance += hold & mask
         hold >>= width
         have -= width
-        if distance > base + len(tokens):
+        # base + len(tokens) bytes are out, and base alone settles nearly every check.
+        if distance > base and distance > base + len(tokens):
             detail = f"distance {distance} with only {base + len(tokens)} bytes produced"
             raise InflateError(FailReason.DISTANCE_TOO_FAR, top - have, detail)
         ref = new(BackRef)
@@ -353,7 +350,7 @@ def _decode_some(
 def _parsed(parse, data: bytes, pos: int):
     """Run a public parser at ``pos``: (value, end bit), or its NoParse raised."""
     outcome = parse(data, pos)
-    if isinstance(outcome, NoParse):
+    if type(outcome) is NoParse:
         raise outcome.error()
     return outcome.value, pos + outcome.consumed_bits
 
@@ -437,14 +434,14 @@ def resolve_tokens_ring(tokens, window: RingWindow) -> None:
             append(t.value)
         elif type(t) is BackRef:
             d = t.distance
-            if d > len(window):
-                message = f"distance {d} exceeds the {len(window)} bytes of available history"
+            size = len(window)
+            if d > size:
+                message = f"distance {d} exceeds the {size} bytes of available history"
                 del window[start:]
                 raise DistanceTooFar(message)
             n = t.length
             if n <= d:
-                src = len(window) - d
-                window += window[src : src + n]
+                window += window[size - d : size - d + n]
             else:
                 window += (window[-d:] * (n // d + 1))[:n]
 

@@ -14,38 +14,26 @@ prefix sorts before its extensions):
    below that code has a nonempty code as prefix.
 
 Rules 1-4 force each length class to occupy a dense range of values
-starting right after the (doubled) end of the previous class: the one
-construction, ``DeflateCoding(lengths, max_len)`` (also named
-``build_coding``), assigns them from the characters counted per length
-(RFC 1951 section 3.2.2).  A coding reads the stream in one resolver,
-``DeflateCoding.entry``, on stream bits already read.
-
-A length vector is a plain sequence of ints, one per character, 0
-meaning no code.  The constructor checks it once, so no coding has a
-code longer than 15 bits or an over-subscribed vector.  A
-``DeflateCoding`` holds the lengths and each code as an integer value,
-and this module alone decides how a code sits in the stream: its
-``stream_codes`` are the bit-reversed values that its decode lookups
-and the block writers use.  ``FIXED_LIT`` and ``FIXED_DIST`` are the
-static-block codings.  The paper's other construction, by sorting the
-characters (``build_coding_sorted``), and the four-rule checker are
-reference models in ``deflatekit.reference`` that the tests hold this
-construction to.
+starting right after the (doubled) end of the previous class: one walk,
+``check_lengths``, gives each class its first value (RFC 1951 section
+3.2.2's ``next_code``).  ``DeflateCoding(lengths, max_len)`` (also named
+``build_coding``) builds from it the decoder's half, the lookup table that
+one resolver, ``DeflateCoding.entry``, reads; the writer's half, each
+code's integer value and its bit-reversed ``stream_codes``, waits for its
+first access, and ``canonical_codes`` builds it alone.  ``FIXED_LIT`` and
+``FIXED_DIST`` are the static-block codings.  The paper's other
+construction, by sorting the characters (``build_coding_sorted``), and
+the four-rule checker are reference models in ``deflatekit.reference``
+that the tests hold this construction to.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import compress
+from itertools import compress, groupby
 
 from .bitio import read_bits
-from .errors import (
-    FailReason,
-    InflateError,
-    KraftViolation,
-    LengthOverflow,
-    ValueOutOfRange,
-)
+from .errors import FailReason, InflateError, KraftViolation, LengthOverflow, ValueOutOfRange
 
 # Longest code either deflate coding layer allows.
 MAX_CODE_LENGTH = 15
@@ -54,112 +42,128 @@ MAX_CL_CODE_LENGTH = 7
 # Stream bits a coding's primary table indexes (libdeflate's LITLEN_TABLEBITS).
 _TABLE_BITS = 11
 
-# Each byte with its bit order reversed.
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# Each byte bit-reversed: masking b's five copies and summing them mod 1023 puts each bit in place.
+_REVERSED_BYTE = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range(256))
 
 
-def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> list[int]:
-    """Characters per length 0..max_len; raises at the first bad length, then if infeasible."""
+def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> tuple[bytes, list]:
+    """Check a length vector, then walk its codes in canonical order.
+
+    Raises for max_len outside 1..15, then at the first character whose
+    length is no int (a bool is none) or outside 0..max_len, then for a
+    Kraft sum above 1.  Returns the vector as bytes and its classes by
+    length, each ``(length, first value, characters)``, a first value being
+    one past the last value before it, shifted left by the growth in length."""
     if not 1 <= max_len <= MAX_CODE_LENGTH:
         bound = "at least 1" if max_len < 1 else f"at most {MAX_CODE_LENGTH}"
         raise ValueOutOfRange(f"max_len {max_len} must be {bound}")
     try:
-        packed = bytes(lengths)
-    except (TypeError, ValueError):  # a length outside 0..255, or no int
-        packed = b""
-    counts = [packed.count(l) for l in range(max_len + 1)]
-    if sum(counts) != len(lengths):  # some length is out of range: find it and raise
-        counts = [0] * (max_len + 1)
+        if not isinstance(lengths, (bytes, bytearray)):
+            lengths = tuple(lengths)  # bytes() takes a bool as 1: screen for ints only
+            if not set(map(type, lengths)) <= {int}:
+                raise TypeError
+        packed = bytes(lengths)  # ValueError for a length outside 0..255
+        order = sorted(compress(range(len(packed)), packed), key=packed.__getitem__)
+        if order and packed[order[-1]] > max_len:
+            raise ValueError
+    except (TypeError, ValueError):
         for ch, l in enumerate(lengths):
+            if isinstance(l, bool) or not isinstance(l, int):
+                raise ValueOutOfRange(f"length {l!r} of character {ch} is not an int") from None
             if not 0 <= l <= max_len:
-                if l < 0:
-                    raise ValueOutOfRange(f"length {l} of character {ch} is negative")
-                raise LengthOverflow(f"length {l} of character {ch} exceeds the maximum {max_len}")
-            counts[l] += 1
-    # The Kraft sum scaled by 2**max_len, on integers: at most 1 means at most 2**max_len.
-    scaled = sum(n << (max_len - l) for l, n in enumerate(counts) if l)
-    if scaled > 1 << max_len:
+                error, bound = (ValueOutOfRange, "is negative") if l < 0 else (
+                    LengthOverflow, f"exceeds the maximum {max_len}")
+                raise error(f"length {l} of character {ch} {bound}") from None
+        return check_lengths([int(l) for l in lengths], max_len)  # held an int subclass
+    classes = []
+    value = width = 0
+    for length, chars in groupby(order, packed.__getitem__):
+        chars = list(chars)
+        value <<= length - width
+        width = length
+        classes.append((length, value, chars))
+        value += len(chars)
+    if value > 1 << width:  # value / 2**width is the Kraft sum
         from fractions import Fraction  # only this error message needs it
-
-        kraft = Fraction(scaled, 1 << max_len)
+        kraft = Fraction(value, 1 << width)
         raise KraftViolation(f"code-length vector is over-subscribed: sum of 2**-l is {kraft} > 1")
-    return counts
+    return packed, classes
+
+
+def canonical_codes(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> tuple:
+    """The writer's half of a coding, ``(values, stream_codes)`` as
+    ``DeflateCoding`` has them, checked alike and with no decode table."""
+    packed, classes = check_lengths(lengths, max_len)
+    values = [0] * len(packed)
+    stream_codes = [(0, 0)] * len(packed)
+    for length, value, chars in classes:
+        for value, ch in enumerate(chars, value):
+            values[ch] = value
+            # The value reversed over 16 bits, less the 16 - length padding.
+            rev = (_REVERSED_BYTE[value & 255] << 8 | _REVERSED_BYTE[value >> 8]) >> (16 - length)
+            stream_codes[ch] = (rev, length)
+    return tuple(values), tuple(stream_codes)
 
 
 class DeflateCoding:
     """The canonical prefix-free coding of characters 0..n-1 for a length vector.
 
-    ``check_lengths`` raises for max_len outside 1..15, a length outside
-    0..max_len and an over-subscribed vector.  One walk over the coded
-    characters in canonical order, by length and then by character, gives
-    each the next code: one more than the last, shifted left as the length
-    grows, which is RFC 1951 section 3.2.2's ``next_code``; and with it its
-    stream code and its lookup entry.  Feasibility (Kraft sum <= 1) keeps
-    every code within its width.  The table doubles as the walk reaches
-    each longer length, up to ``table_bits``: an index's low bits still
-    pick a shorter code's entry, so each code then fills its one slot.
+    The vector is checked by ``check_lengths``; ``lengths[ch]`` is the
+    code length of ch (0: no code), and a Kraft sum of at most 1 keeps
+    every code within its width.  The constructor builds the decoder's
+    half from the walk: ``table`` (zlib ``inftrees.c``) maps each
+    ``table_bits`` = min(11, longest code) stream bits, least significant
+    first, to ``(symbol << 4) | length`` for the code of at most
+    ``table_bits`` bits they begin with, else -1.  It doubles as the walk
+    reaches each longer length, so an index's low bits still pick a
+    shorter code's entry and each code fills one slot.  A dict maps each
+    longer code, as ``rev << 4 | length``, to the same packed entry;
+    ``entry`` resolves bits already read through both.
 
-    ``lengths[ch]`` is the code length of ch (0: no code) and
-    ``values[ch]`` its code as an integer read leftmost bit first.
-    ``stream_codes[ch]`` is ``(reversed value, length)``, the code in
-    stream order: written as an LSB-first field it puts the leftmost
-    code bit first.  The block writers and the decoder use it.
-    ``reference.bit_codes`` gives the codes as tuples of bits.
-
-    ``table`` (zlib ``inftrees.c``) maps each ``table_bits`` = min(11,
-    longest code) stream bits, least significant first, to
-    ``(symbol << 4) | length`` for the code of at most ``table_bits``
-    bits they begin with, else -1.  A dict maps each longer code, as
-    ``rev << 4 | length``, to the same packed entry.  ``entry`` resolves
-    bits already read through both; ``read_symbol`` and inflate's token
-    loop both decode through it.
-
-    Instances are value-like: the lengths fix the codes, so equality is
-    by lengths.  An arbitrary character-to-bits table is screened with
-    ``reference.check_axioms``.
+    The writer's half is built by ``canonical_codes`` on first access:
+    ``values[ch]``, ch's code as an integer read leftmost bit first, and
+    ``stream_codes[ch]``, ``(reversed value, length)``: written as an
+    LSB-first field it puts the leftmost code bit first.
+    ``reference.bit_codes`` gives the codes as tuples of bits, and
+    ``reference.check_axioms`` screens any such table.  Instances are
+    value-like: the lengths fix the codes, so equality is by lengths.
     """
 
-    __slots__ = ("lengths", "values", "stream_codes", "table_bits", "table",
-                 "_long_codes", "_longest")
+    __slots__ = ("lengths", "table_bits", "table", "_long_codes", "_longest",
+                 "_values", "_stream_codes")
 
     def __init__(self, lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH):
-        self.lengths = lengths = tuple(lengths)
-        counts = check_lengths(lengths, max_len)
+        packed, classes = check_lengths(lengths, max_len)
+        self.lengths = tuple(packed)
         # A coding with no codes is legitimate (a block that never uses
         # distances); reads then fail at the read position.
-        longest = max_len
-        while longest and not counts[longest]:
-            longest -= 1
-        self._longest = longest
-        self.table_bits = bits = min(_TABLE_BITS, self._longest)
+        self._longest = longest = classes[-1][0] if classes else 0
+        self.table_bits = bits = min(_TABLE_BITS, longest)
         table = [-1]  # over `level` index bits; doubled as the lengths rise
         self._long_codes = long_codes = {}
-        values = [0] * len(lengths)
-        stream_codes = [(0, 0)] * len(lengths)
         reverse = _REVERSED_BYTE
-        value = width = level = 0
-        # Canonical order: by length, ties by character (the sort is stable).
-        for ch in sorted(compress(range(len(lengths)), lengths), key=lengths.__getitem__):
-            length = lengths[ch]
-            if length != width:
-                value <<= length - width
-                width = length
-                if level < bits:
-                    # Each index's low `level` bits still pick its entry.
-                    table *= 1 << (min(length, bits) - level)
-                    level = min(length, bits)
-            values[ch] = value
-            # The value reversed over 16 bits, less the 16 - length padding.
-            rev = (reverse[value & 255] << 8 | reverse[value >> 8]) >> (16 - length)
-            stream_codes[ch] = (rev, length)
-            if length > bits:
-                long_codes[rev << 4 | length] = ch << 4 | length
-            else:
-                table[rev] = ch << 4 | length
-            value += 1
+        level = 0
+        for length, value, chars in classes:
+            if length <= bits:
+                table *= 1 << (length - level)
+                level = length
+            for ch in chars:  # each value reversed, as in canonical_codes
+                rev = (reverse[value & 255] << 8 | reverse[value >> 8]) >> (16 - length)
+                if length <= bits:
+                    table[rev] = ch << 4 | length
+                else:
+                    long_codes[rev << 4 | length] = ch << 4 | length
+                value += 1
+        table *= 1 << (bits - level)
         self.table = table
-        self.values = tuple(values)
-        self.stream_codes = tuple(stream_codes)
+
+    values = property(lambda self: self._writer_half()[0])
+    stream_codes = property(lambda self: self._writer_half()[1])
+
+    def _writer_half(self):
+        if not hasattr(self, "_values"):  # built on first access
+            self._values, self._stream_codes = canonical_codes(self.lengths)
+        return self._values, self._stream_codes
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DeflateCoding):
@@ -170,9 +174,7 @@ class DeflateCoding:
         return hash(self.lengths)
 
     def __repr__(self) -> str:
-        shown = {
-            ch: f"{v:0{l}b}" for ch, (v, l) in enumerate(zip(self.values, self.lengths)) if l
-        }
+        shown = {ch: f"{v:0{l}b}" for ch, (v, l) in enumerate(zip(self.values, self.lengths)) if l}
         return f"DeflateCoding({shown})"
 
     def entry(self, bits: int, avail: int, bit_pos: int) -> int:

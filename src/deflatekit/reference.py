@@ -2,8 +2,8 @@
 
 ``build_coding_sorted`` is a second, independent construction (a sort
 by length, then character): its code values must equal
-``build_coding``'s, which come from per-length counts, on every vector,
-since canonical codings are unique.
+``build_coding``'s, which come from each length class's first code, on
+every vector, since canonical codings are unique.
 ``bit_codes`` gives a coding as the paper's map from characters to bit
 sequences.  ``kraft_sum`` and ``has_all_ones_code`` state the extended
 Kraft property, and ``check_axioms`` checks the four canonicity rules

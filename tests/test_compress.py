@@ -791,7 +791,7 @@ def test_rle_lengths_expand_back_by_the_decoders_rule_on_every_run():
                 sink.write_bits_lsb(extra, width)
             data = sink.to_bytes()
             got, pos = _rle_code_lengths(data, 0, 8 * len(data), flat, len(lengths))
-            assert (got, pos) == (lengths, sink.bit_length), (length, run)
+            assert (got, pos) == (bytearray(lengths), sink.bit_length), (length, run)
 
 
 def test_write_stored_block_round_trips():

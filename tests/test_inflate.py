@@ -44,6 +44,7 @@ from deflatekit.inflate import (
     parse_dynamic_header,
     parse_stored_block,
 )
+from deflatekit import prefix_coding
 from deflatekit.prefix_coding import _TABLE_BITS, FIXED_DIST, FIXED_LIT, build_coding
 from deflatekit.reference import (
     InvalidLengthExtra,
@@ -920,6 +921,40 @@ def test_wide_item_buffers_decode_as_their_bytes_as_zlib_reads_them():
         assert parse_deflate(wide) == parse_deflate(raw)
         assert parse_block_header(wide, 1) == parse_block_header(raw, 1)
         assert [(h, end) for h, _, end in iter_blocks(wide)] == [(h, end) for h, _, end in walk]
+
+
+# Criterion 9's English and a server log as zlib -9 writes them with
+# memLevel=1, which ends a block each time its 1,024-symbol buffer fills.
+@pytest.mark.parametrize("text", [english_text, log_text])
+def test_zlib_streams_of_many_dynamic_blocks_end_at_their_last_bit(text, monkeypatch):
+    data = text(150_000)
+    z = zlib.compressobj(9, zlib.DEFLATED, -15, 1)
+    stream = z.compress(data) + z.flush()
+    built = []
+
+    def recorded(lengths, max_len):
+        built.append(build_coding(lengths, max_len))
+        return built[-1]
+
+    def no_writer_half(*args):
+        pytest.fail("a decode built a coding's writer half")
+
+    monkeypatch.setattr(inflate_module, "build_coding", recorded)
+    monkeypatch.setattr(prefix_coding, "canonical_codes", no_writer_half)
+    walk = list(iter_blocks(stream))
+    headers = [h for k, (h, _, _) in enumerate(walk) if k == 0 or h is not walk[k - 1][0]]
+    dynamic = sum(h.block_type is BlockType.DYNAMIC for h in headers)
+    assert dynamic >= 100 and len(built) == 3 * dynamic
+    # A decode reads only the decoder's half of each coding it builds.
+    assert not any(hasattr(c, "_values") or hasattr(c, "_stream_codes") for c in built)
+    junk = b"\x00\xff trailing junk"
+    outcome = parse_deflate(stream + junk)
+    assert outcome == parse_deflate(stream)
+    assert outcome.value == data
+    assert outcome.consumed_bits == walk[-1][2]
+    d = zlib.decompressobj(-15)
+    assert d.decompress(stream + junk) == data
+    assert (outcome.consumed_bits + 7) // 8 == len(stream + junk) - len(d.unused_data)
 
 
 def lines_and_runs(size: int, line_share: float) -> bytes:

@@ -33,6 +33,7 @@ from deflatekit.prefix_coding import (
     MAX_CL_CODE_LENGTH,
     MAX_CODE_LENGTH,
     build_coding,
+    canonical_codes,
 )
 from deflatekit.reference import (
     AxiomReport,
@@ -88,9 +89,15 @@ def test_worked_example_codes():
 
 def test_a_coding_holds_only_what_the_codec_reads():
     # The bit-tuple view is reference.bit_codes; a coding is its integers.
+    # The decoder's half is built at once, the writer's (values and
+    # stream_codes) on first access.
     assert DeflateCoding.__slots__ == (
-        "lengths", "values", "stream_codes", "table_bits", "table", "_long_codes", "_longest"
+        "lengths", "table_bits", "table", "_long_codes", "_longest", "_values", "_stream_codes"
     )
+    coding = DeflateCoding([2, 1, 3, 3, 0])
+    assert not hasattr(coding, "_values") and not hasattr(coding, "_stream_codes")
+    assert coding.stream_codes[0] == (0b01, 2)
+    assert coding._values == coding.values == (0b10, 0b0, 0b110, 0b111, 0)
     for name in ("codes", "max_len", "__getitem__", "__len__"):
         assert not hasattr(FIXED_LIT, name), name
     with pytest.raises(TypeError):
@@ -110,14 +117,30 @@ def test_counting_recurrence_handles_empty_length_classes():
     assert build_coding([2, 2, 3]).values == (0b00, 0b01, 0b100)
 
 
+# sha256 over each coding's values and stream_codes on the vectors of
+# test_constructions_agree_on_random_vectors, recorded while the
+# constructor still built them beside the decode table.
+PINNED_WRITER_HALF_SHA256 = "26579dce608bdd15293967820ee51147071bcc92fd15c4b47017e0771d638b96"
+
+
 def test_constructions_agree_on_random_vectors():
     rng = random.Random(7)
+    digest = hashlib.sha256()
     for _ in range(400):
         lengths = random_code_lengths(rng)
         coding = DeflateCoding(lengths)
         assert coding == build_coding(lengths)
-        assert coding.values == build_coding_sorted(lengths)
+        # The writer's half waits for its first access, then agrees with
+        # the sorted construction, reversed into stream order.
+        assert not hasattr(coding, "_values") and not hasattr(coding, "_stream_codes")
+        values = build_coding_sorted(lengths)
+        assert coding.values == values
+        assert coding.stream_codes == tuple(
+            (int(f"{v:0{l}b}"[::-1], 2) if l else 0, l) for v, l in zip(values, lengths))
+        assert canonical_codes(lengths) == (coding.values, coding.stream_codes)
         assert [len(code) for code in bit_codes(coding)] == lengths
+        digest.update(f"{coding.values} {coding.stream_codes}\n".encode())
+    assert digest.hexdigest() == PINNED_WRITER_HALF_SHA256
 
 
 def build_coding_vectors():
@@ -266,11 +289,11 @@ def test_oversubscribed_vectors_are_rejected():
 
 
 def test_code_lengths_validation():
-    # The constructor, under both its names, and the sorted model share
-    # one input check: each bad vector raises the same exception, with the
-    # same message, from each, when the coding is built.  A length out of
-    # range is reported for the first character that has one, before
-    # over-subscription is considered.
+    # The constructor, under both its names, the writer's canonical_codes
+    # and the sorted model share one input check: each bad vector raises
+    # the same exception, with the same message, from each, when the
+    # coding is built.  A length out of range is reported for the first
+    # character that has one, before over-subscription is considered.
     over = "code-length vector is over-subscribed: sum of 2**-l is 3/2 > 1"
     cases = [
         (ValueOutOfRange, "length -1 of character 1 is negative", [1, -1], MAX_CODE_LENGTH),
@@ -294,9 +317,16 @@ def test_code_lengths_validation():
          [1, 1, 1, 16], MAX_CODE_LENGTH),
         (ValueOutOfRange, "length -2 of character 2 is negative",
          [1, 1, -2, 1, 16, -1], MAX_CODE_LENGTH),
+        # A length is an int, never a float, a string or a bool, which
+        # bytes() would take as 1.
+        (ValueOutOfRange, "length 1.5 of character 0 is not an int", [1.5], MAX_CODE_LENGTH),
+        (ValueOutOfRange, "length '1' of character 0 is not an int", ["1"], MAX_CODE_LENGTH),
+        (ValueOutOfRange, "length True of character 0 is not an int", [True, 1], MAX_CODE_LENGTH),
+        (LengthOverflow, "length 16 of character 1 exceeds the maximum 15",
+         [1, 16, 1.5], MAX_CODE_LENGTH),
     ]
     for expected, message, lengths, max_len in cases:
-        for construct in (DeflateCoding, build_coding, build_coding_sorted):
+        for construct in (DeflateCoding, build_coding, build_coding_sorted, canonical_codes):
             with pytest.raises(Exception) as err:
                 construct(lengths, max_len)
             assert type(err.value) is expected, (construct.__name__, lengths, max_len)
