@@ -15,7 +15,7 @@ from .compress import DEFAULT_PARAMS, CompressParams, deflate
 from .errors import DeflateError
 from .gzip_container import _MAGIC, _parse_header, gzip_compress, gzip_decompress
 from .inflate import NoParse, inflate, iter_blocks
-from .prefix_coding import DeflateCoding, build_coding
+from .prefix_coding import canonical_codes
 from .symbol_tables import BackRef, BlockType, Literal
 
 
@@ -60,13 +60,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Reject bad usage through parser.error (exit 2); dump-coding gets args.coding."""
+    """Reject bad usage through parser.error (exit 2); dump-coding gets args.codes."""
     if args.mode == "dump-coding":
         # int() and every coding error (bad --max-len, over-subscribed
         # lengths) raise ValueError: all are usage errors.
         try:
             lengths = [int(part) for part in args.lengths.split(",")]
-            args.coding = build_coding(lengths, args.max_len)
+            args.codes = canonical_codes(lengths, args.max_len)
         except ValueError as e:
             parser.error(f"bad length vector {args.lengths!r}: {e}")
     if args.mode == "compress":
@@ -102,8 +102,8 @@ def _write_output(path: str | None, data: bytes) -> None:
             fh.write(data)
 
 
-def _dump_coding(coding: DeflateCoding) -> None:
-    for ch, (value, length) in enumerate(zip(coding.values, coding.lengths)):
+def _dump_coding(codes: tuple) -> None:
+    for ch, (value, (_, length)) in enumerate(zip(*codes)):
         print(f"{ch}: {value:0{length}b}" if length else f"{ch}: (absent)")
 
 
@@ -164,7 +164,7 @@ def run(args: argparse.Namespace) -> int:
     """Execute one checked invocation; returns the exit status."""
     try:
         if args.mode == "dump-coding":
-            _dump_coding(args.coding)
+            _dump_coding(args.codes)
             return 0
         data = _read_input(args.input)
         if args.mode == "dump-tokens":

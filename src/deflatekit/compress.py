@@ -287,7 +287,8 @@ _DIST_EXTRA = [ebits for ebits, _ in DISTANCE_CODES]
 # Length/literal symbol of each match length 3..258, and how many each codes.
 _LENGTH_SYMBOL = [entry and entry[0] for entry in LENGTH_ENCODING]
 _LENGTH_RUNS = [len(list(run)) for _, run in groupby(_LENGTH_SYMBOL[MIN_MATCH_LENGTH:])]
-_STATIC_TABLES = _code_tables(FIXED_LIT.stream_codes, FIXED_DIST.stream_codes)
+_STATIC_TABLES = _code_tables(canonical_codes(bytes(FIXED_LIT.lengths))[1],
+                              canonical_codes(bytes(FIXED_DIST.lengths))[1])
 _WRITE_RUN = 64  # tokens per accumulator, so it stays a small int
 
 
@@ -476,17 +477,17 @@ def _dynamic_plan(lit, dist):
     (bits, width) field that follows it: HLIT, HDIST, HCLEN, the first
     HCLEN code-length lengths in CL_CODE_ORDER, and the first HLIT and
     HDIST lengths run-length coded under the code-length coding; and
-    the literal/length and distance codings' lengths.
+    the literal/length and distance codings' lengths, as bytes.
     """
-    lit_lengths = huffman_lengths(lit, MAX_CODE_LENGTH)
-    dist_lengths = huffman_lengths(dist, MAX_CODE_LENGTH)
+    lit_lengths = bytes(huffman_lengths(lit, MAX_CODE_LENGTH))
+    dist_lengths = bytes(huffman_lengths(dist, MAX_CODE_LENGTH))
     hlit = max(257, 1 + max(compress(range(286), lit_lengths)))
     hdist = 1 + max(compress(range(30), dist_lengths))
     runs = _rle_lengths(lit_lengths[:hlit] + dist_lengths[:hdist])
     cl_counts = [0] * 19
     for sym, _ in runs:
         cl_counts[sym] += 1
-    cl_lengths = huffman_lengths(cl_counts, MAX_CL_CODE_LENGTH)
+    cl_lengths = bytes(huffman_lengths(cl_counts, MAX_CL_CODE_LENGTH))
     cl_codes = canonical_codes(cl_lengths, MAX_CL_CODE_LENGTH)[1]
     # The code-length lengths as 3-bit fields in CL_CODE_ORDER, trailing
     # zeros trimmed; a length 1..15 is always coded (the end of block has

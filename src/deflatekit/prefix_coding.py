@@ -16,15 +16,15 @@ prefix sorts before its extensions):
 Rules 1-4 force each length class to occupy a dense range of values
 starting right after the (doubled) end of the previous class: one walk,
 ``check_lengths``, gives each class its first value (RFC 1951 section
-3.2.2's ``next_code``).  ``DeflateCoding(lengths, max_len)`` (also named
-``build_coding``) builds from it the decoder's half, the lookup table that
-one resolver, ``DeflateCoding.entry``, reads; the writer's half, each
-code's integer value and its bit-reversed ``stream_codes``, waits for its
-first access, and ``canonical_codes`` builds it alone.  ``FIXED_LIT`` and
-``FIXED_DIST`` are the static-block codings.  The paper's other
-construction, by sorting the characters (``build_coding_sorted``), and
-the four-rule checker are reference models in ``deflatekit.reference``
-that the tests hold this construction to.
+3.2.2's ``next_code``).  Each half of a coding has one builder fed by that
+walk.  ``DeflateCoding(lengths, max_len)`` (also named ``build_coding``)
+is the decoder's half, the lookup table that one resolver,
+``DeflateCoding.entry``, reads; ``canonical_codes`` is the writer's half,
+each code's integer value and its bit-reversed stream code.
+``FIXED_LIT`` and ``FIXED_DIST`` are the static-block codings.  The
+paper's other construction, by sorting the characters
+(``build_coding_sorted``), and the four-rule checker are reference models
+in ``deflatekit.reference`` that the tests hold this construction to.
 """
 
 from __future__ import annotations
@@ -49,32 +49,31 @@ _REVERSED_BYTE = bytes((b * 0x0202020202 & 0x010884422010) % 1023 for b in range
 def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> tuple[bytes, list]:
     """Check a length vector, then walk its codes in canonical order.
 
-    Raises for max_len outside 1..15, then at the first character whose
-    length is no int (a bool is none) or outside 0..max_len, then for a
-    Kraft sum above 1.  Returns the vector as bytes and its classes by
-    length, each ``(length, first value, characters)``, a first value being
-    one past the last value before it, shifted left by the growth in length."""
+    Raises for a max_len that is no int (a bool is none) or is outside
+    1..15, then at the first character whose length is no int or is
+    outside 0..max_len, then for a Kraft sum above 1.  A ``bytes`` or
+    ``bytearray`` vector, as the codec passes, is screened at C speed;
+    any other goes through one loop.  Returns the vector as bytes and its
+    classes by length, each ``(length, first value, characters)``, a first
+    value being one past the last value before it, shifted left by the
+    growth in length."""
+    if isinstance(max_len, bool) or not isinstance(max_len, int):
+        raise ValueOutOfRange(f"max_len must be an int, not {type(max_len).__name__}")
     if not 1 <= max_len <= MAX_CODE_LENGTH:
         bound = "at least 1" if max_len < 1 else f"at most {MAX_CODE_LENGTH}"
         raise ValueOutOfRange(f"max_len {max_len} must be {bound}")
-    try:
-        if not isinstance(lengths, (bytes, bytearray)):
-            lengths = tuple(lengths)  # bytes() takes a bool as 1: screen for ints only
-            if not set(map(type, lengths)) <= {int}:
-                raise TypeError
-        packed = bytes(lengths)  # ValueError for a length outside 0..255
-        order = sorted(compress(range(len(packed)), packed), key=packed.__getitem__)
-        if order and packed[order[-1]] > max_len:
-            raise ValueError
-    except (TypeError, ValueError):
+    # Bytes hold a length above max_len when deleting every length 0..max_len leaves some.
+    if not isinstance(lengths, (bytes, bytearray)) or lengths.translate(
+            None, bytes(range(max_len + 1))):
         for ch, l in enumerate(lengths):
-            if isinstance(l, bool) or not isinstance(l, int):
-                raise ValueOutOfRange(f"length {l!r} of character {ch} is not an int") from None
+            if isinstance(l, bool) or not isinstance(l, int):  # bytes() would take a bool as 1
+                raise ValueOutOfRange(f"length {l!r} of character {ch} is not an int")
             if not 0 <= l <= max_len:
                 error, bound = (ValueOutOfRange, "is negative") if l < 0 else (
                     LengthOverflow, f"exceeds the maximum {max_len}")
-                raise error(f"length {l} of character {ch} {bound}") from None
-        return check_lengths([int(l) for l in lengths], max_len)  # held an int subclass
+                raise error(f"length {l} of character {ch} {bound}")
+    packed = bytes(lengths)
+    order = sorted(compress(range(len(packed)), packed), key=packed.__getitem__)
     classes = []
     value = width = 0
     for length, chars in groupby(order, packed.__getitem__):
@@ -91,8 +90,11 @@ def check_lengths(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> tup
 
 
 def canonical_codes(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> tuple:
-    """The writer's half of a coding, ``(values, stream_codes)`` as
-    ``DeflateCoding`` has them, checked alike and with no decode table."""
+    """The writer's half of a coding, ``(values, stream_codes)``, checked by
+    ``check_lengths``: ``values[ch]`` is ch's code as an integer read
+    leftmost bit first, and ``stream_codes[ch]`` is ``(reversed value,
+    length)``, which written as an LSB-first field puts the leftmost code
+    bit first; ``(0, 0)`` where ch has no code."""
     packed, classes = check_lengths(lengths, max_len)
     values = [0] * len(packed)
     stream_codes = [(0, 0)] * len(packed)
@@ -106,31 +108,27 @@ def canonical_codes(lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH) -> t
 
 
 class DeflateCoding:
-    """The canonical prefix-free coding of characters 0..n-1 for a length vector.
+    """The decoder's half of the canonical coding of characters 0..n-1 for a length vector.
 
     The vector is checked by ``check_lengths``; ``lengths[ch]`` is the
     code length of ch (0: no code), and a Kraft sum of at most 1 keeps
-    every code within its width.  The constructor builds the decoder's
-    half from the walk: ``table`` (zlib ``inftrees.c``) maps each
-    ``table_bits`` = min(11, longest code) stream bits, least significant
-    first, to ``(symbol << 4) | length`` for the code of at most
-    ``table_bits`` bits they begin with, else -1.  It doubles as the walk
-    reaches each longer length, so an index's low bits still pick a
-    shorter code's entry and each code fills one slot.  A dict maps each
-    longer code, as ``rev << 4 | length``, to the same packed entry;
-    ``entry`` resolves bits already read through both.
+    every code within its width.  The constructor builds from the walk
+    ``table`` (zlib ``inftrees.c``), which maps each ``table_bits`` =
+    min(11, longest code) stream bits, least significant first, to
+    ``(symbol << 4) | length`` for the code of at most ``table_bits``
+    bits they begin with, else -1.  It doubles as the walk reaches each
+    longer length, so an index's low bits still pick a shorter code's
+    entry and each code fills one slot.  A dict maps each longer code, as
+    ``rev << 4 | length``, to the same packed entry; ``entry`` resolves
+    bits already read through both.
 
-    The writer's half is built by ``canonical_codes`` on first access:
-    ``values[ch]``, ch's code as an integer read leftmost bit first, and
-    ``stream_codes[ch]``, ``(reversed value, length)``: written as an
-    LSB-first field it puts the leftmost code bit first.
+    The writer's half is ``canonical_codes`` of the same lengths;
     ``reference.bit_codes`` gives the codes as tuples of bits, and
     ``reference.check_axioms`` screens any such table.  Instances are
     value-like: the lengths fix the codes, so equality is by lengths.
     """
 
-    __slots__ = ("lengths", "table_bits", "table", "_long_codes", "_longest",
-                 "_values", "_stream_codes")
+    __slots__ = ("lengths", "table_bits", "table", "_long_codes", "_longest")
 
     def __init__(self, lengths: Sequence[int], max_len: int = MAX_CODE_LENGTH):
         packed, classes = check_lengths(lengths, max_len)
@@ -157,14 +155,6 @@ class DeflateCoding:
         table *= 1 << (bits - level)
         self.table = table
 
-    values = property(lambda self: self._writer_half()[0])
-    stream_codes = property(lambda self: self._writer_half()[1])
-
-    def _writer_half(self):
-        if not hasattr(self, "_values"):  # built on first access
-            self._values, self._stream_codes = canonical_codes(self.lengths)
-        return self._values, self._stream_codes
-
     def __eq__(self, other) -> bool:
         if isinstance(other, DeflateCoding):
             return self.lengths == other.lengths
@@ -174,7 +164,8 @@ class DeflateCoding:
         return hash(self.lengths)
 
     def __repr__(self) -> str:
-        shown = {ch: f"{v:0{l}b}" for ch, (v, l) in enumerate(zip(self.values, self.lengths)) if l}
+        values = canonical_codes(self.lengths)[0]
+        shown = {ch: f"{v:0{l}b}" for ch, (v, l) in enumerate(zip(values, self.lengths)) if l}
         return f"DeflateCoding({shown})"
 
     def entry(self, bits: int, avail: int, bit_pos: int) -> int:
@@ -220,6 +211,6 @@ build_coding = DeflateCoding
 # -- the two fixed codings --------------------------------------------
 
 # The static-block literal/length coding over the 288-character alphabet.
-FIXED_LIT = DeflateCoding([8] * 144 + [9] * 112 + [7] * 24 + [8] * 8)
+FIXED_LIT = DeflateCoding(bytes([8] * 144 + [9] * 112 + [7] * 24 + [8] * 8))
 # The static-block distance coding: 32 five-bit codes.
-FIXED_DIST = DeflateCoding([5] * 32)
+FIXED_DIST = DeflateCoding(bytes([5] * 32))

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import DeflateError, InvalidCodepoint, ValueOutOfRange
 from .history_window import ENIL, Econs1, ExpList
-from .prefix_coding import MAX_CODE_LENGTH, DeflateCoding, check_lengths
+from .prefix_coding import MAX_CODE_LENGTH, DeflateCoding, canonical_codes, check_lengths
 from .symbol_tables import MAX_MATCH_LENGTH, MIN_MATCH_LENGTH
 
 Bits = tuple[int, ...]
@@ -34,7 +34,7 @@ def _bits_of_int(value: int, width: int) -> Bits:
 
 def bit_codes(coding: DeflateCoding) -> tuple[Bits, ...]:
     """Each character's code as a tuple of bits, leftmost first; () for no code."""
-    return tuple(map(_bits_of_int, coding.values, coding.lengths))
+    return tuple(map(_bits_of_int, canonical_codes(coding.lengths)[0], coding.lengths))
 
 
 def _int_of_bits(bits: Sequence[int]) -> int:

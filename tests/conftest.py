@@ -87,7 +87,7 @@ GOLDEN_DYNAMIC_CONSUMED = len(listing_bits(GOLDEN_DYNAMIC_LISTING)) - 7
 def write_code_msb(sink: BitSink, code) -> None:
     """Append a code's bits leftmost first.
 
-    The block writers emit a coding's ``stream_codes``, each code's bits
+    The block writers emit ``canonical_codes``' stream codes, each code's bits
     already reversed into an LSB-first field; this writes the bit tuple
     itself, one bit at a time in reading order, as the independent check.
     """

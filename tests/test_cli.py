@@ -189,6 +189,14 @@ def test_corrupt_gzip_exits_one(tmp_path, capsys):
     assert "deflatekit:" in capsys.readouterr().err
 
 
+def test_an_extra_field_past_the_end_exits_one(tmp_path, capsys):
+    # Flags FEXTRA, XLEN 1000, then 3 bytes of the field.
+    bad = tmp_path / "extra.gz"
+    bad.write_bytes(b"\x1f\x8b\x08\x04" + bytes(6) + b"\xe8\x03abc")
+    assert main(["decompress", str(bad)]) == 1
+    assert "gzip header is truncated" in capsys.readouterr().err
+
+
 def test_missing_input_exits_one(tmp_path, capsys):
     assert main(["compress", str(tmp_path / "nope.txt")]) == 1
     assert capsys.readouterr().err

@@ -46,7 +46,13 @@ from deflatekit.inflate import (
     parse_dynamic_header,
     parse_stored_block,
 )
-from deflatekit.prefix_coding import FIXED_DIST, FIXED_LIT, MAX_CL_CODE_LENGTH, DeflateCoding
+from deflatekit.prefix_coding import (
+    FIXED_DIST,
+    FIXED_LIT,
+    MAX_CL_CODE_LENGTH,
+    DeflateCoding,
+    canonical_codes,
+)
 from deflatekit.reference import (
     DISTANCE_TABLE,
     MAX_DISTANCE,
@@ -588,8 +594,8 @@ def test_write_dynamic_block_refuses_a_token_its_plan_leaves_uncoded():
 
 def write_static_fields(tokens, final: bool, sink: BitSink) -> BitSink:
     """write_static_block field by field through the checked write_bits_lsb."""
-    lit_enc = FIXED_LIT.stream_codes
-    dist_enc = FIXED_DIST.stream_codes
+    lit_enc = canonical_codes(FIXED_LIT.lengths)[1]
+    dist_enc = canonical_codes(FIXED_DIST.lengths)[1]
     write = sink.write_bits_lsb
     write(1 if final else 0, 1)
     write(1, 2)
@@ -780,6 +786,7 @@ def test_rle_lengths_expand_back_by_the_decoders_rule_on_every_run():
     for (length, run), pairs in RLE_BOUNDARIES.items():
         assert _rle_lengths([length] * run) == pairs, (length, run)
     flat = DeflateCoding([5] * 19, MAX_CL_CODE_LENGTH)
+    flat_codes = canonical_codes(flat.lengths, MAX_CL_CODE_LENGTH)[1]
     for length, left, right in ((0, 3, 4), (8, 0, 5)):
         for run in range(1, 301):
             lengths = [left] + [length] * run + [right]
@@ -787,7 +794,7 @@ def test_rle_lengths_expand_back_by_the_decoders_rule_on_every_run():
             for sym, extra in _rle_lengths(lengths):
                 width = REPEAT_CODES[sym - 16][0] if sym > 15 else 0
                 assert 0 <= extra < 1 << width, (length, run, sym, extra)
-                sink.write_bits_lsb(*flat.stream_codes[sym])
+                sink.write_bits_lsb(*flat_codes[sym])
                 sink.write_bits_lsb(extra, width)
             data = sink.to_bytes()
             got, pos = _rle_code_lengths(data, 0, 8 * len(data), flat, len(lengths))
@@ -1095,6 +1102,30 @@ def test_deflate_is_no_longer_than_one_block_per_record(monkeypatch):
         assert len(out) <= len(one)
         shorter += len(out) < len(one)
     assert shorter >= 4  # the default and chain1 text and wrap entries at least
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_split_dearer_than_one_block_is_written_as_one_block(monkeypatch, seed):
+    # Four words at random: every chunk codes alike, so each split block
+    # would pay a header of its own.  With merging off, deflate's guard
+    # must fall back to the record as one block, as chunking off writes it.
+    rng = random.Random(seed)
+    data = " ".join(rng.choice(("alpha", "beta", "gamma", "delta")) for _ in range(8000))
+    data = data.encode()
+    counted = []
+
+    def unmerged(chunks):
+        counted.append(len(chunks))
+        return [[stop, lit, dist, end, compress._price(lit, dist)]
+                for stop, lit, dist, end in chunks]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(compress, "_merge", unmerged)
+        out = deflate(data)
+    assert counted == [6]
+    assert out == one_block_per_record(monkeypatch, data)
+    assert len(written_blocks(out)) == 1
+    assert inflate(out) == data
 
 
 def test_a_mixed_input_is_split_into_blocks_smaller_than_one(monkeypatch):

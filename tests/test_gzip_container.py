@@ -326,6 +326,15 @@ def test_truncated_name_field():
         gzip_decompress(header)
 
 
+# Flags FEXTRA, XLEN 1000, then 3 bytes of the field: it runs past the end.
+EXTRA_PAST_THE_END = b"\x1f\x8b\x08\x04" + bytes(6) + struct.pack("<H", 1000) + b"abc"
+
+
+def test_extra_field_running_past_the_end_is_a_truncated_header():
+    with pytest.raises(BadMagic, match="^gzip header is truncated$"):
+        gzip_decompress(EXTRA_PAST_THE_END)
+
+
 def test_missing_trailer():
     blob = gzip_compress(b"hello trailer")
     with pytest.raises(TrailerMismatch):

@@ -945,8 +945,6 @@ def test_zlib_streams_of_many_dynamic_blocks_end_at_their_last_bit(text, monkeyp
     headers = [h for k, (h, _, _) in enumerate(walk) if k == 0 or h is not walk[k - 1][0]]
     dynamic = sum(h.block_type is BlockType.DYNAMIC for h in headers)
     assert dynamic >= 100 and len(built) == 3 * dynamic
-    # A decode reads only the decoder's half of each coding it builds.
-    assert not any(hasattr(c, "_values") or hasattr(c, "_stream_codes") for c in built)
     junk = b"\x00\xff trailing junk"
     outcome = parse_deflate(stream + junk)
     assert outcome == parse_deflate(stream)

@@ -8,14 +8,18 @@ and share one input check.  The slow decoder below is a third,
 structure-free implementation used to pin down read_symbol.
 """
 
+import enum
 import hashlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deflatekit import prefix_coding
 from deflatekit.bitio import BitSink
 from deflatekit.compress import huffman_lengths
 from deflatekit.errors import (
@@ -26,6 +30,7 @@ from deflatekit.errors import (
     LengthOverflow,
     ValueOutOfRange,
 )
+from deflatekit.gzip_container import gzip_compress, gzip_decompress
 from deflatekit.prefix_coding import (
     DeflateCoding,
     FIXED_DIST,
@@ -34,6 +39,7 @@ from deflatekit.prefix_coding import (
     MAX_CODE_LENGTH,
     build_coding,
     canonical_codes,
+    check_lengths,
 )
 from deflatekit.reference import (
     AxiomReport,
@@ -84,21 +90,16 @@ def test_worked_example_codes():
     coding = build_coding([2, 1, 3, 3, 0])
     assert bit_codes(coding) == ((1, 0), (0,), (1, 1, 0), (1, 1, 1), ())
     assert coding.lengths == (2, 1, 3, 3, 0)
-    assert coding.values == (0b10, 0b0, 0b110, 0b111, 0)
+    assert canonical_codes(coding.lengths)[0] == (0b10, 0b0, 0b110, 0b111, 0)
 
 
 def test_a_coding_holds_only_what_the_codec_reads():
-    # The bit-tuple view is reference.bit_codes; a coding is its integers.
-    # The decoder's half is built at once, the writer's (values and
-    # stream_codes) on first access.
-    assert DeflateCoding.__slots__ == (
-        "lengths", "table_bits", "table", "_long_codes", "_longest", "_values", "_stream_codes"
-    )
-    coding = DeflateCoding([2, 1, 3, 3, 0])
-    assert not hasattr(coding, "_values") and not hasattr(coding, "_stream_codes")
-    assert coding.stream_codes[0] == (0b01, 2)
-    assert coding._values == coding.values == (0b10, 0b0, 0b110, 0b111, 0)
-    for name in ("codes", "max_len", "__getitem__", "__len__"):
+    # The bit-tuple view is reference.bit_codes; a coding is the
+    # decoder's half, and canonical_codes alone builds the writer's.
+    assert DeflateCoding.__slots__ == ("lengths", "table_bits", "table", "_long_codes", "_longest")
+    assert canonical_codes([2, 1, 3, 3, 0]) == (
+        (0b10, 0b0, 0b110, 0b111, 0), ((0b01, 2), (0b0, 1), (0b011, 3), (0b111, 3), (0, 0)))
+    for name in ("codes", "max_len", "values", "stream_codes", "__getitem__", "__len__"):
         assert not hasattr(FIXED_LIT, name), name
     with pytest.raises(TypeError):
         FIXED_LIT[0]
@@ -107,17 +108,17 @@ def test_a_coding_holds_only_what_the_codec_reads():
 
 
 def test_worked_example_via_counting():
-    assert build_coding([2, 1, 3, 3, 0]).values == build_coding_sorted([2, 1, 3, 3, 0])
+    assert canonical_codes([2, 1, 3, 3, 0])[0] == build_coding_sorted([2, 1, 3, 3, 0])
 
 
 def test_counting_recurrence_handles_empty_length_classes():
     # No length-1 codes, two length-2 codes, then one of length 3: the
     # length-3 class must start at value 4 (binary 100), not 8, which
     # the closed form sum of count[j] << j over j < 3 would give.
-    assert build_coding([2, 2, 3]).values == (0b00, 0b01, 0b100)
+    assert canonical_codes([2, 2, 3])[0] == (0b00, 0b01, 0b100)
 
 
-# sha256 over each coding's values and stream_codes on the vectors of
+# sha256 over canonical_codes' values and stream codes on the vectors of
 # test_constructions_agree_on_random_vectors, recorded while the
 # constructor still built them beside the decode table.
 PINNED_WRITER_HALF_SHA256 = "26579dce608bdd15293967820ee51147071bcc92fd15c4b47017e0771d638b96"
@@ -130,16 +131,15 @@ def test_constructions_agree_on_random_vectors():
         lengths = random_code_lengths(rng)
         coding = DeflateCoding(lengths)
         assert coding == build_coding(lengths)
-        # The writer's half waits for its first access, then agrees with
-        # the sorted construction, reversed into stream order.
-        assert not hasattr(coding, "_values") and not hasattr(coding, "_stream_codes")
-        values = build_coding_sorted(lengths)
-        assert coding.values == values
-        assert coding.stream_codes == tuple(
+        # The writer's half agrees with the sorted construction, reversed
+        # into stream order, whether the lengths come as a list or as bytes.
+        values, stream_codes = canonical_codes(lengths)
+        assert values == build_coding_sorted(lengths)
+        assert stream_codes == tuple(
             (int(f"{v:0{l}b}"[::-1], 2) if l else 0, l) for v, l in zip(values, lengths))
-        assert canonical_codes(lengths) == (coding.values, coding.stream_codes)
+        assert canonical_codes(bytes(lengths)) == (values, stream_codes)
         assert [len(code) for code in bit_codes(coding)] == lengths
-        digest.update(f"{coding.values} {coding.stream_codes}\n".encode())
+        digest.update(f"{values} {stream_codes}\n".encode())
     assert digest.hexdigest() == PINNED_WRITER_HALF_SHA256
 
 
@@ -324,6 +324,12 @@ def test_code_lengths_validation():
         (ValueOutOfRange, "length True of character 0 is not an int", [True, 1], MAX_CODE_LENGTH),
         (LengthOverflow, "length 16 of character 1 exceeds the maximum 15",
          [1, 16, 1.5], MAX_CODE_LENGTH),
+        # Bytes, as the codec passes, are screened alike.
+        (LengthOverflow, "length 8 of character 1 exceeds the maximum 7",
+         bytes([1, 8, 9]), MAX_CL_CODE_LENGTH),
+        (LengthOverflow, "length 16 of character 2 exceeds the maximum 15",
+         bytearray([1, 1, 16]), MAX_CODE_LENGTH),
+        (KraftViolation, over, bytes([1, 1, 1]), MAX_CODE_LENGTH),
     ]
     for expected, message, lengths, max_len in cases:
         for construct in (DeflateCoding, build_coding, build_coding_sorted, canonical_codes):
@@ -331,6 +337,71 @@ def test_code_lengths_validation():
                 construct(lengths, max_len)
             assert type(err.value) is expected, (construct.__name__, lengths, max_len)
             assert str(err.value) == message, (construct.__name__, lengths, max_len)
+
+
+@pytest.mark.parametrize("max_len", [1.5, True, "3", None], ids=["float", "bool", "str", "none"])
+def test_a_max_len_that_is_no_int_is_out_of_range(max_len):
+    # Screened before the range check, so a bool is not taken as 1 nor a
+    # float as a bound, and a string or None raises no bare TypeError.
+    message = f"^max_len must be an int, not {type(max_len).__name__}$"
+    for construct in (check_lengths, DeflateCoding, build_coding, build_coding_sorted,
+                      canonical_codes):
+        with pytest.raises(ValueOutOfRange, match=message):
+            construct([1, 1], max_len)
+
+
+class Width(enum.IntEnum):
+    NONE, ONE, TWO, THREE = range(4)
+
+
+class Length(int):
+    """An int subclass that is no enum."""
+
+
+def test_lengths_of_an_int_subclass_build_what_plain_ints_build():
+    # The screen takes any int but a bool; the built coding holds plain ints.
+    lengths = random_code_lengths(random.Random(17))
+    assert max(lengths) > 11  # codes past the primary table too
+    for plain, members in (([2, 1, 3, 3, 0], [Width(l) for l in (2, 1, 3, 3, 0)]),
+                           (lengths, [Length(l) for l in lengths])):
+        coding, twin = DeflateCoding(members), DeflateCoding(plain)
+        assert coding.lengths == twin.lengths
+        assert {type(l) for l in coding.lengths} <= {int}
+        assert (coding.table_bits, coding.table, coding._long_codes) == (
+            twin.table_bits, twin.table, twin._long_codes)
+        assert canonical_codes(members) == canonical_codes(plain)
+        assert repr(coding) == repr(twin)
+    with pytest.raises(ValueOutOfRange, match="^length True of character 1 is not an int$"):
+        DeflateCoding([Width.TWO, True, Width.THREE, Width.THREE])
+
+
+def bench_corpus():
+    """The benchmark's item generators, bench/corpus.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("deflatekit_bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_codec_hands_check_lengths_only_bytes(monkeypatch):
+    # The round trip of a benchmark text item and the decode of a zlib
+    # member with dynamic blocks screen every vector at C speed.
+    corpus = bench_corpus()
+    plain = corpus.make_item("text", 1, 0, corpus.ITEM_BYTES)
+    member = corpus.zlib_gzip(plain, 6)
+    seen = []
+
+    def recorded(lengths, max_len=MAX_CODE_LENGTH):
+        seen.append(type(lengths))
+        return check_lengths(lengths, max_len)
+
+    monkeypatch.setattr(prefix_coding, "check_lengths", recorded)
+    assert gzip_decompress(gzip_compress(plain)) == plain
+    compressed = len(seen)
+    assert gzip_decompress(member) == plain
+    assert compressed > 3 and len(seen) >= compressed + 3  # dynamic blocks on both sides
+    assert set(seen) <= {bytes, bytearray}
 
 
 # -- the four axioms ----------------------------------------------------
@@ -526,7 +597,7 @@ def test_entry_finds_every_code_under_any_higher_bits_at_every_avail(seed):
     # bits follow a code, it resolves once its own bits are in hand.
     rng = random.Random(seed)
     coding = build_coding(random_code_lengths(rng))
-    for ch, (rev, length) in enumerate(coding.stream_codes):
+    for ch, (rev, length) in enumerate(canonical_codes(coding.lengths)[1]):
         if length:
             bits = rev | rng.getrandbits(32) << length
             for avail in range(length, MAX_CODE_LENGTH + 1):
@@ -543,8 +614,9 @@ def test_stream_codes_put_the_leftmost_code_bit_first():
     codings = [build_coding(random_code_lengths(rng)) for _ in range(200)]
     for coding in codings + [FIXED_LIT, FIXED_DIST]:
         codes = bit_codes(coding)
-        assert len(coding.stream_codes) == len(coding.lengths)
-        for ch, (rev, length) in enumerate(coding.stream_codes):
+        stream_codes = canonical_codes(coding.lengths)[1]
+        assert len(stream_codes) == len(coding.lengths)
+        for ch, (rev, length) in enumerate(stream_codes):
             assert length == coding.lengths[ch] == len(codes[ch])
             if not length:
                 continue
